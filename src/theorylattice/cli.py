@@ -4,7 +4,8 @@ Subcommands load signatures, pools, and models from files, build the
 lattice of theories, and run queries or exports.  All outputs are
 deterministic.  Exit codes: 0 success (and positive answers), 1 negative
 ``entail``/``leq``/``check`` answers, 2 input errors (with file and line
-diagnostics where available), 3 size-cap refusals.
+diagnostics where available), 3 size-cap refusals, 4 internal errors (any
+other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -384,6 +385,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, PoolMembershipError, SignatureMismatchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 4
 
 
 def run_main() -> None:

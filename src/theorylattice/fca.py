@@ -3,9 +3,14 @@
 A classification is a binary incidence relation between instances and
 types.  The derivation operators form a Galois connection; their fixed
 points are the formal concepts, and the complete lattice they form under
-the extent order is enumerated here with NextClosure.  Instance and type
-embeddings give the join-dense and meet-dense generators, and the basic
-theorem round-trip rebuilds the classification from the lattice order.
+the extent order is enumerated here with NextClosure, its Hasse edges
+found with Lindig's neighbour algorithm.  Instance and type embeddings
+give the join-dense and meet-dense generators, and the basic theorem
+round-trip rebuilds the classification from the lattice order.
+
+Everything runs on Python-int bitsets: each type's column over instance
+positions and each instance's row over type positions.  Sets of ids
+appear only at the public API.
 
 Instance and type ids are opaque hashable values supplied by the caller.
 """
@@ -23,25 +28,74 @@ DEFAULT_CONCEPT_CAP = 100000
 Id = Hashable
 
 
+_BINARY_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, ascending.
+
+    Linear in the width: the binary digits, lowest first, select from a
+    range in C, where testing the bits one shift at a time would copy the
+    whole int per bit.
+    """
+    digits = bin(mask)[:1:-1].encode().translate(_BINARY_DIGIT)
+    return tuple(itertools.compress(range(len(digits)), digits))
+
+
+def _mask(positions: Iterable[int], width: int) -> int:
+    """The ``width``-bit mask with the given positions set, in linear time."""
+    buf = bytearray((width + 7) >> 3)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _positions(ids: Iterable[Id], pos: dict, what: str) -> list[int]:
+    """The positions of the given ids; an unknown id is a ValueError."""
+    xs = set(ids)
+    unknown = [x for x in xs if x not in pos]
+    if unknown:
+        raise ValueError(f"unknown {what} id {sorted(map(repr, unknown))[0]}")
+    return [pos[x] for x in xs]
+
+
 @dataclass(frozen=True)
 class Classification:
-    """Instances, types, and an incidence relation between them."""
+    """Instances, types, and an incidence relation between them.
+
+    The incidence is also kept as bitsets: each type's column is an int
+    over instance positions, each instance's row an int over type
+    positions.  All derivations run on these masks.
+    """
 
     instances: tuple[Id, ...]
     types: tuple[Id, ...]
     incidence: frozenset[tuple[Id, Id]]
 
     def __post_init__(self) -> None:
-        if len(set(self.instances)) != len(self.instances):
+        ipos = {i: k for k, i in enumerate(self.instances)}
+        if len(ipos) != len(self.instances):
             raise ValueError("duplicate instance ids")
-        if len(set(self.types)) != len(self.types):
+        tpos = {t: k for k, t in enumerate(self.types)}
+        if len(tpos) != len(self.types):
             raise ValueError("duplicate type ids")
-        inst, typ = set(self.instances), set(self.types)
+        held: list[list[int]] = [[] for _ in self.types]
+        rows = [0] * len(self.instances)
         for i, t in self.incidence:
-            if i not in inst:
+            p = ipos.get(i)
+            if p is None:
                 raise ValueError(f"incidence references unknown instance id {i!r}")
-            if t not in typ:
+            q = tpos.get(t)
+            if q is None:
                 raise ValueError(f"incidence references unknown type id {t!r}")
+            held[q].append(p)
+            rows[p] |= 1 << q
+        n = len(self.instances)
+        object.__setattr__(self, "_ipos", ipos)
+        object.__setattr__(self, "_tpos", tpos)
+        object.__setattr__(self, "_full", (1 << n) - 1)
+        object.__setattr__(self, "_columns", tuple(_mask(ps, n) for ps in held))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     @classmethod
     def make(
@@ -55,23 +109,38 @@ class Classification:
     def holds(self, instance: Id, typ: Id) -> bool:
         return (instance, typ) in self.incidence
 
+    def _extent(self, intent: int) -> int:
+        """The instance mask incident to every type in the type mask."""
+        out = self._full
+        for j in _bits(intent):
+            out &= self._columns[j]
+        return out
+
+    def _intent(self, extent: int) -> int:
+        """The type mask incident to every instance in the instance mask."""
+        out = 0
+        for j, col in enumerate(self._columns):
+            if col & extent == extent:
+                out |= 1 << j
+        return out
+
+    def _instance_ids(self, extent: int) -> frozenset[Id]:
+        return frozenset(map(self.instances.__getitem__, _bits(extent)))
+
+    def _type_ids(self, intent: int) -> frozenset[Id]:
+        return frozenset(map(self.types.__getitem__, _bits(intent)))
+
 
 def derive_types(ctx: Classification, instances: Iterable[Id]) -> frozenset[Id]:
     """The types incident to every given instance (X-prime)."""
-    xs = set(instances)
-    unknown = xs - set(ctx.instances)
-    if unknown:
-        raise ValueError(f"unknown instance id {sorted(map(repr, unknown))[0]}")
-    return frozenset(t for t in ctx.types if all((i, t) in ctx.incidence for i in xs))
+    extent = _mask(_positions(instances, ctx._ipos, "instance"), len(ctx.instances))
+    return ctx._type_ids(ctx._intent(extent))
 
 
 def derive_instances(ctx: Classification, types: Iterable[Id]) -> frozenset[Id]:
     """The instances incident to every given type (Y-prime)."""
-    ys = set(types)
-    unknown = ys - set(ctx.types)
-    if unknown:
-        raise ValueError(f"unknown type id {sorted(map(repr, unknown))[0]}")
-    return frozenset(i for i in ctx.instances if all((i, t) in ctx.incidence for t in ys))
+    intent = _mask(_positions(types, ctx._tpos, "type"), len(ctx.types))
+    return ctx._instance_ids(ctx._extent(intent))
 
 
 @dataclass(frozen=True)
@@ -93,11 +162,15 @@ class ConceptLattice:
 
     Concepts are stored in canonical order: by extent size, then by the
     positions of the extent's instances in declaration order.  The first
-    concept is the bottom, the last is the top.
+    concept is the bottom, the last is the top.  ``_extents`` and
+    ``_intents`` hold each concept's extent and intent as masks, parallel
+    to ``concepts``; they are derived from the concepts when not given.
     """
 
     classification: Classification
     concepts: tuple[FormalConcept, ...]
+    _extents: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    _intents: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -105,6 +178,14 @@ class ConceptLattice:
         if len(index) != len(self.concepts):
             raise ValueError("duplicate concepts")
         self._cache["index"] = index
+        ctx = self.classification
+        if self._extents is None:
+            n, m = len(ctx.instances), len(ctx.types)
+            extents = [_mask(_positions(c.extent, ctx._ipos, "instance"), n) for c in self.concepts]
+            intents = [_mask(_positions(c.intent, ctx._tpos, "type"), m) for c in self.concepts]
+            object.__setattr__(self, "_extents", tuple(extents))
+            object.__setattr__(self, "_intents", tuple(intents))
+        self._cache["by_extent"] = {e: k for k, e in enumerate(self._extents)}
 
     def __contains__(self, concept: FormalConcept) -> bool:
         return concept in self._cache["index"]
@@ -117,9 +198,9 @@ class ConceptLattice:
 
     def leq(self, c1: FormalConcept, c2: FormalConcept) -> bool:
         """Subconcept order: smaller extent, equivalently larger intent."""
-        self.index(c1)
-        self.index(c2)
-        return c1.extent <= c2.extent
+        e1 = self._extents[self.index(c1)]
+        e2 = self._extents[self.index(c2)]
+        return e1 & ~e2 == 0
 
     @property
     def bottom(self) -> FormalConcept:
@@ -129,89 +210,105 @@ class ConceptLattice:
     def top(self) -> FormalConcept:
         return self.concepts[-1]
 
+    def _concept(self, extent: int) -> FormalConcept:
+        """The concept with this extent mask: the lattice's own when listed."""
+        k = self._cache["by_extent"].get(extent)
+        if k is not None:
+            return self.concepts[k]
+        ctx = self.classification
+        return FormalConcept(ctx._instance_ids(extent), ctx._type_ids(ctx._intent(extent)))
+
     def instance_concept(self, instance: Id) -> FormalConcept:
         """The embedding of an instance: ({i}'', {i}')."""
-        intent = derive_types(self.classification, [instance])
-        return FormalConcept(derive_instances(self.classification, intent), intent)
+        ctx = self.classification
+        (p,) = _positions([instance], ctx._ipos, "instance")
+        return self._concept(ctx._extent(ctx._rows[p]))
 
     def type_concept(self, typ: Id) -> FormalConcept:
         """The embedding of a type: ({t}', {t}'')."""
-        extent = derive_instances(self.classification, [typ])
-        return FormalConcept(extent, derive_types(self.classification, extent))
+        ctx = self.classification
+        (q,) = _positions([typ], ctx._tpos, "type")
+        return self._concept(ctx._columns[q])
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges as (lower index, upper index) pairs."""
+        """Hasse edges as (lower index, upper index) pairs.
+
+        Lindig's neighbour algorithm: the lower covers of a concept are the
+        maximal distinct extents ``extent & column[m]`` over the types ``m``
+        outside its intent.  A candidate ``m`` is dropped from the minimal
+        set when its closed intent holds another type still in that set, so
+        each cover is reported once, by the last type that generates it.
+        """
         if "covers" not in self._cache:
-            cs = self.concepts
-            below = [
-                [j for j in range(len(cs)) if j != i and cs[j].extent < cs[i].extent]
-                for i in range(len(cs))
-            ]
+            cols = self.classification._columns
+            by_extent = self._cache["by_extent"]
+            intents = self._intents
+            all_types = (1 << len(cols)) - 1
             edges = []
-            for i, js in enumerate(below):
-                for j in js:
-                    if not any(cs[j].extent < cs[k].extent and cs[k].extent < cs[i].extent for k in js):
-                        edges.append((j, i))
+            for k, (extent, intent) in enumerate(zip(self._extents, intents)):
+                minimal = all_types & ~intent
+                for m in _bits(minimal):
+                    bit = 1 << m
+                    low = by_extent[extent & cols[m]]
+                    if intents[low] & minimal & ~bit:
+                        minimal &= ~bit
+                    else:
+                        edges.append((low, k))
             self._cache["covers"] = tuple(sorted(edges))
         return self._cache["covers"]
-
-
-def _canonical_key(ctx: Classification, concept: FormalConcept) -> tuple:
-    pos = {i: k for k, i in enumerate(ctx.instances)}
-    return (len(concept.extent), tuple(sorted(pos[i] for i in concept.extent)))
 
 
 def concept_lattice(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
     """Enumerate all formal concepts (NextClosure over type sets).
 
-    Intents are generated in lectic order, then the concept list is sorted
-    canonically.  Raises once more than ``cap`` concepts have been found.
+    Intents are generated in lectic order.  A candidate type set is closed
+    by ANDing its columns into an extent and taking every type whose
+    column contains that extent; the extent of the current intent's types
+    below each position is kept as a prefix, so a candidate costs one AND
+    and one closure.  The concept list is then sorted canonically.
+    Raises once more than ``cap`` concepts have been found.
     """
-    m = len(ctx.types)
-    rows = []
-    for i in ctx.instances:
-        mask = 0
-        for j, t in enumerate(ctx.types):
-            if (i, t) in ctx.incidence:
-                mask |= 1 << j
-        rows.append(mask)
-    full = (1 << m) - 1
-
-    def close(y: int) -> int:
-        out = full
-        for row in rows:
-            if row & y == y:
-                out &= row
-        return out
-
-    intents = []
-    y = close(0)
-    while True:
-        intents.append(y)
-        if len(intents) > cap:
+    cols = ctx._columns
+    m = len(cols)
+    found: list[tuple[int, int]] = []
+    nxt: tuple[int, int] | None = (ctx._full, ctx._intent(ctx._full))
+    while nxt is not None:
+        found.append(nxt)
+        if len(found) > cap:
             raise SizeCapError("concept enumeration", f"more than {cap}", cap)
+        _, intent = nxt
+        prefix = []
+        acc = ctx._full
+        for j in range(m):
+            prefix.append(acc)
+            if intent >> j & 1:
+                acc &= cols[j]
         nxt = None
         for i in reversed(range(m)):
-            bit = 1 << i
-            if y & bit:
-                y &= ~bit
-            else:
-                below = bit - 1
-                cand = close(y | bit)
-                if cand & below & ~y == 0:
-                    nxt = cand
-                    break
-        if nxt is None:
-            break
-        y = nxt
+            if intent >> i & 1:
+                continue
+            cand = prefix[i] & cols[i]
+            closed = ctx._intent(cand)
+            below = (1 << i) - 1
+            if closed & below == intent & below:
+                nxt = (cand, closed)
+                break
 
-    concepts = []
-    for y in intents:
-        intent = frozenset(t for j, t in enumerate(ctx.types) if y >> j & 1)
-        extent = frozenset(i for i, row in zip(ctx.instances, rows) if row & y == y)
-        concepts.append(FormalConcept(extent, intent))
-    concepts.sort(key=lambda c: _canonical_key(ctx, c))
-    return ConceptLattice(ctx, tuple(concepts))
+    keyed = []
+    for extent, intent in found:
+        pos = _bits(extent)
+        keyed.append(((len(pos), pos), extent, intent))
+    keyed.sort(key=lambda r: r[0])
+    concepts = tuple(
+        FormalConcept(frozenset(map(ctx.instances.__getitem__, key[1])), ctx._type_ids(intent))
+        for key, _, intent in keyed
+    )
+    return ConceptLattice(
+        ctx,
+        concepts,
+        tuple(extent for _, extent, _ in keyed),
+        tuple(intent for _, _, intent in keyed),
+    )
 
 
 def lattice_meet(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
@@ -219,14 +316,10 @@ def lattice_meet(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> Form
 
     The empty meet is the top concept.
     """
-    cs = list(concepts)
-    for c in cs:
-        lat.index(c)
-    ctx = lat.classification
-    extent = frozenset(ctx.instances)
-    for c in cs:
-        extent &= c.extent
-    return FormalConcept(extent, derive_types(ctx, extent))
+    extent = lat.classification._full
+    for c in concepts:
+        extent &= lat._extents[lat.index(c)]
+    return lat._concept(extent)
 
 
 def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
@@ -234,14 +327,11 @@ def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> Form
 
     The empty join is the bottom concept.
     """
-    cs = list(concepts)
-    for c in cs:
-        lat.index(c)
     ctx = lat.classification
-    intent = frozenset(ctx.types)
-    for c in cs:
-        intent &= c.intent
-    return FormalConcept(derive_instances(ctx, intent), intent)
+    intent = (1 << len(ctx.types)) - 1
+    for c in concepts:
+        intent &= lat._intents[lat.index(c)]
+    return lat._concept(ctx._extent(intent))
 
 
 def basic_theorem_roundtrip(lat: ConceptLattice) -> Classification:
@@ -252,25 +342,34 @@ def basic_theorem_roundtrip(lat: ConceptLattice) -> Classification:
     ``concept_lattice`` this returns the original classification.
     """
     ctx = lat.classification
+    below = [lat.instance_concept(i) for i in ctx.instances]
+    above = [lat.type_concept(t) for t in ctx.types]
     incidence = {
         (i, t)
-        for i in ctx.instances
-        for t in ctx.types
-        if lat.instance_concept(i).extent <= lat.type_concept(t).extent
+        for i, ci in zip(ctx.instances, below)
+        for t, ct in zip(ctx.types, above)
+        if lat.leq(ci, ct)
     }
     return Classification(ctx.instances, ctx.types, frozenset(incidence))
 
 
 def density_report(lat: ConceptLattice) -> tuple[bool, bool]:
-    """(join-dense, meet-dense) for the instance and type embeddings."""
-    join_dense = all(
-        lattice_join(lat, [lat.instance_concept(i) for i in c.extent]) == c
-        for c in lat.concepts
-    )
-    meet_dense = all(
-        lattice_meet(lat, [lat.type_concept(t) for t in c.intent]) == c
-        for c in lat.concepts
-    )
+    """(join-dense, meet-dense) for the instance and type embeddings.
+
+    Each concept must be the join of the instance concepts of its extent
+    (their intents are the rows) and the meet of the type concepts of its
+    intent (their extents are the columns).
+    """
+    ctx = lat.classification
+    all_types = (1 << len(ctx.types)) - 1
+    join_dense = meet_dense = True
+    for extent, intent in zip(lat._extents, lat._intents):
+        joined = all_types
+        for p in _bits(extent):
+            joined &= ctx._rows[p]
+        join_dense = join_dense and (ctx._extent(joined), joined) == (extent, intent)
+        met = ctx._extent(intent)
+        meet_dense = meet_dense and (met, ctx._intent(met)) == (extent, intent)
     return join_dense, meet_dense
 
 
@@ -278,18 +377,30 @@ def density_report(lat: ConceptLattice) -> tuple[bool, bool]:
 # Burmeister .cxt format
 
 
+def _one_line(text: str) -> bool:
+    return "".join(text.splitlines()) == text
+
+
 def write_cxt(ctx: Classification, name: str = "") -> str:
-    """Render in Burmeister format; ids are rendered with str()."""
+    """Render in Burmeister format; ids are rendered with str().
+
+    The name line is optional on reading, where an all-digit line is an
+    object count, so such names are refused, as are names and ids that
+    would not read back as the same single line (the reader strips lines).
+    """
+    if not _one_line(name) or name.strip().isdigit():
+        raise ValueError(f"name {name!r} cannot be written as a cxt name line")
     obj_names = [str(i) for i in ctx.instances]
     att_names = [str(t) for t in ctx.types]
     for label in itertools.chain(obj_names, att_names):
-        if "\n" in label or not label.strip():
+        if not label or label != label.strip() or not _one_line(label):
             raise ValueError(f"id {label!r} cannot be written as a cxt name")
     lines = ["B", name, str(len(ctx.instances)), str(len(ctx.types)), ""]
     lines.extend(obj_names)
     lines.extend(att_names)
-    for i in ctx.instances:
-        lines.append("".join("X" if (i, t) in ctx.incidence else "." for t in ctx.types))
+    m = len(ctx.types)
+    for row in ctx._rows:
+        lines.append("".join("X" if row >> j & 1 else "." for j in range(m)))
     return "\n".join(lines) + "\n"
 
 

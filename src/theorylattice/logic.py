@@ -20,6 +20,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import ParseError, SignatureMismatchError, SizeCapError
 
 DEFAULT_MODEL_CAP = 2**20
+# Deepest formula the parser accepts; the formula walkers recurse, and a
+# few frames per level stay well inside Python's default recursion limit.
+MAX_FORMULA_DEPTH = 100
 
 # A finitization parameter: each entity type gets a finite nonempty carrier.
 CarrierAssignment = Mapping[str, Sequence[str]]
@@ -225,6 +228,20 @@ def free_vars(formula: Formula) -> dict[str, str]:
 
     walk(formula, frozenset())
     return out
+
+
+def _depth(formula: Formula) -> int:
+    """The height of the formula tree (an atom is 1), without recursion."""
+    deepest = 0
+    stack = [(formula, 1)]
+    while stack:
+        f, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(f, (Not, *_QUANT)):
+            stack.append((f.body, d + 1))
+        elif isinstance(f, _BINARY):
+            stack.extend(((f.left, d + 1), (f.right, d + 1)))
+    return deepest
 
 
 def is_sentence(formula: Formula) -> bool:
@@ -454,6 +471,14 @@ def _tokenize(text: str, path: str | None = None) -> list[_Tok]:
     return toks
 
 
+def _fold_right(op: type, parts: list[Formula]) -> Formula:
+    """Right-associate a chain of operands: a op (b op c)."""
+    f = parts[-1]
+    for left in reversed(parts[:-1]):
+        f = op(left, f)
+    return f
+
+
 class _FormulaParser:
     def __init__(self, sig: Signature, toks: list[_Tok], free: Mapping[str, str], path: str | None):
         self.sig = sig
@@ -461,6 +486,7 @@ class _FormulaParser:
         self.free = dict(free)
         self.path = path
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         line = self.toks[self.pos].line if self.pos < len(self.toks) else (
@@ -495,27 +521,38 @@ class _FormulaParser:
         self.pos += 1
         return t.text
 
+    def too_deep(self) -> ParseError:
+        return self.error(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+
     def parse(self) -> Formula:
         f = self.formula(dict(self.free))
         t = self.peek()
         if t is not None:
             raise self.error(f"unexpected trailing input {t.text!r}")
+        if _depth(f) > MAX_FORMULA_DEPTH:
+            raise self.too_deep()
         return f
 
     def formula(self, env: dict[str, str]) -> Formula:
-        return self.iff(env)
+        # the parser recurses only here (parentheses, quantifier bodies)
+        self.depth += 1
+        if self.depth > MAX_FORMULA_DEPTH:
+            raise self.too_deep()
+        f = self.iff(env)
+        self.depth -= 1
+        return f
 
     def iff(self, env: dict[str, str]) -> Formula:
-        left = self.implies(env)
-        if self.take("<->"):
-            return Iff(left, self.iff(env))
-        return left
+        parts = [self.implies(env)]
+        while self.take("<->"):
+            parts.append(self.implies(env))
+        return _fold_right(Iff, parts)
 
     def implies(self, env: dict[str, str]) -> Formula:
-        left = self.disj(env)
-        if self.take("->"):
-            return Implies(left, self.implies(env))
-        return left
+        parts = [self.disj(env)]
+        while self.take("->"):
+            parts.append(self.disj(env))
+        return _fold_right(Implies, parts)
 
     def disj(self, env: dict[str, str]) -> Formula:
         left = self.conj(env)
@@ -530,20 +567,23 @@ class _FormulaParser:
         return left
 
     def unary(self, env: dict[str, str]) -> Formula:
+        negations = 0
+        while self.take("~"):
+            negations += 1
         t = self.peek()
         if t is None:
             raise self.error("expected a formula, found end of input")
-        if t.text == "~":
-            self.pos += 1
-            return Not(self.unary(env))
         if t.text in _KEYWORDS:
-            return self.quantified(env)
-        if t.text == "(":
+            f = self.quantified(env)
+        elif t.text == "(":
             self.pos += 1
             f = self.formula(env)
             self.expect(")")
-            return f
-        return self.atom_or_eq(env)
+        else:
+            f = self.atom_or_eq(env)
+        for _ in range(negations):
+            f = Not(f)
+        return f
 
     def quantified(self, env: dict[str, str]) -> Formula:
         kw = self.peek()

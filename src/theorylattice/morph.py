@@ -22,17 +22,14 @@ from typing import Hashable, Iterable, Mapping
 from . import fca
 from .errors import InfomorphismError, ParseError, SignatureMismatchError
 from .logic import (
+    _BINARY,
+    _QUANT,
+    _source_lines,
     Atom,
     Const,
     Eq,
-    Exists,
-    Forall,
     Formula,
-    Iff,
-    Implies,
-    And,
     Not,
-    Or,
     Signature,
     Structure,
     Term,
@@ -47,9 +44,6 @@ from .logic import (
     validate_formula,
 )
 from .truth import ClosedTheory, Theory, TheoryLattice, TruthClassification, entails
-
-_BINARY = (And, Or, Implies, Iff)
-_QUANT = (Forall, Exists)
 
 
 # ---------------------------------------------------------------------------
@@ -367,23 +361,31 @@ def check_infomorphism(
     type_map: Mapping[Hashable, Hashable],
     instance_map: Mapping[Hashable, Hashable],
 ) -> InfomorphismCheck:
-    """Check: instance_map(j) is an ``a``-instance of t iff j is a ``b``-instance of type_map(t)."""
+    """Check: instance_map(j) is an ``a``-instance of t iff j is a ``b``-instance of type_map(t).
+
+    Compares rows: the ``a``-row of each mapped instance against the
+    ``b``-row of ``j`` read back through ``type_map``; the witness is the
+    first ``a``-type where they differ.
+    """
+    image: list[int] = []
     for t in a.types:
         if t not in type_map:
             raise ValueError(f"unmapped type {t!r}")
-        if type_map[t] not in set(b.types):
+        if type_map[t] not in b._tpos:
             raise ValueError(f"type {t!r} maps to unknown {type_map[t]!r}")
+        image.append(b._tpos[type_map[t]])
+    source: list[int] = []
     for j in b.instances:
         if j not in instance_map:
             raise ValueError(f"unmapped instance {j!r}")
-        if instance_map[j] not in set(a.instances):
+        if instance_map[j] not in a._ipos:
             raise ValueError(f"instance {j!r} maps to unknown {instance_map[j]!r}")
-    for j in b.instances:
-        for t in a.types:
-            left = (instance_map[j], t) in a.incidence
-            right = (j, type_map[t]) in b.incidence
-            if left != right:
-                return InfomorphismCheck(False, (j, t))
+        source.append(a._ipos[instance_map[j]])
+    for j, p, row in zip(b.instances, source, b._rows):
+        pulled = sum(1 << k for k, q in enumerate(image) if row >> q & 1)
+        diff = a._rows[p] ^ pulled
+        if diff:
+            return InfomorphismCheck(False, (j, a.types[(diff & -diff).bit_length() - 1]))
     return InfomorphismCheck(True)
 
 
@@ -513,28 +515,36 @@ def concept_morphism(
     """
     if lat1.tc != im.source or lat2.tc != im.target:
         raise SignatureMismatchError("lattices do not match the infomorphism's classifications")
+    ctx1 = lat1.tc.classification
+    intents1, intents2 = lat1.lattice._intents, lat2.lattice._intents
+    # target pool position of each source pool sentence's image
+    image = [lat2.tc._pos[im.map_sentence(a)] for a in lat1.pool]
 
     dir_map: dict[frozenset, ClosedTheory] = {}
+    dir_intents: list[int] = []
     for c1 in lat1.theories:
-        image = [im.map_sentence(a) for a in c1.axioms]
-        dir_map[c1.axioms] = lat2.closure(image)
+        closed = lat2.closure([im.map_sentence(a) for a in c1.axioms])
+        dir_map[c1.axioms] = closed
+        dir_intents.append(intents2[lat2.index(closed)])
 
     inv_map: dict[frozenset, ClosedTheory] = {}
-    for c2 in lat2.theories:
-        pre = frozenset(a for a in lat1.pool if im.map_sentence(a) in c2.axioms)
-        candidate = ClosedTheory(lat1.tc.signature, pre)
-        if candidate not in lat1:
+    inv_intents: list[int] = []
+    for c2, intent2 in zip(lat2.theories, intents2):
+        pre = sum(1 << p for p, q in enumerate(image) if intent2 >> q & 1)
+        extent = ctx1._extent(pre)
+        if ctx1._intent(extent) != pre:
             raise InfomorphismError(
                 "inverse image is not closed for target theory "
                 f"{sorted(map(sentence_key, c2.axioms))}: got "
-                f"{sorted(map(sentence_key, pre))}"
+                f"{sorted(lat1.tc.pool_keys[p] for p in fca._bits(pre))}"
             )
-        inv_map[c2.axioms] = candidate
+        inv_map[c2.axioms] = lat1.theories[lat1.lattice.index(lat1.lattice._concept(extent))]
+        inv_intents.append(pre)
 
-    for c1 in lat1.theories:
-        for c2 in lat2.theories:
-            forward = dir_map[c1.axioms].axioms <= c2.axioms
-            backward = c1.axioms <= inv_map[c2.axioms].axioms
+    for c1, intent1, forward_image in zip(lat1.theories, intents1, dir_intents):
+        for c2, intent2, inverse_image in zip(lat2.theories, intents2, inv_intents):
+            forward = forward_image & ~intent2 == 0
+            backward = intent1 & ~inverse_image == 0
             if forward != backward:
                 raise InfomorphismError(
                     "adjunction fails at "
@@ -563,13 +573,6 @@ def is_theory_morphism(
 
 _ARROW_LINE = re.compile(r"(entity|relation|constant)\s+(.+?)\s*->\s*(\S.*?)\s*$")
 _REL_HEAD = re.compile(r"(\S+?)\s*\(\s*([^()]*?)\s*\)\s*$")
-
-
-def _source_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
 
 
 def parse_morphism(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import ParseError
-from .logic import Formula, parse_sentence, sentence_key
+from .logic import Formula, _split_top_commas, parse_sentence, sentence_key
 from .morph import Interpretation, LanguageMorphism, translate
 from .truth import ClosedTheory, TheoryLattice
 
@@ -74,21 +74,6 @@ class NavStep:
     delete: tuple[Formula, ...] = ()
     add: tuple[Formula, ...] = ()
     morphism: LanguageMorphism | Interpretation | None = None
-
-
-def _split_top_commas(text: str) -> list[str]:
-    parts: list[str] = []
-    depth, start = 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts]
 
 
 def parse_nav_script(text: str, *, path: str | None = None) -> tuple[tuple[int, str, str], ...]:

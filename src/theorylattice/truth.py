@@ -26,7 +26,6 @@ from .logic import (
     free_vars,
     satisfies,
     sentence_key,
-    theory_of,
     validate_formula,
 )
 
@@ -49,6 +48,15 @@ class Theory:
     def make(cls, sig: Signature, axioms: Iterable[Formula]) -> "Theory":
         return cls(sig, frozenset(axioms))
 
+    @classmethod
+    def _trusted(cls, sig: Signature, axioms: frozenset[Formula]):
+        """Wrap axioms that are members of a validated pool, skipping the
+        re-validation; the lattice builds its theories this way."""
+        theory = object.__new__(cls)
+        object.__setattr__(theory, "signature", sig)
+        object.__setattr__(theory, "axioms", axioms)
+        return theory
+
 
 def _as_axioms(theory: "Theory | Iterable[Formula]") -> frozenset[Formula]:
     if isinstance(theory, Theory):
@@ -64,12 +72,26 @@ class ClosedTheory(Theory):
         return tuple(sorted(sentence_key(a) for a in self.axioms))
 
 
+def _check_pool(sig: Signature, pool: Sequence[Formula]) -> None:
+    """Pool sentences must be canonical, closed, well-typed and distinct."""
+    for s in pool:
+        if free_vars(s):
+            raise ValueError(f"pool sentence {sentence_key(s)!r} is not closed")
+        validate_formula(sig, s)
+        if canonicalize(s) != s:
+            raise ValueError(f"pool sentence {sentence_key(s)!r} is not canonical")
+    if len(set(pool)) != len(pool):
+        raise ValueError("duplicate pool sentences")
+
+
 @dataclass(frozen=True)
 class TruthClassification:
     """Models as instances, pool sentences as types, satisfaction as incidence.
 
     Instance ids are model positions; type ids are the canonical printed
     sentences, so the underlying classification is directly exportable.
+    The pool is validated here, once, so that the closed theories built
+    from its members inside the lattice need no re-validation.
     """
 
     signature: Signature
@@ -78,16 +100,20 @@ class TruthClassification:
     classification: fca.Classification
 
     def __post_init__(self) -> None:
-        by_key = {sentence_key(s): s for s in self.pool}
-        object.__setattr__(self, "_by_key", by_key)
-        object.__setattr__(self, "_pool_set", frozenset(self.pool))
+        _check_pool(self.signature, self.pool)
+        keys = tuple(sentence_key(s) for s in self.pool)
+        ctx = self.classification
+        if ctx.types != keys or ctx.instances != tuple(range(len(self.models))):
+            raise ValueError("classification does not match the models and the pool")
+        object.__setattr__(self, "_by_key", dict(zip(keys, self.pool)))
+        object.__setattr__(self, "_pos", {s: k for k, s in enumerate(self.pool)})
 
     @property
     def pool_keys(self) -> tuple[str, ...]:
         return self.classification.types
 
     def in_pool(self, sentence: Formula) -> bool:
-        return canonicalize(sentence) in self._pool_set
+        return canonicalize(sentence) in self._pos
 
     def sentence(self, key: str) -> Formula:
         try:
@@ -97,15 +123,25 @@ class TruthClassification:
 
     def models_of(self, axioms: Iterable[Formula]) -> frozenset[int]:
         """Indices of the models satisfying every axiom (pool-free)."""
-        out = set(range(len(self.models)))
+        return frozenset(fca._bits(self._models_mask(canonicalize(a) for a in axioms)))
+
+    def _models_mask(self, axioms: Iterable[Formula]) -> int:
+        """The models satisfying every canonical axiom, as a mask."""
+        ctx = self.classification
+        out = ctx._full
         for a in axioms:
-            a = canonicalize(a)
-            key = sentence_key(a)
-            if key in self._by_key:
-                out &= {i for i in out if (i, key) in self.classification.incidence}
+            p = self._pos.get(a)
+            if p is not None:
+                out &= ctx._columns[p]
             else:
-                out &= {i for i in out if satisfies(self.models[i], a)}
-        return frozenset(out)
+                held = (i for i in fca._bits(out) if satisfies(self.models[i], a))
+                out = fca._mask(held, len(self.models))
+        return out
+
+    def _theory(self, intent: int) -> "ClosedTheory":
+        """The closed theory of an intent mask over pool positions."""
+        axioms = frozenset(map(self.pool.__getitem__, fca._bits(intent)))
+        return ClosedTheory._trusted(self.signature, axioms)
 
     def pool_theory_of(self, model_indices: Iterable[int]) -> frozenset[Formula]:
         """Pool sentences true in every listed model."""
@@ -141,16 +177,9 @@ def build_truth_classification(
     if not model_list:
         raise ValueError("empty model set; the lattice of theories degenerates")
 
-    seen: set[Formula] = set()
-    pool_list: list[Formula] = []
-    for s in pool:
-        s = canonicalize(s)
-        if free_vars(s):
-            raise ValueError(f"pool sentence {sentence_key(s)!r} is not closed")
-        validate_formula(sig, s)
-        if s not in seen:
-            seen.add(s)
-            pool_list.append(s)
+    pool_list = tuple(dict.fromkeys(canonicalize(s) for s in pool))
+    # fail before the satisfaction pass; the constructor checks again
+    _check_pool(sig, pool_list)
 
     keys = [sentence_key(s) for s in pool_list]
     incidence = {
@@ -160,17 +189,7 @@ def build_truth_classification(
         if satisfies(m, s)
     }
     ctx = fca.Classification(tuple(range(len(model_list))), tuple(keys), frozenset(incidence))
-    return TruthClassification(sig, tuple(model_list), tuple(pool_list), ctx)
-
-
-def _require_pool(tc: TruthClassification, axioms: Iterable[Formula], context: str) -> frozenset[str]:
-    keys = set()
-    for a in axioms:
-        a = canonicalize(a)
-        if not tc.in_pool(a):
-            raise PoolMembershipError(sentence_key(a), context)
-        keys.add(sentence_key(a))
-    return frozenset(keys)
+    return TruthClassification(sig, tuple(model_list), pool_list, ctx)
 
 
 def closure(tc: TruthClassification, theory: Theory | Iterable[Formula]) -> ClosedTheory:
@@ -179,11 +198,14 @@ def closure(tc: TruthClassification, theory: Theory | Iterable[Formula]) -> Clos
     Axioms must come from the pool; this is the double-prime closure of
     the underlying classification.
     """
-    axioms = _as_axioms(theory)
-    keys = _require_pool(tc, axioms, "closure is pool-relative")
-    extent = fca.derive_instances(tc.classification, keys)
-    intent = fca.derive_types(tc.classification, extent)
-    return ClosedTheory(tc.signature, frozenset(tc.sentence(k) for k in intent))
+    intent = 0
+    for a in _as_axioms(theory):
+        p = tc._pos.get(a)
+        if p is None:
+            raise PoolMembershipError(sentence_key(a), "closure is pool-relative")
+        intent |= 1 << p
+    ctx = tc.classification
+    return tc._theory(ctx._intent(ctx._extent(intent)))
 
 
 def entails(tc: TruthClassification, theory: Theory | Iterable[Formula], sentence: Formula) -> bool:
@@ -196,11 +218,11 @@ def entails(tc: TruthClassification, theory: Theory | Iterable[Formula], sentenc
     if free_vars(sentence):
         raise ValueError(f"query {sentence_key(sentence)!r} is not closed")
     validate_formula(tc.signature, sentence)
-    models = tc.models_of(_as_axioms(theory))
-    key = sentence_key(sentence)
-    if key in tc.pool_keys:
-        return all((i, key) in tc.classification.incidence for i in models)
-    return all(satisfies(tc.models[i], sentence) for i in models)
+    models = tc._models_mask(_as_axioms(theory))
+    p = tc._pos.get(sentence)
+    if p is not None:
+        return models & ~tc.classification._columns[p] == 0
+    return all(satisfies(tc.models[i], sentence) for i in fca._bits(models))
 
 
 def theory_leq(tc: TruthClassification, t1: Theory | Iterable[Formula], t2: Theory | Iterable[Formula]) -> bool:
@@ -266,11 +288,7 @@ class TheoryLattice:
 def theory_lattice(tc: TruthClassification, concept_cap: int = fca.DEFAULT_CONCEPT_CAP) -> TheoryLattice:
     """Enumerate every closed theory of the classification."""
     lat = fca.concept_lattice(tc.classification, cap=concept_cap)
-    theories = tuple(
-        ClosedTheory(tc.signature, frozenset(tc.sentence(k) for k in c.intent))
-        for c in lat.concepts
-    )
-    return TheoryLattice(tc, lat, theories)
+    return TheoryLattice(tc, lat, tuple(map(tc._theory, lat._intents)))
 
 
 def extremes(lat: TheoryLattice) -> tuple[ClosedTheory, ClosedTheory]:
@@ -282,7 +300,7 @@ def theory_join(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> Close
     """Supremum: the intersection of the two theories (always closed)."""
     lat.index(t1)
     lat.index(t2)
-    joined = ClosedTheory(lat.tc.signature, t1.axioms & t2.axioms)
+    joined = ClosedTheory._trusted(lat.tc.signature, t1.axioms & t2.axioms)
     if joined not in lat:
         raise RuntimeError(
             f"join of closed theories is not closed: {joined.keys()}"
@@ -296,16 +314,15 @@ def theory_meet(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> Close
     Computed both as the closure of the union of axioms and as the pool
     theory of the intersected model sets; the two must agree.
     """
-    lat.index(t1)
-    lat.index(t2)
+    extents = lat.lattice._extents
+    common = extents[lat.index(t1)] & extents[lat.index(t2)]
     via_closure = closure(lat.tc, t1.axioms | t2.axioms)
-    common = lat.extent(t1) & lat.extent(t2)
-    via_models = lat.tc.pool_theory_of(common)
-    if via_closure.axioms != via_models:
+    via_models = lat.tc._theory(lat.tc.classification._intent(common))
+    if via_closure != via_models:
         raise RuntimeError(
             "meet mismatch between closure of union and theory of common models: "
             f"{sorted(map(sentence_key, via_closure.axioms))} vs "
-            f"{sorted(map(sentence_key, via_models))}"
+            f"{sorted(map(sentence_key, via_models.axioms))}"
         )
     return via_closure
 
@@ -319,7 +336,7 @@ def object_concept(tc: TruthClassification, model: int | Structure) -> ClosedThe
             raise ValueError("unknown model: not in this classification") from None
     if not 0 <= model < len(tc.models):
         raise ValueError(f"unknown model index {model}")
-    return ClosedTheory(tc.signature, frozenset(theory_of(tc.models[model], tc.pool)))
+    return tc._theory(tc.classification._rows[model])
 
 
 def attribute_concept(tc: TruthClassification, sentence: Formula) -> ClosedTheory:
@@ -343,17 +360,21 @@ def lattice_text(lat: TheoryLattice) -> str:
     ``covers`` lists the immediately smaller theories (more axioms),
     ``covered-by`` the immediately larger ones, by record id.
     """
-    edges = lat.lattice.covers()
+    concepts = lat.lattice
+    below: list[list[str]] = [[] for _ in lat.theories]
+    above: list[list[str]] = [[] for _ in lat.theories]
+    for low, high in concepts.covers():
+        below[high].append(str(low))
+        above[low].append(str(high))
+    keys = lat.tc.pool_keys
     lines = [f"closed theories: {len(lat.theories)}", f"models: {len(lat.tc.models)}"]
-    for k, theory in enumerate(lat.theories):
+    for k, (concept, intent) in enumerate(zip(concepts.concepts, concepts._intents)):
+        axioms = "; ".join(sorted(keys[j] for j in fca._bits(intent)))
+        models = " ".join(map(str, sorted(concept.extent)))
         lines.append("")
         lines.append(f"theory {k}")
-        axioms = "; ".join(theory.keys()) if theory.axioms else "(none)"
-        lines.append(f"  axioms: {axioms}")
-        extent = " ".join(map(str, sorted(lat.lattice.concepts[k].extent)))
-        lines.append(f"  models: {extent if extent else '(none)'}")
-        below = " ".join(str(low) for low, high in edges if high == k)
-        above = " ".join(str(high) for low, high in edges if low == k)
-        lines.append(f"  covers: {below if below else '(none)'}")
-        lines.append(f"  covered-by: {above if above else '(none)'}")
+        lines.append(f"  axioms: {axioms or '(none)'}")
+        lines.append(f"  models: {models or '(none)'}")
+        lines.append(f"  covers: {' '.join(below[k]) or '(none)'}")
+        lines.append(f"  covered-by: {' '.join(above[k]) or '(none)'}")
     return "\n".join(lines) + "\n"

@@ -2,8 +2,10 @@
 
 Everything here recomputes expected values by a different method than
 the library: satisfaction by ground substitution instead of environment
-recursion, concepts by closing every subset instead of NextClosure, and
-meets/joins by scanning the order relation.  Tests freeze fixture
+recursion, concepts by closing every subset instead of NextClosure,
+derivations on sets of pairs instead of bitsets, Hasse edges by scanning
+every triple instead of neighbour search, and meets/joins by scanning the
+order relation.  Tests freeze fixture
 expectations against these.
 """
 
@@ -112,6 +114,31 @@ def brute_concepts(instances, types, incidence) -> set[tuple[frozenset, frozense
             intent = frozenset(t for t in types if all((i, t) in incidence for i in extent))
             pairs.add((extent, intent))
     return pairs
+
+
+def brute_covers(concepts) -> tuple[tuple[int, int], ...]:
+    """Hasse edges (lower, upper) by scanning every triple of extents."""
+    cs = concepts
+    below = [
+        [j for j in range(len(cs)) if j != i and cs[j].extent < cs[i].extent]
+        for i in range(len(cs))
+    ]
+    edges = []
+    for i, js in enumerate(below):
+        for j in js:
+            if not any(cs[j].extent < cs[k].extent < cs[i].extent for k in js):
+                edges.append((j, i))
+    return tuple(sorted(edges))
+
+
+def set_derive_types(types, incidence, xs) -> frozenset:
+    """X-prime by scanning the incidence pairs."""
+    return frozenset(t for t in types if all((i, t) in incidence for i in xs))
+
+
+def set_derive_instances(instances, incidence, ys) -> frozenset:
+    """Y-prime by scanning the incidence pairs."""
+    return frozenset(i for i in instances if all((i, t) in incidence for t in ys))
 
 
 def brute_closed_theories(models, pool) -> set[frozenset]:

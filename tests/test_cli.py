@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 
@@ -137,6 +138,36 @@ class TestLattice:
         ]
         assert main(argv) == 0
         assert "models: 2" in capsys.readouterr().out
+
+
+# The M ladder input: 256 models, 2508 closed theories, 10791 cover edges.
+M_SIG = "entity E\nrelation P(E)\nrelation Q(E)\nrelation R(E,E)\n"
+M_POOL = (
+    [f"{q} x:E. {lit}" for lit in ("P(x)", "Q(x)", "R(x,x)", "~P(x)", "~Q(x)")
+     for q in ("forall", "exists")]
+    + [s for a, b in (("P(x)", "Q(x)"), ("P(x)", "R(x,x)"), ("Q(x)", "R(x,x)"))
+       for s in (f"forall x:E. {a} -> {b}", f"exists x:E. {a} & {b}")]
+    + [
+        "forall x:E. exists y:E. R(x,y)",
+        "exists x:E. forall y:E. R(x,y)",
+        "forall x:E. forall y:E. R(x,y) -> R(y,x)",
+        "forall x:E. forall y:E. forall z:E. R(x,y) & R(y,z) -> R(x,z)",
+    ]
+)
+# (bytes, sha256) of the exports, as recorded by the benchmark
+M_TEXT = (1072490, "13a472c8fa0ddf05c499018538385bb8cf78d8e0b34d1f7df40fa4a70465c114")
+M_DOT = (247725, "dd52d3d11e20dd1ec28ed6139e3480a530452ad5a81346797a42454898deeca9")
+
+
+@pytest.mark.parametrize("fmt, want", [("text", M_TEXT), ("dot", M_DOT)])
+def test_m_lattice_output_is_pinned(tmp_path, capsys, fmt, want):
+    (tmp_path / "m.sig").write_text(M_SIG, encoding="utf-8")
+    (tmp_path / "m.pool").write_text("\n".join(M_POOL) + "\n", encoding="utf-8")
+    argv = ["lattice", "--sig", str(tmp_path / "m.sig"), "--pool", str(tmp_path / "m.pool"),
+            "--carriers", "E=a,b", "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == want
 
 
 class TestClose:
@@ -391,6 +422,20 @@ class TestErrorExitCodes:
     def test_concept_cap(self, ws, capsys):
         assert main(["lattice", *pq_args(ws), "--cap-concepts", "3"]) == 3
         assert "exceeding the cap of 3" in capsys.readouterr().err
+
+    def test_deeply_nested_theory_is_an_input_error(self, ws, capsys, tmp_path):
+        theory = tmp_path / "deep.thy"
+        theory.write_text("~" * 3000 + "forall x:E. P(x)\n", encoding="utf-8")
+        assert main(["close", *pq_args(ws), "--theory", str(theory)]) == 2
+        assert capsys.readouterr().err == f"error: {theory}:1: formula nested deeper than 100 levels\n"
+
+    def test_unexpected_exception_is_an_internal_error(self, ws, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("lost\ninvariant")
+
+        monkeypatch.setattr("theorylattice.cli.theory_lattice", broken)
+        assert main(["lattice", *pq_args(ws)]) == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: lost invariant\n"
 
 
 def test_module_entry_point(ws):

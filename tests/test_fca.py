@@ -25,7 +25,7 @@ from theorylattice.fca import (
     write_cxt,
 )
 
-from oracles import brute_concepts, order_join, order_meet, random_context
+from oracles import brute_concepts, brute_covers, order_join, order_meet, random_context
 
 
 def subsets(xs):
@@ -267,6 +267,28 @@ class TestCxt:
         with pytest.raises(ParseError, match="characters"):
             read_cxt("B\n\n1\n2\n\no\na\nb\nX\n")
 
+    def test_numeric_name_is_refused(self, ctx3):
+        # the reader would take an all-digit name line for the object count
+        with pytest.raises(ValueError, match="cxt name line"):
+            write_cxt(ctx3, "42")
+        with pytest.raises(ValueError, match="cxt name line"):
+            write_cxt(ctx3, " 7 ")
+
+    def test_multiline_name_is_refused(self, ctx3):
+        with pytest.raises(ValueError, match="cxt name line"):
+            write_cxt(ctx3, "two\nlines")
+
+    @pytest.mark.parametrize("name", ["", "demo", "4two", "  "])
+    def test_name_roundtrip(self, name):
+        ctx = Classification.make(["1", "2"], ["a", "b"], [("1", "a"), ("2", "a"), ("2", "b")])
+        assert read_cxt(write_cxt(ctx, name)) == ctx
+
+    @pytest.mark.parametrize("label", [" padded", "two\rlines", ""])
+    def test_unreadable_ids_are_refused(self, label):
+        ctx = Classification.make([label], ["a"], [])
+        with pytest.raises(ValueError, match="cannot be written"):
+            write_cxt(ctx)
+
     def test_random_corpus_roundtrip(self):
         rng = random.Random(7)
         for _ in range(40):
@@ -295,12 +317,4 @@ class TestDot:
 
     def test_covers_are_the_hasse_relation(self, ctx3):
         lat = concept_lattice(ctx3)
-        cs = lat.concepts
-        expected = set()
-        for i, c in enumerate(cs):
-            for j, d in enumerate(cs):
-                if c.extent < d.extent and not any(
-                    c.extent < e.extent < d.extent for e in cs
-                ):
-                    expected.add((i, j))
-        assert set(lat.covers()) == expected
+        assert lat.covers() == brute_covers(lat.concepts)

@@ -143,6 +143,34 @@ class TestParseSentence:
         with pytest.raises(ParseError, match="unknown constant"):
             sent("forall x:E. P(c)")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "~" * 3000 + "forall x:E. P(x)",
+            "(" * 3000 + "forall x:E. P(x)" + ")" * 3000,
+            "forall x:E. " + " & ".join(["P(x)"] * 3000),
+            " -> ".join(["(forall x:E. P(x))"] * 3000),
+            "forall x:E. " * 3000 + "P(x)",
+            "~" * 99 + "forall x:E. P(x)",
+        ],
+    )
+    def test_nesting_past_the_limit_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+            parse_sentence(SIG, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "~" * 98 + "forall x:E. P(x)",
+            "(" * 98 + "forall x:E. P(x)" + ")" * 98,
+            "forall x:E. " + " & ".join(["P(x)"] * 99),
+            " <-> ".join(["(forall x:E. P(x))"] * 99),
+        ],
+    )
+    def test_nesting_at_the_limit_parses_and_prints(self, text):
+        sentence = parse_sentence(SIG, text)
+        assert parse_sentence(SIG, format_formula(sentence)) == sentence
+
     def test_canonical_names_skip_free_variables(self):
         f = parse_formula(SIG, "forall y:E. P(y) & Q(v0)", {"v0": "E"})
         assert isinstance(f, Forall) and f.var == "v1"
