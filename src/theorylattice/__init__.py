@@ -35,6 +35,7 @@ from .logic import (
     Formula,
     Signature,
     Structure,
+    StructureSpace,
     count_structures,
     enumerate_structures,
     eval_formula,

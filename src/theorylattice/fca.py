@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable
 
 from .errors import ParseError, SizeCapError
@@ -59,43 +60,64 @@ def _positions(ids: Iterable[Id], pos: dict, what: str) -> list[int]:
     return [pos[x] for x in xs]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Classification:
     """Instances, types, and an incidence relation between them.
 
-    The incidence is also kept as bitsets: each type's column is an int
-    over instance positions, each instance's row an int over type
-    positions.  All derivations run on these masks.
+    The incidence is kept as bitsets: each type's column is an int over
+    instance positions.  All derivations run on these masks; the rows (an
+    int over type positions per instance) and the set of incident
+    ``(instance, type)`` pairs are derived from the columns when first
+    asked for.
     """
 
     instances: tuple[Id, ...]
     types: tuple[Id, ...]
-    incidence: frozenset[tuple[Id, Id]]
+    _columns: tuple[int, ...] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        ipos = {i: k for k, i in enumerate(self.instances)}
-        if len(ipos) != len(self.instances):
-            raise ValueError("duplicate instance ids")
-        tpos = {t: k for k, t in enumerate(self.types)}
-        if len(tpos) != len(self.types):
-            raise ValueError("duplicate type ids")
-        held: list[list[int]] = [[] for _ in self.types]
-        rows = [0] * len(self.instances)
-        for i, t in self.incidence:
-            p = ipos.get(i)
+    def __init__(
+        self,
+        instances: tuple[Id, ...],
+        types: tuple[Id, ...],
+        incidence: frozenset[tuple[Id, Id]],
+    ) -> None:
+        self._set_ids(instances, types)
+        held: list[list[int]] = [[] for _ in types]
+        for i, t in incidence:
+            p = self._ipos.get(i)
             if p is None:
                 raise ValueError(f"incidence references unknown instance id {i!r}")
-            q = tpos.get(t)
+            q = self._tpos.get(t)
             if q is None:
                 raise ValueError(f"incidence references unknown type id {t!r}")
             held[q].append(p)
-            rows[p] |= 1 << q
-        n = len(self.instances)
+        n = len(instances)
+        object.__setattr__(self, "_columns", tuple(_mask(ps, n) for ps in held))
+
+    @classmethod
+    def from_columns(
+        cls, instances: tuple[Id, ...], types: tuple[Id, ...], columns: tuple[int, ...]
+    ) -> "Classification":
+        """Build from each type's column over instance positions."""
+        ctx = object.__new__(cls)
+        ctx._set_ids(instances, types)
+        if len(columns) != len(types) or any(c < 0 or c > ctx._full for c in columns):
+            raise ValueError("one column per type, over the instance positions, is required")
+        object.__setattr__(ctx, "_columns", tuple(columns))
+        return ctx
+
+    def _set_ids(self, instances: tuple[Id, ...], types: tuple[Id, ...]) -> None:
+        ipos = {i: k for k, i in enumerate(instances)}
+        if len(ipos) != len(instances):
+            raise ValueError("duplicate instance ids")
+        tpos = {t: k for k, t in enumerate(types)}
+        if len(tpos) != len(types):
+            raise ValueError("duplicate type ids")
+        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "types", types)
         object.__setattr__(self, "_ipos", ipos)
         object.__setattr__(self, "_tpos", tpos)
-        object.__setattr__(self, "_full", (1 << n) - 1)
-        object.__setattr__(self, "_columns", tuple(_mask(ps, n) for ps in held))
-        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_full", (1 << len(instances)) - 1)
 
     @classmethod
     def make(
@@ -105,6 +127,20 @@ class Classification:
         incidence: Iterable[tuple[Id, Id]],
     ) -> "Classification":
         return cls(tuple(instances), tuple(types), frozenset(incidence))
+
+    @cached_property
+    def incidence(self) -> frozenset[tuple[Id, Id]]:
+        return frozenset(
+            (self.instances[p], t) for t, col in zip(self.types, self._columns) for p in _bits(col)
+        )
+
+    @cached_property
+    def _rows(self) -> tuple[int, ...]:
+        rows = [0] * len(self.instances)
+        for q, col in enumerate(self._columns):
+            for p in _bits(col):
+                rows[p] |= 1 << q
+        return tuple(rows)
 
     def holds(self, instance: Id, typ: Id) -> bool:
         return (instance, typ) in self.incidence

@@ -12,11 +12,14 @@ function symbols and no empty or infinite domains.
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from . import fca
 from .errors import ParseError, SignatureMismatchError, SizeCapError
 
 DEFAULT_MODEL_CAP = 2**20
@@ -770,45 +773,204 @@ class Structure:
         return self._constant[name]
 
 
-def _eval_term(structure: Structure, t: Term, env: Mapping[str, str]) -> str:
-    if isinstance(t, Var):
-        return env[t.name]
-    return structure.constant(t.name)
+# ---------------------------------------------------------------------------
+# Satisfaction as columns
+#
+# Truth is computed for a whole set of models at once: the column of a
+# formula under an assignment is an int whose bit i is set when the formula
+# holds in model i.  Ground atoms and constant denotations give the base
+# columns; connectives and quantifiers are bitwise operations on them.
 
 
-def _eval(structure: Structure, f: Formula, env: dict[str, str]) -> bool:
-    if isinstance(f, Atom):
-        tup = tuple(_eval_term(structure, t, env) for t in f.args)
-        return tup in structure.relation(f.rel)
-    if isinstance(f, Eq):
-        return _eval_term(structure, f.left, env) == _eval_term(structure, f.right, env)
-    if isinstance(f, Not):
-        return not _eval(structure, f.body, env)
-    if isinstance(f, And):
-        return _eval(structure, f.left, env) and _eval(structure, f.right, env)
-    if isinstance(f, Or):
-        return _eval(structure, f.left, env) or _eval(structure, f.right, env)
-    if isinstance(f, Implies):
-        return (not _eval(structure, f.left, env)) or _eval(structure, f.right, env)
-    if isinstance(f, Iff):
-        return _eval(structure, f.left, env) == _eval(structure, f.right, env)
-    if isinstance(f, Forall):
-        return all(_eval(structure, f.body, {**env, f.var: e}) for e in structure.carrier(f.sort))
-    if isinstance(f, Exists):
-        return any(_eval(structure, f.body, {**env, f.var: e}) for e in structure.carrier(f.sort))
-    raise TypeError(f"not a formula: {f!r}")
+class _Group:
+    """Models that share one carrier per sort, seen through their atoms.
+
+    ``atom(rel, tup)`` is the set of the models where the ground atom
+    holds and ``denotes(const, elem)`` the set of those where the constant
+    denotes the element, both bitsets over model positions; ``full`` is the
+    set of all the group's models.
+    """
+
+    __slots__ = ("signature", "carrier", "full", "atom", "denotes")
+
+    def __init__(
+        self,
+        signature: Signature,
+        carrier: Mapping[str, tuple[str, ...]],
+        full: int,
+        atom: Callable[[str, tuple[str, ...]], int],
+        denotes: Callable[[str, str], int],
+    ) -> None:
+        self.signature, self.carrier, self.full = signature, carrier, full
+        self.atom, self.denotes = atom, denotes
 
 
-def satisfies(structure: Structure, sentence: Formula) -> bool:
-    """Tarskian truth of a closed sentence in a finite structure."""
+def _column(group: _Group, formula: Formula, env: Mapping[str, str]) -> int:
+    """The models of the group where ``formula`` holds under ``env``.
+
+    Connectives are bitwise operations against the full mask, and a
+    quantifier ANDs or ORs its body's columns over the carrier of its sort.
+    A quantified subformula met again is memoized on the values of its own
+    free variables, so it is evaluated at most once more than it has
+    distinct values there: nested quantifiers cost their number times the
+    carrier size, not the carrier size to the power of the nesting depth.
+    Between quantifiers the walk is linear.
+    """
+    sig, carrier, full = group.signature, group.carrier, group.full
+    memo: dict[tuple, int] = {}
+    # keyed by id: every subformula lives as long as ``formula``
+    free: dict[int, tuple[str, ...] | None] = {}
+
+    def ground(terms: Sequence[Term], env: Mapping[str, str]) -> list[tuple[int, tuple]]:
+        """Each way the constants among ``terms`` can denote: the models
+        where they do, and the values of the terms there."""
+        consts = [t.name for t in terms if isinstance(t, Const)]
+        if not consts:
+            return [(full, tuple(env[t.name] for t in terms))]
+        consts = list(dict.fromkeys(consts))
+        out = []
+        for elems in itertools.product(*(carrier[sig.constant_sort(c)] for c in consts)):
+            where = full
+            for c, e in zip(consts, elems):
+                where &= group.denotes(c, e)
+            if where:
+                value = dict(zip(consts, elems))
+                out.append((where, tuple(
+                    value[t.name] if isinstance(t, Const) else env[t.name] for t in terms
+                )))
+        return out
+
+    def walk(f: Formula, env: Mapping[str, str]) -> int:
+        if isinstance(f, Atom):
+            out = 0
+            for where, tup in ground(f.args, env):
+                out |= where & group.atom(f.rel, tup)
+            return out
+        if isinstance(f, Eq):
+            out = 0
+            for where, (left, right) in ground((f.left, f.right), env):
+                if left == right:
+                    out |= where
+            return out
+        if isinstance(f, Not):
+            return full ^ walk(f.body, env)
+        if isinstance(f, And):
+            left = walk(f.left, env)
+            return left & walk(f.right, env) if left else 0
+        if isinstance(f, Or):
+            left = walk(f.left, env)
+            return left | walk(f.right, env) if left != full else full
+        if isinstance(f, Implies):
+            left = walk(f.left, env)
+            return (full ^ left) | walk(f.right, env) if left else full
+        if isinstance(f, Iff):
+            return full ^ walk(f.left, env) ^ walk(f.right, env)
+        if isinstance(f, _QUANT):
+            # a quantifier met only once needs no key
+            if id(f) not in free:
+                free[id(f)] = None
+                return quantify(f, env)
+            names = free[id(f)]
+            if names is None:
+                names = free[id(f)] = tuple(free_vars(f))
+            key = (id(f), *(env[v] for v in names))
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = quantify(f, env)
+            return out
+        raise TypeError(f"not a formula: {f!r}")
+
+    def quantify(f: Forall | Exists, env: Mapping[str, str]) -> int:
+        forall = isinstance(f, Forall)
+        out, stop = (full, 0) if forall else (0, full)
+        for e in carrier[f.sort]:
+            body = walk(f.body, {**env, f.var: e})
+            out = out & body if forall else out | body
+            if out == stop:
+                break
+        return out
+
+    return walk(formula, env)
+
+
+def _listed_groups(sig: Signature, models: Sequence[Structure]) -> tuple[_Group, ...]:
+    """The listed models grouped by their carriers, in order of first
+    appearance; each model's relations and constants are scanned once."""
+    scanned: dict[tuple, tuple[list[int], dict, dict]] = {}
+    for p, m in enumerate(models):
+        positions, atoms, denotes = scanned.setdefault(m.carriers, ([], {}, {}))
+        positions.append(p)
+        for name, tuples in m.relations:
+            for tup in tuples:
+                atoms.setdefault((name, tup), []).append(p)
+        for name, elem in m.constants:
+            denotes.setdefault((name, elem), []).append(p)
+
+    width = len(models)
+
+    def table(held: dict) -> Callable[[str, object], int]:
+        columns = {key: fca._mask(ps, width) for key, ps in held.items()}
+        return lambda name, value: columns.get((name, value), 0)
+
+    return tuple(
+        _Group(sig, dict(carriers), fca._mask(positions, width), table(atoms), table(denotes))
+        for carriers, (positions, atoms, denotes) in scanned.items()
+    )
+
+
+class ModelColumns:
+    """Satisfaction over a fixed sequence of models, one sentence at a time.
+
+    ``column(sentence)`` is the int whose bit ``i`` is set when the
+    sentence holds in ``models[i]``.  The models are split into groups that
+    share one carrier per sort, and each group supplies the columns of its
+    ground atoms and constant denotations: a :class:`StructureSpace` reads
+    them off its index encoding as periodic bit patterns, without building
+    a structure, and a listed model's relations are scanned once.
+    """
+
+    def __init__(self, sig: Signature, models: Sequence[Structure]) -> None:
+        self.signature = sig
+        if isinstance(models, StructureSpace):
+            self._groups = (models._group(),)
+        else:
+            self._groups = _listed_groups(sig, models)
+
+    def column(self, sentence: Formula) -> int:
+        """The models where a closed, well-typed sentence holds."""
+        _check_sentence(self.signature, sentence)
+        out = 0
+        for group in self._groups:
+            out |= _column(group, sentence, {})
+        return out
+
+
+def _check_sentence(sig: Signature, sentence: Formula) -> None:
     fv = free_vars(sentence)
     if fv:
         raise ValueError(f"sentence has free variables: {sorted(fv)}")
     try:
-        validate_formula(structure.signature, sentence)
+        validate_formula(sig, sentence)
     except ValueError as exc:
         raise SignatureMismatchError(f"sentence does not fit the structure's signature: {exc}")
-    return _eval(structure, sentence, {})
+
+
+def _structure_group(structure: Structure) -> _Group:
+    """One structure as a group of one model, its atoms looked up in place."""
+    relation, constant = structure._relation, structure._constant
+    return _Group(
+        structure.signature,
+        structure._carrier,
+        1,
+        lambda rel, tup: int(tup in relation[rel]),
+        lambda const, elem: int(constant[const] == elem),
+    )
+
+
+def satisfies(structure: Structure, sentence: Formula) -> bool:
+    """Tarskian truth of a closed sentence in a finite structure."""
+    _check_sentence(structure.signature, sentence)
+    return _column(_structure_group(structure), sentence, {}) == 1
 
 
 def eval_formula(structure: Structure, formula: Formula, env: Mapping[str, str]) -> bool:
@@ -817,7 +979,7 @@ def eval_formula(structure: Structure, formula: Formula, env: Mapping[str, str])
     missing = set(fv) - set(env)
     if missing:
         raise ValueError(f"assignment misses free variables: {sorted(missing)}")
-    return _eval(structure, formula, dict(env))
+    return _column(_structure_group(structure), formula, env) == 1
 
 
 def theory_of(structure: Structure, pool: Iterable[Formula]) -> frozenset[Formula]:
@@ -860,17 +1022,163 @@ def count_structures(sig: Signature, carriers: Mapping[str, Sequence[str]]) -> i
     return count
 
 
+def _periodic(width: int, period: int, start: int, stop: int) -> int:
+    """The ``width``-bit mask that sets bits ``start`` to ``stop - 1`` of
+    every ``period`` (which divides ``width``), in O(log width) shifts."""
+    mask = ((1 << (stop - start)) - 1) << start
+    while period < width:
+        mask |= mask << period
+        period <<= 1
+    return mask & ((1 << width) - 1)
+
+
+# Subclassing the unsubscripted ABC: typing's cache of ``Sequence[Structure]``
+# would keep every imported copy of this module alive.
+class StructureSpace(collections.abc.Sequence):
+    """Every structure over fixed carriers, in canonical order, built on demand.
+
+    Position ``i`` is a mixed-radix number with one digit per relation, a
+    bit-vector over the lexicographic order of the relation's tuples
+    (earlier relations more significant), then one digit per constant, the
+    position of its denotation in its carrier (the last constant least
+    significant).  A structure is built only when one is indexed or
+    iterated; ``index`` encodes a structure instead of scanning, and
+    :class:`ModelColumns` reads ground atoms off the encoding.  Use
+    :func:`enumerate_structures`, which applies the size cap.  Two spaces
+    are equal when their signatures and carriers are.
+    """
+
+    def __init__(self, sig: Signature, carriers: tuple[tuple[str, tuple[str, ...]], ...]) -> None:
+        cs = validate_carriers(sig, dict(carriers))
+        self.signature, self.carriers = sig, tuple(cs.items())
+        tuples = {
+            name: tuple(itertools.product(*(cs[sort] for sort in sig.profile(name))))
+            for name in sig.relation_names
+        }
+        # A digit's stride is the number of positions one step of it skips.
+        stride = 1
+        const_strides = {}
+        for name in reversed(sig.constant_names):
+            const_strides[name] = stride
+            stride *= len(cs[sig.constant_sort(name)])
+        rel_strides = {}
+        for name in reversed(sig.relation_names):
+            rel_strides[name] = stride
+            stride <<= len(tuples[name])
+        self._cs, self._count, self._tuples = cs, stride, tuples
+        self._tuple_pos = {n: {t: k for k, t in enumerate(ts)} for n, ts in tuples.items()}
+        self._elem_pos = {sort: {e: j for j, e in enumerate(es)} for sort, es in cs.items()}
+        self._rel_strides, self._const_strides = rel_strides, const_strides
+        self._patterns: dict[tuple, int] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StructureSpace):
+            return NotImplemented
+        return (self.signature, self.carriers) == (other.signature, other.carriers)
+
+    def __hash__(self) -> int:
+        return hash((self.signature, self.carriers))
+
+    def __repr__(self) -> str:
+        return f"StructureSpace({self.signature!r}, {self.carriers!r})"
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._decode(k) for k in range(*i.indices(self._count))]
+        i = operator.index(i)
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError("structure index out of range")
+        return self._decode(i)
+
+    def __iter__(self) -> Iterator[Structure]:
+        return map(self._decode, range(self._count))
+
+    def __contains__(self, value: object) -> bool:
+        return self._encode(value) is not None
+
+    def index(self, value: object, start: int = 0, stop: int | None = None) -> int:
+        i = self._encode(value)
+        if i is None or i not in range(self._count)[start:stop]:
+            raise ValueError("structure is not in this space")
+        return i
+
+    def _decode(self, i: int) -> Structure:
+        sig, cs = self.signature, self._cs
+        constants = {}
+        for name in reversed(sig.constant_names):
+            elems = cs[sig.constant_sort(name)]
+            i, j = divmod(i, len(elems))
+            constants[name] = elems[j]
+        relations = {}
+        for name in reversed(sig.relation_names):
+            space = self._tuples[name]
+            bits, i = i, i >> len(space)
+            relations[name] = [t for k, t in enumerate(space) if bits >> k & 1]
+        return Structure.make(sig, cs, relations, constants)
+
+    def _encode(self, value: object) -> int | None:
+        if not (
+            isinstance(value, Structure)
+            and value.signature == self.signature
+            and value.carriers == self.carriers
+        ):
+            return None
+        i = 0
+        for name, tuples in value.relations:
+            pos = self._tuple_pos[name]
+            bits = 0
+            for tup in tuples:
+                bits |= 1 << pos[tup]
+            i = i << len(pos) | bits
+        for name, elem in value.constants:
+            pos = self._elem_pos[self.signature.constant_sort(name)]
+            i = i * len(pos) + pos[elem]
+        return i
+
+    def _atom(self, rel: str, tup: tuple[str, ...]) -> int:
+        """Models holding R(t): blocks of the digit bit's stride, alternating
+        off and on."""
+        key = (0, rel, tup)
+        col = self._patterns.get(key)
+        if col is None:
+            block = self._rel_strides[rel] << self._tuple_pos[rel][tup]
+            col = self._patterns[key] = _periodic(self._count, 2 * block, block, 2 * block)
+        return col
+
+    def _denotes(self, const: str, elem: str) -> int:
+        """Models where the constant denotes the element: one block of its
+        digit's stride in each cycle of the digit."""
+        key = (1, const, elem)
+        col = self._patterns.get(key)
+        if col is None:
+            pos = self._elem_pos[self.signature.constant_sort(const)]
+            block = self._const_strides[const]
+            j = pos[elem]
+            col = _periodic(self._count, block * len(pos), j * block, (j + 1) * block)
+            self._patterns[key] = col
+        return col
+
+    def _group(self) -> _Group:
+        return _Group(self.signature, self._cs, (1 << self._count) - 1, self._atom, self._denotes)
+
+
 def enumerate_structures(
     sig: Signature,
     carriers: Mapping[str, Sequence[str]],
     cap: int = DEFAULT_MODEL_CAP,
-) -> list[Structure]:
+) -> StructureSpace:
     """All structures over the fixed carriers, in canonical order.
 
     Relation extensions vary as bit-vectors over the lexicographic tuple
     order of each relation (earlier relations vary slower); constant
-    denotations vary last (fastest).  Refuses with the computed count when
-    it exceeds ``cap``.
+    denotations vary last (fastest).  The result is a lazy sequence (see
+    :class:`StructureSpace`).  Refuses with the computed count when it
+    exceeds ``cap``.
     """
     cs = validate_carriers(sig, carriers)
     total_bits = 0
@@ -884,25 +1192,7 @@ def enumerate_structures(
     count = count_structures(sig, carriers)
     if count > cap:
         raise SizeCapError("structure enumeration", count, cap)
-
-    tuple_spaces = {
-        name: list(itertools.product(*(cs[sort] for sort in sig.profile(name))))
-        for name in sig.relation_names
-    }
-    rel_axes = [range(2 ** len(tuple_spaces[name])) for name in sig.relation_names]
-    const_axes = [cs[sig.constant_sort(name)] for name in sig.constant_names]
-
-    out: list[Structure] = []
-    for combo in itertools.product(*rel_axes, *const_axes):
-        rel_bits = combo[: len(rel_axes)]
-        const_elems = combo[len(rel_axes):]
-        relations = {}
-        for name, bits in zip(sig.relation_names, rel_bits):
-            space = tuple_spaces[name]
-            relations[name] = [space[i] for i in range(len(space)) if bits >> i & 1]
-        constants = dict(zip(sig.constant_names, const_elems))
-        out.append(Structure.make(sig, cs, relations, constants))
-    return out
+    return StructureSpace(sig, tuple(cs.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -448,16 +448,16 @@ def truth_infomorphism(
             + "; ".join(missing)
         )
 
-    source_index = {m: i for i, m in enumerate(tc1.models)}
     instance_map: list[int] = []
     for m in tc2.models:
         r = reduct(h, m)
-        if r not in source_index:
+        try:
+            instance_map.append(tc1.models.index(r))
+        except ValueError:
             raise InfomorphismError(
                 "reduct of a target model is not among the source models:\n"
                 + format_structure(r)
-            )
-        instance_map.append(source_index[r])
+            ) from None
 
     check = check_infomorphism(
         tc1.classification,

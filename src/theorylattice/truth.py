@@ -12,6 +12,7 @@ theory of their common models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import fca
@@ -19,12 +20,12 @@ from .errors import PoolMembershipError, SignatureMismatchError
 from .logic import (
     DEFAULT_MODEL_CAP,
     Formula,
+    ModelColumns,
     Signature,
     Structure,
     canonicalize,
     enumerate_structures,
     free_vars,
-    satisfies,
     sentence_key,
     validate_formula,
 )
@@ -58,10 +59,8 @@ class Theory:
         return theory
 
 
-def _as_axioms(theory: "Theory | Iterable[Formula]") -> frozenset[Formula]:
-    if isinstance(theory, Theory):
-        return theory.axioms
-    return frozenset(canonicalize(a) for a in theory)
+def _as_axioms(theory: "Theory | Iterable[Formula]") -> Iterable[Formula]:
+    return theory.axioms if isinstance(theory, Theory) else theory
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,14 @@ class TruthClassification:
 
     Instance ids are model positions; type ids are the canonical printed
     sentences, so the underlying classification is directly exportable.
-    The pool is validated here, once, so that the closed theories built
-    from its members inside the lattice need no re-validation.
+    ``models`` is a tuple of listed models or the lazy
+    :class:`~theorylattice.logic.StructureSpace` of an enumeration.  The
+    pool is validated here, once, so that the closed theories built from
+    its members inside the lattice need no re-validation.
     """
 
     signature: Signature
-    models: tuple[Structure, ...]
+    models: Sequence[Structure]
     pool: tuple[Formula, ...]
     classification: fca.Classification
 
@@ -113,7 +114,7 @@ class TruthClassification:
         return self.classification.types
 
     def in_pool(self, sentence: Formula) -> bool:
-        return canonicalize(sentence) in self._pos
+        return self._lookup(sentence)[1] is not None
 
     def sentence(self, key: str) -> Formula:
         try:
@@ -123,19 +124,37 @@ class TruthClassification:
 
     def models_of(self, axioms: Iterable[Formula]) -> frozenset[int]:
         """Indices of the models satisfying every axiom (pool-free)."""
-        return frozenset(fca._bits(self._models_mask(canonicalize(a) for a in axioms)))
+        return frozenset(fca._bits(self._models_mask(axioms)))
+
+    def _lookup(self, sentence: Formula) -> tuple[Formula, int | None]:
+        """The canonical form of a sentence and its pool position, if any.
+
+        A sentence found in the pool as given is canonical already, so
+        only a miss is canonicalized and looked up again.
+        """
+        p = self._pos.get(sentence)
+        if p is not None:
+            return sentence, p
+        sentence = canonicalize(sentence)
+        return sentence, self._pos.get(sentence)
+
+    @cached_property
+    def _satisfaction(self) -> ModelColumns:
+        return ModelColumns(self.signature, self.models)
+
+    def _column(self, sentence: Formula) -> int:
+        """The models satisfying a sentence, as a mask; a pool sentence's
+        column is looked up, any other one computed."""
+        sentence, p = self._lookup(sentence)
+        if p is not None:
+            return self.classification._columns[p]
+        return self._satisfaction.column(sentence)
 
     def _models_mask(self, axioms: Iterable[Formula]) -> int:
-        """The models satisfying every canonical axiom, as a mask."""
-        ctx = self.classification
-        out = ctx._full
+        """The models satisfying every axiom, as a mask."""
+        out = self.classification._full
         for a in axioms:
-            p = self._pos.get(a)
-            if p is not None:
-                out &= ctx._columns[p]
-            else:
-                held = (i for i in fca._bits(out) if satisfies(self.models[i], a))
-                out = fca._mask(held, len(self.models))
+            out &= self._column(a)
         return out
 
     def _theory(self, intent: int) -> "ClosedTheory":
@@ -166,30 +185,28 @@ def build_truth_classification(
     if (models is None) == (carriers is None):
         raise ValueError("exactly one of models and carriers must be given")
     if carriers is not None:
-        model_list = enumerate_structures(sig, carriers, cap=model_cap)
+        model_seq = enumerate_structures(sig, carriers, cap=model_cap)
     else:
-        model_list = list(models)
-        for m in model_list:
+        model_seq = tuple(models)
+        for m in model_seq:
             if m.signature != sig:
                 raise SignatureMismatchError("model over a different signature")
-        if len(set(model_list)) != len(model_list):
+        if len(set(model_seq)) != len(model_seq):
             raise ValueError("duplicate structures in the model list")
-    if not model_list:
+    if not model_seq:
         raise ValueError("empty model set; the lattice of theories degenerates")
 
     pool_list = tuple(dict.fromkeys(canonicalize(s) for s in pool))
     # fail before the satisfaction pass; the constructor checks again
     _check_pool(sig, pool_list)
 
-    keys = [sentence_key(s) for s in pool_list]
-    incidence = {
-        (i, k)
-        for i, m in enumerate(model_list)
-        for k, s in zip(keys, pool_list)
-        if satisfies(m, s)
-    }
-    ctx = fca.Classification(tuple(range(len(model_list))), tuple(keys), frozenset(incidence))
-    return TruthClassification(sig, tuple(model_list), pool_list, ctx)
+    satisfaction = ModelColumns(sig, model_seq)
+    ctx = fca.Classification.from_columns(
+        tuple(range(len(model_seq))),
+        tuple(sentence_key(s) for s in pool_list),
+        tuple(satisfaction.column(s) for s in pool_list),
+    )
+    return TruthClassification(sig, model_seq, pool_list, ctx)
 
 
 def closure(tc: TruthClassification, theory: Theory | Iterable[Formula]) -> ClosedTheory:
@@ -200,7 +217,7 @@ def closure(tc: TruthClassification, theory: Theory | Iterable[Formula]) -> Clos
     """
     intent = 0
     for a in _as_axioms(theory):
-        p = tc._pos.get(a)
+        a, p = tc._lookup(a)
         if p is None:
             raise PoolMembershipError(sentence_key(a), "closure is pool-relative")
         intent |= 1 << p
@@ -212,17 +229,15 @@ def entails(tc: TruthClassification, theory: Theory | Iterable[Formula], sentenc
     """Semantic entailment over the classification's model set.
 
     Neither the axioms nor the query sentence need to be pool members;
-    the check runs satisfaction directly where needed.
+    a non-pool sentence's column is computed over the model set.
     """
-    sentence = canonicalize(sentence)
-    if free_vars(sentence):
-        raise ValueError(f"query {sentence_key(sentence)!r} is not closed")
-    validate_formula(tc.signature, sentence)
+    sentence, p = tc._lookup(sentence)
+    if p is None:
+        if free_vars(sentence):
+            raise ValueError(f"query {sentence_key(sentence)!r} is not closed")
+        validate_formula(tc.signature, sentence)
     models = tc._models_mask(_as_axioms(theory))
-    p = tc._pos.get(sentence)
-    if p is not None:
-        return models & ~tc.classification._columns[p] == 0
-    return all(satisfies(tc.models[i], sentence) for i in fca._bits(models))
+    return models & ~tc._column(sentence) == 0
 
 
 def theory_leq(tc: TruthClassification, t1: Theory | Iterable[Formula], t2: Theory | Iterable[Formula]) -> bool:

@@ -1,8 +1,10 @@
 """Independent oracles and corpus generators for the test suite.
 
 Everything here recomputes expected values by a different method than
-the library: satisfaction by ground substitution instead of environment
-recursion, concepts by closing every subset instead of NextClosure,
+the library: satisfaction by ground substitution, one model at a time,
+instead of bitset columns over a model set; structures by filtering the
+tuple space per relation instead of decoding a position; concepts by
+closing every subset instead of NextClosure,
 derivations on sets of pairs instead of bitsets, Hasse edges by scanning
 every triple instead of neighbour search, and meets/joins by scanning the
 order relation.  Tests freeze fixture
@@ -30,7 +32,6 @@ from theorylattice.logic import (
     Signature,
     Structure,
     Var,
-    enumerate_structures,
 )
 from theorylattice.morph import Interpretation, make_interpretation
 from theorylattice.truth import build_truth_classification
@@ -99,6 +100,25 @@ def oracle_satisfies(structure: Structure, sentence: Formula) -> bool:
         raise TypeError(f)
 
     return ev(sentence)
+
+
+def brute_structures(sig: Signature, carriers) -> list[Structure]:
+    """Every structure over the carriers in the documented order: each
+    relation's extensions as bit-vectors over its lexicographic tuple
+    order, earlier relations slower, constant denotations fastest."""
+    extensions = []
+    for name in sig.relation_names:
+        space = list(product(*(carriers[sort] for sort in sig.profile(name))))
+        extensions.append(
+            [[t for k, t in enumerate(space) if bits >> k & 1] for bits in range(2 ** len(space))]
+        )
+    denotations = [carriers[sig.constant_sort(name)] for name in sig.constant_names]
+    out = []
+    for combo in product(*extensions, *denotations):
+        relations = dict(zip(sig.relation_names, combo))
+        constants = dict(zip(sig.constant_names, combo[len(extensions):]))
+        out.append(Structure.make(sig, carriers, relations, constants))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +206,14 @@ def random_context(rng: random.Random, max_instances: int = 4, max_types: int = 
     return instances, types, incidence
 
 
-def _random_formula(rng: random.Random, sig: Signature, free: dict[str, str], depth: int) -> Formula:
-    """A well-typed formula over ``sig`` using only the given free variables."""
+def _random_formula(
+    rng: random.Random, sig: Signature, free: dict[str, str], depth: int, equality: bool = False
+) -> Formula:
+    """A well-typed formula over ``sig`` using only the given free variables.
+
+    With ``equality``, equations between terms of one sort are drawn as
+    atoms too; without it the draws are the same as they always were.
+    """
     atoms = []
     for rel in sig.relation_names:
         profile = sig.profile(rel)
@@ -198,34 +224,45 @@ def _random_formula(rng: random.Random, sig: Signature, free: dict[str, str], de
             choices.append(pool)
         if all(choices):
             atoms.append((rel, choices))
+    if equality:
+        for sort in sig.entity_types:
+            terms = [Var(v, s) for v, s in free.items() if s == sort]
+            terms += [Const(c) for c in sig.constant_names if sig.constant_sort(c) == sort]
+            if terms:
+                atoms.append((None, [terms, terms]))
+
+    def atom(rel, choices) -> Formula:
+        args = tuple(rng.choice(c) for c in choices)
+        return Eq(*args) if rel is None else Atom(rel, args)
+
     if depth == 0 or (not atoms and depth < 2):
         if atoms:
-            rel, choices = rng.choice(atoms)
-            return Atom(rel, tuple(rng.choice(c) for c in choices))
+            return atom(*rng.choice(atoms))
         name, sort = rng.choice(sorted(free.items()))
         return Eq(Var(name, sort), Var(name, sort))
     kind = rng.randrange(6)
     if kind == 0 and atoms:
-        rel, choices = rng.choice(atoms)
-        return Atom(rel, tuple(rng.choice(c) for c in choices))
+        return atom(*rng.choice(atoms))
     if kind == 1:
-        return Not(_random_formula(rng, sig, free, depth - 1))
+        return Not(_random_formula(rng, sig, free, depth - 1, equality))
     if kind in (2, 3):
         op = rng.choice((And, Or, Implies, Iff))
         return op(
-            _random_formula(rng, sig, free, depth - 1),
-            _random_formula(rng, sig, free, depth - 1),
+            _random_formula(rng, sig, free, depth - 1, equality),
+            _random_formula(rng, sig, free, depth - 1, equality),
         )
     sort = rng.choice(sig.entity_types)
     var = f"q{len(free)}"
     quant = Forall if kind == 4 else Exists
-    return quant(var, sort, _random_formula(rng, sig, {**free, var: sort}, depth - 1))
+    return quant(var, sort, _random_formula(rng, sig, {**free, var: sort}, depth - 1, equality))
 
 
-def random_sentence(rng: random.Random, sig: Signature, depth: int = 3) -> Formula:
+def random_sentence(
+    rng: random.Random, sig: Signature, depth: int = 3, equality: bool = False
+) -> Formula:
     sort = rng.choice(sig.entity_types)
     quant = rng.choice((Forall, Exists))
-    return quant("q0", sort, _random_formula(rng, sig, {"q0": sort}, depth - 1))
+    return quant("q0", sort, _random_formula(rng, sig, {"q0": sort}, depth - 1, equality))
 
 
 def random_interpretation_case(rng: random.Random):

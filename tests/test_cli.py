@@ -42,6 +42,7 @@ def ws(tmp_path_factory):
         "conj.int": CONJ_INT,
         "demo.cxt": DEMO_CXT,
         "empty.cxt": "B\nempty\n0\n0\n\n",
+        "empty.thy": "",
         "t1.thy": "forall x:E. P(x)\n",
         "t3.thy": "exists x:E. P(x)\n",
         "t_allR.thy": "forall x:E. R(x)\n",
@@ -206,6 +207,16 @@ class TestEntail:
         ]
         assert main(argv) == 0
         assert capsys.readouterr().out == "true\n"
+
+    def test_deeply_nested_quantifiers_are_answered(self, ws, capsys):
+        # 2^99 assignments, unless each quantified subformula is evaluated
+        # once per value of its own free variables
+        argv = [
+            "entail", "--sig", ws["sig"], "--carriers", "E=a,b", "--theory", ws["empty.thy"],
+            "--query", "forall x:E. " * 99 + "P(x)",
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == "false\n"
 
 
 class TestLeq:

@@ -1,7 +1,8 @@
-"""The bitset FCA core and the trusted lattice theories against independent
-references: brute-force concepts and covers, derivations on sets of
-pairs, order-scanning meets and joins, and closure by the ground
-evaluator."""
+"""The bitset FCA core, the trusted lattice theories and satisfaction
+columns against independent references: brute-force concepts and covers,
+derivations on sets of pairs, order-scanning meets and joins, closure and
+columns by the ground evaluator, and the lazy structure space against a
+list built by filtering tuple spaces."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ from oracles import (
     brute_closed_theories,
     brute_concepts,
     brute_covers,
+    brute_structures,
+    oracle_satisfies,
     order_join,
     order_meet,
     random_context,
@@ -31,7 +34,16 @@ from theorylattice.fca import (
     lattice_join,
     lattice_meet,
 )
-from theorylattice.logic import Signature
+from theorylattice.logic import (
+    Atom,
+    Const,
+    Forall,
+    Signature,
+    Structure,
+    Var,
+    count_structures,
+    enumerate_structures,
+)
 from theorylattice.truth import build_truth_classification, closure, theory_lattice
 
 
@@ -148,3 +160,96 @@ def test_closure_and_theory_lattice_match_brute_force_on_random_pools():
             brute = [t for t in want if set(axioms) <= t]
             assert closed.axioms == min(brute, key=len)
             assert closed in lat
+
+
+# ---------------------------------------------------------------------------
+# Satisfaction columns and the lazy structure space
+
+# Two sorts, a binary relation across them, a unary one, and a constant of
+# each sort.
+MIXED = Signature(("A", "B"), (("R", ("A", "B")), ("S", ("B",))), (("c", "A"), ("d", "B")))
+MIXED_CARRIERS = (
+    {"A": ["a"], "B": ["b"]},
+    {"A": ["a"], "B": ["b", "b2"]},
+    {"A": ["a", "a2"], "B": ["b"]},
+    {"A": ["a2", "a"], "B": ["b2", "b"]},
+)
+
+
+def random_sentences(rng: random.Random, count: int) -> list:
+    return [
+        random_sentence(rng, MIXED, depth=rng.randint(1, 4), equality=True) for _ in range(count)
+    ]
+
+
+def oracle_mask(models, sentence) -> int:
+    return sum(1 << i for i, m in enumerate(models) if oracle_satisfies(m, sentence))
+
+
+def check_columns(tc, sentences) -> None:
+    """Pool columns, and the computed columns of any sentence, bit for bit."""
+    for s, column in zip(tc.pool, tc.classification._columns):
+        assert column == oracle_mask(tc.models, s)
+    for s in sentences:
+        want = oracle_mask(tc.models, s)
+        assert tc.models_of([s]) == {i for i in range(len(tc.models)) if want >> i & 1}
+
+
+@pytest.mark.parametrize("carriers", MIXED_CARRIERS)
+def test_enumerated_columns_match_ground_substitution(carriers):
+    rng = random.Random(MIXED_CARRIERS.index(carriers))
+    sentences = random_sentences(rng, 40)
+    tc = build_truth_classification(MIXED, sentences[:20], carriers=carriers)
+    check_columns(tc, sentences[20:])
+
+
+def test_bound_variable_named_like_a_constant_is_kept_apart():
+    sig = Signature(("E",), (("R", ("E", "E")),), (("v0", "E"),))
+    sentence = Forall("v0", "E", Atom("R", (Var("v0", "E"), Const("v0"))))
+    tc = build_truth_classification(sig, [sentence], carriers={"E": ["a", "b"]})
+    check_columns(tc, [sentence])
+
+
+def test_listed_columns_with_mixed_carriers_match_ground_substitution():
+    rng = random.Random(77)
+    spaces = [brute_structures(MIXED, c) for c in MIXED_CARRIERS]
+    for _ in range(4):
+        drawn = (m for space in spaces for m in rng.sample(space, min(12, len(space))))
+        models = list(dict.fromkeys(drawn))
+        rng.shuffle(models)
+        sentences = random_sentences(rng, 30)
+        tc = build_truth_classification(MIXED, sentences[:15], models=models)
+        check_columns(tc, sentences[15:])
+
+
+@pytest.mark.parametrize(
+    "sig, carriers",
+    [
+        (MIXED, MIXED_CARRIERS[1]),
+        (MIXED, MIXED_CARRIERS[3]),
+        (Signature(("E",), (("P", ("E",)), ("R", ("E", "E"))), ()), {"E": ["a", "b"]}),
+        (Signature(("E",), (), (("c", "E"), ("d", "E"))), {"E": ["x", "y", "z"]}),
+    ],
+)
+def test_lazy_space_matches_independent_enumeration(sig, carriers):
+    want = brute_structures(sig, carriers)
+    space = enumerate_structures(sig, carriers)
+    assert len(space) == len(want) == count_structures(sig, carriers)
+    assert list(space) == want
+    for i, m in enumerate(want):
+        assert space[i] == m
+        assert space[i - len(want)] == m
+        assert space.index(m) == i
+        assert m in space
+    assert space[1:4] == want[1:4]
+    with pytest.raises(IndexError):
+        space[len(want)]
+    with pytest.raises(IndexError):
+        space[-len(want) - 1]
+    foreign = Structure.make(
+        sig, {sort: [*elems, "extra"] for sort, elems in carriers.items()}, {},
+        {c: "extra" for c in sig.constant_names},
+    )
+    assert foreign not in space
+    with pytest.raises(ValueError):
+        space.index(foreign)

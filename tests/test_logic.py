@@ -255,6 +255,10 @@ class TestSatisfies:
     def test_reflexivity_everywhere(self):
         assert all(satisfies(m, sent("forall x:E. x = x")) for m in MODELS)
 
+    def test_deeply_nested_quantifiers(self):
+        nested = sent("forall x:E. " * 98 + "exists y:E. P(y)")
+        assert [satisfies(m, nested) for m in MODELS] == [bool(m.relation("P")) for m in MODELS]
+
     def test_signature_mismatch(self):
         other = parse_signature("entity E\nrelation R(E)")
         with pytest.raises(SignatureMismatchError):

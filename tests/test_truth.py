@@ -9,7 +9,11 @@ import pytest
 from theorylattice.errors import PoolMembershipError, SignatureMismatchError
 from theorylattice.fca import lattice_join, lattice_meet
 from theorylattice.logic import (
+    Atom,
+    Exists,
+    Forall,
     Structure,
+    Var,
     parse_sentence,
     parse_signature,
     sentence_key,
@@ -117,6 +121,17 @@ class TestClosure:
         t = Theory.make(pq_sig, [pq["s1"]])
         assert closure(pq_tc, t).axioms == {pq["s1"], pq["s3"]}
 
+    def test_alpha_variant_of_a_pool_member_closes_alike(self, pq_tc, pq):
+        variant = Forall("y", "E", Atom("P", (Var("y", "E"),)))
+        assert variant != pq["s1"]
+        assert closure(pq_tc, [variant]) == closure(pq_tc, [pq["s1"]])
+
+    def test_non_pool_axiom_is_named_by_its_canonical_key(self, pq_tc):
+        stray = Exists("y", "E", Atom("Q", (Var("y", "E"),)))
+        with pytest.raises(PoolMembershipError) as exc:
+            closure(pq_tc, [stray])
+        assert exc.value.sentence_key == "exists v0:E. Q(v0)"
+
 
 class TestEntails:
     def test_nonempty_carrier_forces_witness(self, pq_tc, pq):
@@ -141,6 +156,14 @@ class TestEntails:
         other = parse_signature("entity E\nrelation R(E)")
         with pytest.raises(ValueError):
             entails(pq_tc, [], parse_sentence(other, "exists x:E. R(x)"))
+
+    def test_alpha_variants_count_as_their_canonical_forms(self, pq_tc, pq):
+        all_p = Forall("y", "E", Atom("P", (Var("y", "E"),)))
+        some_q = Exists("z", "E", Atom("Q", (Var("z", "E"),)))
+        assert entails(pq_tc, [all_p], pq["s3"])
+        assert entails(pq_tc, [pq["s2"]], some_q)
+        assert not entails(pq_tc, [some_q], all_p)
+        assert pq_tc.models_of([all_p]) == pq_tc.models_of([pq["s1"]])
 
     def test_matches_closure_membership_exhaustively(self, pq_tc, pq_pool):
         for axioms in pool_subsets(pq_pool):
