@@ -267,11 +267,12 @@ def cmd_ctx_concepts(args: argparse.Namespace) -> int:
     if args.format == "cxt":
         _emit(args, fca.write_cxt(ctx))
         return 0
-    lines = [f"concepts: {len(lat.concepts)}"]
-    for k, c in enumerate(lat.concepts):
-        extent = ", ".join(sorted(map(str, c.extent)))
-        intent = ", ".join(sorted(map(str, c.intent)))
-        lines.append(f"concept {k}: extent {{{extent}}} intent {{{intent}}}")
+    objects, attributes = tuple(map(str, ctx.instances)), tuple(map(str, ctx.types))
+    lines = [f"concepts: {len(lat._extents)}"]
+    for k, (extent, intent) in enumerate(zip(lat._extents, lat._intents)):
+        extent_names = ", ".join(sorted(fca._select(objects, extent)))
+        intent_names = ", ".join(sorted(fca._select(attributes, intent)))
+        lines.append(f"concept {k}: extent {{{extent_names}}} intent {{{intent_names}}}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, SizeCapError
 
@@ -30,17 +30,18 @@ Id = Hashable
 
 
 _BINARY_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _select(items: Sequence, mask: int) -> Iterator:
+    """The items at the set bits of ``mask``, in order: the binary digits,
+    lowest first, select them in C, in time linear in the width."""
+    return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BINARY_DIGIT))
 
 
 def _bits(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of ``mask``, ascending.
-
-    Linear in the width: the binary digits, lowest first, select from a
-    range in C, where testing the bits one shift at a time would copy the
-    whole int per bit.
-    """
-    digits = bin(mask)[:1:-1].encode().translate(_BINARY_DIGIT)
-    return tuple(itertools.compress(range(len(digits)), digits))
+    """The positions of the set bits of ``mask``, ascending."""
+    return tuple(_select(range(mask.bit_length()), mask))
 
 
 def _mask(positions: Iterable[int], width: int) -> int:
@@ -161,10 +162,10 @@ class Classification:
         return out
 
     def _instance_ids(self, extent: int) -> frozenset[Id]:
-        return frozenset(map(self.instances.__getitem__, _bits(extent)))
+        return frozenset(_select(self.instances, extent))
 
     def _type_ids(self, intent: int) -> frozenset[Id]:
-        return frozenset(map(self.types.__getitem__, _bits(intent)))
+        return frozenset(_select(self.types, intent))
 
 
 def derive_types(ctx: Classification, instances: Iterable[Id]) -> frozenset[Id]:
@@ -196,39 +197,38 @@ def is_formal_concept(ctx: Classification, extent: Iterable[Id], intent: Iterabl
 class ConceptLattice:
     """All formal concepts of a classification under the extent order.
 
-    Concepts are stored in canonical order: by extent size, then by the
-    positions of the extent's instances in declaration order.  The first
-    concept is the bottom, the last is the top.  ``_extents`` and
-    ``_intents`` hold each concept's extent and intent as masks, parallel
-    to ``concepts``; they are derived from the concepts when not given.
+    Stored as each concept's extent and intent masks, in canonical order:
+    by extent size, then by the positions of the extent's instances.  The
+    first concept is the bottom, the last is the top.  The
+    :class:`FormalConcept` objects are a view built on first use.
     """
 
     classification: Classification
-    concepts: tuple[FormalConcept, ...]
-    _extents: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    _intents: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _extents: tuple[int, ...] = field(repr=False)
+    _intents: tuple[int, ...] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        index = {c: k for k, c in enumerate(self.concepts)}
-        if len(index) != len(self.concepts):
-            raise ValueError("duplicate concepts")
-        self._cache["index"] = index
+    @cached_property
+    def concepts(self) -> tuple[FormalConcept, ...]:
         ctx = self.classification
-        if self._extents is None:
-            n, m = len(ctx.instances), len(ctx.types)
-            extents = [_mask(_positions(c.extent, ctx._ipos, "instance"), n) for c in self.concepts]
-            intents = [_mask(_positions(c.intent, ctx._tpos, "type"), m) for c in self.concepts]
-            object.__setattr__(self, "_extents", tuple(extents))
-            object.__setattr__(self, "_intents", tuple(intents))
-        self._cache["by_extent"] = {e: k for k, e in enumerate(self._extents)}
+        return tuple(
+            FormalConcept(ctx._instance_ids(extent), ctx._type_ids(intent))
+            for extent, intent in zip(self._extents, self._intents)
+        )
+
+    @cached_property
+    def _index(self) -> dict[FormalConcept, int]:
+        return {c: k for k, c in enumerate(self.concepts)}
+
+    @cached_property
+    def _by_extent(self) -> dict[int, int]:
+        return {e: k for k, e in enumerate(self._extents)}
 
     def __contains__(self, concept: FormalConcept) -> bool:
-        return concept in self._cache["index"]
+        return concept in self._index
 
     def index(self, concept: FormalConcept) -> int:
         try:
-            return self._cache["index"][concept]
+            return self._index[concept]
         except KeyError:
             raise ValueError(f"concept {concept!r} is not in this lattice") from None
 
@@ -247,12 +247,8 @@ class ConceptLattice:
         return self.concepts[-1]
 
     def _concept(self, extent: int) -> FormalConcept:
-        """The concept with this extent mask: the lattice's own when listed."""
-        k = self._cache["by_extent"].get(extent)
-        if k is not None:
-            return self.concepts[k]
-        ctx = self.classification
-        return FormalConcept(ctx._instance_ids(extent), ctx._type_ids(ctx._intent(extent)))
+        """The lattice's concept with this (closed) extent mask."""
+        return self.concepts[self._by_extent[extent]]
 
     def instance_concept(self, instance: Id) -> FormalConcept:
         """The embedding of an instance: ({i}'', {i}')."""
@@ -275,23 +271,32 @@ class ConceptLattice:
         set when its closed intent holds another type still in that set, so
         each cover is reported once, by the last type that generates it.
         """
-        if "covers" not in self._cache:
-            cols = self.classification._columns
-            by_extent = self._cache["by_extent"]
-            intents = self._intents
-            all_types = (1 << len(cols)) - 1
-            edges = []
-            for k, (extent, intent) in enumerate(zip(self._extents, intents)):
-                minimal = all_types & ~intent
-                for m in _bits(minimal):
-                    bit = 1 << m
-                    low = by_extent[extent & cols[m]]
-                    if intents[low] & minimal & ~bit:
-                        minimal &= ~bit
-                    else:
-                        edges.append((low, k))
-            self._cache["covers"] = tuple(sorted(edges))
-        return self._cache["covers"]
+        return self._covers
+
+    @cached_property
+    def _covers(self) -> tuple[tuple[int, int], ...]:
+        cols = self.classification._columns
+        by_extent = self._by_extent
+        intents = self._intents
+        all_types = (1 << len(cols)) - 1
+        edges = []
+        for k, (extent, intent) in enumerate(zip(self._extents, intents)):
+            minimal = all_types & ~intent
+            for m in _bits(minimal):
+                bit = 1 << m
+                low = by_extent[extent & cols[m]]
+                if intents[low] & minimal & ~bit:
+                    minimal &= ~bit
+                else:
+                    edges.append((low, k))
+        return tuple(sorted(edges))
+
+
+def _extent_order(extent: int, width: int) -> tuple[int, int]:
+    """Sort key of extent masks: by size, then by ascending positions, which
+    puts the lowest set bit of e1 ^ e2 first: the larger bit-reversed mask."""
+    little = extent.to_bytes((width + 7) >> 3, "little")
+    return extent.bit_count(), -int.from_bytes(little.translate(_REVERSED_BYTE), "big")
 
 
 def concept_lattice(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
@@ -330,21 +335,9 @@ def concept_lattice(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> Conc
                 nxt = (cand, closed)
                 break
 
-    keyed = []
-    for extent, intent in found:
-        pos = _bits(extent)
-        keyed.append(((len(pos), pos), extent, intent))
-    keyed.sort(key=lambda r: r[0])
-    concepts = tuple(
-        FormalConcept(frozenset(map(ctx.instances.__getitem__, key[1])), ctx._type_ids(intent))
-        for key, _, intent in keyed
-    )
-    return ConceptLattice(
-        ctx,
-        concepts,
-        tuple(extent for _, extent, _ in keyed),
-        tuple(intent for _, _, intent in keyed),
-    )
+    width = len(ctx.instances)
+    found.sort(key=lambda c: _extent_order(c[0], width))
+    return ConceptLattice(ctx, *zip(*found))
 
 
 def lattice_meet(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
@@ -503,15 +496,15 @@ def lattice_dot(lat: ConceptLattice, name: str = "lattice") -> str:
     Each node shows only the instances and types whose embeddings land on
     that concept; edges are the covering relation.
     """
-    ctx = lat.classification
+    ctx, by_extent = lat.classification, lat._by_extent
     attached_types: dict[int, list[str]] = {}
     attached_insts: dict[int, list[str]] = {}
-    for t in ctx.types:
-        attached_types.setdefault(lat.index(lat.type_concept(t)), []).append(str(t))
-    for i in ctx.instances:
-        attached_insts.setdefault(lat.index(lat.instance_concept(i)), []).append(str(i))
+    for t, column in zip(ctx.types, ctx._columns):
+        attached_types.setdefault(by_extent[column], []).append(str(t))
+    for i, row in zip(ctx.instances, ctx._rows):
+        attached_insts.setdefault(by_extent[ctx._extent(row)], []).append(str(i))
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
-    for k in range(len(lat.concepts)):
+    for k in range(len(lat._extents)):
         parts = []
         if k in attached_types:
             parts.append("t: " + ", ".join(attached_types[k]))

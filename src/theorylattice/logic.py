@@ -230,6 +230,7 @@ def free_vars(formula: Formula) -> dict[str, str]:
             raise TypeError(f"not a formula: {f!r}")
 
     walk(formula, frozenset())
+    walk = None  # break the walk -> cell -> walk cycle: a call leaves no garbage
     return out
 
 
@@ -255,10 +256,12 @@ def canonicalize(formula: Formula) -> Formula:
     """Rename bound variables to depth-indexed names v0, v1, ...
 
     Alpha-equivalent formulas canonicalize to structurally equal values.
-    Free variables keep their names; the canonical name stream skips them,
-    so no capture can occur.
+    Free variables keep their names; the canonical name stream skips them
+    and the names of the constants in the formula, so no capture can occur
+    and the printed formula parses back to the same one.
     """
     taken = set(free_vars(formula))
+    constants: set[str] = set()
     names: list[str] = []
     counter = itertools.count()
 
@@ -272,6 +275,7 @@ def canonicalize(formula: Formula) -> Formula:
     def term(t: Term, env: dict[str, str]) -> Term:
         if isinstance(t, Var):
             return Var(env.get(t.name, t.name), t.sort)
+        constants.add(t.name)
         return t
 
     def walk(f: Formula, env: dict[str, str], depth: int) -> Formula:
@@ -288,7 +292,15 @@ def canonicalize(formula: Formula) -> Formula:
             return type(f)(name, f.sort, walk(f.body, {**env, f.var: name}, depth + 1))
         raise TypeError(f"not a formula: {f!r}")
 
-    return walk(formula, {}, 0)
+    out = walk(formula, {}, 0)
+    if not constants.isdisjoint(names):
+        # a bound name is a constant's: draw the names again, skipping constants
+        taken |= constants
+        names.clear()
+        counter = itertools.count()
+        out = walk(formula, {}, 0)
+    walk = None  # break the walk -> cell -> walk cycle: a call leaves no garbage
+    return out
 
 
 def validate_formula(sig: Signature, formula: Formula, free: Mapping[str, str] | None = None) -> None:

@@ -538,7 +538,7 @@ def concept_morphism(
                 f"{sorted(map(sentence_key, c2.axioms))}: got "
                 f"{sorted(lat1.tc.pool_keys[p] for p in fca._bits(pre))}"
             )
-        inv_map[c2.axioms] = lat1.theories[lat1.lattice.index(lat1.lattice._concept(extent))]
+        inv_map[c2.axioms] = lat1.theories[lat1.lattice._by_extent[extent]]
         inv_intents.append(pre)
 
     for c1, intent1, forward_image in zip(lat1.theories, intents1, dir_intents):

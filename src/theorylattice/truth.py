@@ -11,7 +11,7 @@ theory of their common models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -159,7 +159,7 @@ class TruthClassification:
 
     def _theory(self, intent: int) -> "ClosedTheory":
         """The closed theory of an intent mask over pool positions."""
-        axioms = frozenset(map(self.pool.__getitem__, fca._bits(intent)))
+        axioms = frozenset(fca._select(self.pool, intent))
         return ClosedTheory._trusted(self.signature, axioms)
 
     def pool_theory_of(self, model_indices: Iterable[int]) -> frozenset[Formula]:
@@ -251,28 +251,32 @@ class TheoryLattice:
 
     Theories are listed parallel to the underlying concept lattice; the
     first entry is the bottom (maximal axiom set, fewest models), the last
-    is the top (the closure of the empty theory).
+    is the top (the closure of the empty theory).  The theories are a view
+    of the concept lattice's intents, built on first use.
     """
 
     tc: TruthClassification
     lattice: fca.ConceptLattice
-    theories: tuple[ClosedTheory, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self._cache["index"] = {t.axioms: k for k, t in enumerate(self.theories)}
+    @cached_property
+    def theories(self) -> tuple[ClosedTheory, ...]:
+        return tuple(map(self.tc._theory, self.lattice._intents))
+
+    @cached_property
+    def _index(self) -> dict[frozenset[Formula], int]:
+        return {t.axioms: k for k, t in enumerate(self.theories)}
 
     def __contains__(self, theory: ClosedTheory) -> bool:
         return (
             isinstance(theory, ClosedTheory)
             and theory.signature == self.tc.signature
-            and theory.axioms in self._cache["index"]
+            and theory.axioms in self._index
         )
 
     def index(self, theory: ClosedTheory) -> int:
         if theory not in self:
             raise ValueError("foreign theory: not a closed theory of this lattice")
-        return self._cache["index"][theory.axioms]
+        return self._index[theory.axioms]
 
     @property
     def pool(self) -> tuple[Formula, ...]:
@@ -294,7 +298,7 @@ class TheoryLattice:
 
     def extent(self, theory: ClosedTheory) -> frozenset[int]:
         """The indices of the models satisfying the theory."""
-        return self.lattice.concepts[self.index(theory)].extent
+        return frozenset(fca._bits(self.lattice._extents[self.index(theory)]))
 
     def closure(self, axioms: Theory | Iterable[Formula]) -> ClosedTheory:
         return closure(self.tc, axioms)
@@ -302,8 +306,7 @@ class TheoryLattice:
 
 def theory_lattice(tc: TruthClassification, concept_cap: int = fca.DEFAULT_CONCEPT_CAP) -> TheoryLattice:
     """Enumerate every closed theory of the classification."""
-    lat = fca.concept_lattice(tc.classification, cap=concept_cap)
-    return TheoryLattice(tc, lat, tuple(map(tc._theory, lat._intents)))
+    return TheoryLattice(tc, fca.concept_lattice(tc.classification, cap=concept_cap))
 
 
 def extremes(lat: TheoryLattice) -> tuple[ClosedTheory, ClosedTheory]:
@@ -373,19 +376,21 @@ def lattice_text(lat: TheoryLattice) -> str:
     """Line-oriented export: one record per closed theory, sorted fields.
 
     ``covers`` lists the immediately smaller theories (more axioms),
-    ``covered-by`` the immediately larger ones, by record id.
+    ``covered-by`` the immediately larger ones, by record id.  Model ids
+    are positions, so an extent's set bits are its models in ascending order.
     """
     concepts = lat.lattice
-    below: list[list[str]] = [[] for _ in lat.theories]
-    above: list[list[str]] = [[] for _ in lat.theories]
+    below: list[list[str]] = [[] for _ in concepts._extents]
+    above: list[list[str]] = [[] for _ in concepts._extents]
     for low, high in concepts.covers():
         below[high].append(str(low))
         above[low].append(str(high))
     keys = lat.tc.pool_keys
-    lines = [f"closed theories: {len(lat.theories)}", f"models: {len(lat.tc.models)}"]
-    for k, (concept, intent) in enumerate(zip(concepts.concepts, concepts._intents)):
-        axioms = "; ".join(sorted(keys[j] for j in fca._bits(intent)))
-        models = " ".join(map(str, sorted(concept.extent)))
+    names = tuple(map(str, lat.tc.classification.instances))
+    lines = [f"closed theories: {len(below)}", f"models: {len(names)}"]
+    for k, (extent, intent) in enumerate(zip(concepts._extents, concepts._intents)):
+        axioms = "; ".join(sorted(fca._select(keys, intent)))
+        models = " ".join(fca._select(names, extent))
         lines.append("")
         lines.append(f"theory {k}")
         lines.append(f"  axioms: {axioms or '(none)'}")

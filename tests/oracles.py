@@ -175,6 +175,68 @@ def brute_closed_theories(models, pool) -> set[frozenset]:
     return closures
 
 
+# ---------------------------------------------------------------------------
+# Reference renderings of the exports, from the concept and theory objects
+
+
+def _rank(concepts, extent) -> int:
+    return next(k for k, c in enumerate(concepts) if c.extent == extent)
+
+
+def reference_lattice_text(lat) -> str:
+    """``lattice_text`` rendered from the ClosedTheory and FormalConcept
+    views, with Hasse edges by scanning triples."""
+    concepts = lat.lattice.concepts
+    below = [[] for _ in concepts]
+    above = [[] for _ in concepts]
+    for low, high in brute_covers(concepts):
+        below[high].append(str(low))
+        above[low].append(str(high))
+    lines = [f"closed theories: {len(lat.theories)}", f"models: {len(lat.tc.models)}"]
+    for k, (theory, concept) in enumerate(zip(lat.theories, concepts)):
+        models = " ".join(map(str, sorted(concept.extent)))
+        lines += [
+            "",
+            f"theory {k}",
+            f"  axioms: {'; '.join(theory.keys()) or '(none)'}",
+            f"  models: {models or '(none)'}",
+            f"  covers: {' '.join(below[k]) or '(none)'}",
+            f"  covered-by: {' '.join(above[k]) or '(none)'}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def reference_lattice_dot(lat, name: str = "lattice") -> str:
+    """``lattice_dot`` rendered from the FormalConcept view: each instance
+    and type is attached where its set-derived embedding lands."""
+    ctx, concepts = lat.classification, lat.concepts
+    attached = [([], []) for _ in concepts]
+    for t in ctx.types:
+        extent = set_derive_instances(ctx.instances, ctx.incidence, [t])
+        attached[_rank(concepts, extent)][0].append(str(t))
+    for i in ctx.instances:
+        intent = set_derive_types(ctx.types, ctx.incidence, [i])
+        extent = set_derive_instances(ctx.instances, ctx.incidence, intent)
+        attached[_rank(concepts, extent)][1].append(str(i))
+    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
+    for k, (types, insts) in enumerate(attached):
+        parts = [f"{tag}: " + ", ".join(xs) for tag, xs in (("t", types), ("i", insts)) if xs]
+        label = "\\n".join(p.replace("\\", "\\\\").replace('"', '\\"') for p in parts)
+        lines.append(f'  c{k} [label="{label or f"c{k}"}"];')
+    lines += [f"  c{low} -> c{high};" for low, high in brute_covers(concepts)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def reference_concepts_text(lat) -> str:
+    """``ctx concepts --format text`` rendered from the FormalConcept view."""
+    lines = [f"concepts: {len(lat.concepts)}"]
+    for k, c in enumerate(lat.concepts):
+        extent = ", ".join(sorted(map(str, c.extent)))
+        intent = ", ".join(sorted(map(str, c.intent)))
+        lines.append(f"concept {k}: extent {{{extent}}} intent {{{intent}}}")
+    return "\n".join(lines) + "\n"
+
+
 def order_meet(elements, leq, a, b):
     """The greatest lower bound, found by scanning the order relation."""
     lowers = [c for c in elements if leq(c, a) and leq(c, b)]

@@ -1,8 +1,9 @@
 """The bitset FCA core, the trusted lattice theories and satisfaction
 columns against independent references: brute-force concepts and covers,
 derivations on sets of pairs, order-scanning meets and joins, closure and
-columns by the ground evaluator, and the lazy structure space against a
-list built by filtering tuple spaces."""
+columns by the ground evaluator, the lazy structure space against a list
+built by filtering tuple spaces, and the exports written from masks
+against renderings of the concept and theory objects."""
 
 from __future__ import annotations
 
@@ -22,17 +23,25 @@ from oracles import (
     order_meet,
     random_context,
     random_sentence,
+    reference_concepts_text,
+    reference_lattice_dot,
+    reference_lattice_text,
     set_derive_instances,
     set_derive_types,
 )
+from theorylattice.cli import main
 from theorylattice.fca import (
     Classification,
     FormalConcept,
+    _extent_order,
     concept_lattice,
     derive_instances,
     derive_types,
+    lattice_dot,
     lattice_join,
     lattice_meet,
+    read_cxt,
+    write_cxt,
 )
 from theorylattice.logic import (
     Atom,
@@ -43,8 +52,10 @@ from theorylattice.logic import (
     Var,
     count_structures,
     enumerate_structures,
+    parse_sentence,
+    parse_signature,
 )
-from theorylattice.truth import build_truth_classification, closure, theory_lattice
+from theorylattice.truth import build_truth_classification, closure, lattice_text, theory_lattice
 
 
 def subsets(xs):
@@ -160,6 +171,101 @@ def test_closure_and_theory_lattice_match_brute_force_on_random_pools():
             brute = [t for t in want if set(axioms) <= t]
             assert closed.axioms == min(brute, key=len)
             assert closed in lat
+
+
+# ---------------------------------------------------------------------------
+# The canonical concept order and the exports written from masks
+
+
+same_width_masks = st.integers(0, 70).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1)))
+)
+
+
+@given(same_width_masks)
+def test_extent_order_is_the_order_of_sorted_positions(case):
+    width, masks = case
+
+    def positions(mask):
+        return tuple(i for i in range(width) if mask >> i & 1)
+
+    by_positions = sorted(masks, key=lambda e: (len(positions(e)), positions(e)))
+    assert sorted(masks, key=lambda e: _extent_order(e, width)) == by_positions
+
+
+def test_concepts_are_listed_in_the_order_of_sorted_positions():
+    for ctx in corpus(5150, 60):
+        concepts = concept_lattice(ctx).concepts
+        keys = [(len(c.extent), sorted(ctx.instances.index(i) for i in c.extent)) for c in concepts]
+        assert keys == sorted(keys)
+
+
+def export_corpus() -> list[Classification]:
+    quoted = Classification.make(
+        ['a"b', "c\\d", "e"], ['x"y', "z\\"], [('a"b', 'x"y'), ("e", "z\\")]
+    )
+    # names whose sorted order is not their declaration order
+    unsorted = Classification.make(
+        ["b", "a", "10", "9"], ["y", "x", "w"],
+        [("b", "y"), ("a", "y"), ("10", "y"), ("a", "x"), ("10", "x"), ("9", "w"), ("10", "w")],
+    )
+    return corpus(8080, 80) + [quoted, unsorted]
+
+
+def ctx_concepts_text(tmp_path, capsys, ctx: Classification) -> str:
+    path = tmp_path / "ctx.cxt"
+    path.write_text(write_cxt(ctx, "corpus"), encoding="utf-8")
+    assert main(["ctx", "concepts", "--cxt", str(path), "--format", "text"]) == 0
+    return capsys.readouterr().out
+
+
+def test_concept_exports_match_reference_renderings(tmp_path, capsys):
+    for ctx in export_corpus():
+        lat = concept_lattice(ctx)
+        assert lattice_dot(lat) == reference_lattice_dot(lat)
+        assert lattice_dot(lat, "g") == reference_lattice_dot(lat, "g")
+        from_file = concept_lattice(read_cxt(write_cxt(ctx)))
+        assert ctx_concepts_text(tmp_path, capsys, ctx) == reference_concepts_text(from_file)
+
+
+@given(contexts())
+@settings(max_examples=40, deadline=None)
+def test_concept_dot_matches_reference_on_generated_contexts(ctx):
+    lat = concept_lattice(ctx)
+    assert lattice_dot(lat) == reference_lattice_dot(lat)
+
+
+def edge_truth_cases():
+    """The empty pool, a single model, and a pool whose bottom has no models."""
+    sig = parse_signature("entity E\nrelation P(E)\nrelation R(E,E)\n")
+    contradiction = parse_sentence(sig, "forall x:E. P(x) & ~P(x)")
+    some_p = parse_sentence(sig, "exists x:E. P(x)")
+    carriers = {"E": ["a", "b"]}
+    one_model = [enumerate_structures(sig, {"E": ["a"]})[1]]
+    return [
+        build_truth_classification(sig, [], carriers=carriers),
+        build_truth_classification(sig, [], models=one_model),
+        build_truth_classification(sig, [some_p, contradiction], models=one_model),
+        build_truth_classification(sig, [some_p, contradiction], carriers=carriers),
+    ]
+
+
+def test_theory_exports_match_reference_renderings_on_random_pools():
+    rng = random.Random(6161)
+    for tc in edge_truth_cases() + [random_truth_case(rng) for _ in range(30)]:
+        lat = theory_lattice(tc)
+        assert lattice_text(lat) == reference_lattice_text(lat)
+        assert lattice_dot(lat.lattice) == reference_lattice_dot(lat.lattice)
+
+
+def test_exports_build_neither_concepts_nor_theories():
+    rng = random.Random(99)
+    for tc in edge_truth_cases() + [random_truth_case(rng) for _ in range(5)]:
+        lat = theory_lattice(tc)
+        lattice_text(lat)
+        lattice_dot(lat.lattice)
+        assert "theories" not in lat.__dict__
+        assert "concepts" not in lat.lattice.__dict__
 
 
 # ---------------------------------------------------------------------------

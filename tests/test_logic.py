@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,10 +40,12 @@ from theorylattice.logic import (
     theory_of,
 )
 
-from oracles import oracle_satisfies
+from oracles import oracle_satisfies, random_sentence
 
 SIG = parse_signature("entity E\nrelation P(E)\nrelation Q(E)")
 MODELS = enumerate_structures(SIG, {"E": ["a", "b"]})
+# Constants named like canonical bound variables.
+V_SIG = parse_signature("entity E\nrelation P(E)\nrelation R(E,E)\nconstant v0:E\nconstant v1:E\n")
 
 
 def sent(text: str):
@@ -175,6 +180,36 @@ class TestParseSentence:
         f = parse_formula(SIG, "forall y:E. P(y) & Q(v0)", {"v0": "E"})
         assert isinstance(f, Forall) and f.var == "v1"
         assert free_vars(f) == {"v0": "E"}
+
+    def test_canonical_names_skip_constants(self):
+        # v0 as the bound name would print as R(v0,v0), a different sentence
+        f = parse_sentence(V_SIG, "forall x:E. R(x, v0)")
+        assert f == Forall("v1", "E", Atom("R", (Var("v1", "E"), Const("v0"))))
+        assert sentence_key(f) == "forall v1:E. R(v1,v0)"
+        assert parse_sentence(V_SIG, sentence_key(f)) == f
+
+
+
+def test_canonicalize_and_free_vars_leave_no_cyclic_garbage():
+    f = sent("forall x:E. exists y:E. P(x) & Q(y) | x = y")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            canonicalize(f)
+            free_vars(f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_print_parse_is_a_fixed_point_of_canonical_sentences_with_constants(seed):
+    rng = random.Random(seed)
+    sentence = canonicalize(random_sentence(rng, V_SIG, depth=rng.randint(1, 4), equality=True))
+    back = parse_sentence(V_SIG, sentence_key(sentence))
+    assert back == sentence
+    assert canonicalize(back) == back
 
 
 # ---------------------------------------------------------------------------
