@@ -501,8 +501,11 @@ def lattice_dot(lat: ConceptLattice, name: str = "lattice") -> str:
     attached_insts: dict[int, list[str]] = {}
     for t, column in zip(ctx.types, ctx._columns):
         attached_types.setdefault(by_extent[column], []).append(str(t))
+    row_concept: dict[int, int] = {}  # instances share rows: close each distinct row once
     for i, row in zip(ctx.instances, ctx._rows):
-        attached_insts.setdefault(by_extent[ctx._extent(row)], []).append(str(i))
+        if row not in row_concept:
+            row_concept[row] = by_extent[ctx._extent(row)]
+        attached_insts.setdefault(row_concept[row], []).append(str(i))
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for k in range(len(lat._extents)):
         parts = []

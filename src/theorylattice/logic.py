@@ -34,8 +34,12 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 _KEYWORDS = frozenset({"forall", "exists"})
 
 
+def _is_name(name: object) -> bool:
+    return isinstance(name, str) and _NAME_RE.match(name) is not None and name not in _KEYWORDS
+
+
 def _check_name(kind: str, name: str) -> None:
-    if not isinstance(name, str) or not _NAME_RE.match(name) or name in _KEYWORDS:
+    if not _is_name(name):
         raise ValueError(f"invalid {kind} name {name!r}")
 
 
@@ -195,6 +199,51 @@ Formula = Atom | Eq | Not | And | Or | Implies | Iff | Forall | Exists
 
 _BINARY = (And, Or, Implies, Iff)
 _QUANT = (Forall, Exists)
+# ``_map`` dispatches on the exact node type: one dict lookup is cheaper
+# than a chain of isinstance tests on this hot path.
+_KIND = {Atom: "leaf", Eq: "leaf", Not: "not", And: "binary", Or: "binary",
+         Implies: "binary", Iff: "binary", Forall: "quantifier", Exists: "quantifier"}
+
+
+def _map(f: Formula, env, leaf: Callable, binder: Callable) -> Formula:
+    """The one structural walk over a formula.
+
+    ``leaf(f, env)`` maps each ``Atom`` or ``Eq``; at each quantifier
+    ``binder(f, env)`` returns ``(var, sort, body_env)``: the new bound
+    variable and sort, and the environment the body is mapped under.
+    Connectives are rebuilt from their mapped parts.  Identity is
+    preserved: a node whose parts all come back unchanged (subformulas
+    ``is`` the old ones, bound variable and sort equal) is returned
+    itself, so a walk whose callbacks return their input allocates no
+    formula node.
+    """
+    kind = _KIND.get(type(f))
+    if kind == "leaf":
+        return leaf(f, env)
+    if kind == "binary":
+        left = _map(f.left, env, leaf, binder)
+        right = _map(f.right, env, leaf, binder)
+        return f if left is f.left and right is f.right else type(f)(left, right)
+    if kind == "quantifier":
+        var, sort, body_env = binder(f, env)
+        body = _map(f.body, body_env, leaf, binder)
+        if body is f.body and var == f.var and sort == f.sort:
+            return f
+        return type(f)(var, sort, body)
+    if kind == "not":
+        body = _map(f.body, env, leaf, binder)
+        return f if body is f.body else Not(body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _map_terms(f: Atom | Eq, env, term: Callable) -> Atom | Eq:
+    """``f`` with ``term(t, env)`` in place of each term; ``f`` itself when
+    every term comes back unchanged."""
+    if isinstance(f, Eq):
+        left, right = term(f.left, env), term(f.right, env)
+        return f if left is f.left and right is f.right else Eq(left, right)
+    args = tuple([term(t, env) for t in f.args])
+    return f if all(map(operator.is_, args, f.args)) else Atom(f.rel, args)
 
 
 def free_vars(formula: Formula) -> dict[str, str]:
@@ -204,33 +253,20 @@ def free_vars(formula: Formula) -> dict[str, str]:
     """
     out: dict[str, str] = {}
 
-    def term(t: Term, bound: frozenset[str]) -> None:
-        if isinstance(t, Var) and t.name not in bound:
-            if out.get(t.name, t.sort) != t.sort:
-                raise ValueError(
-                    f"variable {t.name!r} occurs free at sorts {out[t.name]!r} and {t.sort!r}"
-                )
-            out[t.name] = t.sort
+    def leaf(f: Atom | Eq, bound: frozenset[str]) -> Formula:
+        for t in f.args if isinstance(f, Atom) else (f.left, f.right):
+            if isinstance(t, Var) and t.name not in bound:
+                if out.get(t.name, t.sort) != t.sort:
+                    raise ValueError(
+                        f"variable {t.name!r} occurs free at sorts {out[t.name]!r} and {t.sort!r}"
+                    )
+                out[t.name] = t.sort
+        return f
 
-    def walk(f: Formula, bound: frozenset[str]) -> None:
-        if isinstance(f, Atom):
-            for t in f.args:
-                term(t, bound)
-        elif isinstance(f, Eq):
-            term(f.left, bound)
-            term(f.right, bound)
-        elif isinstance(f, Not):
-            walk(f.body, bound)
-        elif isinstance(f, _BINARY):
-            walk(f.left, bound)
-            walk(f.right, bound)
-        elif isinstance(f, _QUANT):
-            walk(f.body, bound | {f.var})
-        else:
-            raise TypeError(f"not a formula: {f!r}")
+    def binder(f: Forall | Exists, bound: frozenset[str]):
+        return f.var, f.sort, bound | {f.var}
 
-    walk(formula, frozenset())
-    walk = None  # break the walk -> cell -> walk cycle: a call leaves no garbage
+    _map(formula, frozenset(), leaf, binder)
     return out
 
 
@@ -265,41 +301,31 @@ def canonicalize(formula: Formula) -> Formula:
     names: list[str] = []
     counter = itertools.count()
 
-    def name_at(depth: int) -> str:
+    def term(t: Term, env: tuple[dict[str, str], int]) -> Term:
+        if isinstance(t, Var):
+            name = env[0].get(t.name, t.name)
+            return t if name == t.name else Var(name, t.sort)
+        constants.add(t.name)
+        return t
+
+    def binder(f: Forall | Exists, env: tuple[dict[str, str], int]):
+        renaming, depth = env
         while len(names) <= depth:
             cand = f"v{next(counter)}"
             if cand not in taken:
                 names.append(cand)
-        return names[depth]
+        return names[depth], f.sort, ({**renaming, f.var: names[depth]}, depth + 1)
 
-    def term(t: Term, env: dict[str, str]) -> Term:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name), t.sort)
-        constants.add(t.name)
-        return t
+    def leaf(f: Atom | Eq, env: tuple[dict[str, str], int]) -> Formula:
+        return _map_terms(f, env, term)
 
-    def walk(f: Formula, env: dict[str, str], depth: int) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(f.rel, tuple(term(t, env) for t in f.args))
-        if isinstance(f, Eq):
-            return Eq(term(f.left, env), term(f.right, env))
-        if isinstance(f, Not):
-            return Not(walk(f.body, env, depth))
-        if isinstance(f, _BINARY):
-            return type(f)(walk(f.left, env, depth), walk(f.right, env, depth))
-        if isinstance(f, _QUANT):
-            name = name_at(depth)
-            return type(f)(name, f.sort, walk(f.body, {**env, f.var: name}, depth + 1))
-        raise TypeError(f"not a formula: {f!r}")
-
-    out = walk(formula, {}, 0)
+    out = _map(formula, ({}, 0), leaf, binder)
     if not constants.isdisjoint(names):
         # a bound name is a constant's: draw the names again, skipping constants
         taken |= constants
         names.clear()
         counter = itertools.count()
-        out = walk(formula, {}, 0)
-    walk = None  # break the walk -> cell -> walk cycle: a call leaves no garbage
+        out = _map(formula, ({}, 0), leaf, binder)
     return out
 
 
@@ -327,36 +353,31 @@ def validate_formula(sig: Signature, formula: Formula, free: Mapping[str, str] |
             raise ValueError(f"unknown constant {t.name!r}")
         return sig.constant_sort(t.name)
 
-    def walk(f: Formula, env: Mapping[str, str]) -> None:
-        if isinstance(f, Atom):
-            profile = sig.profile(f.rel)
-            if len(f.args) != len(profile):
-                raise ValueError(
-                    f"relation {f.rel!r} expects {len(profile)} arguments, got {len(f.args)}"
-                )
-            for pos, (t, want) in enumerate(zip(f.args, profile), start=1):
-                got = term_sort(t, env)
-                if got != want:
-                    raise ValueError(
-                        f"argument {pos} of {f.rel!r} has sort {got!r}, expected {want!r}"
-                    )
-        elif isinstance(f, Eq):
+    def leaf(f: Atom | Eq, env: Mapping[str, str]) -> Formula:
+        if isinstance(f, Eq):
             ls, rs = term_sort(f.left, env), term_sort(f.right, env)
             if ls != rs:
                 raise ValueError(f"equality between different sorts {ls!r} and {rs!r}")
-        elif isinstance(f, Not):
-            walk(f.body, env)
-        elif isinstance(f, _BINARY):
-            walk(f.left, env)
-            walk(f.right, env)
-        elif isinstance(f, _QUANT):
-            if not sig.has_entity_type(f.sort):
-                raise ValueError(f"quantifier over undeclared entity type {f.sort!r}")
-            walk(f.body, {**env, f.var: f.sort})
-        else:
-            raise TypeError(f"not a formula: {f!r}")
+            return f
+        profile = sig.profile(f.rel)
+        if len(f.args) != len(profile):
+            raise ValueError(
+                f"relation {f.rel!r} expects {len(profile)} arguments, got {len(f.args)}"
+            )
+        for pos, (t, want) in enumerate(zip(f.args, profile), start=1):
+            got = term_sort(t, env)
+            if got != want:
+                raise ValueError(
+                    f"argument {pos} of {f.rel!r} has sort {got!r}, expected {want!r}"
+                )
+        return f
 
-    walk(formula, allowed)
+    def binder(f: Forall | Exists, env: Mapping[str, str]):
+        if not sig.has_entity_type(f.sort):
+            raise ValueError(f"quantifier over undeclared entity type {f.sort!r}")
+        return f.var, f.sort, {**env, f.var: f.sort}
+
+    _map(formula, allowed, leaf, binder)
 
 
 def substitute(formula: Formula, mapping: Mapping[str, Term]) -> Formula:
@@ -365,42 +386,21 @@ def substitute(formula: Formula, mapping: Mapping[str, Term]) -> Formula:
     Binders whose variable would capture a substituted variable are renamed
     to fresh names first.
     """
-    replacement_names = {t.name for t in mapping.values() if isinstance(t, Var)}
-
-    def fresh(avoid: set[str]) -> str:
-        for i in itertools.count():
-            cand = f"w{i}"
-            if cand not in avoid and cand not in replacement_names:
-                return cand
-        raise AssertionError("unreachable")
 
     def term(t: Term, m: Mapping[str, Term]) -> Term:
-        if isinstance(t, Var) and t.name in m:
-            return m[t.name]
-        return t
+        return m.get(t.name, t) if isinstance(t, Var) else t
 
-    def walk(f: Formula, m: Mapping[str, Term]) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(f.rel, tuple(term(t, m) for t in f.args))
-        if isinstance(f, Eq):
-            return Eq(term(f.left, m), term(f.right, m))
-        if isinstance(f, Not):
-            return Not(walk(f.body, m))
-        if isinstance(f, _BINARY):
-            return type(f)(walk(f.left, m), walk(f.right, m))
-        if isinstance(f, _QUANT):
-            inner = {k: v for k, v in m.items() if k != f.var}
-            if not inner:
-                return f
-            var, body = f.var, f.body
-            if var in replacement_names:
-                renamed = fresh(set(free_vars(body)) | set(inner))
-                body = walk(body, {var: Var(renamed, f.sort)})
-                var = renamed
-            return type(f)(var, f.sort, walk(body, inner))
-        raise TypeError(f"not a formula: {f!r}")
+    def binder(f: Forall | Exists, m: Mapping[str, Term]):
+        if f.var in m:
+            m = {k: v for k, v in m.items() if k != f.var}
+        replacing = {t.name for t in m.values() if isinstance(t, Var)}
+        if f.var not in replacing:
+            return f.var, f.sort, m
+        avoid = replacing | set(m) | set(free_vars(f.body))
+        fresh = next(n for n in map("w{}".format, itertools.count()) if n not in avoid)
+        return fresh, f.sort, {**m, f.var: Var(fresh, f.sort)}
 
-    return walk(formula, dict(mapping))
+    return _map(formula, dict(mapping), lambda f, m: _map_terms(f, m, term), binder)
 
 
 # ---------------------------------------------------------------------------
@@ -418,31 +418,31 @@ def format_term(t: Term) -> str:
 
 def format_formula(formula: Formula) -> str:
     """Render with minimal parentheses; parsing the result restores the AST."""
+    return _fmt(formula, 0)
 
-    def fmt(f: Formula, min_prec: int) -> str:
-        if isinstance(f, Atom):
-            s, prec = f"{f.rel}({','.join(format_term(t) for t in f.args)})", _P_ATOM
-        elif isinstance(f, Eq):
-            s, prec = f"{format_term(f.left)} = {format_term(f.right)}", _P_ATOM
-        elif isinstance(f, Not):
-            s, prec = "~" + fmt(f.body, _P_NOT), _P_NOT
-        elif isinstance(f, And):
-            s, prec = f"{fmt(f.left, _P_AND)} & {fmt(f.right, _P_AND + 1)}", _P_AND
-        elif isinstance(f, Or):
-            s, prec = f"{fmt(f.left, _P_OR)} | {fmt(f.right, _P_OR + 1)}", _P_OR
-        elif isinstance(f, Implies):
-            s, prec = f"{fmt(f.left, _P_IMPLIES + 1)} -> {fmt(f.right, _P_IMPLIES)}", _P_IMPLIES
-        elif isinstance(f, Iff):
-            s, prec = f"{fmt(f.left, _P_IFF + 1)} <-> {fmt(f.right, _P_IFF)}", _P_IFF
-        elif isinstance(f, Forall):
-            s, prec = f"forall {f.var}:{f.sort}. {fmt(f.body, 0)}", 0
-        elif isinstance(f, Exists):
-            s, prec = f"exists {f.var}:{f.sort}. {fmt(f.body, 0)}", 0
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        return f"({s})" if prec < min_prec else s
 
-    return fmt(formula, 0)
+def _fmt(f: Formula, min_prec: int) -> str:
+    if isinstance(f, Atom):
+        s, prec = f"{f.rel}({','.join(format_term(t) for t in f.args)})", _P_ATOM
+    elif isinstance(f, Eq):
+        s, prec = f"{format_term(f.left)} = {format_term(f.right)}", _P_ATOM
+    elif isinstance(f, Not):
+        s, prec = "~" + _fmt(f.body, _P_NOT), _P_NOT
+    elif isinstance(f, And):
+        s, prec = f"{_fmt(f.left, _P_AND)} & {_fmt(f.right, _P_AND + 1)}", _P_AND
+    elif isinstance(f, Or):
+        s, prec = f"{_fmt(f.left, _P_OR)} | {_fmt(f.right, _P_OR + 1)}", _P_OR
+    elif isinstance(f, Implies):
+        s, prec = f"{_fmt(f.left, _P_IMPLIES + 1)} -> {_fmt(f.right, _P_IMPLIES)}", _P_IMPLIES
+    elif isinstance(f, Iff):
+        s, prec = f"{_fmt(f.left, _P_IFF + 1)} <-> {_fmt(f.right, _P_IFF)}", _P_IFF
+    elif isinstance(f, Forall):
+        s, prec = f"forall {f.var}:{f.sort}. {_fmt(f.body, 0)}", 0
+    elif isinstance(f, Exists):
+        s, prec = f"exists {f.var}:{f.sort}. {_fmt(f.body, 0)}", 0
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return f"({s})" if prec < min_prec else s
 
 
 def sentence_key(formula: Formula) -> str:
@@ -531,7 +531,7 @@ class _FormulaParser:
         t = self.peek()
         if t is None:
             raise self.error(f"expected {what}, found end of input")
-        if not _NAME_RE.match(t.text) or t.text in _KEYWORDS:
+        if not _is_name(t.text):
             raise self.error(f"expected {what}, found {t.text!r}")
         self.pos += 1
         return t.text
@@ -902,7 +902,10 @@ def _column(group: _Group, formula: Formula, env: Mapping[str, str]) -> int:
                 break
         return out
 
-    return walk(formula, env)
+    try:
+        return walk(formula, env)
+    finally:
+        walk = quantify = None  # break the walk <-> quantify cycle: a call leaves no garbage
 
 
 def _listed_groups(sig: Signature, models: Sequence[Structure]) -> tuple[_Group, ...]:
@@ -1230,7 +1233,7 @@ def parse_signature(text: str, *, path: str | None = None) -> Signature:
     seen: dict[str, set[str]] = {"entity": set(), "relation": set(), "constant": set()}
 
     def check(kind: str, name: str, lineno: int) -> None:
-        if not _NAME_RE.match(name) or name in _KEYWORDS:
+        if not _is_name(name):
             raise ParseError(f"invalid {kind} name {name!r}", line=lineno, path=path)
         if name in seen[kind]:
             raise ParseError(f"duplicate {kind} name {name!r}", line=lineno, path=path)

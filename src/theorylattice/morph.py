@@ -22,14 +22,14 @@ from typing import Hashable, Iterable, Mapping
 from . import fca
 from .errors import InfomorphismError, ParseError, SignatureMismatchError
 from .logic import (
-    _BINARY,
-    _QUANT,
+    _map,
     _source_lines,
     Atom,
     Const,
     Eq,
+    Exists,
+    Forall,
     Formula,
-    Not,
     Signature,
     Structure,
     Term,
@@ -291,24 +291,19 @@ def translate(m: LanguageMorphism | Interpretation, formula: Formula) -> Formula
     """
     validate_formula(m.source, formula, free_vars(formula))
 
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            args = tuple(_translate_term(m, t) for t in f.args)
-            if isinstance(m, LanguageMorphism):
-                return Atom(m.map_relation(f.rel), args)
-            body = m.formula_for(f.rel)
-            return substitute(body, {f"x{k}": t for k, t in enumerate(args, start=1)})
+    def leaf(f: Atom | Eq, env: None) -> Formula:
         if isinstance(f, Eq):
             return Eq(_translate_term(m, f.left), _translate_term(m, f.right))
-        if isinstance(f, Not):
-            return Not(walk(f.body))
-        if isinstance(f, _BINARY):
-            return type(f)(walk(f.left), walk(f.right))
-        if isinstance(f, _QUANT):
-            return type(f)(f.var, m.map_entity(f.sort), walk(f.body))
-        raise TypeError(f"not a formula: {f!r}")
+        args = tuple(_translate_term(m, t) for t in f.args)
+        if isinstance(m, LanguageMorphism):
+            return Atom(m.map_relation(f.rel), args)
+        body = m.formula_for(f.rel)
+        return substitute(body, {f"x{k}": t for k, t in enumerate(args, start=1)})
 
-    return canonicalize(walk(formula))
+    def binder(f: Forall | Exists, env: None) -> tuple[str, str, None]:
+        return f.var, m.map_entity(f.sort), env
+
+    return canonicalize(_map(formula, None, leaf, binder))
 
 
 def reduct(h: Interpretation, model: Structure) -> Structure:

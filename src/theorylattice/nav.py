@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import ParseError
-from .logic import Formula, _split_top_commas, parse_sentence, sentence_key
+from .logic import Formula, _source_lines, _split_top_commas, parse_sentence, sentence_key
 from .morph import Interpretation, LanguageMorphism, translate
 from .truth import ClosedTheory, TheoryLattice
 
@@ -84,10 +84,7 @@ def parse_nav_script(text: str, *, path: str | None = None) -> tuple[tuple[int, 
     ``#`` comments and blank lines are ignored.
     """
     steps: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _source_lines(text):
         kind, _, payload = line.partition(" ")
         payload = payload.strip()
         if kind not in ("contract", "expand", "revise", "analogy"):

@@ -17,15 +17,19 @@ from theorylattice.logic import (
     Exists,
     Forall,
     Iff,
+    MAX_FORMULA_DEPTH,
     Implies,
+    ModelColumns,
     Not,
     Or,
     Signature,
     Structure,
     Var,
+    _depth,
     canonicalize,
     count_structures,
     enumerate_structures,
+    eval_formula,
     format_formula,
     format_structure,
     free_vars,
@@ -38,9 +42,11 @@ from theorylattice.logic import (
     sentence_key,
     substitute,
     theory_of,
+    validate_formula,
 )
+from theorylattice.morph import make_interpretation, reduct, translate
 
-from oracles import oracle_satisfies, random_sentence
+from oracles import _random_formula, oracle_satisfies, random_sentence
 
 SIG = parse_signature("entity E\nrelation P(E)\nrelation Q(E)")
 MODELS = enumerate_structures(SIG, {"E": ["a", "b"]})
@@ -190,17 +196,94 @@ class TestParseSentence:
 
 
 
+def _interpretation():
+    """SIG into itself: P(x1) as exists y. Q(x1) & P(y), Q(x1) as ~P(x1)."""
+    return make_interpretation(SIG, SIG, {"E": "E"}, {}, {
+        "P": parse_formula(SIG, "exists y:E. Q(x1) & P(y)", {"x1": "E"}),
+        "Q": parse_formula(SIG, "~P(x1)", {"x1": "E"}),
+    })
+
+
 def test_canonicalize_and_free_vars_leave_no_cyclic_garbage():
     f = sent("forall x:E. exists y:E. P(x) & Q(y) | x = y")
+    opened = parse_formula(SIG, "exists y:E. P(x) & ~Q(y)", {"x": "E"})
+    h = _interpretation()
+    columns = ModelColumns(SIG, MODELS)
     gc.collect()
     gc.disable()
     try:
         for _ in range(10):
             canonicalize(f)
             free_vars(f)
+            validate_formula(SIG, f)
+            substitute(opened, {"x": Var(opened.var, "E")})
+            translate(h, f)
+            format_formula(f)
+            satisfies(MODELS[5], f)
+            columns.column(f)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_walkers_take_a_formula_of_the_maximum_depth():
+    x = Var("x", "E")
+    wraps = (
+        Not,
+        lambda g: And(Atom("P", (x,)), g),
+        lambda g: Forall("x", "E", g),
+        lambda g: Or(g, Atom("Q", (x,))),
+        lambda g: Exists("x", "E", g),
+        lambda g: Implies(Atom("P", (x,)), g),
+        lambda g: Iff(g, Eq(x, x)),
+    )
+
+    def deep(leaf):
+        f = leaf
+        for k in range(MAX_FORMULA_DEPTH - 2):
+            f = wraps[k % len(wraps)](f)
+        return Forall("x", "E", f)
+
+    sentence = deep(Atom("Q", (x,)))
+    opened = deep(Eq(x, Var("y", "E")))  # y free at the bottom, under every binder of x
+    assert _depth(sentence) == _depth(opened) == MAX_FORMULA_DEPTH
+    canonical = canonicalize(sentence)
+    assert parse_sentence(SIG, format_formula(sentence)) == canonical
+    assert free_vars(sentence) == {} and free_vars(opened) == {"y": "E"}
+    validate_formula(SIG, sentence)
+    validate_formula(SIG, opened, {"y": "E"})
+    moved = substitute(opened, {"y": x})  # captured at every binder unless renamed
+    h = _interpretation()
+    translated = translate(h, sentence)
+    for m in MODELS[::3]:
+        assert eval_formula(m, moved, {"x": "a"}) == eval_formula(m, opened, {"y": "a"})
+        assert satisfies(m, sentence) == satisfies(m, canonical)
+        assert satisfies(m, translated) == satisfies(reduct(h, m), sentence)
+
+
+# Binders of ``_random_formula`` over free x, y are named q2, q3, ...
+SUB_SIG = parse_signature("entity E\nrelation P(E)\nrelation R(E,E)\nconstant c:E")
+SUB_MODELS = enumerate_structures(SUB_SIG, {"E": ["a", "b"]})
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, len(SUB_MODELS) - 1),
+    st.sampled_from("ab"),
+    st.sampled_from("ab"),
+)
+def test_substitute_agrees_with_evaluation(seed, index, a, b):
+    rng = random.Random(seed)
+    f = _random_formula(rng, SUB_SIG, {"x": "E", "y": "E"}, rng.randint(1, 4), equality=True)
+    m, env = SUB_MODELS[index], {"x": a, "y": b}
+    expect = eval_formula(m, f, env)
+    by_constant = substitute(f, {"x": Const("c")})
+    assert eval_formula(m, by_constant, env) == eval_formula(m, f, {**env, "x": m.constant("c")})
+    # q2 is captured unless its binder is renamed, and w0 unless the new name avoids it
+    captured = substitute(f, {"x": Var("q2", "E"), "y": Var("w0", "E")})
+    assert eval_formula(m, captured, {"q2": a, "w0": b}) == expect
+    swapped = substitute(f, {"x": Var("y", "E"), "y": Var("x", "E")})
+    assert eval_formula(m, swapped, {"x": b, "y": a}) == expect
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -226,6 +309,13 @@ FIXTURE_TEXTS = (
     "(forall x:E. P(x)) -> (exists y:E. Q(y))",
     "forall x:E. forall y:E. P(x) & Q(y) | x = y",
 )
+
+
+@pytest.mark.parametrize("text", FIXTURE_TEXTS)
+def test_canonicalize_returns_a_canonical_sentence_itself(text):
+    s = sent(text)
+    assert canonicalize(s) is s
+    assert substitute(s, {"x": Var("y", "E")}) is s
 
 
 @pytest.mark.parametrize("text", FIXTURE_TEXTS)
@@ -392,6 +482,16 @@ class TestSubstitute:
         g = substitute(f, {"x": Var(bound, "E")})
         assert free_vars(g) == {bound: "E"}
         assert g.var != bound
+
+    def test_inner_binder_named_like_the_fresh_name(self):
+        # y is renamed to w0, which the inner binder also binds
+        sig = parse_signature("entity E\nrelation R(E,E)")
+        x, y, w0 = (Var(n, "E") for n in ("x", "y", "w0"))
+        f = Forall("y", "E", Forall("w0", "E", And(Atom("R", (x, w0)), Atom("R", (y, w0)))))
+        g = substitute(f, {"x": y})
+        for m in enumerate_structures(sig, {"E": ["a", "b"]}):
+            for e in "ab":
+                assert eval_formula(m, g, {"y": e}) == eval_formula(m, f, {"x": e})
 
     def test_shadowed_variable_untouched(self):
         f = parse_formula(SIG, "P(x) & (forall x:E. Q(x))", {"x": "E"})
