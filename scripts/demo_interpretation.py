@@ -35,7 +35,7 @@ DST_POOL = (
 
 
 def show(label: str, theory) -> None:
-    body = "; ".join(theory.keys()) if theory.axioms else "(none)"
+    body = "; ".join(theory.keys()) or "(none)"
     print(f"{label}: {body}")
 
 

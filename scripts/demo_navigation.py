@@ -34,7 +34,7 @@ POOL = (
 
 
 def show(label: str, theory) -> None:
-    body = "; ".join(theory.keys()) if theory.axioms else "(none)"
+    body = "; ".join(theory.keys()) or "(none)"
     print(f"{label}: {body}")
 
 

@@ -31,7 +31,6 @@ from .logic import (
     parse_sentence,
     parse_sentences,
     parse_signature,
-    sentence_key,
 )
 from .morph import (
     concept_morphism,
@@ -41,7 +40,6 @@ from .morph import (
 )
 from .truth import (
     ClosedTheory,
-    TheoryLattice,
     TruthClassification,
     build_truth_classification,
     closure,
@@ -200,7 +198,7 @@ def cmd_nav(args: argparse.Namespace) -> int:
     steps = nav.apply_nav_script(lat, start, _read(args.script), load_morphism=load_map, path=args.script)
     for k, step in enumerate(steps, start=1):
         result = lat.theories[step.result]
-        body = "; ".join(result.keys()) if result.axioms else "(none)"
+        body = "; ".join(result.keys()) or "(none)"
         print(f"{k} {step.kind} -> theory {step.result}: {body}")
     return 0
 

@@ -144,7 +144,8 @@ class Classification:
         return tuple(rows)
 
     def holds(self, instance: Id, typ: Id) -> bool:
-        return (instance, typ) in self.incidence
+        p, q = self._ipos.get(instance), self._tpos.get(typ)
+        return p is not None and q is not None and self._columns[q] >> p & 1 == 1
 
     def _extent(self, intent: int) -> int:
         """The instance mask incident to every type in the type mask."""

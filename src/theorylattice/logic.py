@@ -284,10 +284,6 @@ def _depth(formula: Formula) -> int:
     return deepest
 
 
-def is_sentence(formula: Formula) -> bool:
-    return not free_vars(formula)
-
-
 def canonicalize(formula: Formula) -> Formula:
     """Rename bound variables to depth-indexed names v0, v1, ...
 

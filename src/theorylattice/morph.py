@@ -8,8 +8,8 @@ target models back to source models (reducts), and the contravariant
 pair (translate, reduct) is an infomorphism between truth
 classifications: a target model satisfies a translated sentence exactly
 when its reduct satisfies the original.  On the lattices of theories the
-pair induces an adjoint pair of monotone maps, verified exhaustively at
-construction.
+pair induces an adjoint pair of monotone maps, verified at construction
+in unit/counit form, with monotonicity checked along the cover edges.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import fca
 from .errors import InfomorphismError, ParseError, SignatureMismatchError
@@ -403,9 +403,6 @@ class TruthInfomorphism:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_type_map", dict(self.type_map))
 
-    def map_sentence(self, sentence: Formula) -> Formula:
-        return self.target.sentence(self._type_map[sentence_key(sentence)])
-
     def map_model(self, index: int) -> int:
         return self.instance_map[index]
 
@@ -475,27 +472,35 @@ def truth_infomorphism(
 @dataclass(frozen=True)
 class ConceptMorphism:
     """Monotone maps between two lattices of theories, adjoint in the
-    inclusion form dir(C1) <= C2 iff C1 <= inv(C2) (axiom-set inclusion)."""
+    inclusion form dir(C1) <= C2 iff C1 <= inv(C2) (axiom-set inclusion),
+    kept as the index of each theory's image in the other lattice."""
 
     infomorphism: TruthInfomorphism
     source: TheoryLattice
     target: TheoryLattice
-    _dir: dict = field(repr=False, compare=False)
-    _inv: dict = field(repr=False, compare=False)
+    _dir: tuple[int, ...] = field(repr=False, compare=False)
+    _inv: tuple[int, ...] = field(repr=False, compare=False)
 
     def dir(self, theory: ClosedTheory) -> ClosedTheory:
         """Translate the axioms, close in the target lattice."""
         try:
-            return self._dir[theory.axioms]
-        except KeyError:
+            k = self.source.index(theory)
+        except ValueError:
             raise ValueError("foreign theory: not a closed theory of the source lattice") from None
+        return self.target.theories[self._dir[k]]
 
     def inv(self, theory: ClosedTheory) -> ClosedTheory:
         """The source sentences whose translations lie in the theory."""
         try:
-            return self._inv[theory.axioms]
-        except KeyError:
+            k = self.target.index(theory)
+        except ValueError:
             raise ValueError("foreign theory: not a closed theory of the target lattice") from None
+        return self.source.theories[self._inv[k]]
+
+
+def _names(lat: TheoryLattice, k: int) -> list[str]:
+    """The sorted keys of a theory's axioms, to name a witness."""
+    return sorted(fca._select(lat.tc.pool_keys, lat.lattice._intents[k]))
 
 
 def concept_morphism(
@@ -510,43 +515,57 @@ def concept_morphism(
     """
     if lat1.tc != im.source or lat2.tc != im.target:
         raise SignatureMismatchError("lattices do not match the infomorphism's classifications")
-    ctx1 = lat1.tc.classification
-    intents1, intents2 = lat1.lattice._intents, lat2.lattice._intents
-    # target pool position of each source pool sentence's image
-    image = [lat2.tc._pos[im.map_sentence(a)] for a in lat1.pool]
-
-    dir_map: dict[frozenset, ClosedTheory] = {}
-    dir_intents: list[int] = []
-    for c1 in lat1.theories:
-        closed = lat2.closure([im.map_sentence(a) for a in c1.axioms])
-        dir_map[c1.axioms] = closed
-        dir_intents.append(intents2[lat2.index(closed)])
-
-    inv_map: dict[frozenset, ClosedTheory] = {}
-    inv_intents: list[int] = []
-    for c2, intent2 in zip(lat2.theories, intents2):
+    ctx1, ctx2 = lat1.tc.classification, lat2.tc.classification
+    # target pool position of each source pool sentence's image; dir maps
+    # an intent's bits through it and closes, inv pulls an intent back
+    image = [ctx2._tpos[im._type_map[k]] for k in ctx1.types]
+    dir_index: list[int] = []
+    for intent1 in lat1.lattice._intents:
+        mapped = fca._mask([image[p] for p in fca._bits(intent1)], len(ctx2.types))
+        dir_index.append(lat2.lattice._by_extent[ctx2._extent(mapped)])
+    inv_index: list[int] = []
+    for k, intent2 in enumerate(lat2.lattice._intents):
         pre = sum(1 << p for p, q in enumerate(image) if intent2 >> q & 1)
         extent = ctx1._extent(pre)
         if ctx1._intent(extent) != pre:
             raise InfomorphismError(
                 "inverse image is not closed for target theory "
-                f"{sorted(map(sentence_key, c2.axioms))}: got "
-                f"{sorted(lat1.tc.pool_keys[p] for p in fca._bits(pre))}"
+                f"{_names(lat2, k)}: got {sorted(fca._select(lat1.tc.pool_keys, pre))}"
             )
-        inv_map[c2.axioms] = lat1.theories[lat1.lattice._by_extent[extent]]
-        inv_intents.append(pre)
+        inv_index.append(lat1.lattice._by_extent[extent])
 
-    for c1, intent1, forward_image in zip(lat1.theories, intents1, dir_intents):
-        for c2, intent2, inverse_image in zip(lat2.theories, intents2, inv_intents):
-            forward = forward_image & ~intent2 == 0
-            backward = intent1 & ~inverse_image == 0
-            if forward != backward:
-                raise InfomorphismError(
-                    "adjunction fails at "
-                    f"{sorted(map(sentence_key, c1.axioms))} / "
-                    f"{sorted(map(sentence_key, c2.axioms))}"
-                )
-    return ConceptMorphism(im, lat1, lat2, dir_map, inv_map)
+    _check_adjunction(lat1, lat2, dir_index, inv_index)
+    return ConceptMorphism(im, lat1, lat2, tuple(dir_index), tuple(inv_index))
+
+
+def _check_adjunction(
+    lat1: TheoryLattice, lat2: TheoryLattice, dir_index: Sequence[int], inv_index: Sequence[int]
+) -> None:
+    """Verify that dir and inv, as theory indices, are adjoint.
+
+    Monotone maps with dir(C1) <= C2 iff C1 <= inv(C2) for every pair are
+    exactly those with the unit C1 <= inv(dir(C1)) and the counit
+    dir(inv(C2)) <= C2 (Davey & Priestley, Introduction to Lattices and
+    Order, 2nd ed., ch. 7); monotone along the cover edges is monotone.
+    """
+    intents1, intents2 = lat1.lattice._intents, lat2.lattice._intents
+
+    def fail(what: str, la: TheoryLattice, a: int, lb: TheoryLattice, b: int):
+        return InfomorphismError(f"{what} at {_names(la, a)} / {_names(lb, b)}")
+
+    # a cover edge (low, high) has the larger intent at low, and so must its image
+    for low, high in lat1.lattice.covers():
+        if intents2[dir_index[high]] & ~intents2[dir_index[low]]:
+            raise fail("direct image is not monotone", lat1, low, lat1, high)
+    for low, high in lat2.lattice.covers():
+        if intents1[inv_index[high]] & ~intents1[inv_index[low]]:
+            raise fail("inverse image is not monotone", lat2, low, lat2, high)
+    for k, d in enumerate(dir_index):
+        if intents1[k] & ~intents1[inv_index[d]]:
+            raise fail("adjunction fails (unit)", lat1, k, lat2, d)
+    for k, c in enumerate(inv_index):
+        if intents2[dir_index[c]] & ~intents2[k]:
+            raise fail("adjunction fails (counit)", lat1, c, lat2, k)
 
 
 def is_theory_morphism(
@@ -657,6 +676,11 @@ def parse_interpretation(
                 raise ParseError(f"unrecognized interpretation line: {line!r}", line=lineno, path=path)
             if left in target_map:
                 raise ParseError(f"duplicate {kind} mapping for {left!r}", line=lineno, path=path)
+            # a relation line reads its variables' sorts from here, so check them now
+            declared = dst.has_entity_type(right) if kind == "entity" else dst.has_constant(right)
+            if not declared:
+                what = "entity type" if kind == "entity" else "constant"
+                raise ParseError(f"{what} {left!r} maps to undeclared {right!r}", line=lineno, path=path)
             target_map[left] = right
     try:
         return make_interpretation(src, dst, ent, const, rel_formula)

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from . import fca
 from .errors import ParseError
-from .logic import Formula, _source_lines, _split_top_commas, parse_sentence, sentence_key
+from .logic import Formula, _source_lines, _split_top_commas, parse_sentence
 from .morph import Interpretation, LanguageMorphism, translate
 from .truth import ClosedTheory, TheoryLattice
 
@@ -23,15 +24,23 @@ def contract(lat: TheoryLattice, theory: ClosedTheory, axioms: Iterable[Formula]
 
     Note the result may still entail a deleted axiom when the remainder
     does; deletion is set difference, not belief-revision contraction.
+    So a sentence deletes only the axiom it equals as given: a non-pool
+    sentence, or a non-canonical variant of an axiom, deletes nothing.
     """
-    lat.index(theory)
-    return lat.closure(theory.axioms - frozenset(axioms))
+    tc = lat.tc
+    intent = lat._intent(theory)
+    for a in axioms:
+        p = tc._pos.get(a)
+        if p is not None:
+            intent &= ~(1 << p)
+    return tc._theory(tc._close(intent))
 
 
 def expand(lat: TheoryLattice, theory: ClosedTheory, axioms: Iterable[Formula]) -> ClosedTheory:
     """Add axioms and close; the result is at or below the input."""
-    lat.index(theory)
-    return lat.closure(theory.axioms | frozenset(axioms))
+    tc = lat.tc
+    intent = lat._intent(theory)
+    return tc._theory(tc._close(intent | tc._mask(axioms)))
 
 
 def revise(
@@ -55,9 +64,10 @@ def analogy(
     Every renamed axiom must already be in the destination pool; the
     source and destination lattices may coincide (an endo-renaming).
     """
-    src.index(theory)
-    translated = [translate(f, a) for a in sorted(theory.axioms, key=sentence_key)]
-    return dst.closure(translated)
+    pool, keys = src.tc.pool, src.tc.pool_keys
+    # in key order, so that the first missing renamed axiom is the one named
+    positions = sorted(fca._bits(src._intent(theory)), key=keys.__getitem__)
+    return dst.closure([translate(f, pool[p]) for p in positions])
 
 
 @dataclass(frozen=True)
@@ -126,14 +136,13 @@ def apply_nav_script(
     log: list[NavStep] = []
     current = start
     for lineno, kind, payload in parse_nav_script(text, path=path):
+        delete, add, f = [], [], None
         if kind == "contract":
-            delete, add = payload_sentences(payload, lineno), []
+            delete = payload_sentences(payload, lineno)
             nxt = contract(lat, current, delete)
-            log.append(NavStep(kind, lat.index(current), lat.index(nxt), tuple(delete), ()))
         elif kind == "expand":
-            delete, add = [], payload_sentences(payload, lineno)
+            add = payload_sentences(payload, lineno)
             nxt = expand(lat, current, add)
-            log.append(NavStep(kind, lat.index(current), lat.index(nxt), (), tuple(add)))
         elif kind == "revise":
             left, sep, right = payload.partition(";")
             if not sep:
@@ -145,7 +154,6 @@ def apply_nav_script(
             delete = payload_sentences(left.strip(), lineno)
             add = payload_sentences(right.strip(), lineno)
             nxt = revise(lat, current, delete, add)
-            log.append(NavStep(kind, lat.index(current), lat.index(nxt), tuple(delete), tuple(add)))
         else:
             if load_morphism is None:
                 raise ParseError(
@@ -155,6 +163,6 @@ def apply_nav_script(
                 )
             f = load_morphism(payload)
             nxt = analogy(f, lat, lat, current)
-            log.append(NavStep(kind, lat.index(current), lat.index(nxt), morphism=f))
+        log.append(NavStep(kind, lat.index(current), lat.index(nxt), tuple(delete), tuple(add), f))
         current = nxt
     return tuple(log)

@@ -11,6 +11,7 @@ theory of their common models.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -49,26 +50,30 @@ class Theory:
     def make(cls, sig: Signature, axioms: Iterable[Formula]) -> "Theory":
         return cls(sig, frozenset(axioms))
 
-    @classmethod
-    def _trusted(cls, sig: Signature, axioms: frozenset[Formula]):
-        """Wrap axioms that are members of a validated pool, skipping the
-        re-validation; the lattice builds its theories this way."""
-        theory = object.__new__(cls)
-        object.__setattr__(theory, "signature", sig)
-        object.__setattr__(theory, "axioms", axioms)
-        return theory
-
 
 def _as_axioms(theory: "Theory | Iterable[Formula]") -> Iterable[Formula]:
     return theory.axioms if isinstance(theory, Theory) else theory
 
 
-@dataclass(frozen=True)
 class ClosedTheory(Theory):
-    """A theory whose axiom set is an intent of a truth classification."""
+    """A theory whose axiom set is an intent of a truth classification.
+
+    One built by the package is a view of its classification and intent
+    mask, which the lattice operations read; its axioms are read from the
+    pool on first use.  One built by hand carries its axioms.
+    """
+
+    _tc: "TruthClassification | None" = None
+    _intent: int = 0
+
+    @cached_property
+    def axioms(self) -> frozenset[Formula]:
+        return frozenset(fca._select(self._tc.pool, self._intent))
 
     def keys(self) -> tuple[str, ...]:
-        return tuple(sorted(sentence_key(a) for a in self.axioms))
+        if self._tc is None:
+            return tuple(sorted(sentence_key(a) for a in self.axioms))
+        return tuple(sorted(fca._select(self._tc.pool_keys, self._intent)))
 
 
 def _check_pool(sig: Signature, pool: Sequence[Formula]) -> None:
@@ -106,7 +111,6 @@ class TruthClassification:
         ctx = self.classification
         if ctx.types != keys or ctx.instances != tuple(range(len(self.models))):
             raise ValueError("classification does not match the models and the pool")
-        object.__setattr__(self, "_by_key", dict(zip(keys, self.pool)))
         object.__setattr__(self, "_pos", {s: k for k, s in enumerate(self.pool)})
 
     @property
@@ -118,7 +122,7 @@ class TruthClassification:
 
     def sentence(self, key: str) -> Formula:
         try:
-            return self._by_key[key]
+            return self.pool[self.classification._tpos[key]]
         except KeyError:
             raise ValueError(f"no pool sentence with key {key!r}") from None
 
@@ -150,22 +154,37 @@ class TruthClassification:
             return self.classification._columns[p]
         return self._satisfaction.column(sentence)
 
-    def _models_mask(self, axioms: Iterable[Formula]) -> int:
+    def _models_mask(self, theory: Theory | Iterable[Formula]) -> int:
         """The models satisfying every axiom, as a mask."""
+        if isinstance(theory, ClosedTheory) and theory._tc is self:
+            return self.classification._extent(theory._intent)
         out = self.classification._full
-        for a in axioms:
+        for a in _as_axioms(theory):
             out &= self._column(a)
         return out
 
-    def _theory(self, intent: int) -> "ClosedTheory":
-        """The closed theory of an intent mask over pool positions."""
-        axioms = frozenset(fca._select(self.pool, intent))
-        return ClosedTheory._trusted(self.signature, axioms)
+    def _mask(self, theory: Theory | Iterable[Formula]) -> int:
+        """The pool positions of the axioms, as a mask (a view carries it)."""
+        if isinstance(theory, ClosedTheory) and theory._tc is self:
+            return theory._intent
+        intent = 0
+        for a in _as_axioms(theory):
+            a, p = self._lookup(a)
+            if p is None:
+                raise PoolMembershipError(sentence_key(a), "closure is pool-relative")
+            intent |= 1 << p
+        return intent
 
-    def pool_theory_of(self, model_indices: Iterable[int]) -> frozenset[Formula]:
-        """Pool sentences true in every listed model."""
-        keys = fca.derive_types(self.classification, model_indices)
-        return frozenset(self._by_key[k] for k in keys)
+    def _close(self, intent: int) -> int:
+        """The double-prime closure of a mask over pool positions."""
+        ctx = self.classification
+        return ctx._intent(ctx._extent(intent))
+
+    def _theory(self, intent: int) -> "ClosedTheory":
+        """The closed theory of a closed intent: a view, no axiom set."""
+        theory = object.__new__(ClosedTheory)
+        vars(theory).update(signature=self.signature, _tc=self, _intent=intent)
+        return theory
 
 
 def build_truth_classification(
@@ -215,14 +234,7 @@ def closure(tc: TruthClassification, theory: Theory | Iterable[Formula]) -> Clos
     Axioms must come from the pool; this is the double-prime closure of
     the underlying classification.
     """
-    intent = 0
-    for a in _as_axioms(theory):
-        a, p = tc._lookup(a)
-        if p is None:
-            raise PoolMembershipError(sentence_key(a), "closure is pool-relative")
-        intent |= 1 << p
-    ctx = tc.classification
-    return tc._theory(ctx._intent(ctx._extent(intent)))
+    return tc._theory(tc._close(tc._mask(theory)))
 
 
 def entails(tc: TruthClassification, theory: Theory | Iterable[Formula], sentence: Formula) -> bool:
@@ -236,13 +248,13 @@ def entails(tc: TruthClassification, theory: Theory | Iterable[Formula], sentenc
         if free_vars(sentence):
             raise ValueError(f"query {sentence_key(sentence)!r} is not closed")
         validate_formula(tc.signature, sentence)
-    models = tc._models_mask(_as_axioms(theory))
-    return models & ~tc._column(sentence) == 0
+    return tc._models_mask(theory) & ~tc._column(sentence) == 0
 
 
 def theory_leq(tc: TruthClassification, t1: Theory | Iterable[Formula], t2: Theory | Iterable[Formula]) -> bool:
     """The theory order: t1 is below t2 when t1's closure contains t2's."""
-    return closure(tc, t1).axioms >= closure(tc, t2).axioms
+    closed1 = tc._close(tc._mask(t1))
+    return tc._close(tc._mask(t2)) & ~closed1 == 0
 
 
 @dataclass(frozen=True)
@@ -251,7 +263,7 @@ class TheoryLattice:
 
     Theories are listed parallel to the underlying concept lattice; the
     first entry is the bottom (maximal axiom set, fewest models), the last
-    is the top (the closure of the empty theory).  The theories are a view
+    is the top (the closure of the empty theory).  The theories are views
     of the concept lattice's intents, built on first use.
     """
 
@@ -262,25 +274,27 @@ class TheoryLattice:
     def theories(self) -> tuple[ClosedTheory, ...]:
         return tuple(map(self.tc._theory, self.lattice._intents))
 
-    @cached_property
-    def _index(self) -> dict[frozenset[Formula], int]:
-        return {t.axioms: k for k, t in enumerate(self.theories)}
+    def _intent(self, theory: ClosedTheory) -> int:
+        """The intent mask of a closed theory of this lattice; one that is not
+        a view of its classification is looked up by its axioms."""
+        tc = self.tc
+        if isinstance(theory, ClosedTheory) and theory.signature == tc.signature:
+            with contextlib.suppress(PoolMembershipError):
+                intent = tc._mask(theory)
+                if theory._tc is tc or tc._close(intent) == intent:
+                    return intent
+        raise ValueError("foreign theory: not a closed theory of this lattice")
 
     def __contains__(self, theory: ClosedTheory) -> bool:
-        return (
-            isinstance(theory, ClosedTheory)
-            and theory.signature == self.tc.signature
-            and theory.axioms in self._index
-        )
+        try:
+            self._intent(theory)
+        except ValueError:
+            return False
+        return True
 
     def index(self, theory: ClosedTheory) -> int:
-        if theory not in self:
-            raise ValueError("foreign theory: not a closed theory of this lattice")
-        return self._index[theory.axioms]
-
-    @property
-    def pool(self) -> tuple[Formula, ...]:
-        return self.tc.pool
+        extent = self.tc.classification._extent(self._intent(theory))
+        return self.lattice._by_extent[extent]
 
     @property
     def bottom(self) -> ClosedTheory:
@@ -292,13 +306,12 @@ class TheoryLattice:
 
     def leq(self, t1: ClosedTheory, t2: ClosedTheory) -> bool:
         """Lattice order: t1 below t2 iff t1's axioms contain t2's."""
-        self.index(t1)
-        self.index(t2)
-        return t1.axioms >= t2.axioms
+        intent1 = self._intent(t1)
+        return self._intent(t2) & ~intent1 == 0
 
     def extent(self, theory: ClosedTheory) -> frozenset[int]:
         """The indices of the models satisfying the theory."""
-        return frozenset(fca._bits(self.lattice._extents[self.index(theory)]))
+        return frozenset(fca._bits(self.tc.classification._extent(self._intent(theory))))
 
     def closure(self, axioms: Theory | Iterable[Formula]) -> ClosedTheory:
         return closure(self.tc, axioms)
@@ -316,14 +329,13 @@ def extremes(lat: TheoryLattice) -> tuple[ClosedTheory, ClosedTheory]:
 
 def theory_join(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> ClosedTheory:
     """Supremum: the intersection of the two theories (always closed)."""
-    lat.index(t1)
-    lat.index(t2)
-    joined = ClosedTheory._trusted(lat.tc.signature, t1.axioms & t2.axioms)
-    if joined not in lat:
+    tc = lat.tc
+    joined = lat._intent(t1) & lat._intent(t2)
+    if tc._close(joined) != joined:
         raise RuntimeError(
-            f"join of closed theories is not closed: {joined.keys()}"
+            f"join of closed theories is not closed: {tc._theory(joined).keys()}"
         )
-    return joined
+    return tc._theory(joined)
 
 
 def theory_meet(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> ClosedTheory:
@@ -332,17 +344,17 @@ def theory_meet(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> Close
     Computed both as the closure of the union of axioms and as the pool
     theory of the intersected model sets; the two must agree.
     """
-    extents = lat.lattice._extents
-    common = extents[lat.index(t1)] & extents[lat.index(t2)]
-    via_closure = closure(lat.tc, t1.axioms | t2.axioms)
-    via_models = lat.tc._theory(lat.tc.classification._intent(common))
+    tc, ctx = lat.tc, lat.tc.classification
+    intent1, intent2 = lat._intent(t1), lat._intent(t2)
+    via_closure = tc._close(intent1 | intent2)
+    via_models = ctx._intent(ctx._extent(intent1) & ctx._extent(intent2))
     if via_closure != via_models:
         raise RuntimeError(
             "meet mismatch between closure of union and theory of common models: "
-            f"{sorted(map(sentence_key, via_closure.axioms))} vs "
-            f"{sorted(map(sentence_key, via_models.axioms))}"
+            f"{sorted(fca._select(tc.pool_keys, via_closure))} vs "
+            f"{sorted(fca._select(tc.pool_keys, via_models))}"
         )
-    return via_closure
+    return tc._theory(via_closure)
 
 
 def object_concept(tc: TruthClassification, model: int | Structure) -> ClosedTheory:

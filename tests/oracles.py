@@ -6,8 +6,9 @@ instead of bitset columns over a model set; structures by filtering the
 tuple space per relation instead of decoding a position; concepts by
 closing every subset instead of NextClosure,
 derivations on sets of pairs instead of bitsets, Hasse edges by scanning
-every triple instead of neighbour search, and meets/joins by scanning the
-order relation.  Tests freeze fixture
+every triple instead of neighbour search, meets/joins by scanning the
+order relation, and the adjunction by checking every pair of theories
+instead of the unit/counit form.  Tests freeze fixture
 expectations against these.
 """
 
@@ -253,6 +254,30 @@ def order_join(elements, leq, a, b):
 
 
 # ---------------------------------------------------------------------------
+# Fixed corpora
+
+# The M ladder input: 256 models, 2508 closed theories, 10791 cover edges.
+M_SIG = "entity E\nrelation P(E)\nrelation Q(E)\nrelation R(E,E)\n"
+M_POOL = (
+    [f"{q} x:E. {lit}" for lit in ("P(x)", "Q(x)", "R(x,x)", "~P(x)", "~Q(x)")
+     for q in ("forall", "exists")]
+    + [s for a, b in (("P(x)", "Q(x)"), ("P(x)", "R(x,x)"), ("Q(x)", "R(x,x)"))
+       for s in (f"forall x:E. {a} -> {b}", f"exists x:E. {a} & {b}")]
+    + [
+        "forall x:E. exists y:E. R(x,y)",
+        "exists x:E. forall y:E. R(x,y)",
+        "forall x:E. forall y:E. R(x,y) -> R(y,x)",
+        "forall x:E. forall y:E. forall z:E. R(x,y) & R(y,z) -> R(x,z)",
+    ]
+)
+# ST: the M sentences without Q, with P renamed S and R renamed T, read
+# back into M by an interpretation (194 closed theories over {a,b}).
+ST_SIG = "entity E\nrelation S(E)\nrelation T(E,E)\n"
+ST_POOL = [s.replace("P(", "S(").replace("R(", "T(") for s in M_POOL if "Q(" not in s]
+ST_TO_M = "entity E -> E\nrelation S(x1) -> P(x1)\nrelation T(x1,x2) -> R(x1,x2)\n"
+
+
+# ---------------------------------------------------------------------------
 # Randomized corpora (seeded by callers for determinism)
 
 
@@ -398,3 +423,38 @@ def random_interpretation_case(rng: random.Random):
     tc1 = build_truth_classification(src_sig, pool1, carriers=src_carriers)
     tc2 = build_truth_classification(dst_sig, pool2, carriers=dst_carriers)
     return h, tc1, tc2
+
+
+# ---------------------------------------------------------------------------
+# The adjoint pair between two lattices of theories, on sets of keys
+
+
+def reference_adjoint_pair(ctx1, ctx2, type_map):
+    """dir and inv on sets of pool keys, by set derivations on the pairs.
+
+    dir(C) is the target closure of the images of C's keys; inv(D) is the
+    set of source keys whose images lie in D.
+    """
+
+    def direct(keys):
+        images = {type_map[k] for k in keys}
+        extent = set_derive_instances(ctx2.instances, ctx2.incidence, images)
+        return set_derive_types(ctx2.types, ctx2.incidence, extent)
+
+    def inverse(keys):
+        return frozenset(k for k in ctx1.types if type_map[k] in keys)
+
+    return direct, inverse
+
+
+def pairwise_adjunction(theories1, theories2, direct, inverse):
+    """The check over every pair: the first (C1, C2) of key sets at which
+    dir(C1) <= C2 and C1 <= inv(C2) disagree (axiom-set inclusion), or
+    None when the two maps are adjoint."""
+    images = [direct(c1) for c1 in theories1]
+    preimages = [inverse(c2) for c2 in theories2]
+    for c1, image in zip(theories1, images):
+        for c2, preimage in zip(theories2, preimages):
+            if (image <= c2) != (c1 <= preimage):
+                return c1, c2
+    return None

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from oracles import M_POOL, M_SIG
 from theorylattice import fca
 from theorylattice.cli import main, parse_carrier_spec
 from theorylattice.errors import ParseError
@@ -141,20 +144,6 @@ class TestLattice:
         assert "models: 2" in capsys.readouterr().out
 
 
-# The M ladder input: 256 models, 2508 closed theories, 10791 cover edges.
-M_SIG = "entity E\nrelation P(E)\nrelation Q(E)\nrelation R(E,E)\n"
-M_POOL = (
-    [f"{q} x:E. {lit}" for lit in ("P(x)", "Q(x)", "R(x,x)", "~P(x)", "~Q(x)")
-     for q in ("forall", "exists")]
-    + [s for a, b in (("P(x)", "Q(x)"), ("P(x)", "R(x,x)"), ("Q(x)", "R(x,x)"))
-       for s in (f"forall x:E. {a} -> {b}", f"exists x:E. {a} & {b}")]
-    + [
-        "forall x:E. exists y:E. R(x,y)",
-        "exists x:E. forall y:E. R(x,y)",
-        "forall x:E. forall y:E. R(x,y) -> R(y,x)",
-        "forall x:E. forall y:E. forall z:E. R(x,y) & R(y,z) -> R(x,z)",
-    ]
-)
 # (bytes, sha256) of the exports, as recorded by the benchmark
 M_TEXT = (1072490, "13a472c8fa0ddf05c499018538385bb8cf78d8e0b34d1f7df40fa4a70465c114")
 M_DOT = (247725, "dd52d3d11e20dd1ec28ed6139e3480a530452ad5a81346797a42454898deeca9")
@@ -354,6 +343,14 @@ class TestInterp:
         assert out.startswith("false: ")
         assert "forall v0:E. P(v0) & Q(v0)" in out
 
+    def test_check_bad_entity_target_is_an_input_error(self, ws, capsys, tmp_path):
+        bad = tmp_path / "bad.int"
+        bad.write_text("entity E -> (E\nrelation R(x1) -> P(x1)\n", encoding="utf-8")
+        assert main(["interp", "check", *interp_args(ws)[:-1], str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:1: entity type 'E' maps to undeclared '(E'\n"
+        )
+
     def test_check_with_a_renaming(self, ws, capsys):
         argv = [
             "interp", "check",
@@ -463,6 +460,22 @@ class TestErrorExitCodes:
         monkeypatch.setattr("theorylattice.cli.theory_lattice", broken)
         assert main(["lattice", *pq_args(ws)]) == 4
         assert capsys.readouterr().err == "internal error: RuntimeError: lost invariant\n"
+
+
+# sha256 of each demo script's stdout
+DEMOS = {
+    "demo_interpretation.py": "832b98e14839e14a7288943867d805d957efee1c5241bed9a7a91b68445a9cbb",
+    "demo_lattice.py": "b39f046b1a1ce92a534dabd5ac742704f68caac859abb7890c392810a16bf2bd",
+    "demo_navigation.py": "e92dd8a241f98e8b298ebe37b38342bd471df57807c1b7ed8bd63d7565f11b89",
+}
+
+
+@pytest.mark.parametrize("name, want", sorted(DEMOS.items()))
+def test_demo_output_is_pinned(capsys, monkeypatch, name, want):
+    path = str(Path(__file__).parent.parent / "scripts" / name)
+    monkeypatch.setattr(sys, "argv", [path])
+    runpy.run_path(path, run_name="__main__")
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == want
 
 
 def test_module_entry_point(ws):

@@ -69,6 +69,18 @@ class TestDerivation:
                 right = set(ys) <= derive_types(ctx3, xs)
                 assert left == right
 
+    @pytest.mark.parametrize("source", ["ctx3", "cxt"])
+    def test_holds_is_the_incidence(self, ctx3, source):
+        ctx = ctx3 if source == "ctx3" else read_cxt("B\n\n3\n2\n\no1\no2\no3\na\nb\nX.\nXX\n..\n")
+        for i in ctx.instances:
+            for t in ctx.types:
+                assert ctx.holds(i, t) == ((i, t) in ctx.incidence)
+        i, t = ctx.instances[0], ctx.types[0]
+        assert ctx.holds(i, t)
+        assert not ctx.holds("nobody", t)
+        assert not ctx.holds(i, "nothing")
+        assert not ctx.holds("nobody", "nothing")
+
     def test_derivation_laws_exhaustive(self, ctx3):
         for xs in subsets(ctx3.instances):
             xs = frozenset(xs)

@@ -6,7 +6,17 @@ import random
 
 import pytest
 
-from oracles import oracle_satisfies, random_interpretation_case
+from oracles import (
+    M_POOL,
+    M_SIG,
+    ST_POOL,
+    ST_SIG,
+    ST_TO_M,
+    oracle_satisfies,
+    pairwise_adjunction,
+    random_interpretation_case,
+    reference_adjoint_pair,
+)
 from theorylattice.errors import (
     InfomorphismError,
     ParseError,
@@ -23,6 +33,7 @@ from theorylattice.logic import (
     sentence_key,
 )
 from theorylattice.morph import (
+    _check_adjunction,
     check_infomorphism,
     compose_morphisms,
     concept_morphism,
@@ -371,6 +382,96 @@ class TestConceptMorphism:
             assert cm.dir(cm.inv(t)) == t
 
 
+@pytest.fixture(scope="module")
+def st_to_m():
+    m_sig, st_sig = parse_signature(M_SIG), parse_signature(ST_SIG)
+    h = parse_interpretation(st_sig, m_sig, ST_TO_M)
+    tc1 = build_truth_classification(
+        st_sig, [parse_sentence(st_sig, s) for s in ST_POOL], carriers={"E": ["a", "b"]}
+    )
+    tc2 = build_truth_classification(
+        m_sig, [parse_sentence(m_sig, s) for s in M_POOL], carriers={"E": ["a", "b"]}
+    )
+    return h, tc1, tc2
+
+
+@pytest.fixture(params=["conj", "swap", "st_to_m"])
+def adjoint_case(request):
+    """(interpretation, source and target classifications) of a known pair."""
+    if request.param == "conj":
+        names = ("conj_interp", "unary_tc", "wide_tc")
+    elif request.param == "swap":
+        names = ("swap", "swap_tc", "swap_tc")
+    else:
+        return request.getfixturevalue("st_to_m")
+    return tuple(request.getfixturevalue(n) for n in names)
+
+
+class TestAdjunctionAgainstTheOracle:
+    def test_maps_and_verdict_match_the_pairwise_oracle(self, adjoint_case):
+        h, tc1, tc2 = adjoint_case
+        lat1, lat2 = theory_lattice(tc1), theory_lattice(tc2)
+        im = truth_infomorphism(h, tc1, tc2)
+        cm = concept_morphism(im, lat1, lat2)
+        direct, inverse = reference_adjoint_pair(
+            tc1.classification, tc2.classification, dict(im.type_map)
+        )
+        keys1 = [frozenset(t.keys()) for t in lat1.theories]
+        keys2 = [frozenset(t.keys()) for t in lat2.theories]
+        for t, keys in zip(lat1.theories, keys1):
+            assert frozenset(cm.dir(t).keys()) == direct(keys)
+        for t, keys in zip(lat2.theories, keys2):
+            assert frozenset(cm.inv(t).keys()) == inverse(keys)
+        assert pairwise_adjunction(keys1, keys2, direct, inverse) is None
+
+
+class TestLinearAdjunctionCheck:
+    """Perturbed index pairs over the swap lattice: each way a pair can
+    fail to be adjoint is caught, and the pairwise oracle agrees."""
+
+    @pytest.fixture
+    def pair(self, swap, swap_tc, swap_lat):
+        cm = concept_morphism(truth_infomorphism(swap, swap_tc, swap_tc), swap_lat, swap_lat)
+        return swap_lat, list(cm._dir), list(cm._inv)
+
+    @staticmethod
+    def oracle_verdict(lat, dir_index, inv_index):
+        keys = [frozenset(t.keys()) for t in lat.theories]
+        at = {k: n for n, k in enumerate(keys)}
+        return pairwise_adjunction(
+            keys, keys, lambda c: keys[dir_index[at[c]]], lambda d: keys[inv_index[at[d]]]
+        )
+
+    def test_the_true_pair_passes(self, pair):
+        lat, dir_index, inv_index = pair
+        _check_adjunction(lat, lat, dir_index, inv_index)
+        assert self.oracle_verdict(lat, dir_index, inv_index) is None
+
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            ("dir to the top", r"adjunction fails \(unit\) at \[.*\] / \[\]"),
+            ("dir to the bottom", r"adjunction fails \(counit\) at \[.*\] / \[.*\]"),
+            ("dir swaps the extremes", r"direct image is not monotone at \[.*\] / \[.*\]"),
+            ("inv swaps the extremes", r"inverse image is not monotone at \[.*\] / \[.*\]"),
+        ],
+    )
+    def test_each_failure_is_caught(self, pair, perturb, message):
+        lat, dir_index, inv_index = pair
+        top = len(lat.theories) - 1
+        if perturb == "dir to the top":
+            dir_index = [top] * len(dir_index)
+        elif perturb == "dir to the bottom":
+            dir_index = [0] * len(dir_index)
+        elif perturb == "dir swaps the extremes":
+            dir_index[0], dir_index[top] = dir_index[top], dir_index[0]
+        else:
+            inv_index[0], inv_index[top] = inv_index[top], inv_index[0]
+        with pytest.raises(InfomorphismError, match=message):
+            _check_adjunction(lat, lat, dir_index, inv_index)
+        assert self.oracle_verdict(lat, dir_index, inv_index) is not None
+
+
 class TestIsTheoryMorphism:
     def test_swap_carries_the_theory(self, swap, pq_sig, swap_tc):
         t1 = Theory.make(pq_sig, [parse_sentence(pq_sig, "forall x:E. P(x)")])
@@ -424,6 +525,27 @@ class TestParsers:
         text = "relation R(x1) -> P(x1)\nentity E -> E\n"
         with pytest.raises(ParseError, match="must precede relation 'R'"):
             parse_interpretation(unary_sig, pq_sig, text)
+
+    @pytest.mark.parametrize(
+        "text, target",
+        [
+            ("entity E -> (E\nrelation R(x1) -> P(x1)\n", "(E"),
+            ("entity E -> Erelation R(x1) -> P\n", "Erelation R(x1) -> P"),
+        ],
+    )
+    def test_interpretation_bad_entity_target_located(self, unary_sig, pq_sig, text, target):
+        with pytest.raises(ParseError) as exc:
+            parse_interpretation(unary_sig, pq_sig, text, path="h.int")
+        assert exc.value.line == 1 and exc.value.path == "h.int"
+        assert exc.value.message == f"entity type 'E' maps to undeclared {target!r}"
+
+    def test_interpretation_bad_constant_target_located(self, const_sigs):
+        src, dst = const_sigs
+        text = "entity E -> D\nconstant c -> f\nrelation P(x1) -> R(x1)\n"
+        with pytest.raises(ParseError) as exc:
+            parse_interpretation(src, dst, text, path="h.int")
+        assert exc.value.line == 2 and exc.value.path == "h.int"
+        assert exc.value.message == "constant 'c' maps to undeclared 'f'"
 
     def test_interpretation_body_parse_error_located(self, unary_sig, pq_sig):
         with pytest.raises(ParseError) as exc:

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from theorylattice.errors import ParseError, PoolMembershipError
-from theorylattice.logic import parse_sentence, sentence_key
+from theorylattice.logic import Atom, Forall, Var, parse_sentence, sentence_key
 from theorylattice.nav import (
     NavStep,
     analogy,
@@ -17,8 +17,8 @@ from theorylattice.nav import (
     parse_nav_script,
     revise,
 )
-from theorylattice.morph import identity_morphism
-from theorylattice.truth import ClosedTheory
+from theorylattice.morph import concept_morphism, identity_morphism, truth_infomorphism
+from theorylattice.truth import ClosedTheory, build_truth_classification, theory_lattice
 
 
 class TestContract:
@@ -148,6 +148,65 @@ class TestAnalogy:
         src = theory_with(pq_lat, pq["s2"], pq["s4"])
         with pytest.raises(PoolMembershipError, match="Q\\(v0\\) -> P\\(v0\\)"):
             analogy(swap, pq_lat, pq_lat, src)
+
+
+    def test_first_missing_translation_in_key_order(self, swap, pq_sig):
+        # pool order puts the implication first; key order puts "exists" first
+        pool = [parse_sentence(pq_sig, t) for t in ("forall x:E. P(x) -> Q(x)", "exists x:E. P(x)")]
+        lat = theory_lattice(build_truth_classification(pq_sig, pool, carriers={"E": ["a", "b"]}))
+        with pytest.raises(PoolMembershipError) as exc:
+            analogy(swap, lat, lat, lat.closure(pool))
+        assert exc.value.sentence_key == "exists v0:E. Q(v0)"
+
+
+class TestClosedTheoryIdentity:
+    """A closed theory built by hand goes wherever the lattice's own equal
+    theory goes; one of another classification is looked up by its axioms."""
+
+    def test_hand_built_theories_act_as_the_lattice_theories(
+        self, swap, swap_tc, swap_lat, swap_pool
+    ):
+        cm = concept_morphism(truth_infomorphism(swap, swap_tc, swap_tc), swap_lat, swap_lat)
+        for k, t in enumerate(swap_lat.theories):
+            hand = ClosedTheory(swap_tc.signature, t.axioms)
+            assert hand == t and hash(hand) == hash(t) and hand.keys() == t.keys()
+            assert hand in swap_lat and swap_lat.index(hand) == k
+            assert analogy(swap, swap_lat, swap_lat, hand) == analogy(swap, swap_lat, swap_lat, t)
+            assert cm.dir(hand) == cm.dir(t) and cm.inv(hand) == cm.inv(t)
+            for s in swap_pool:
+                assert expand(swap_lat, hand, [s]) == expand(swap_lat, t, [s])
+                assert contract(swap_lat, hand, [s]) == contract(swap_lat, t, [s])
+
+    def test_theories_of_another_classification(self, pq_lat, swap_lat):
+        by_axioms = {t.axioms: k for k, t in enumerate(pq_lat.theories)}
+        accepted = 0
+        for t in swap_lat.theories:
+            assert (t in pq_lat) == (t.axioms in by_axioms)
+            if t.axioms in by_axioms:
+                accepted += 1
+                assert pq_lat.index(t) == by_axioms[t.axioms]
+                assert expand(pq_lat, t, []) == pq_lat.theories[by_axioms[t.axioms]]
+            else:
+                with pytest.raises(ValueError, match="foreign theory"):
+                    expand(pq_lat, t, [])
+        assert 0 < accepted < len(swap_lat.theories)
+
+    def test_deletion_is_set_difference_on_the_given_sentences(self, pq_lat, pq, pq_sig):
+        bottom = pq_lat.bottom
+        alpha = Forall("y", "E", Atom("P", (Var("y", "E"),)))  # not canonical
+        stray = parse_sentence(pq_sig, "exists x:E. Q(x)")  # not in the pool
+        assert alpha != pq["s1"]
+        assert contract(pq_lat, bottom, [alpha, stray]) == bottom
+        assert contract(pq_lat, bottom, [pq["s3"]]) == bottom  # still entailed
+        assert contract(pq_lat, bottom, [pq["s1"], pq["s2"]]) == pq_lat.closure([pq["s3"], pq["s4"]])
+
+    def test_lattice_theories_hold_no_axiom_sets(self, pq_tc, pq):
+        lat = theory_lattice(pq_tc)
+        for t in lat.theories:
+            t.keys()
+            lat.index(t)
+            expand(lat, contract(lat, t, [pq["s1"]]), [pq["s3"]])
+        assert not any("axioms" in vars(t) for t in lat.theories)
 
 
 class TestScripts:
