@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import collections.abc
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -1019,18 +1020,18 @@ def validate_carriers(sig: Signature, carriers: Mapping[str, Sequence[str]]) -> 
     return out
 
 
+def _space_size(sig: Signature, cs: Mapping[str, tuple[str, ...]]) -> tuple[int, int]:
+    """Over validated carriers: the number of relation cells (tuples that a
+    relation may hold) and of ways to assign the constants."""
+    cells = sum(math.prod(len(cs[sort]) for sort in sig.profile(n)) for n in sig.relation_names)
+    assignments = math.prod(len(cs[sig.constant_sort(n)]) for n in sig.constant_names)
+    return cells, assignments
+
+
 def count_structures(sig: Signature, carriers: Mapping[str, Sequence[str]]) -> int:
     """Closed-form count of all structures over fixed carriers."""
-    cs = validate_carriers(sig, carriers)
-    count = 1
-    for name in sig.relation_names:
-        cells = 1
-        for sort in sig.profile(name):
-            cells *= len(cs[sort])
-        count *= 2**cells
-    for name in sig.constant_names:
-        count *= len(cs[sig.constant_sort(name)])
-    return count
+    cells, assignments = _space_size(sig, validate_carriers(sig, carriers))
+    return assignments << cells
 
 
 def _periodic(width: int, period: int, start: int, stop: int) -> int:
@@ -1055,12 +1056,13 @@ class StructureSpace(collections.abc.Sequence):
     significant).  A structure is built only when one is indexed or
     iterated; ``index`` encodes a structure instead of scanning, and
     :class:`ModelColumns` reads ground atoms off the encoding.  Use
-    :func:`enumerate_structures`, which applies the size cap.  Two spaces
-    are equal when their signatures and carriers are.
+    :func:`enumerate_structures`, which validates the carriers and applies
+    the size cap.  Two spaces are equal when their signatures and carriers
+    are.
     """
 
     def __init__(self, sig: Signature, carriers: tuple[tuple[str, tuple[str, ...]], ...]) -> None:
-        cs = validate_carriers(sig, dict(carriers))
+        cs = dict(carriers)
         self.signature, self.carriers = sig, tuple(cs.items())
         tuples = {
             name: tuple(itertools.product(*(cs[sort] for sort in sig.profile(name))))
@@ -1192,15 +1194,10 @@ def enumerate_structures(
     exceeds ``cap``.
     """
     cs = validate_carriers(sig, carriers)
-    total_bits = 0
-    for name in sig.relation_names:
-        cells = 1
-        for sort in sig.profile(name):
-            cells *= len(cs[sort])
-        total_bits += cells
-    if total_bits > 64:
-        raise SizeCapError("structure enumeration", f"at least 2^{total_bits}", cap)
-    count = count_structures(sig, carriers)
+    cells, assignments = _space_size(sig, cs)
+    if cells > 64:
+        raise SizeCapError("structure enumeration", f"at least 2^{cells}", cap)
+    count = assignments << cells
     if count > cap:
         raise SizeCapError("structure enumeration", count, cap)
     return StructureSpace(sig, tuple(cs.items()))

@@ -1,15 +1,17 @@
-"""Language morphisms, interpretations, and induced structure transport.
+"""Signature maps (interpretations and renamings) and structure transport.
 
-A language morphism renames sorts, relations, and constants while
-preserving relation profiles.  An interpretation generalizes the
-relation part to arbitrary target formulas over reserved variables
-x1..xn.  Both translate sentences forward; an interpretation also pulls
-target models back to source models (reducts), and the contravariant
-pair (translate, reduct) is an infomorphism between truth
-classifications: a target model satisfies a translated sentence exactly
-when its reduct satisfies the original.  On the lattices of theories the
-pair induces an adjoint pair of monotone maps, verified at construction
-in unit/counit form, with monotonicity checked along the cover edges.
+An interpretation maps sorts to sorts, constants to constants of the
+image sort, and each relation R of profile (E1..En) to a target formula
+over the reserved variables x1..xn.  A language morphism, a
+profile-preserving renaming, is the interpretation whose formulas are
+atoms R'(x1..xn); it is one kind of map, validated and read by the same
+code.  A signature map translates sentences forward and pulls target
+models back to source models (reducts), and the contravariant pair
+(translate, reduct) is an infomorphism between truth classifications: a
+target model satisfies a translated sentence exactly when its reduct
+satisfies the original.  On the lattices of theories the pair induces an
+adjoint pair of monotone maps, verified at construction in unit/counit
+form, with monotonicity checked along the cover edges.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from . import fca
 from .errors import InfomorphismError, ParseError, SignatureMismatchError
@@ -47,118 +49,7 @@ from .truth import ClosedTheory, Theory, TheoryLattice, TruthClassification, ent
 
 
 # ---------------------------------------------------------------------------
-# Language morphisms
-
-
-@dataclass(frozen=True)
-class LanguageMorphism:
-    """A profile-preserving renaming between signatures."""
-
-    source: Signature
-    target: Signature
-    ent: tuple[tuple[str, str], ...]
-    rel: tuple[tuple[str, str], ...]
-    const: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_ent", dict(self.ent))
-        object.__setattr__(self, "_rel", dict(self.rel))
-        object.__setattr__(self, "_const", dict(self.const))
-
-    def map_entity(self, name: str) -> str:
-        return self._ent[name]
-
-    def map_relation(self, name: str) -> str:
-        return self._rel[name]
-
-    def map_constant(self, name: str) -> str:
-        return self._const[name]
-
-
-def make_language_morphism(
-    src: Signature,
-    dst: Signature,
-    ent: Mapping[str, str],
-    rel: Mapping[str, str],
-    const: Mapping[str, str],
-) -> LanguageMorphism:
-    """Validate totality, declaredness, and pointwise profile preservation."""
-    ent, rel, const = dict(ent), dict(rel), dict(const)
-    for name in src.entity_types:
-        if name not in ent:
-            raise ValueError(f"missing mapping for entity type {name!r}")
-        if not dst.has_entity_type(ent[name]):
-            raise ValueError(f"entity type {name!r} maps to undeclared {ent[name]!r}")
-    for name in src.relation_names:
-        if name not in rel:
-            raise ValueError(f"missing mapping for relation {name!r}")
-        if not dst.has_relation(rel[name]):
-            raise ValueError(f"relation {name!r} maps to undeclared {rel[name]!r}")
-        src_profile = src.profile(name)
-        dst_profile = dst.profile(rel[name])
-        if len(src_profile) != len(dst_profile):
-            raise ValueError(
-                f"relation {name!r} has arity {len(src_profile)} but {rel[name]!r} "
-                f"has arity {len(dst_profile)}"
-            )
-        for pos, (s, d) in enumerate(zip(src_profile, dst_profile), start=1):
-            if ent[s] != d:
-                raise ValueError(
-                    f"relation {name!r} position {pos}: sort {s!r} maps to "
-                    f"{ent[s]!r} but {rel[name]!r} expects {d!r}"
-                )
-    for name in src.constant_names:
-        if name not in const:
-            raise ValueError(f"missing mapping for constant {name!r}")
-        if not dst.has_constant(const[name]):
-            raise ValueError(f"constant {name!r} maps to undeclared {const[name]!r}")
-        want = ent[src.constant_sort(name)]
-        got = dst.constant_sort(const[name])
-        if want != got:
-            raise ValueError(
-                f"constant {name!r} of sort {src.constant_sort(name)!r} maps to "
-                f"{const[name]!r} of sort {got!r}, expected {want!r}"
-            )
-    for extra in set(ent) - set(src.entity_types):
-        raise ValueError(f"mapping for undeclared entity type {extra!r}")
-    for extra in set(rel) - set(src.relation_names):
-        raise ValueError(f"mapping for undeclared relation {extra!r}")
-    for extra in set(const) - set(src.constant_names):
-        raise ValueError(f"mapping for undeclared constant {extra!r}")
-    return LanguageMorphism(
-        src,
-        dst,
-        tuple((n, ent[n]) for n in src.entity_types),
-        tuple((n, rel[n]) for n in src.relation_names),
-        tuple((n, const[n]) for n in src.constant_names),
-    )
-
-
-def identity_morphism(sig: Signature) -> LanguageMorphism:
-    return make_language_morphism(
-        sig,
-        sig,
-        {n: n for n in sig.entity_types},
-        {n: n for n in sig.relation_names},
-        {n: n for n in sig.constant_names},
-    )
-
-
-def compose_morphisms(f: LanguageMorphism, g: LanguageMorphism) -> LanguageMorphism:
-    """The composite renaming: apply ``f``, then ``g``."""
-    if f.target != g.source:
-        raise SignatureMismatchError("cannot compose: target of the first is not source of the second")
-    return make_language_morphism(
-        f.source,
-        g.target,
-        {n: g.map_entity(f.map_entity(n)) for n in f.source.entity_types},
-        {n: g.map_relation(f.map_relation(n)) for n in f.source.relation_names},
-        {n: g.map_constant(f.map_constant(n)) for n in f.source.constant_names},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Interpretations
+# Signature maps
 
 
 def reserved_vars(profile: Iterable[str], ent: Mapping[str, str]) -> dict[str, str]:
@@ -191,6 +82,57 @@ class Interpretation:
         return self._rel[relation]
 
 
+class LanguageMorphism(Interpretation):
+    """A profile-preserving renaming: the interpretation whose formula for
+    each relation R is the atom rel(R)(x1..xn)."""
+
+    def map_relation(self, name: str) -> str:
+        return self._rel[name].rel
+
+
+_SYMBOLS = {
+    "entity": ("entity type", Signature.has_entity_type),
+    "constant": ("constant", Signature.has_constant),
+}
+
+
+def _check_symbol(src: Signature, dst: Signature, kind: str, name: str, image: str) -> None:
+    """One ``entity`` or ``constant`` mapping: a source symbol to a declared target."""
+    what, declares = _SYMBOLS[kind]
+    if not declares(src, name):
+        raise ValueError(f"mapping for undeclared {what} {name!r}")
+    if not declares(dst, image):
+        raise ValueError(f"{what} {name!r} maps to undeclared {image!r}")
+
+
+def _symbol_maps(
+    src: Signature, dst: Signature, ent: Mapping[str, str], const: Mapping[str, str]
+) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+    """Validate the entity and constant maps of a signature map.
+
+    Both must be total on the source, name only source symbols, and land
+    on declared targets; a constant must land on a constant of its sort's
+    image.  Returns both maps as pairs in source declaration order.
+    """
+    for kind, names, mapping in (("entity", src.entity_types, ent), ("constant", src.constant_names, const)):
+        for name in names:
+            if name not in mapping:
+                raise ValueError(f"missing mapping for {_SYMBOLS[kind][0]} {name!r}")
+        for name, image in mapping.items():
+            _check_symbol(src, dst, kind, name, image)
+    for name in src.constant_names:
+        sort, got = src.constant_sort(name), dst.constant_sort(const[name])
+        if ent[sort] != got:
+            raise ValueError(
+                f"constant {name!r} of sort {sort!r} maps to {const[name]!r} of sort "
+                f"{got!r}, expected {ent[sort]!r}"
+            )
+    return (
+        tuple((n, ent[n]) for n in src.entity_types),
+        tuple((n, const[n]) for n in src.constant_names),
+    )
+
+
 def make_interpretation(
     src: Signature,
     dst: Signature,
@@ -203,23 +145,7 @@ def make_interpretation(
     Each relation R of profile (E1..En) must map to a target formula
     whose free variables are exactly x1:ent(E1) .. xn:ent(En).
     """
-    ent, const, rel_formula = dict(ent), dict(const), dict(rel_formula)
-    for name in src.entity_types:
-        if name not in ent:
-            raise ValueError(f"missing mapping for entity type {name!r}")
-        if not dst.has_entity_type(ent[name]):
-            raise ValueError(f"entity type {name!r} maps to undeclared {ent[name]!r}")
-    for name in src.constant_names:
-        if name not in const:
-            raise ValueError(f"missing mapping for constant {name!r}")
-        if not dst.has_constant(const[name]):
-            raise ValueError(f"constant {name!r} maps to undeclared {const[name]!r}")
-        want = ent[src.constant_sort(name)]
-        got = dst.constant_sort(const[name])
-        if want != got:
-            raise ValueError(
-                f"constant {name!r} maps to {const[name]!r} of sort {got!r}, expected {want!r}"
-            )
+    ent_pairs, const_pairs = _symbol_maps(src, dst, ent, const)
     normalized: list[tuple[str, Formula]] = []
     for name in src.relation_names:
         if name not in rel_formula:
@@ -248,45 +174,95 @@ def make_interpretation(
             )
         validate_formula(dst, formula, want_free)
         normalized.append((name, formula))
-    for extra in set(rel_formula) - set(src.relation_names):
-        raise ValueError(f"interpreting formula for undeclared relation {extra!r}")
-    return Interpretation(
-        src,
-        dst,
-        tuple((n, ent[n]) for n in src.entity_types),
-        tuple((n, const[n]) for n in src.constant_names),
-        tuple(normalized),
+    for name in rel_formula:
+        if not src.has_relation(name):
+            raise ValueError(f"interpreting formula for undeclared relation {name!r}")
+    return Interpretation(src, dst, ent_pairs, const_pairs, tuple(normalized))
+
+
+def make_language_morphism(
+    src: Signature,
+    dst: Signature,
+    ent: Mapping[str, str],
+    rel: Mapping[str, str],
+    const: Mapping[str, str],
+) -> LanguageMorphism:
+    """Validate a renaming: the entity and constant maps as for an
+    interpretation, and each relation onto a declared one of the mapped
+    profile, position by position."""
+    ent_pairs, const_pairs = _symbol_maps(src, dst, ent, const)
+    atoms: list[tuple[str, Formula]] = []
+    for name in src.relation_names:
+        if name not in rel:
+            raise ValueError(f"missing mapping for relation {name!r}")
+        if not dst.has_relation(rel[name]):
+            raise ValueError(f"relation {name!r} maps to undeclared {rel[name]!r}")
+        src_profile = src.profile(name)
+        dst_profile = dst.profile(rel[name])
+        if len(src_profile) != len(dst_profile):
+            raise ValueError(
+                f"relation {name!r} has arity {len(src_profile)} but {rel[name]!r} "
+                f"has arity {len(dst_profile)}"
+            )
+        for pos, (s, d) in enumerate(zip(src_profile, dst_profile), start=1):
+            if ent[s] != d:
+                raise ValueError(
+                    f"relation {name!r} position {pos}: sort {s!r} maps to "
+                    f"{ent[s]!r} but {rel[name]!r} expects {d!r}"
+                )
+        args = tuple(Var(v, sort) for v, sort in reserved_vars(src_profile, ent).items())
+        atoms.append((name, Atom(rel[name], args)))
+    for name in rel:
+        if not src.has_relation(name):
+            raise ValueError(f"mapping for undeclared relation {name!r}")
+    return LanguageMorphism(src, dst, ent_pairs, const_pairs, tuple(atoms))
+
+
+def identity_morphism(sig: Signature) -> LanguageMorphism:
+    return make_language_morphism(
+        sig,
+        sig,
+        {n: n for n in sig.entity_types},
+        {n: n for n in sig.relation_names},
+        {n: n for n in sig.constant_names},
+    )
+
+
+def compose_morphisms(f: LanguageMorphism, g: LanguageMorphism) -> LanguageMorphism:
+    """The composite renaming: apply ``f``, then ``g``."""
+    if f.target != g.source:
+        raise SignatureMismatchError("cannot compose: target of the first is not source of the second")
+    return make_language_morphism(
+        f.source,
+        g.target,
+        {n: g.map_entity(f.map_entity(n)) for n in f.source.entity_types},
+        {n: g.map_relation(f.map_relation(n)) for n in f.source.relation_names},
+        {n: g.map_constant(f.map_constant(n)) for n in f.source.constant_names},
     )
 
 
 def lift_morphism(f: LanguageMorphism) -> Interpretation:
-    """A renaming as an interpretation: R goes to the atom rel(R)(x1..xn)."""
-    ent = dict(f.ent)
-    rel_formula = {}
-    for name in f.source.relation_names:
-        profile = f.source.profile(name)
-        args = tuple(Var(f"x{k}", ent[sort]) for k, sort in enumerate(profile, start=1))
-        rel_formula[name] = Atom(f.map_relation(name), args)
-    return make_interpretation(f.source, f.target, ent, dict(f.const), rel_formula)
+    """A renaming as a plain interpretation with the same maps."""
+    return Interpretation(f.source, f.target, f.ent, f.const, f.rel_formula)
 
 
 # ---------------------------------------------------------------------------
 # Sentence translation and model reducts
 
 
-def _translate_term(m: LanguageMorphism | Interpretation, t: Term) -> Term:
+def _translate_term(m: Interpretation, t: Term) -> Term:
     if isinstance(t, Var):
         return Var(t.name, m.map_entity(t.sort))
     return Const(m.map_constant(t.name))
 
 
-def translate(m: LanguageMorphism | Interpretation, formula: Formula) -> Formula:
+def translate(m: Interpretation, formula: Formula) -> Formula:
     """Translate a source formula into the target language.
 
-    A renaming maps symbols homomorphically; an interpretation replaces
-    each atom R(t1..tn) by its interpreting formula with x1..xn
-    simultaneously substituted (capture-avoiding).  Equality, connectives,
-    and quantifiers (with mapped sorts) pass through.  The result is
+    Each atom R(t1..tn) becomes its interpreting formula with x1..xn
+    simultaneously substituted (capture-avoiding), so a renaming's atom
+    R'(x1..xn) becomes R'(t1..tn).  Equality, connectives, and
+    quantifiers (with mapped sorts) pass through.  The result is
     canonicalized.
     """
     validate_formula(m.source, formula, free_vars(formula))
@@ -294,11 +270,8 @@ def translate(m: LanguageMorphism | Interpretation, formula: Formula) -> Formula
     def leaf(f: Atom | Eq, env: None) -> Formula:
         if isinstance(f, Eq):
             return Eq(_translate_term(m, f.left), _translate_term(m, f.right))
-        args = tuple(_translate_term(m, t) for t in f.args)
-        if isinstance(m, LanguageMorphism):
-            return Atom(m.map_relation(f.rel), args)
-        body = m.formula_for(f.rel)
-        return substitute(body, {f"x{k}": t for k, t in enumerate(args, start=1)})
+        args = {f"x{k}": _translate_term(m, t) for k, t in enumerate(f.args, start=1)}
+        return substitute(m.formula_for(f.rel), args)
 
     def binder(f: Forall | Exists, env: None) -> tuple[str, str, None]:
         return f.var, m.map_entity(f.sort), env
@@ -408,7 +381,7 @@ class TruthInfomorphism:
 
 
 def truth_infomorphism(
-    h: Interpretation | LanguageMorphism,
+    h: Interpretation,
     tc1: TruthClassification,
     tc2: TruthClassification,
 ) -> TruthInfomorphism:
@@ -419,8 +392,6 @@ def truth_infomorphism(
     sentence must be in the target pool, and every target model's reduct
     must be among the source models.
     """
-    if isinstance(h, LanguageMorphism):
-        h = lift_morphism(h)
     if h.source != tc1.signature:
         raise SignatureMismatchError("interpretation source differs from the source classification")
     if h.target != tc2.signature:
@@ -569,7 +540,7 @@ def _check_adjunction(
 
 
 def is_theory_morphism(
-    f: LanguageMorphism | Interpretation,
+    f: Interpretation,
     t1: Theory,
     t2: Theory,
     tc2: TruthClassification,
@@ -589,6 +560,47 @@ _ARROW_LINE = re.compile(r"(entity|relation|constant)\s+(.+?)\s*->\s*(\S.*?)\s*$
 _REL_HEAD = re.compile(r"(\S+?)\s*\(\s*([^()]*?)\s*\)\s*$")
 
 
+def _read_map(
+    src: Signature,
+    dst: Signature,
+    text: str,
+    path: str | None,
+    what: str,
+    relation: Callable[[str, str, Mapping[str, str]], tuple[str, object]],
+) -> tuple[dict[str, str], dict[str, str], dict[str, object]]:
+    """Read the lines of a signature map file into its entity, constant and
+    relation maps.
+
+    Lines are ``entity E -> E2``, ``constant c -> d`` and relation lines,
+    which ``relation(left, right, ent)`` reads into a (name, value) pair
+    given the entity lines read so far; ``#`` starts a comment.  Each line
+    is checked where it stands, so every error here is a ``ParseError``
+    with the path and the line: its shape, its symbols (a source symbol
+    mapped to a declared target) and duplicates.
+    """
+    maps: dict[str, dict] = {"entity": {}, "constant": {}, "relation": {}}
+    for lineno, line in _source_lines(text):
+        try:
+            m = _ARROW_LINE.match(line)
+            if m is None:
+                raise ParseError(f"unrecognized {what} line: {line!r}")
+            kind, left, right = m.group(1), m.group(2).strip(), m.group(3).strip()
+            if kind == "relation":
+                left, right = relation(left, right, maps["entity"])
+            elif " " in left or "(" in left:
+                raise ParseError(f"unrecognized {what} line: {line!r}")
+            else:
+                _check_symbol(src, dst, kind, left, right)
+            if left in maps[kind]:
+                raise ParseError(f"duplicate {kind} mapping for {left!r}")
+            maps[kind][left] = right
+        except ParseError as exc:
+            raise ParseError(exc.message, line=lineno, path=path)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno, path=path)
+    return maps["entity"], maps["constant"], maps["relation"]
+
+
 def parse_morphism(
     src: Signature,
     dst: Signature,
@@ -598,19 +610,19 @@ def parse_morphism(
 ) -> LanguageMorphism:
     """Parse a renaming file: ``entity E -> E2`` / ``relation P -> Q`` /
     ``constant c -> d`` lines, ``#`` comments."""
-    maps: dict[str, dict[str, str]] = {"entity": {}, "relation": {}, "constant": {}}
-    for lineno, line in _source_lines(text):
-        m = _ARROW_LINE.match(line)
-        if m is None:
-            raise ParseError(f"unrecognized morphism line: {line!r}", line=lineno, path=path)
-        kind, left, right = m.group(1), m.group(2).strip(), m.group(3).strip()
+
+    def relation(left: str, right: str, ent: Mapping[str, str]) -> tuple[str, str]:
         if " " in left or "(" in left or "(" in right:
-            raise ParseError(f"unrecognized morphism line: {line!r}", line=lineno, path=path)
-        if left in maps[kind]:
-            raise ParseError(f"duplicate {kind} mapping for {left!r}", line=lineno, path=path)
-        maps[kind][left] = right
+            raise ParseError("relation line must look like 'relation P -> Q'")
+        if not src.has_relation(left):
+            raise ParseError(f"mapping for undeclared relation {left!r}")
+        if not dst.has_relation(right):
+            raise ParseError(f"relation {left!r} maps to undeclared {right!r}")
+        return left, right
+
+    ent, const, rel = _read_map(src, dst, text, path, "morphism", relation)
     try:
-        return make_language_morphism(src, dst, maps["entity"], maps["relation"], maps["constant"])
+        return make_language_morphism(src, dst, ent, rel, const)
     except ValueError as exc:
         raise ParseError(str(exc), path=path)
 
@@ -626,62 +638,27 @@ def parse_interpretation(
 
     Lines: ``entity E -> E2``, ``constant c -> d``, and
     ``relation R(x1,...,xn) -> FORMULA`` where FORMULA uses exactly
-    x1..xn free.
+    x1..xn free; the entity lines for R's sorts come first.
     """
-    ent: dict[str, str] = {}
-    const: dict[str, str] = {}
-    rel_formula: dict[str, Formula] = {}
-    for lineno, line in _source_lines(text):
-        m = _ARROW_LINE.match(line)
-        if m is None:
-            raise ParseError(f"unrecognized interpretation line: {line!r}", line=lineno, path=path)
-        kind, left, right = m.group(1), m.group(2).strip(), m.group(3).strip()
-        if kind == "relation":
-            head = _REL_HEAD.match(left)
-            if head is None:
-                raise ParseError(
-                    f"relation line must look like 'relation R(x1,...,xn) -> FORMULA'",
-                    line=lineno,
-                    path=path,
-                )
-            name, raw_vars = head.group(1), head.group(2)
-            if name in rel_formula:
-                raise ParseError(f"duplicate relation mapping for {name!r}", line=lineno, path=path)
-            if not src.has_relation(name):
-                raise ParseError(f"undeclared relation {name!r}", line=lineno, path=path)
-            profile = src.profile(name)
-            declared = tuple(v.strip() for v in raw_vars.split(",")) if raw_vars.strip() else ()
-            expect = tuple(f"x{k}" for k in range(1, len(profile) + 1))
-            if declared != expect:
-                raise ParseError(
-                    f"relation {name!r} must declare variables {', '.join(expect)}",
-                    line=lineno,
-                    path=path,
-                )
-            for sort in profile:
-                if sort not in ent:
-                    raise ParseError(
-                        f"entity mapping for {sort!r} must precede relation {name!r}",
-                        line=lineno,
-                        path=path,
-                    )
-            free = reserved_vars(profile, ent)
-            try:
-                rel_formula[name] = parse_formula(dst, right, free, path=path)
-            except ParseError as exc:
-                raise ParseError(exc.message, line=lineno, path=path)
-        else:
-            target_map = ent if kind == "entity" else const
-            if " " in left or "(" in left:
-                raise ParseError(f"unrecognized interpretation line: {line!r}", line=lineno, path=path)
-            if left in target_map:
-                raise ParseError(f"duplicate {kind} mapping for {left!r}", line=lineno, path=path)
-            # a relation line reads its variables' sorts from here, so check them now
-            declared = dst.has_entity_type(right) if kind == "entity" else dst.has_constant(right)
-            if not declared:
-                what = "entity type" if kind == "entity" else "constant"
-                raise ParseError(f"{what} {left!r} maps to undeclared {right!r}", line=lineno, path=path)
-            target_map[left] = right
+
+    def relation(left: str, right: str, ent: Mapping[str, str]) -> tuple[str, Formula]:
+        head = _REL_HEAD.match(left)
+        if head is None:
+            raise ParseError("relation line must look like 'relation R(x1,...,xn) -> FORMULA'")
+        name, raw_vars = head.group(1), head.group(2)
+        if not src.has_relation(name):
+            raise ParseError(f"undeclared relation {name!r}")
+        profile = src.profile(name)
+        declared = tuple(v.strip() for v in raw_vars.split(",")) if raw_vars.strip() else ()
+        expect = tuple(f"x{k}" for k in range(1, len(profile) + 1))
+        if declared != expect:
+            raise ParseError(f"relation {name!r} must declare variables {', '.join(expect)}")
+        for sort in profile:
+            if sort not in ent:
+                raise ParseError(f"entity mapping for {sort!r} must precede relation {name!r}")
+        return name, parse_formula(dst, right, reserved_vars(profile, ent))
+
+    ent, const, rel_formula = _read_map(src, dst, text, path, "interpretation", relation)
     try:
         return make_interpretation(src, dst, ent, const, rel_formula)
     except ValueError as exc:

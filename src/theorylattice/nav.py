@@ -2,9 +2,10 @@
 
 Contraction deletes axioms and re-closes (never moves down the lattice),
 expansion adds axioms and closes (never moves up), revision is exactly
-the composite, and analogy transports a closed theory along a language
-morphism into a destination lattice whose pool contains the renamed
-axioms.  Scripts replay sequences of moves and return an audit log.
+the composite, and analogy transports a closed theory along a signature
+map (an interpretation, a renaming among them) into a destination
+lattice whose pool contains the translated axioms.  Scripts replay
+sequences of moves and return an audit log.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Iterable
 from . import fca
 from .errors import ParseError
 from .logic import Formula, _source_lines, _split_top_commas, parse_sentence
-from .morph import Interpretation, LanguageMorphism, translate
+from .morph import Interpretation, translate
 from .truth import ClosedTheory, TheoryLattice
 
 
@@ -54,18 +55,18 @@ def revise(
 
 
 def analogy(
-    f: LanguageMorphism | Interpretation,
+    f: Interpretation,
     src: TheoryLattice,
     dst: TheoryLattice,
     theory: ClosedTheory,
 ) -> ClosedTheory:
-    """Rename a closed theory's axioms along ``f`` and close in ``dst``.
+    """Translate a closed theory's axioms along ``f`` and close in ``dst``.
 
-    Every renamed axiom must already be in the destination pool; the
+    Every translated axiom must already be in the destination pool; the
     source and destination lattices may coincide (an endo-renaming).
     """
     pool, keys = src.tc.pool, src.tc.pool_keys
-    # in key order, so that the first missing renamed axiom is the one named
+    # in key order, so that the first missing translated axiom is the one named
     positions = sorted(fca._bits(src._intent(theory)), key=keys.__getitem__)
     return dst.closure([translate(f, pool[p]) for p in positions])
 
@@ -83,7 +84,7 @@ class NavStep:
     result: int
     delete: tuple[Formula, ...] = ()
     add: tuple[Formula, ...] = ()
-    morphism: LanguageMorphism | Interpretation | None = None
+    morphism: Interpretation | None = None
 
 
 def parse_nav_script(text: str, *, path: str | None = None) -> tuple[tuple[int, str, str], ...]:
@@ -110,7 +111,7 @@ def apply_nav_script(
     start: ClosedTheory,
     text: str,
     *,
-    load_morphism: Callable[[str], LanguageMorphism | Interpretation] | None = None,
+    load_morphism: Callable[[str], Interpretation] | None = None,
     path: str | None = None,
 ) -> tuple[NavStep, ...]:
     """Replay a script from a starting theory, returning the step log.

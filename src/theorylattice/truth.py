@@ -241,14 +241,11 @@ def entails(tc: TruthClassification, theory: Theory | Iterable[Formula], sentenc
     """Semantic entailment over the classification's model set.
 
     Neither the axioms nor the query sentence need to be pool members;
-    a non-pool sentence's column is computed over the model set.
+    a non-pool sentence's column is computed over the model set, which
+    checks once that it is closed and well-typed (``ValueError``).
     """
-    sentence, p = tc._lookup(sentence)
-    if p is None:
-        if free_vars(sentence):
-            raise ValueError(f"query {sentence_key(sentence)!r} is not closed")
-        validate_formula(tc.signature, sentence)
-    return tc._models_mask(theory) & ~tc._column(sentence) == 0
+    column = tc._column(sentence)
+    return tc._models_mask(theory) & ~column == 0
 
 
 def theory_leq(tc: TruthClassification, t1: Theory | Iterable[Formula], t2: Theory | Iterable[Formula]) -> bool:

@@ -14,6 +14,8 @@ from oracles import M_POOL, M_SIG
 from theorylattice import fca
 from theorylattice.cli import main, parse_carrier_spec
 from theorylattice.errors import ParseError
+from theorylattice.logic import parse_signature
+from theorylattice.morph import parse_interpretation, parse_morphism
 
 SIG = "entity E\nrelation P(E)\nrelation Q(E)\n"
 POOL = (
@@ -312,6 +314,18 @@ class TestAnalogy:
         assert main(argv) == 0
         assert capsys.readouterr().out == "exists v0:E. P(v0)\nforall v0:E. P(v0)\n"
 
+    def test_bad_map_target_is_located(self, ws, capsys, tmp_path):
+        bad = tmp_path / "bad.map"
+        bad.write_text("entity E -> Erelation P -> Q\n", encoding="utf-8")
+        argv = [
+            "analogy", "--sig", ws["sig"], "--pool", ws["pool"], "--carriers", "E=a,b",
+            "--map", str(bad), "--theory", ws["t1.thy"],
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:1: entity type 'E' maps to undeclared 'Erelation P -> Q'\n"
+        )
+
     def test_incomplete_destination_flags(self, ws, capsys):
         argv = [
             "analogy", "--sig", ws["sig"], "--pool", ws["pool"], "--carriers", "E=a,b",
@@ -349,6 +363,25 @@ class TestInterp:
         assert main(["interp", "check", *interp_args(ws)[:-1], str(bad)]) == 2
         assert capsys.readouterr().err == (
             f"error: {bad}:1: entity type 'E' maps to undeclared '(E'\n"
+        )
+
+    def test_check_undeclared_source_symbol_is_an_input_error(self, ws, capsys, tmp_path):
+        dst_sig = tmp_path / "const.sig"
+        dst_sig.write_text(SIG + "constant d:E\n", encoding="utf-8")
+        extra = tmp_path / "extra.int"
+        extra.write_text(
+            "entity E -> E\nentity Z -> E\nconstant k -> d\nrelation R(x1) -> P(x1)\n",
+            encoding="utf-8",
+        )
+        argv = [
+            "interp", "check",
+            "--sig", ws["unary_sig"], "--pool", ws["unary_pool"], "--carriers", "E=a,b",
+            "--dst-sig", str(dst_sig), "--dst-pool", ws["wide_pool"], "--dst-carriers", "E=a,b",
+            "--map", str(extra),
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {extra}:2: mapping for undeclared entity type 'Z'\n"
         )
 
     def test_check_with_a_renaming(self, ws, capsys):
@@ -468,6 +501,22 @@ DEMOS = {
     "demo_lattice.py": "b39f046b1a1ce92a534dabd5ac742704f68caac859abb7890c392810a16bf2bd",
     "demo_navigation.py": "e92dd8a241f98e8b298ebe37b38342bd471df57807c1b7ed8bd63d7565f11b89",
 }
+
+
+def _readme_block(heading: str) -> str:
+    """The first fenced block after the README line that starts with ``heading``."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return text[text.index("\n" + heading):].split("```\n")[1]
+
+
+def test_readme_map_examples_parse():
+    sig_lines = _readme_block("Signature").splitlines(keepends=True)
+    sig = parse_signature("".join(l for l in sig_lines if not l.startswith("constant")))
+    renaming = parse_morphism(sig, sig, _readme_block("Renaming"), path="README.md")
+    assert (renaming.map_relation("P"), renaming.map_relation("Q")) == ("Q", "P")
+    src = parse_signature("entity E\nrelation R(E)")
+    h = parse_interpretation(src, sig, _readme_block("Interpretation"), path="README.md")
+    assert h.source == src and h.target == sig
 
 
 @pytest.mark.parametrize("name, want", sorted(DEMOS.items()))

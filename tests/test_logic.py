@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from theorylattice import logic
 from theorylattice.errors import ParseError, SignatureMismatchError, SizeCapError
 from theorylattice.logic import (
     And,
@@ -439,6 +440,18 @@ class TestEnumerateStructures:
     def test_cap_refusal_reports_count(self):
         with pytest.raises(SizeCapError, match="4096"):
             enumerate_structures(SIG, {"E": list("abcdef")}, cap=1000)
+
+    def test_more_than_64_cells_refused(self):
+        sig = parse_signature("entity E\nrelation R(E, E)")
+        with pytest.raises(SizeCapError, match=r"at least 2\^10000 results"):
+            enumerate_structures(sig, {"E": [f"e{i}" for i in range(100)]})
+
+    def test_carriers_validated_once(self, monkeypatch):
+        calls = []
+        real = logic.validate_carriers
+        monkeypatch.setattr(logic, "validate_carriers", lambda *a: calls.append(a) or real(*a))
+        assert len(enumerate_structures(SIG, {"E": ["a", "b"]})) == 16
+        assert len(calls) == 1
 
     def test_empty_carrier_rejected(self):
         with pytest.raises(ValueError, match="empty"):

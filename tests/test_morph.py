@@ -24,7 +24,9 @@ from theorylattice.errors import (
 )
 from theorylattice.fca import Classification
 from theorylattice.logic import (
+    Atom,
     Structure,
+    Var,
     enumerate_structures,
     parse_formula,
     parse_sentence,
@@ -33,6 +35,7 @@ from theorylattice.logic import (
     sentence_key,
 )
 from theorylattice.morph import (
+    Interpretation,
     _check_adjunction,
     check_infomorphism,
     compose_morphisms,
@@ -104,6 +107,62 @@ class TestMakeLanguageMorphism:
     def test_extra_mapping_rejected(self, unary_sig, pq_sig):
         with pytest.raises(ValueError, match="undeclared relation 'S'"):
             make_language_morphism(unary_sig, pq_sig, {"E": "E"}, {"R": "P", "S": "Q"}, {})
+
+    def test_is_an_interpretation_whose_formulas_are_atoms(self, swap):
+        assert isinstance(swap, Interpretation)
+        assert swap.formula_for("P") == Atom("Q", (Var("x1", "E"),))
+        assert swap.rel_formula == (
+            ("P", Atom("Q", (Var("x1", "E"),))),
+            ("Q", Atom("P", (Var("x1", "E"),))),
+        )
+
+
+def _rename_r_to_p(src, dst, ent, const):
+    return make_language_morphism(src, dst, ent, {"R": "P"}, const)
+
+
+def _interpret_r_as_p(src, dst, ent, const):
+    return make_interpretation(src, dst, ent, const, {"R": Atom("P", (Var("x1", "E"),))})
+
+
+@pytest.mark.parametrize("make", [_rename_r_to_p, _interpret_r_as_p])
+class TestSymbolMaps:
+    """Renamings and interpretations validate their entity and constant maps alike."""
+
+    SRC = "entity E\nrelation R(E)\nconstant c:E"
+    DST = "entity E\nentity F\nrelation P(E)\nconstant d:E\nconstant f:F"
+
+    @pytest.mark.parametrize(
+        "ent, const, message",
+        [
+            ({"E": "E", "Z": "E"}, {"c": "d"}, "mapping for undeclared entity type 'Z'"),
+            ({"E": "E"}, {"c": "d", "k": "d"}, "mapping for undeclared constant 'k'"),
+            ({}, {"c": "d"}, "missing mapping for entity type 'E'"),
+            ({"E": "E"}, {}, "missing mapping for constant 'c'"),
+            ({"E": "G"}, {"c": "d"}, "entity type 'E' maps to undeclared 'G'"),
+            ({"E": "E"}, {"c": "z"}, "constant 'c' maps to undeclared 'z'"),
+            (
+                {"E": "E"},
+                {"c": "f"},
+                "constant 'c' of sort 'E' maps to 'f' of sort 'F', expected 'E'",
+            ),
+        ],
+        ids=[
+            "extra-entity", "extra-constant", "missing-entity", "missing-constant",
+            "undeclared-entity-target", "undeclared-constant-target", "constant-sort",
+        ],
+    )
+    def test_rejected(self, make, ent, const, message):
+        src, dst = parse_signature(self.SRC), parse_signature(self.DST)
+        with pytest.raises(ValueError) as exc:
+            make(src, dst, ent, const)
+        assert str(exc.value) == message
+
+    def test_accepted(self, make):
+        src, dst = parse_signature(self.SRC), parse_signature(self.DST)
+        m = make(src, dst, {"E": "E"}, {"c": "d"})
+        assert m.ent == (("E", "E"),) and m.const == (("c", "d"),)
+        assert m.formula_for("R") == Atom("P", (Var("x1", "E"),))
 
 
 class TestCompose:
@@ -513,6 +572,42 @@ class TestParsers:
         with pytest.raises(ParseError, match="missing mapping for relation 'Q'"):
             parse_morphism(pq_sig, unary_sig, "entity E -> E\nrelation P -> R\n")
 
+    @pytest.mark.parametrize(
+        "src, dst, text, line, message",
+        [
+            (
+                "pq", "pq", "entity E -> Erelation P -> Q\n", 1,
+                "entity type 'E' maps to undeclared 'Erelation P -> Q'",
+            ),
+            ("unary", "unary", "entity E -> E\nrelation R -> Q\n", 2, "relation 'R' maps to undeclared 'Q'"),
+            ("pq", "pq", "entity E -> E\nrelation R -> Q\n", 2, "mapping for undeclared relation 'R'"),
+            ("pq", "pq", "entity E -> E\nentity Z -> E\n", 2, "mapping for undeclared entity type 'Z'"),
+            ("pq", "pq", "relation P(x1) -> Q\n", 1, "relation line must look like 'relation P -> Q'"),
+            (
+                "const", "const_dst", "entity E -> D\nrelation P -> R\nconstant c -> z\n", 3,
+                "constant 'c' maps to undeclared 'z'",
+            ),
+            (
+                "const", "const_dst", "entity E -> D\nconstant k -> d\n", 2,
+                "mapping for undeclared constant 'k'",
+            ),
+        ],
+        ids=[
+            "entity-target", "relation-target", "relation-source", "entity-source",
+            "relation-shape", "constant-target", "constant-source",
+        ],
+    )
+    def test_morphism_bad_line_located(self, src, dst, text, line, message):
+        sigs = {
+            "pq": "entity E\nrelation P(E)\nrelation Q(E)",
+            "unary": "entity E\nrelation R(E)",
+            "const": "entity E\nrelation P(E)\nconstant c:E",
+            "const_dst": "entity D\nrelation R(D)\nconstant d:D",
+        }
+        with pytest.raises(ParseError) as exc:
+            parse_morphism(parse_signature(sigs[src]), parse_signature(sigs[dst]), text, path="m.map")
+        assert (exc.value.path, exc.value.line, exc.value.message) == ("m.map", line, message)
+
     def test_interpretation_file(self, unary_sig, pq_sig, conj_interp):
         text = "entity E -> E\nrelation R(x1) -> P(x1) & Q(x1)\n"
         assert parse_interpretation(unary_sig, pq_sig, text) == conj_interp
@@ -546,6 +641,26 @@ class TestParsers:
             parse_interpretation(src, dst, text, path="h.int")
         assert exc.value.line == 2 and exc.value.path == "h.int"
         assert exc.value.message == "constant 'c' maps to undeclared 'f'"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "entity E -> E\nentity Z -> E\nconstant k -> d\nrelation R(x1) -> P(x1)\n",
+                "mapping for undeclared entity type 'Z'",
+            ),
+            (
+                "entity E -> E\nconstant k -> d\nrelation R(x1) -> P(x1)\n",
+                "mapping for undeclared constant 'k'",
+            ),
+        ],
+        ids=["entity", "constant"],
+    )
+    def test_interpretation_undeclared_source_symbol_located(self, unary_sig, text, message):
+        dst = parse_signature("entity E\nrelation P(E)\nconstant d:E")
+        with pytest.raises(ParseError) as exc:
+            parse_interpretation(unary_sig, dst, text, path="h.int")
+        assert (exc.value.path, exc.value.line, exc.value.message) == ("h.int", 2, message)
 
     def test_interpretation_body_parse_error_located(self, unary_sig, pq_sig):
         with pytest.raises(ParseError) as exc:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from theorylattice import logic, truth
 from theorylattice.errors import PoolMembershipError, SignatureMismatchError
 from theorylattice.fca import lattice_join, lattice_meet
 from theorylattice.logic import (
@@ -156,6 +158,37 @@ class TestEntails:
         other = parse_signature("entity E\nrelation R(E)")
         with pytest.raises(ValueError):
             entails(pq_tc, [], parse_sentence(other, "exists x:E. R(x)"))
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            Atom("P", (Var("x", "E"),)),
+            Exists("x", "E", Atom("P", (Var("x", "E"), Var("x", "E")))),
+        ],
+        ids=["open", "ill-typed"],
+    )
+    def test_open_or_ill_typed_query_rejected(self, pq_tc, query):
+        with pytest.raises(ValueError):
+            entails(pq_tc, [], query)
+
+    def test_non_pool_query_checked_and_canonicalized_once(self, pq_tc, pq_sig, monkeypatch):
+        query = parse_sentence(pq_sig, "exists x:E. Q(x)")
+        calls = Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (logic, truth):
+            count(module, "canonicalize")
+            count(module, "validate_formula")
+        assert not entails(pq_tc, [], query)
+        assert calls == {"canonicalize": 1, "validate_formula": 1}
 
     def test_alpha_variants_count_as_their_canonical_forms(self, pq_tc, pq):
         all_p = Forall("y", "E", Atom("P", (Var("y", "E"),)))
