@@ -129,10 +129,6 @@ def build_tc(args: argparse.Namespace, prefix: str = "") -> TruthClassification:
     return build_truth_classification(sig, pool, models=models)
 
 
-def load_theory(tc: TruthClassification, path: str) -> tuple[Formula, ...]:
-    return load_sentences(tc.signature, path)
-
-
 def _emit(args: argparse.Namespace, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
@@ -164,13 +160,13 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
 def cmd_close(args: argparse.Namespace) -> int:
     tc = build_tc(args)
-    _print_theory(closure(tc, load_theory(tc, args.theory)))
+    _print_theory(closure(tc, load_sentences(tc.signature, args.theory)))
     return 0
 
 
 def cmd_entail(args: argparse.Namespace) -> int:
     tc = build_tc(args)
-    theory = load_theory(tc, args.theory)
+    theory = load_sentences(tc.signature, args.theory)
     query = parse_sentence(tc.signature, args.query)
     answer = entails(tc, theory, query)
     print("true" if answer else "false")
@@ -179,8 +175,8 @@ def cmd_entail(args: argparse.Namespace) -> int:
 
 def cmd_leq(args: argparse.Namespace) -> int:
     tc = build_tc(args)
-    t1 = load_theory(tc, args.theory)
-    t2 = load_theory(tc, args.theory2)
+    t1 = load_sentences(tc.signature, args.theory)
+    t2 = load_sentences(tc.signature, args.theory2)
     answer = all(entails(tc, t1, s) for s in t2)
     print("true" if answer else "false")
     return 0 if answer else 1
@@ -189,7 +185,7 @@ def cmd_leq(args: argparse.Namespace) -> int:
 def cmd_nav(args: argparse.Namespace) -> int:
     tc = build_tc(args)
     lat = theory_lattice(tc, concept_cap=args.cap_concepts)
-    start = closure(tc, load_theory(tc, args.start) if args.start else ())
+    start = closure(tc, load_sentences(tc.signature, args.start) if args.start else ())
     sig = tc.signature
 
     def load_map(path: str):
@@ -204,19 +200,20 @@ def cmd_nav(args: argparse.Namespace) -> int:
 
 
 def cmd_analogy(args: argparse.Namespace) -> int:
+    dst_models = args.dst_carriers or args.dst_model
+    if args.dst_sig and not (args.dst_pool and dst_models):
+        raise ParseError("--dst-sig needs --dst-pool and one of --dst-carriers/--dst-model")
+    if not args.dst_sig and (args.dst_pool or dst_models):
+        raise ParseError("--dst-pool, --dst-carriers and --dst-model need --dst-sig")
     tc1 = build_tc(args)
     lat1 = theory_lattice(tc1, concept_cap=args.cap_concepts)
     if args.dst_sig:
-        if not args.dst_pool or not (args.dst_carriers or args.dst_model):
-            raise ParseError(
-                "--dst-sig needs --dst-pool and one of --dst-carriers/--dst-model"
-            )
         tc2 = build_tc(args, prefix="dst-")
         lat2 = theory_lattice(tc2, concept_cap=args.cap_concepts)
     else:
         tc2, lat2 = tc1, lat1
     f = parse_morphism(tc1.signature, tc2.signature, _read(args.map), path=args.map)
-    theory = closure(tc1, load_theory(tc1, args.theory))
+    theory = closure(tc1, load_sentences(tc1.signature, args.theory))
     _print_theory(nav.analogy(f, lat1, lat2, theory))
     return 0
 
@@ -248,10 +245,10 @@ def cmd_interp_apply(args: argparse.Namespace) -> int:
     lat2 = theory_lattice(tc2, concept_cap=args.cap_concepts)
     cm = concept_morphism(im, lat1, lat2)
     if args.direction == "dir":
-        theory = closure(tc1, load_theory(tc1, args.theory))
+        theory = closure(tc1, load_sentences(tc1.signature, args.theory))
         _print_theory(cm.dir(theory))
     else:
-        theory = closure(tc2, load_theory(tc2, args.theory))
+        theory = closure(tc2, load_sentences(tc2.signature, args.theory))
         _print_theory(cm.inv(theory))
     return 0
 
@@ -324,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_semantics(p)
     p.add_argument("--dst-sig", metavar="FILE", help="destination signature (default: source)")
     p.add_argument("--dst-pool", metavar="FILE")
-    p.add_argument("--dst-carriers", action="append", metavar="SORT=e1,e2")
-    p.add_argument("--dst-model", action="append", metavar="FILE")
+    dst_group = p.add_mutually_exclusive_group()
+    dst_group.add_argument("--dst-carriers", action="append", metavar="SORT=e1,e2")
+    dst_group.add_argument("--dst-model", action="append", metavar="FILE")
     _add_caps(p)
     p.add_argument("--map", required=True, metavar="FILE", help="morphism file")
     p.add_argument("--theory", required=True, metavar="FILE")

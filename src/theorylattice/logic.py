@@ -2,12 +2,14 @@
 
 A :class:`Signature` declares entity types (sorts), relation types with
 sort profiles, and sorted constants.  Sentences are closed well-typed
-formulas; bound variables are renamed to canonical depth-indexed names so
-alpha-equivalent sentences are structurally equal (and hash equal), which
-is what makes sentence pools and theory intents well defined.  Structures
-are finite models with nonempty carriers; satisfaction is Tarskian, with
-quantifiers ranging over the carrier of the bound sort.  There are no
-function symbols and no empty or infinite domains.
+formulas; :func:`validate_formula` defines well-typed, and the parser
+checks each formula it builds with it, once.  Bound variables are renamed
+to canonical depth-indexed names so alpha-equivalent sentences are
+structurally equal (and hash equal), which is what makes sentence pools
+and theory intents well defined.  Structures are finite models with
+nonempty carriers; satisfaction is Tarskian, with quantifiers ranging
+over the carrier of the bound sort.  There are no function symbols and no
+empty or infinite domains.
 """
 
 from __future__ import annotations
@@ -543,6 +545,10 @@ class _FormulaParser:
             raise self.error(f"unexpected trailing input {t.text!r}")
         if _depth(f) > MAX_FORMULA_DEPTH:
             raise self.too_deep()
+        try:
+            validate_formula(self.sig, f, self.free)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
         return f
 
     def formula(self, env: dict[str, str]) -> Formula:
@@ -604,8 +610,6 @@ class _FormulaParser:
         var = self.ident("a variable name")
         self.expect(":")
         sort = self.ident("an entity type name")
-        if not self.sig.has_entity_type(sort):
-            raise self.error(f"undeclared entity type {sort!r}")
         self.expect(".")
         body = self.formula({**env, var: sort})
         cls = Forall if kw.text == "forall" else Exists
@@ -622,9 +626,6 @@ class _FormulaParser:
             return Const(name)
         raise self.error(f"free variable or unknown constant {name!r}")
 
-    def term_sort(self, t: Term) -> str:
-        return t.sort if isinstance(t, Var) else self.sig.constant_sort(t.name)
-
     def atom_or_eq(self, env: dict[str, str]) -> Formula:
         name = self.ident("a relation application or a term")
         nxt = self.peek()
@@ -634,25 +635,10 @@ class _FormulaParser:
             while self.take(","):
                 args.append(self.term(env))
             self.expect(")")
-            profile = self.sig.profile(name)
-            if len(args) != len(profile):
-                raise self.error(
-                    f"relation {name!r} expects {len(profile)} arguments, got {len(args)}"
-                )
-            for pos, (arg, want) in enumerate(zip(args, profile), start=1):
-                got = self.term_sort(arg)
-                if got != want:
-                    raise self.error(
-                        f"argument {pos} of {name!r} has sort {got!r}, expected {want!r}"
-                    )
             return Atom(name, tuple(args))
         left = self.resolve_term(name, env)
         self.expect("=")
-        right = self.term(env)
-        ls, rs = self.term_sort(left), self.term_sort(right)
-        if ls != rs:
-            raise self.error(f"equality between different sorts {ls!r} and {rs!r}")
-        return Eq(left, right)
+        return Eq(left, self.term(env))
 
 
 def parse_formula(
@@ -664,14 +650,14 @@ def parse_formula(
 ) -> Formula:
     """Parse a formula whose free variables are exactly declared via ``free``.
 
-    The result is canonicalized (bound variables renamed); free variables
-    keep their declared names.
+    The parser builds the formula and checks it once with
+    :func:`validate_formula`; a formula that does not type-check is a
+    ``ParseError``.  The result is canonicalized (bound variables renamed);
+    free variables keep their declared names.
     """
     free = dict(free or {})
-    for name, sort in free.items():
+    for name in free:
         _check_name("variable", name)
-        if not sig.has_entity_type(sort):
-            raise ValueError(f"free variable {name!r} has undeclared sort {sort!r}")
     parser = _FormulaParser(sig, _tokenize(text, path), free, path)
     return canonicalize(parser.parse())
 
@@ -703,13 +689,7 @@ class Structure:
         sig = self.signature
         if tuple(name for name, _ in self.carriers) != sig.entity_types:
             raise ValueError("carriers must list every entity type in declaration order")
-        carrier_map: dict[str, tuple[str, ...]] = {}
-        for sort, elems in self.carriers:
-            if not elems:
-                raise ValueError(f"carrier of {sort!r} is empty")
-            if len(set(elems)) != len(elems):
-                raise ValueError(f"carrier of {sort!r} has duplicate elements")
-            carrier_map[sort] = tuple(elems)
+        carrier_map = validate_carriers(sig, dict(self.carriers))
         if tuple(name for name, _ in self.relations) != sig.relation_names:
             raise ValueError("relations must list every relation type in declaration order")
         rel_map: dict[str, frozenset[tuple[str, ...]]] = {}
@@ -745,26 +725,21 @@ class Structure:
         constants: Mapping[str, str] | None = None,
     ) -> "Structure":
         """Build a structure from mappings; missing relations default to empty."""
+        cs = validate_carriers(sig, carriers)
         relations = dict(relations or {})
         constants = dict(constants or {})
-        for sort in carriers:
-            if not sig.has_entity_type(sort):
-                raise ValueError(f"carrier for undeclared entity type {sort!r}")
         for name in relations:
             if not sig.has_relation(name):
                 raise ValueError(f"extension for undeclared relation {name!r}")
         for name in constants:
             if not sig.has_constant(name):
                 raise ValueError(f"denotation for undeclared constant {name!r}")
-        missing = [sort for sort in sig.entity_types if sort not in carriers]
-        if missing:
-            raise ValueError(f"missing carriers for entity types {missing}")
         missing = [name for name in sig.constant_names if name not in constants]
         if missing:
             raise ValueError(f"missing denotations for constants {missing}")
         return cls(
             signature=sig,
-            carriers=tuple((sort, tuple(carriers[sort])) for sort in sig.entity_types),
+            carriers=tuple(cs.items()),
             relations=tuple(
                 (name, frozenset(tuple(t) for t in relations.get(name, ())))
                 for name in sig.relation_names
@@ -958,13 +933,16 @@ class ModelColumns:
 
 
 def _check_sentence(sig: Signature, sentence: Formula) -> None:
+    """A sentence is closed and well-typed over ``sig``; an error names it by its key."""
     fv = free_vars(sentence)
     if fv:
-        raise ValueError(f"sentence has free variables: {sorted(fv)}")
+        raise ValueError(f"sentence {sentence_key(sentence)!r} has free variables: {sorted(fv)}")
     try:
         validate_formula(sig, sentence)
     except ValueError as exc:
-        raise SignatureMismatchError(f"sentence does not fit the structure's signature: {exc}")
+        raise SignatureMismatchError(
+            f"sentence {sentence_key(sentence)!r} does not fit the signature: {exc}"
+        )
 
 
 def _structure_group(structure: Structure) -> _Group:

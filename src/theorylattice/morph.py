@@ -105,6 +105,29 @@ def _check_symbol(src: Signature, dst: Signature, kind: str, name: str, image: s
         raise ValueError(f"{what} {name!r} maps to undeclared {image!r}")
 
 
+def _check_relation(
+    src: Signature, dst: Signature, ent: Mapping[str, str], name: str, image: str
+) -> None:
+    """One renaming ``relation`` mapping onto a declared target of its arity,
+    checked at each profile position whose sort ``ent`` maps already."""
+    if not src.has_relation(name):
+        raise ValueError(f"mapping for undeclared relation {name!r}")
+    if not dst.has_relation(image):
+        raise ValueError(f"relation {name!r} maps to undeclared {image!r}")
+    src_profile, dst_profile = src.profile(name), dst.profile(image)
+    if len(src_profile) != len(dst_profile):
+        raise ValueError(
+            f"relation {name!r} has arity {len(src_profile)} but {image!r} "
+            f"has arity {len(dst_profile)}"
+        )
+    for pos, (s, d) in enumerate(zip(src_profile, dst_profile), start=1):
+        if s in ent and ent[s] != d:
+            raise ValueError(
+                f"relation {name!r} position {pos}: sort {s!r} maps to "
+                f"{ent[s]!r} but {image!r} expects {d!r}"
+            )
+
+
 def _symbol_maps(
     src: Signature, dst: Signature, ent: Mapping[str, str], const: Mapping[str, str]
 ) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
@@ -191,30 +214,14 @@ def make_language_morphism(
     interpretation, and each relation onto a declared one of the mapped
     profile, position by position."""
     ent_pairs, const_pairs = _symbol_maps(src, dst, ent, const)
+    for name, image in rel.items():
+        _check_relation(src, dst, ent, name, image)
     atoms: list[tuple[str, Formula]] = []
     for name in src.relation_names:
         if name not in rel:
             raise ValueError(f"missing mapping for relation {name!r}")
-        if not dst.has_relation(rel[name]):
-            raise ValueError(f"relation {name!r} maps to undeclared {rel[name]!r}")
-        src_profile = src.profile(name)
-        dst_profile = dst.profile(rel[name])
-        if len(src_profile) != len(dst_profile):
-            raise ValueError(
-                f"relation {name!r} has arity {len(src_profile)} but {rel[name]!r} "
-                f"has arity {len(dst_profile)}"
-            )
-        for pos, (s, d) in enumerate(zip(src_profile, dst_profile), start=1):
-            if ent[s] != d:
-                raise ValueError(
-                    f"relation {name!r} position {pos}: sort {s!r} maps to "
-                    f"{ent[s]!r} but {rel[name]!r} expects {d!r}"
-                )
-        args = tuple(Var(v, sort) for v, sort in reserved_vars(src_profile, ent).items())
+        args = tuple(Var(v, sort) for v, sort in reserved_vars(src.profile(name), ent).items())
         atoms.append((name, Atom(rel[name], args)))
-    for name in rel:
-        if not src.has_relation(name):
-            raise ValueError(f"mapping for undeclared relation {name!r}")
     return LanguageMorphism(src, dst, ent_pairs, const_pairs, tuple(atoms))
 
 
@@ -609,15 +616,14 @@ def parse_morphism(
     path: str | None = None,
 ) -> LanguageMorphism:
     """Parse a renaming file: ``entity E -> E2`` / ``relation P -> Q`` /
-    ``constant c -> d`` lines, ``#`` comments."""
+    ``constant c -> d`` lines, ``#`` comments.  A relation line is checked
+    at its line, its arity and each profile position whose sort an entity
+    line above it maps; the positions left are checked once the file is read."""
 
     def relation(left: str, right: str, ent: Mapping[str, str]) -> tuple[str, str]:
         if " " in left or "(" in left or "(" in right:
             raise ParseError("relation line must look like 'relation P -> Q'")
-        if not src.has_relation(left):
-            raise ParseError(f"mapping for undeclared relation {left!r}")
-        if not dst.has_relation(right):
-            raise ParseError(f"relation {left!r} maps to undeclared {right!r}")
+        _check_relation(src, dst, ent, left, right)
         return left, right
 
     ent, const, rel = _read_map(src, dst, text, path, "morphism", relation)

@@ -1,18 +1,20 @@
 """Truth classifications and the lattice of theories.
 
 A truth classification pairs a finite model set with a finite sentence
-pool under satisfaction.  Closing a theory keeps exactly the pool
-sentences true in every model of the theory; the closed theories are the
-intents of the incidence relation and form a complete lattice under the
-order "more models, fewer sentences" (reverse theory inclusion).  The
-join of two closed theories is their intersection; the meet is the pool
-theory of their common models.
+pool under satisfaction.  ``TruthClassification(signature, models, pool)``
+checks the pool once and builds the classification; an axiom outside the
+pool is checked by ``Theory``, a query by computing its column.  Closing
+a theory keeps exactly the pool sentences true in every model of the
+theory; the closed theories are the intents of the incidence relation
+and form a complete lattice under the order "more models, fewer
+sentences" (reverse theory inclusion).  The join of two closed theories
+is their intersection; the meet is the pool theory of their common models.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -24,11 +26,11 @@ from .logic import (
     ModelColumns,
     Signature,
     Structure,
+    _check_sentence,
     canonicalize,
     enumerate_structures,
-    free_vars,
+    format_formula,
     sentence_key,
-    validate_formula,
 )
 
 
@@ -42,9 +44,7 @@ class Theory:
     def __post_init__(self) -> None:
         object.__setattr__(self, "axioms", frozenset(canonicalize(a) for a in self.axioms))
         for a in self.axioms:
-            if free_vars(a):
-                raise ValueError(f"axiom {sentence_key(a)!r} is not closed")
-            validate_formula(self.signature, a)
+            _check_sentence(self.signature, a)
 
     @classmethod
     def make(cls, sig: Signature, axioms: Iterable[Formula]) -> "Theory":
@@ -76,18 +76,6 @@ class ClosedTheory(Theory):
         return tuple(sorted(fca._select(self._tc.pool_keys, self._intent)))
 
 
-def _check_pool(sig: Signature, pool: Sequence[Formula]) -> None:
-    """Pool sentences must be canonical, closed, well-typed and distinct."""
-    for s in pool:
-        if free_vars(s):
-            raise ValueError(f"pool sentence {sentence_key(s)!r} is not closed")
-        validate_formula(sig, s)
-        if canonicalize(s) != s:
-            raise ValueError(f"pool sentence {sentence_key(s)!r} is not canonical")
-    if len(set(pool)) != len(pool):
-        raise ValueError("duplicate pool sentences")
-
-
 @dataclass(frozen=True)
 class TruthClassification:
     """Models as instances, pool sentences as types, satisfaction as incidence.
@@ -96,21 +84,30 @@ class TruthClassification:
     sentences, so the underlying classification is directly exportable.
     ``models`` is a tuple of listed models or the lazy
     :class:`~theorylattice.logic.StructureSpace` of an enumeration.  The
-    pool is validated here, once, so that the closed theories built from
-    its members inside the lattice need no re-validation.
+    pool is checked here, once: its sentences must be distinct and
+    canonical, and computing each one's column checks that it is closed
+    and well-typed.  The closed theories built from its members inside
+    the lattice need no re-validation.
     """
 
     signature: Signature
     models: Sequence[Structure]
     pool: tuple[Formula, ...]
-    classification: fca.Classification
+    classification: fca.Classification = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_pool(self.signature, self.pool)
-        keys = tuple(sentence_key(s) for s in self.pool)
-        ctx = self.classification
-        if ctx.types != keys or ctx.instances != tuple(range(len(self.models))):
-            raise ValueError("classification does not match the models and the pool")
+        if len(set(self.pool)) != len(self.pool):
+            raise ValueError("duplicate pool sentences")
+        for s in self.pool:
+            if canonicalize(s) != s:
+                raise ValueError(f"pool sentence {sentence_key(s)!r} is not canonical")
+        satisfaction = ModelColumns(self.signature, self.models)
+        columns = tuple(map(satisfaction.column, self.pool))
+        ctx = fca.Classification.from_columns(
+            tuple(range(len(self.models))), tuple(map(format_formula, self.pool)), columns
+        )
+        object.__setattr__(self, "classification", ctx)
+        object.__setattr__(self, "_satisfaction", satisfaction)
         object.__setattr__(self, "_pos", {s: k for k, s in enumerate(self.pool)})
 
     @property
@@ -141,10 +138,6 @@ class TruthClassification:
             return sentence, p
         sentence = canonicalize(sentence)
         return sentence, self._pos.get(sentence)
-
-    @cached_property
-    def _satisfaction(self) -> ModelColumns:
-        return ModelColumns(self.signature, self.models)
 
     def _column(self, sentence: Formula) -> int:
         """The models satisfying a sentence, as a mask; a pool sentence's
@@ -215,17 +208,7 @@ def build_truth_classification(
     if not model_seq:
         raise ValueError("empty model set; the lattice of theories degenerates")
 
-    pool_list = tuple(dict.fromkeys(canonicalize(s) for s in pool))
-    # fail before the satisfaction pass; the constructor checks again
-    _check_pool(sig, pool_list)
-
-    satisfaction = ModelColumns(sig, model_seq)
-    ctx = fca.Classification.from_columns(
-        tuple(range(len(model_seq))),
-        tuple(sentence_key(s) for s in pool_list),
-        tuple(satisfaction.column(s) for s in pool_list),
-    )
-    return TruthClassification(sig, model_seq, pool_list, ctx)
+    return TruthClassification(sig, model_seq, tuple(dict.fromkeys(canonicalize(s) for s in pool)))
 
 
 def closure(tc: TruthClassification, theory: Theory | Iterable[Formula]) -> ClosedTheory:
@@ -368,10 +351,10 @@ def object_concept(tc: TruthClassification, model: int | Structure) -> ClosedThe
 
 def attribute_concept(tc: TruthClassification, sentence: Formula) -> ClosedTheory:
     """The entailment theory of a pool sentence: the closure of itself alone."""
-    sentence = canonicalize(sentence)
-    if not tc.in_pool(sentence):
+    sentence, p = tc._lookup(sentence)
+    if p is None:
         raise ValueError(f"unknown sentence {sentence_key(sentence)!r}: not in the pool")
-    return closure(tc, [sentence])
+    return tc._theory(tc._close(1 << p))
 
 
 def generator_concepts(tc: TruthClassification, x: int | Structure | Formula) -> ClosedTheory:

@@ -335,6 +335,53 @@ class TestAnalogy:
         assert main(argv) == 2
         assert "--dst-pool" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dst",
+        [["--dst-pool", "swap_pool", "--dst-carriers", "E=a"], ["--dst-model", "m_full.model"]],
+        ids=["pool-and-carriers", "model"],
+    )
+    def test_destination_flags_need_dst_sig(self, ws, capsys, dst):
+        argv = [
+            "analogy", "--sig", ws["sig"], "--pool", ws["swap_pool"], "--carriers", "E=a,b",
+            *(ws.get(a, a) for a in dst), "--map", ws["swap.map"], "--theory", ws["t1.thy"],
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: --dst-pool, --dst-carriers and --dst-model need --dst-sig\n"
+        )
+
+    def test_dst_carriers_and_dst_model_exclude_each_other(self, ws, capsys):
+        argv = [
+            "analogy", "--sig", ws["sig"], "--pool", ws["swap_pool"], "--carriers", "E=a,b",
+            "--dst-sig", ws["sig"], "--dst-pool", ws["swap_pool"], "--dst-carriers", "E=a,b",
+            "--dst-model", ws["m_full.model"], "--map", ws["swap.map"], "--theory", ws["t1.thy"],
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: argument --dst-model: not allowed with argument --dst-carriers\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("entity E -> E\nrelation R -> R\n", 2), ("relation R -> R\nentity E -> E\n", 1)],
+        ids=["entity-line-first", "relation-line-first"],
+    )
+    def test_renaming_arity_error_is_located(self, ws, capsys, tmp_path, text, line):
+        (tmp_path / "ub.sig").write_text("entity E\nrelation R(E,E)\n", encoding="utf-8")
+        (tmp_path / "ub.pool").write_text("forall x:E. R(x,x)\n", encoding="utf-8")
+        (tmp_path / "ub.map").write_text(text, encoding="utf-8")
+        argv = [
+            "analogy", "--sig", ws["unary_sig"], "--pool", ws["unary_pool"], "--carriers", "E=a,b",
+            "--dst-sig", str(tmp_path / "ub.sig"), "--dst-pool", str(tmp_path / "ub.pool"),
+            "--dst-carriers", "E=a,b", "--map", str(tmp_path / "ub.map"), "--theory", ws["t_allR.thy"],
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'ub.map'}:{line}: relation 'R' has arity 1 but 'R' has arity 2\n"
+        )
+
     def test_image_outside_the_pool(self, ws, capsys, tmp_path):
         theory = tmp_path / "impl.thy"
         theory.write_text("forall x:E. P(x) -> Q(x)\n", encoding="utf-8")
@@ -485,6 +532,30 @@ class TestErrorExitCodes:
         theory.write_text("~" * 3000 + "forall x:E. P(x)\n", encoding="utf-8")
         assert main(["close", *pq_args(ws), "--theory", str(theory)]) == 2
         assert capsys.readouterr().err == f"error: {theory}:1: formula nested deeper than 100 levels\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("forall x:E. P(x)\nforall x:E. P(x,x)\n", "2: relation 'P' expects 1 arguments, got 2"),
+            ("forall y:F. P(y)\n", "1: argument 1 of 'P' has sort 'F', expected 'E'"),
+            ("forall x:E. forall y:F. x = y\n", "1: equality between different sorts 'E' and 'F'"),
+            ("forall x:G. P(x)\n", "1: quantifier over undeclared entity type 'G'"),
+        ],
+        ids=["arity", "argument-sort", "equality-sorts", "quantifier-sort"],
+    )
+    def test_ill_typed_pool_sentence_is_located(self, capsys, tmp_path, text, message):
+        sig, pool = tmp_path / "two.sig", tmp_path / "two.pool"
+        sig.write_text("entity E\nentity F\nrelation P(E)\nrelation S(E,F)\n", encoding="utf-8")
+        pool.write_text(text, encoding="utf-8")
+        argv = ["lattice", "--sig", str(sig), "--pool", str(pool), "--carriers", "E=a;F=u"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {pool}:{message}\n")
+
+    def test_model_without_a_universe(self, ws, capsys, tmp_path):
+        model = tmp_path / "no_universe.model"
+        model.write_text("P = {a}\n", encoding="utf-8")
+        assert main(["lattice", "--sig", ws["sig"], "--pool", ws["pool"], "--model", str(model)]) == 2
+        assert capsys.readouterr() == ("", f"error: {model}: missing carrier for entity type 'E'\n")
 
     def test_unexpected_exception_is_an_internal_error(self, ws, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -6,7 +6,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from theorylattice import logic
 from theorylattice.errors import ParseError, SignatureMismatchError, SizeCapError
@@ -356,6 +356,52 @@ def _sentences(depth: int = 3):
     return formulas((), depth).map(canonicalize)
 
 
+# Token soup over two sorts, a constant and relations of arity 1 and 2: a
+# quantifier prefix binding x and y at any sort (G is undeclared), a chain
+# of atoms, and loose tokens dropped in anywhere.
+SOUP_SIG = parse_signature("entity E\nentity F\nrelation P(E)\nrelation S(E,F)\nconstant c:E")
+SOUP_ATOMS = ("P(x)", "P(y)", "P(c)", "P(x,y)", "S(x,y)", "S(y,x)", "S(c,y)",
+              "x = c", "x = y", "(~P(c) | S(x,y))")
+SOUP_TOKENS = ("x", "y", "c", "P", "S", "E", "F", "G", "forall", "exists",
+               "~", "&", "|", "->", "<->", "=", ".", ":", ",", "(", ")")
+
+
+@st.composite
+def _token_soups(draw):
+    words = [
+        f"{draw(st.sampled_from(('forall', 'exists')))} {var}:{draw(st.sampled_from('EFG'))}."
+        for var in draw(st.permutations("xy"))
+    ]
+    words.append(draw(st.sampled_from(SOUP_ATOMS)))
+    for _ in range(draw(st.integers(0, 2))):
+        words += [draw(st.sampled_from(("&", "|", "->", "<->"))), draw(st.sampled_from(SOUP_ATOMS))]
+    for token in draw(st.lists(st.sampled_from(SOUP_TOKENS), max_size=3)):
+        words.insert(draw(st.integers(0, len(words))), token)
+    return " ".join(words)
+
+
+@settings(max_examples=300)
+@given(_token_soups())
+def test_parser_returns_only_well_typed_sentences(text):
+    try:
+        sentence = parse_sentence(SOUP_SIG, text)
+    except ParseError:
+        with pytest.raises(ParseError) as exc:
+            parse_sentences(SOUP_SIG, "P(c)\n" + text, path="soup.pool")
+        assert str(exc.value).startswith("soup.pool:2: ")
+        return
+    validate_formula(SOUP_SIG, sentence)
+    assert parse_sentence(SOUP_SIG, format_formula(sentence)) == sentence
+
+
+def test_parsing_checks_a_sentence_once(monkeypatch):
+    calls = []
+    real = logic.validate_formula
+    monkeypatch.setattr(logic, "validate_formula", lambda *a: calls.append(a) or real(*a))
+    sentence = parse_sentence(SOUP_SIG, "forall x:E. exists y:F. S(x,y) & P(c)")
+    assert len(calls) == 1 and canonicalize(calls[0][1]) == sentence
+
+
 @given(_sentences())
 def test_roundtrip_on_generated_sentences(sentence):
     assert parse_sentence(SIG, format_formula(sentence)) == sentence
@@ -557,6 +603,10 @@ class TestModelFiles:
 def test_structure_validation():
     with pytest.raises(ValueError, match="empty"):
         Structure.make(SIG, {"E": []})
+    with pytest.raises(ValueError, match="^missing carrier for entity type 'E'$"):
+        Structure.make(SIG, {})
+    with pytest.raises(ValueError, match="^carrier for undeclared entity type 'F'$"):
+        Structure.make(SIG, {"E": ["a"], "F": ["b"]})
     with pytest.raises(ValueError, match="carrier"):
         Structure.make(SIG, {"E": ["a"]}, {"P": [("b",)]})
     sig = parse_signature("entity E\nconstant c : E")

@@ -608,6 +608,26 @@ class TestParsers:
             parse_morphism(parse_signature(sigs[src]), parse_signature(sigs[dst]), text, path="m.map")
         assert (exc.value.path, exc.value.line, exc.value.message) == ("m.map", line, message)
 
+    @pytest.mark.parametrize(
+        "dst, text, line, message",
+        [
+            ("entity A\nentity B\nrelation R(A,A,B)", "entity A -> A\nentity B -> B\nrelation R -> R\n", 3,
+             "relation 'R' has arity 2 but 'R' has arity 3"),
+            ("entity A\nentity B\nrelation R(A,A,B)", "relation R -> R\nentity A -> A\nentity B -> B\n", 1,
+             "relation 'R' has arity 2 but 'R' has arity 3"),
+            ("entity A\nentity B\nrelation R(A,A)", "entity A -> A\nentity B -> B\nrelation R -> R\n", 3,
+             "relation 'R' position 2: sort 'B' maps to 'B' but 'R' expects 'A'"),
+            ("entity A\nentity B\nrelation R(A,A)", "entity A -> A\nrelation R -> R\nentity B -> B\n", None,
+             "relation 'R' position 2: sort 'B' maps to 'B' but 'R' expects 'A'"),
+        ],
+        ids=["arity-after-entities", "arity-before-entities", "profile-after-entities", "profile-before-entity"],
+    )
+    def test_morphism_relation_checked_at_its_line(self, dst, text, line, message):
+        src = parse_signature("entity A\nentity B\nrelation R(A,B)")
+        with pytest.raises(ParseError) as exc:
+            parse_morphism(src, parse_signature(dst), text, path="m.map")
+        assert (exc.value.path, exc.value.line, exc.value.message) == ("m.map", line, message)
+
     def test_interpretation_file(self, unary_sig, pq_sig, conj_interp):
         text = "entity E -> E\nrelation R(x1) -> P(x1) & Q(x1)\n"
         assert parse_interpretation(unary_sig, pq_sig, text) == conj_interp

@@ -23,6 +23,7 @@ from theorylattice.logic import (
 from theorylattice.truth import (
     ClosedTheory,
     Theory,
+    TruthClassification,
     attribute_concept,
     build_truth_classification,
     closure,
@@ -88,6 +89,62 @@ class TestBuild:
         b = parse_sentence(pq_sig, "forall y:E. P(y)")
         tc = build_truth_classification(pq_sig, [a, b], carriers={"E": ["a"]})
         assert len(tc.pool) == 1
+
+    def test_constructor_builds_the_classification(self, pq_sig, pq_pool, pq_tc):
+        tc = TruthClassification(pq_sig, pq_tc.models, pq_pool)
+        assert tc == pq_tc
+        assert tc.classification == pq_tc.classification
+        assert tc.pool_keys == tuple(map(sentence_key, pq_pool))
+
+    @pytest.mark.parametrize(
+        "pool, error, message",
+        [
+            (
+                [Forall("x", "E", Atom("P", (Var("x", "E"),)))],
+                ValueError,
+                "pool sentence 'forall v0:E. P(v0)' is not canonical",
+            ),
+            ([Atom("P", (Var("x", "E"),))], ValueError, "sentence 'P(x)' has free variables: ['x']"),
+            (
+                [Exists("v0", "E", Atom("R", (Var("v0", "E"),)))],
+                SignatureMismatchError,
+                "sentence 'exists v0:E. R(v0)' does not fit the signature: unknown relation type 'R'",
+            ),
+            (
+                [Exists("v0", "E", Atom("P", (Var("v0", "E"),)))] * 2,
+                ValueError,
+                "duplicate pool sentences",
+            ),
+        ],
+        ids=["not-canonical", "open", "ill-typed", "duplicate"],
+    )
+    def test_constructor_checks_the_pool(self, pq_sig, pq_tc, pool, error, message):
+        with pytest.raises(error) as exc:
+            TruthClassification(pq_sig, pq_tc.models, tuple(pool))
+        assert str(exc.value) == message
+
+    def test_each_pool_sentence_is_checked_and_printed_once(self, pq_sig, monkeypatch):
+        texts = ("forall x:E. P(x)", "exists x:E. Q(x)", "forall x:E. P(x) -> Q(x)")
+        calls = Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (logic, truth):
+            for name in ("validate_formula", "format_formula"):
+                if hasattr(module, name):
+                    count(module, name)
+        pool = [parse_sentence(pq_sig, t) for t in texts]
+        assert calls == {"validate_formula": 3}
+        calls.clear()
+        build_truth_classification(pq_sig, pool, carriers={"E": ["a", "b"]})
+        assert calls == {"validate_formula": 3, "format_formula": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +241,8 @@ class TestEntails:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module in (logic, truth):
-            count(module, "canonicalize")
-            count(module, "validate_formula")
+        for module, name in ((logic, "canonicalize"), (truth, "canonicalize"), (logic, "validate_formula")):
+            count(module, name)
         assert not entails(pq_tc, [], query)
         assert calls == {"canonicalize": 1, "validate_formula": 1}
 
@@ -363,6 +419,39 @@ class TestGeneratorConcepts:
     def test_unknown_sentence(self, pq_tc, pq_sig):
         with pytest.raises(ValueError, match="not in the pool"):
             attribute_concept(pq_tc, parse_sentence(pq_sig, "exists x:E. Q(x)"))
+
+    def test_attribute_concept_looks_a_sentence_up_once(self, pq_tc, pq, monkeypatch):
+        variant = Forall("y", "E", Atom("Q", (Var("y", "E"),)))
+        calls = Counter()
+        real = truth.canonicalize
+        monkeypatch.setattr(truth, "canonicalize", lambda f: calls.update(["canonicalize"]) or real(f))
+        assert attribute_concept(pq_tc, pq["s2"]) == attribute_concept(pq_tc, variant)
+        assert calls == {"canonicalize": 1}
+        assert attribute_concept(pq_tc, variant).axioms == {pq["s2"], pq["s4"]}
+
+
+class TestTheory:
+    def test_axioms_are_canonicalized(self, pq_sig, pq):
+        variant = Forall("y", "E", Atom("P", (Var("y", "E"),)))
+        assert Theory.make(pq_sig, [variant]).axioms == {pq["s1"]}
+
+    @pytest.mark.parametrize(
+        "axiom, error, message",
+        [
+            (Atom("P", (Var("x", "E"),)), ValueError, "sentence 'P(x)' has free variables: ['x']"),
+            (
+                Forall("y", "F", Atom("P", (Var("y", "F"),))),
+                SignatureMismatchError,
+                "sentence 'forall v0:F. P(v0)' does not fit the signature: "
+                "quantifier over undeclared entity type 'F'",
+            ),
+        ],
+        ids=["open", "ill-typed"],
+    )
+    def test_axioms_are_checked_by_key(self, pq_sig, axiom, error, message):
+        with pytest.raises(error) as exc:
+            Theory.make(pq_sig, [axiom])
+        assert str(exc.value) == message
 
 
 class TestLatticeText:
