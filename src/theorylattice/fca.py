@@ -3,10 +3,11 @@
 A classification is a binary incidence relation between instances and
 types.  The derivation operators form a Galois connection; their fixed
 points are the formal concepts, and the complete lattice they form under
-the extent order is enumerated here with NextClosure, its Hasse edges
-found with Lindig's neighbour algorithm.  Instance and type embeddings
-give the join-dense and meet-dense generators, and the basic theorem
-round-trip rebuilds the classification from the lattice order.
+the extent order is enumerated here as the intersection closure of the
+type columns, its Hasse edges found with Lindig's neighbour algorithm.
+Instance and type embeddings give the join-dense and meet-dense
+generators, and the basic theorem round-trip rebuilds the classification
+from the lattice order.
 
 Everything runs on Python-int bitsets: each type's column over instance
 positions and each instance's row over type positions.  Sets of ids
@@ -301,43 +302,30 @@ def _extent_order(extent: int, width: int) -> tuple[int, int]:
 
 
 def concept_lattice(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
-    """Enumerate all formal concepts (NextClosure over type sets).
+    """Enumerate all formal concepts as the intersection closure of the columns.
 
-    Intents are generated in lectic order.  A candidate type set is closed
-    by ANDing its columns into an extent and taking every type whose
-    column contains that extent; the extent of the current intent's types
-    below each position is kept as a prefix, so a candidate costs one AND
-    and one closure.  The concept list is then sorted canonically.
-    Raises once more than ``cap`` concepts have been found.
+    Every extent is an intersection of columns, the empty intersection
+    being the full instance mask.  One pass over the columns keeps each
+    extent found so far with its intent over the columns seen so far:
+    column ``j`` adds ``extent & column[j]`` for every extent, with the
+    union of the intents meeting there plus ``j``.  After the last column
+    the entries are exactly the concepts, which are then sorted
+    canonically.  The entries only grow and each ends up a concept, so
+    this raises as soon as, after any column (or with no columns at all),
+    more than ``cap`` extents have been found.
     """
-    cols = ctx._columns
-    m = len(cols)
-    found: list[tuple[int, int]] = []
-    nxt: tuple[int, int] | None = (ctx._full, ctx._intent(ctx._full))
-    while nxt is not None:
-        found.append(nxt)
-        if len(found) > cap:
-            raise SizeCapError("concept enumeration", f"more than {cap}", cap)
-        _, intent = nxt
-        prefix = []
-        acc = ctx._full
-        for j in range(m):
-            prefix.append(acc)
-            if intent >> j & 1:
-                acc &= cols[j]
-        nxt = None
-        for i in reversed(range(m)):
-            if intent >> i & 1:
-                continue
-            cand = prefix[i] & cols[i]
-            closed = ctx._intent(cand)
-            below = (1 << i) - 1
-            if closed & below == intent & below:
-                nxt = (cand, closed)
-                break
-
+    closed = {ctx._full: 0}
+    for j, col in enumerate(ctx._columns):
+        if len(closed) > cap:
+            break
+        bit = 1 << j
+        for extent, intent in list(closed.items()):
+            meet = extent & col
+            closed[meet] = closed.get(meet, 0) | intent | bit
+    if len(closed) > cap:
+        raise SizeCapError("concept enumeration", f"more than {cap}", cap)
     width = len(ctx.instances)
-    found.sort(key=lambda c: _extent_order(c[0], width))
+    found = sorted(closed.items(), key=lambda c: _extent_order(c[0], width))
     return ConceptLattice(ctx, *zip(*found))
 
 

@@ -1099,18 +1099,31 @@ class StructureSpace(collections.abc.Sequence):
         return i
 
     def _decode(self, i: int) -> Structure:
+        """The structure at position ``i``, built from the space's own
+        carriers and tuples, which are valid by construction: none of
+        :class:`Structure`'s input checks run."""
         sig, cs = self.signature, self._cs
-        constants = {}
+        constants = []
         for name in reversed(sig.constant_names):
             elems = cs[sig.constant_sort(name)]
             i, j = divmod(i, len(elems))
-            constants[name] = elems[j]
-        relations = {}
+            constants.append((name, elems[j]))
+        relations = []
         for name in reversed(sig.relation_names):
             space = self._tuples[name]
             bits, i = i, i >> len(space)
-            relations[name] = [t for k, t in enumerate(space) if bits >> k & 1]
-        return Structure.make(sig, cs, relations, constants)
+            relations.append((name, frozenset(t for k, t in enumerate(space) if bits >> k & 1)))
+        structure = object.__new__(Structure)
+        vars(structure).update(
+            signature=sig,
+            carriers=self.carriers,
+            relations=tuple(reversed(relations)),
+            constants=tuple(reversed(constants)),
+            _carrier=cs,
+            _relation=dict(relations),
+            _constant=dict(constants),
+        )
+        return structure
 
     def _encode(self, value: object) -> int | None:
         if not (

@@ -4,7 +4,8 @@ Everything here recomputes expected values by a different method than
 the library: satisfaction by ground substitution, one model at a time,
 instead of bitset columns over a model set; structures by filtering the
 tuple space per relation instead of decoding a position; concepts by
-closing every subset instead of NextClosure,
+closing every subset, and in the library's order by NextClosure, instead
+of the intersection closure of the columns,
 derivations on sets of pairs instead of bitsets, Hasse edges by scanning
 every triple instead of neighbour search, meets/joins by scanning the
 order relation, and the adjunction by checking every pair of theories
@@ -18,6 +19,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from theorylattice.errors import SizeCapError
+from theorylattice.fca import DEFAULT_CONCEPT_CAP, Classification, ConceptLattice, _extent_order
 from theorylattice.logic import (
     And,
     Atom,
@@ -150,6 +153,47 @@ def brute_covers(concepts) -> tuple[tuple[int, int], ...]:
             if not any(cs[j].extent < cs[k].extent < cs[i].extent for k in js):
                 edges.append((j, i))
     return tuple(sorted(edges))
+
+
+def reference_next_closure(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
+    """The concept lattice by NextClosure over type sets (Ganter, 1984).
+
+    Intents are generated in lectic order.  A candidate type set is closed
+    by ANDing its columns into an extent and taking every type whose
+    column contains that extent; the extent of the current intent's types
+    below each position is kept as a prefix, so a candidate costs one AND
+    and one closure.  The concept list is then sorted canonically.
+    Raises once more than ``cap`` concepts have been found.
+    """
+    cols = ctx._columns
+    m = len(cols)
+    found: list[tuple[int, int]] = []
+    nxt: tuple[int, int] | None = (ctx._full, ctx._intent(ctx._full))
+    while nxt is not None:
+        found.append(nxt)
+        if len(found) > cap:
+            raise SizeCapError("concept enumeration", f"more than {cap}", cap)
+        _, intent = nxt
+        prefix = []
+        acc = ctx._full
+        for j in range(m):
+            prefix.append(acc)
+            if intent >> j & 1:
+                acc &= cols[j]
+        nxt = None
+        for i in reversed(range(m)):
+            if intent >> i & 1:
+                continue
+            cand = prefix[i] & cols[i]
+            closed = ctx._intent(cand)
+            below = (1 << i) - 1
+            if closed & below == intent & below:
+                nxt = (cand, closed)
+                break
+
+    width = len(ctx.instances)
+    found.sort(key=lambda c: _extent_order(c[0], width))
+    return ConceptLattice(ctx, *zip(*found))
 
 
 def set_derive_types(types, incidence, xs) -> frozenset:

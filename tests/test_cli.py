@@ -47,6 +47,7 @@ def ws(tmp_path_factory):
         "conj.int": CONJ_INT,
         "demo.cxt": DEMO_CXT,
         "empty.cxt": "B\nempty\n0\n0\n\n",
+        "noattr.cxt": "B\nnoattr\n2\n0\n\n1\n2\n\n\n",
         "empty.thy": "",
         "t1.thy": "forall x:E. P(x)\n",
         "t3.thy": "exists x:E. P(x)\n",
@@ -500,6 +501,10 @@ class TestCtxConcepts:
     def test_concept_cap(self, ws, capsys):
         assert main(["ctx", "concepts", "--cxt", ws["demo.cxt"], "--cap-concepts", "2"]) == 3
         assert "exceeding the cap of 2" in capsys.readouterr().err
+
+    def test_concept_cap_without_types(self, ws, capsys):
+        assert main(["ctx", "concepts", "--cxt", ws["noattr.cxt"], "--cap-concepts", "0"]) == 3
+        assert "exceeding the cap of 0" in capsys.readouterr().err
 
 
 class TestErrorExitCodes:

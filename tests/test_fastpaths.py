@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    M_SIG,
     brute_closed_theories,
     brute_concepts,
     brute_covers,
@@ -26,10 +27,12 @@ from oracles import (
     reference_concepts_text,
     reference_lattice_dot,
     reference_lattice_text,
+    reference_next_closure,
     set_derive_instances,
     set_derive_types,
 )
 from theorylattice.cli import main
+from theorylattice.errors import SizeCapError
 from theorylattice.fca import (
     Classification,
     FormalConcept,
@@ -125,6 +128,66 @@ def test_covers_on_a_boolean_lattice():
     lat = concept_lattice(ctx)
     assert lat.covers() == brute_covers(lat.concepts)
     assert len(lat.covers()) == n * 2 ** (n - 1)
+
+
+# ---------------------------------------------------------------------------
+# The intersection closure against NextClosure: same concepts, same order,
+# and a SizeCapError for the same (context, cap) pairs
+
+
+def edge_contexts() -> dict[str, Classification]:
+    """Duplicate, empty and full columns, no types, no instances."""
+    return {
+        "duplicate-columns": Classification.make(
+            [1, 2, 3], ["a", "b", "c"], [(1, "a"), (2, "a"), (1, "b"), (2, "b")]
+        ),
+        "empty-columns": Classification.make([1, 2, 3], ["a", "b", "c"], [(1, "b"), (3, "b")]),
+        "full-column": Classification.make([1, 2], ["a", "b"], [(1, "a"), (2, "a"), (1, "b")]),
+        "full-and-empty": Classification.make(
+            [1, 2, 3], ["a", "b", "c", "d"], [(i, "b") for i in (1, 2, 3)]
+        ),
+        "no-crosses": Classification.make([1, 2], ["a", "b"], []),
+        "all-crosses": Classification.make([1, 2], ["a"], [(1, "a"), (2, "a")]),
+        "no-types": Classification.make([1, 2], [], []),
+        "no-instances": Classification.make([], ["a", "b"], []),
+        "nothing": Classification.make([], [], []),
+    }
+
+
+def check_against_next_closure(ctx: Classification) -> None:
+    lat, ref = concept_lattice(ctx), reference_next_closure(ctx)
+    assert lat._extents == ref._extents
+    assert lat._intents == ref._intents
+    n = len(ref._extents)
+    for cap in range(n + 2):
+        try:
+            reference_next_closure(ctx, cap)
+        except SizeCapError:
+            with pytest.raises(SizeCapError):
+                concept_lattice(ctx, cap)
+        else:
+            assert concept_lattice(ctx, cap)._extents == ref._extents
+
+
+def test_intersection_closure_matches_next_closure_on_random_corpus():
+    for ctx in corpus(1984, 150) + list(edge_contexts().values()):
+        check_against_next_closure(ctx)
+
+
+@given(contexts())
+@settings(max_examples=60, deadline=None)
+def test_intersection_closure_matches_next_closure_on_generated_contexts(ctx):
+    check_against_next_closure(ctx)
+
+
+@pytest.mark.parametrize("name", edge_contexts())
+def test_concept_cap_boundary(name):
+    # with no types, the one concept must still be refused by cap 0
+    ctx = edge_contexts()[name]
+    n = len(concept_lattice(ctx)._extents)
+    assert len(concept_lattice(ctx, cap=n)._extents) == n
+    with pytest.raises(SizeCapError):
+        concept_lattice(ctx, cap=n - 1)
 
 
 def reference_unknown_message(known, ids, what):
@@ -359,3 +422,48 @@ def test_lazy_space_matches_independent_enumeration(sig, carriers):
     assert foreign not in space
     with pytest.raises(ValueError):
         space.index(foreign)
+
+
+def validated_build(m: Structure) -> Structure:
+    """The same structure rebuilt from its parts through every input check."""
+    return Structure.make(m.signature, dict(m.carriers), dict(m.relations), dict(m.constants))
+
+
+@pytest.mark.parametrize(
+    "sig, carriers, count",
+    [
+        (parse_signature(M_SIG), {"E": ["a", "b"]}, None),
+        (parse_signature(M_SIG), {"E": ["a", "b", "c"]}, 300),
+        (MIXED, MIXED_CARRIERS[3], None),
+    ],
+    ids=["M", "L", "constants"],
+)
+def test_decoded_models_equal_validated_builds(sig, carriers, count):
+    space = enumerate_structures(sig, carriers)
+    positions = range(len(space))
+    if count is not None:
+        positions = random.Random(31).sample(positions, count)
+    for i in positions:
+        m = space[i]
+        built = validated_build(m)
+        assert m == built and hash(m) == hash(built)
+        for sort, _ in m.carriers:
+            assert m.carrier(sort) == built.carrier(sort)
+        for name in sig.relation_names:
+            assert m.relation(name) == built.relation(name)
+        for name in sig.constant_names:
+            assert m.constant(name) == built.constant(name)
+        assert space.index(m) == i and m in space
+
+
+def test_outside_structures_are_still_validated():
+    sig = parse_signature(M_SIG)
+    with pytest.raises(ValueError, match="leaves the carrier"):
+        Structure.make(sig, {"E": ["a"]}, {"R": [("a", "b")]})
+    with pytest.raises(ValueError, match="wrong arity"):
+        Structure.make(sig, {"E": ["a"]}, {"P": [("a", "a")]})
+    with pytest.raises(ValueError, match="duplicate"):
+        Structure.make(sig, {"E": ["a", "a"]})
+    good = enumerate_structures(sig, {"E": ["a", "b"]})[5]
+    with pytest.raises(ValueError, match="leaves the carrier"):
+        Structure(sig, good.carriers, (("P", frozenset({("z",)})), *good.relations[1:]), ())
