@@ -19,6 +19,8 @@ Instance and type ids are opaque hashable values supplied by the caller.
 from __future__ import annotations
 
 import itertools
+import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
@@ -32,12 +34,18 @@ Id = Hashable
 
 _BINARY_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_WORD_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # native unsigned words by byte size
+
+
+def _digits(mask: int) -> bytes:
+    """The binary digits of ``mask``, lowest first, as the bytes 0 and 1."""
+    return bin(mask)[:1:-1].encode().translate(_BINARY_DIGIT)
 
 
 def _select(items: Sequence, mask: int) -> Iterator:
     """The items at the set bits of ``mask``, in order: the binary digits,
     lowest first, select them in C, in time linear in the width."""
-    return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BINARY_DIGIT))
+    return itertools.compress(items, _digits(mask))
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -51,6 +59,36 @@ def _mask(positions: Iterable[int], width: int) -> int:
     for p in positions:
         buf[p >> 3] |= 1 << (p & 7)
     return int.from_bytes(buf, "little")
+
+
+def _pullbacks(masks: Iterable[int], positions: Sequence[int], width: int) -> list[int]:
+    """Each ``width``-bit mask read at the given positions: bit ``i`` of a
+    result is bit ``positions[i]`` of its mask.  One C-level item pick per
+    mask over its binary digits, no loop over the positions in Python."""
+    if not positions:
+        return [0 for _ in masks]
+    pick = operator.itemgetter(*positions)
+    return [int("".join(pick(bin(m)[:1:-1].ljust(width, "0")))[::-1], 2) for m in masks]
+
+
+def _words(columns: Sequence[int], width: int) -> list[int]:
+    """Transpose at most 64 bit columns over ``width`` positions: word ``i``
+    has bit ``k`` set when column ``k`` has bit ``i`` set.
+
+    Each run of eight columns becomes one byte per position (the sum of
+    the columns spread to one byte per bit, shifted by their place); the
+    bytes are interleaved into native unsigned words of 1, 2, 4 or 8
+    bytes, which a memoryview reads back in C.
+    """
+    size = 1 << (max(len(columns) + 7 >> 3, 1) - 1).bit_length()
+    buf = bytearray(width * size)
+    for g in range(0, len(columns), 8):
+        byte = sum(
+            int.from_bytes(_digits(col), "little") << k for k, col in enumerate(columns[g : g + 8])
+        )
+        at = g >> 3 if sys.byteorder == "little" else size - 1 - (g >> 3)
+        buf[at::size] = byte.to_bytes(width, "little")
+    return memoryview(buf).cast(_WORD_FORMAT[size]).tolist()
 
 
 def _positions(ids: Iterable[Id], pos: dict, what: str) -> list[int]:
@@ -98,9 +136,10 @@ class Classification:
 
     @classmethod
     def from_columns(
-        cls, instances: tuple[Id, ...], types: tuple[Id, ...], columns: tuple[int, ...]
+        cls, instances: Sequence[Id], types: tuple[Id, ...], columns: tuple[int, ...]
     ) -> "Classification":
-        """Build from each type's column over instance positions."""
+        """Build from each type's column over instance positions; the
+        instances may be a ``range``, which is not scanned for duplicates."""
         ctx = object.__new__(cls)
         ctx._set_ids(instances, types)
         if len(columns) != len(types) or any(c < 0 or c > ctx._full for c in columns):
@@ -108,18 +147,26 @@ class Classification:
         object.__setattr__(ctx, "_columns", tuple(columns))
         return ctx
 
-    def _set_ids(self, instances: tuple[Id, ...], types: tuple[Id, ...]) -> None:
-        ipos = {i: k for k, i in enumerate(instances)}
-        if len(ipos) != len(instances):
-            raise ValueError("duplicate instance ids")
+    def _set_ids(self, instances: Sequence[Id], types: tuple[Id, ...]) -> None:
+        """Store the ids, refusing duplicates.  A ``range`` of instances has
+        none, so it is stored as a tuple unscanned and its position map is
+        built on first use; any other sequence is scanned into it now."""
+        if not isinstance(instances, range):
+            ipos = {i: k for k, i in enumerate(instances)}
+            if len(ipos) != len(instances):
+                raise ValueError("duplicate instance ids")
+            object.__setattr__(self, "_ipos", ipos)
         tpos = {t: k for k, t in enumerate(types)}
         if len(tpos) != len(types):
             raise ValueError("duplicate type ids")
-        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "instances", tuple(instances))
         object.__setattr__(self, "types", types)
-        object.__setattr__(self, "_ipos", ipos)
         object.__setattr__(self, "_tpos", tpos)
         object.__setattr__(self, "_full", (1 << len(instances)) - 1)
+
+    @cached_property
+    def _ipos(self) -> dict[Id, int]:
+        return {i: k for k, i in enumerate(self.instances)}
 
     @classmethod
     def make(

@@ -9,14 +9,18 @@ code.  A signature map translates sentences forward and pulls target
 models back to source models (reducts), and the contravariant pair
 (translate, reduct) is an infomorphism between truth classifications: a
 target model satisfies a translated sentence exactly when its reduct
-satisfies the original.  On the lattices of theories the pair induces an
-adjoint pair of monotone maps, verified at construction in unit/counit
-form, with monotonicity checked along the cover edges.
+satisfies the original; over enumerated model spaces the reducts of all
+target models are located at once, from bit columns.  On the lattices of
+theories the pair induces an adjoint pair of monotone maps, verified at
+construction in unit/counit form, with monotonicity checked along the
+cover edges.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -24,6 +28,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 from . import fca
 from .errors import InfomorphismError, ParseError, SignatureMismatchError
 from .logic import (
+    _column,
+    _Group,
     _map,
     _source_lines,
     Atom,
@@ -34,6 +40,7 @@ from .logic import (
     Formula,
     Signature,
     Structure,
+    StructureSpace,
     Term,
     Var,
     canonicalize,
@@ -311,6 +318,34 @@ def reduct(h: Interpretation, model: Structure) -> Structure:
     return Structure.make(src, carriers, relations, constants)
 
 
+def _reduct_positions(
+    h: Interpretation, models1: Sequence[Structure], models2: Sequence[Structure]
+) -> list[int] | None:
+    """The source position of each target model's reduct, read off columns;
+    None unless both model sets are spaces and each source sort's carrier
+    is the carrier of its image sort.
+
+    The reducts form a group over the target positions: the ground atom
+    ``R(t)`` holds where the formula for ``R`` holds with ``x1..xn`` bound
+    to ``t``, and a constant denotes what its image denotes.
+    """
+    if not (isinstance(models1, StructureSpace) and isinstance(models2, StructureSpace)):
+        return None
+    carrier = {sort: models2._cs[h.map_entity(sort)] for sort in h.source.entity_types}
+    if carrier != models1._cs:
+        return None
+    target = models2._group()
+
+    def atom(rel: str, tup: tuple[str, ...]) -> int:
+        env = {f"x{k}": elem for k, elem in enumerate(tup, start=1)}
+        return _column(target, h.formula_for(rel), env)
+
+    def denotes(const: str, elem: str) -> int:
+        return models2._denotes(h.map_constant(const), elem)
+
+    return models1._positions(_Group(h.source, carrier, target.full, atom, denotes))
+
+
 # ---------------------------------------------------------------------------
 # Infomorphisms
 
@@ -338,9 +373,11 @@ def check_infomorphism(
 ) -> InfomorphismCheck:
     """Check: instance_map(j) is an ``a``-instance of t iff j is a ``b``-instance of type_map(t).
 
-    Compares rows: the ``a``-row of each mapped instance against the
-    ``b``-row of ``j`` read back through ``type_map``; the witness is the
-    first ``a``-type where they differ.
+    Exhaustive over every pair, compared a column at a time: each
+    ``a``-column, read at the mapped instances, against the ``b``-column
+    of its type's image.  The witness is the first ``b``-instance, in
+    position order, where the two sides differ, with the first ``a``-type
+    that differs there.
     """
     image: list[int] = []
     for t in a.types:
@@ -356,12 +393,24 @@ def check_infomorphism(
         if instance_map[j] not in a._ipos:
             raise ValueError(f"instance {j!r} maps to unknown {instance_map[j]!r}")
         source.append(a._ipos[instance_map[j]])
-    for j, p, row in zip(b.instances, source, b._rows):
-        pulled = sum(1 << k for k, q in enumerate(image) if row >> q & 1)
-        diff = a._rows[p] ^ pulled
-        if diff:
-            return InfomorphismCheck(False, (j, a.types[(diff & -diff).bit_length() - 1]))
-    return InfomorphismCheck(True)
+    return _transfer(a, b, image, source)
+
+
+def _transfer(
+    a: fca.Classification, b: fca.Classification, image: Sequence[int], source: Sequence[int]
+) -> InfomorphismCheck:
+    """The satisfaction-transfer check on positions: ``image[k]`` is the
+    ``b``-type position of ``a``-type ``k``, ``source[j]`` the ``a``-instance
+    position of ``b``-instance ``j``.  Each ``a``-column, read at the source
+    positions, must equal the ``b``-column of its image."""
+    pulled = fca._pullbacks(a._columns, source, len(a.instances))
+    diffs = [col ^ b._columns[q] for col, q in zip(pulled, image)]
+    first = functools.reduce(operator.or_, diffs, 0)
+    if not first:
+        return InfomorphismCheck(True)
+    j = (first & -first).bit_length() - 1
+    k = next(k for k, diff in enumerate(diffs) if diff >> j & 1)
+    return InfomorphismCheck(False, (b.instances[j], a.types[k]))
 
 
 @dataclass(frozen=True)
@@ -370,8 +419,10 @@ class TruthInfomorphism:
 
     ``type_map`` sends each source pool sentence (by key) to its
     translation's key; ``instance_map`` sends each target model index to
-    the index of its reduct.  The satisfaction-transfer property is
-    verified exhaustively at construction and holds for every pair.
+    the index of its reduct, however :func:`truth_infomorphism` computed
+    it (from columns or one :func:`reduct` at a time).  The
+    satisfaction-transfer property is verified exhaustively at
+    construction and holds for every pair.
     """
 
     interpretation: Interpretation
@@ -398,6 +449,16 @@ def truth_infomorphism(
     Preconditions checked with named witnesses: every translated pool
     sentence must be in the target pool, and every target model's reduct
     must be among the source models.
+
+    When both model sets are enumerated spaces and each source sort's
+    carrier is the carrier of its image sort, every reduct is a source
+    model, and the instance map is read off bit columns over the target
+    space without building a structure (see :func:`_reduct_positions`).
+    Listed models and other carriers take the per-model path: one
+    :func:`reduct`, the public per-model function, per target model,
+    looked up among the source models; the first one missing is printed
+    in the error.  Either way the transfer is then checked for every
+    (target model, source sentence) pair, a column at a time.
     """
     if h.source != tc1.signature:
         raise SignatureMismatchError("interpretation source differs from the source classification")
@@ -418,23 +479,21 @@ def truth_infomorphism(
             + "; ".join(missing)
         )
 
-    instance_map: list[int] = []
-    for m in tc2.models:
-        r = reduct(h, m)
-        try:
-            instance_map.append(tc1.models.index(r))
-        except ValueError:
-            raise InfomorphismError(
-                "reduct of a target model is not among the source models:\n"
-                + format_structure(r)
-            ) from None
+    instance_map = _reduct_positions(h, tc1.models, tc2.models)
+    if instance_map is None:
+        instance_map = []
+        for m in tc2.models:
+            r = reduct(h, m)
+            try:
+                instance_map.append(tc1.models.index(r))
+            except ValueError:
+                raise InfomorphismError(
+                    "reduct of a target model is not among the source models:\n"
+                    + format_structure(r)
+                ) from None
 
-    check = check_infomorphism(
-        tc1.classification,
-        tc2.classification,
-        dict(type_map),
-        dict(enumerate(instance_map)),
-    )
+    ctx1, ctx2 = tc1.classification, tc2.classification
+    check = _transfer(ctx1, ctx2, [ctx2._tpos[k] for _, k in type_map], instance_map)
     if not check:
         j, t = check.witness
         raise InfomorphismError(
@@ -488,6 +547,10 @@ def concept_morphism(
 ) -> ConceptMorphism:
     """Build the adjoint pair and verify closedness and the adjunction.
 
+    The inverse image of a target theory depends only on its sentences
+    that are images of source sentences, so it is computed, and checked
+    to be closed, once per distinct such set; a failure names the first
+    target theory, in lattice order, whose inverse image is not closed.
     Failures of either verification indicate an internal inconsistency
     and raise with the witnessing theories.
     """
@@ -501,16 +564,22 @@ def concept_morphism(
     for intent1 in lat1.lattice._intents:
         mapped = fca._mask([image[p] for p in fca._bits(intent1)], len(ctx2.types))
         dir_index.append(lat2.lattice._by_extent[ctx2._extent(mapped)])
+    reach = fca._mask(image, len(ctx2.types))
+    pulled: dict[int, int] = {}
     inv_index: list[int] = []
     for k, intent2 in enumerate(lat2.lattice._intents):
-        pre = sum(1 << p for p, q in enumerate(image) if intent2 >> q & 1)
-        extent = ctx1._extent(pre)
-        if ctx1._intent(extent) != pre:
-            raise InfomorphismError(
-                "inverse image is not closed for target theory "
-                f"{_names(lat2, k)}: got {sorted(fca._select(lat1.tc.pool_keys, pre))}"
-            )
-        inv_index.append(lat1.lattice._by_extent[extent])
+        key = intent2 & reach
+        at = pulled.get(key)
+        if at is None:
+            pre = sum(1 << p for p, q in enumerate(image) if key >> q & 1)
+            extent = ctx1._extent(pre)
+            if ctx1._intent(extent) != pre:
+                raise InfomorphismError(
+                    "inverse image is not closed for target theory "
+                    f"{_names(lat2, k)}: got {sorted(fca._select(lat1.tc.pool_keys, pre))}"
+                )
+            at = pulled[key] = lat1.lattice._by_extent[extent]
+        inv_index.append(at)
 
     _check_adjunction(lat1, lat2, dir_index, inv_index)
     return ConceptMorphism(im, lat1, lat2, tuple(dir_index), tuple(inv_index))

@@ -104,7 +104,7 @@ class TruthClassification:
         satisfaction = ModelColumns(self.signature, self.models)
         columns = tuple(map(satisfaction.column, self.pool))
         ctx = fca.Classification.from_columns(
-            tuple(range(len(self.models))), tuple(map(format_formula, self.pool)), columns
+            range(len(self.models)), tuple(map(format_formula, self.pool)), columns
         )
         object.__setattr__(self, "classification", ctx)
         object.__setattr__(self, "_satisfaction", satisfaction)

@@ -8,9 +8,10 @@ closing every subset, and in the library's order by NextClosure, instead
 of the intersection closure of the columns,
 derivations on sets of pairs instead of bitsets, Hasse edges by scanning
 every triple instead of neighbour search, meets/joins by scanning the
-order relation, and the adjunction by checking every pair of theories
-instead of the unit/counit form.  Tests freeze fixture
-expectations against these.
+order relation, the adjunction by checking every pair of theories
+instead of the unit/counit form, and the infomorphism by one reduct per
+target model and a comparison of rows instead of columns.  Tests freeze
+fixture expectations against these.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from theorylattice.logic import (
     Structure,
     Var,
 )
-from theorylattice.morph import Interpretation, make_interpretation
+from theorylattice.morph import InfomorphismCheck, Interpretation, make_interpretation, reduct
 from theorylattice.truth import build_truth_classification
 
 
@@ -502,3 +503,40 @@ def pairwise_adjunction(theories1, theories2, direct, inverse):
             if (image <= c2) != (c1 <= preimage):
                 return c1, c2
     return None
+
+
+# ---------------------------------------------------------------------------
+# The infomorphism, one target model and one row at a time
+
+
+def reference_instance_map(h, tc1, tc2) -> list[int]:
+    """The source position of each target model's reduct, found by building
+    the reduct and looking it up among the source models."""
+    return [tc1.models.index(reduct(h, m)) for m in tc2.models]
+
+
+def reference_check_infomorphism(a, b, type_map, instance_map) -> InfomorphismCheck:
+    """The satisfaction-transfer check by rows: the ``a``-row of each mapped
+    instance against the ``b``-row of ``j`` read back through ``type_map``;
+    the witness is the first ``b``-instance, then the first ``a``-type,
+    where they differ."""
+    image: list[int] = []
+    for t in a.types:
+        if t not in type_map:
+            raise ValueError(f"unmapped type {t!r}")
+        if type_map[t] not in b._tpos:
+            raise ValueError(f"type {t!r} maps to unknown {type_map[t]!r}")
+        image.append(b._tpos[type_map[t]])
+    source: list[int] = []
+    for j in b.instances:
+        if j not in instance_map:
+            raise ValueError(f"unmapped instance {j!r}")
+        if instance_map[j] not in a._ipos:
+            raise ValueError(f"instance {j!r} maps to unknown {instance_map[j]!r}")
+        source.append(a._ipos[instance_map[j]])
+    for j, p, row in zip(b.instances, source, b._rows):
+        pulled = sum(1 << k for k, q in enumerate(image) if row >> q & 1)
+        diff = a._rows[p] ^ pulled
+        if diff:
+            return InfomorphismCheck(False, (j, a.types[(diff & -diff).bit_length() - 1]))
+    return InfomorphismCheck(True)

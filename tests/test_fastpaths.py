@@ -2,8 +2,10 @@
 columns against independent references: brute-force concepts and covers,
 derivations on sets of pairs, order-scanning meets and joins, closure and
 columns by the ground evaluator, the lazy structure space against a list
-built by filtering tuple spaces, and the exports written from masks
-against renderings of the concept and theory objects."""
+built by filtering tuple spaces, the exports written from masks
+against renderings of the concept and theory objects, and the
+infomorphism's instance map and transfer check, read off columns,
+against one reduct per model and the comparison of rows."""
 
 from __future__ import annotations
 
@@ -14,7 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    M_POOL,
     M_SIG,
+    ST_POOL,
+    ST_SIG,
+    ST_TO_M,
     brute_closed_theories,
     brute_concepts,
     brute_covers,
@@ -23,8 +29,12 @@ from oracles import (
     order_join,
     order_meet,
     random_context,
+    random_interpretation_case,
     random_sentence,
+    reference_adjoint_pair,
+    reference_check_infomorphism,
     reference_concepts_text,
+    reference_instance_map,
     reference_lattice_dot,
     reference_lattice_text,
     reference_next_closure,
@@ -37,6 +47,8 @@ from theorylattice.fca import (
     Classification,
     FormalConcept,
     _extent_order,
+    _pullbacks,
+    _words,
     concept_lattice,
     derive_instances,
     derive_types,
@@ -57,6 +69,15 @@ from theorylattice.logic import (
     enumerate_structures,
     parse_sentence,
     parse_signature,
+)
+from theorylattice.morph import (
+    _reduct_positions,
+    check_infomorphism,
+    concept_morphism,
+    parse_interpretation,
+    reduct,
+    translate,
+    truth_infomorphism,
 )
 from theorylattice.truth import build_truth_classification, closure, lattice_text, theory_lattice
 
@@ -467,3 +488,195 @@ def test_outside_structures_are_still_validated():
     good = enumerate_structures(sig, {"E": ["a", "b"]})[5]
     with pytest.raises(ValueError, match="leaves the carrier"):
         Structure(sig, good.carriers, (("P", frozenset({("z",)})), *good.relations[1:]), ())
+
+
+# ---------------------------------------------------------------------------
+# The infomorphism from columns against one reduct per model and the row check
+
+
+def st_to_m(elems: list[str]):
+    """ST read into M over the same carrier: (interpretation, source, target)."""
+    m_sig, st_sig = parse_signature(M_SIG), parse_signature(ST_SIG)
+    h = parse_interpretation(st_sig, m_sig, ST_TO_M)
+    tc1 = build_truth_classification(
+        st_sig, [parse_sentence(st_sig, s) for s in ST_POOL], carriers={"E": elems}
+    )
+    tc2 = build_truth_classification(
+        m_sig, [parse_sentence(m_sig, s) for s in M_POOL], carriers={"E": elems}
+    )
+    return h, tc1, tc2
+
+
+CONST_SRC = "entity X\nentity Y\nrelation R(Y,X)\nrelation V(X)\nconstant k: X\nconstant l: Y\n"
+CONST_DST = "entity A\nentity B\nrelation D(A,B)\nconstant c: A\nconstant d: B\nconstant e: B\n"
+CONST_CASES = {
+    # X and Y swap places with the target sorts; B has three elements, so
+    # the constant digits are not binary
+    "swapped sorts": (
+        "entity X -> B\nentity Y -> A\nconstant k -> d\nconstant l -> c\n"
+        "relation R(x1,x2) -> D(x1,x2) | x2 = e\n"
+        "relation V(x1) -> exists y:A. D(y,x1) & y = c\n",
+        {"X": ["b0", "b1", "b2"], "Y": ["a0", "a1"]},
+        ["R(l,k)", "forall x:X. V(x) -> R(l,x)", "exists y:Y. R(y,k)", "V(k)"],
+    ),
+    # both source sorts read as B
+    "two sorts onto one": (
+        "entity X -> B\nentity Y -> B\nconstant k -> e\nconstant l -> d\n"
+        "relation R(x1,x2) -> x1 = x2 | D(c,x2)\n"
+        "relation V(x1) -> ~D(c,x1)\n",
+        {"X": ["b0", "b1", "b2"], "Y": ["b0", "b1", "b2"]},
+        ["R(l,k)", "forall x:X. V(x) | R(l,x)", "exists y:Y. R(y,k) & ~R(l,k)"],
+    ),
+}
+
+
+def constants_case(name: str):
+    text, src_carriers, pool = CONST_CASES[name]
+    src, dst = parse_signature(CONST_SRC), parse_signature(CONST_DST)
+    h = parse_interpretation(src, dst, text)
+    pool1 = [parse_sentence(src, s) for s in pool]
+    tc1 = build_truth_classification(src, pool1, carriers=src_carriers)
+    tc2 = build_truth_classification(
+        dst, [translate(h, s) for s in pool1], carriers={"A": ["a0", "a1"], "B": ["b0", "b1", "b2"]}
+    )
+    return h, tc1, tc2
+
+
+def interpretation_corpus(seed: int, count: int):
+    rng = random.Random(seed)
+    return [random_interpretation_case(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 16, 17, 33, 64])
+def test_words_transpose_columns(count):
+    rng = random.Random(count)
+    for width in (1, 7, 64, 129):
+        columns = [rng.getrandbits(width) for _ in range(count)]
+        want = [sum((col >> i & 1) << k for k, col in enumerate(columns)) for i in range(width)]
+        assert _words(columns, width) == want
+
+
+def test_pullbacks_read_masks_at_positions():
+    rng = random.Random(5)
+    for width in (1, 9, 70):
+        masks = [rng.getrandbits(width) for _ in range(4)] + [0, (1 << width) - 1]
+        for n in (0, 1, 2, 50):
+            positions = [rng.randrange(width) for _ in range(n)]
+            want = [sum((m >> p & 1) << i for i, p in enumerate(positions)) for m in masks]
+            assert _pullbacks(masks, positions, width) == want
+
+
+def test_column_instance_map_matches_reducts_on_random_interpretations():
+    for h, tc1, tc2 in interpretation_corpus(20261018, 40):
+        want = reference_instance_map(h, tc1, tc2)
+        assert _reduct_positions(h, tc1.models, tc2.models) == want
+        assert list(truth_infomorphism(h, tc1, tc2).instance_map) == want
+
+
+def test_column_instance_map_matches_reducts_on_st_to_m():
+    h, tc1, tc2 = st_to_m(["a", "b"])
+    assert len(tc2.models) == 256
+    assert list(truth_infomorphism(h, tc1, tc2).instance_map) == reference_instance_map(h, tc1, tc2)
+
+
+def test_column_instance_map_matches_reducts_on_seeded_st_to_m_over_three():
+    h, tc1, tc2 = st_to_m(["a", "b", "c"])
+    instance_map = truth_infomorphism(h, tc1, tc2).instance_map
+    assert len(instance_map) == 32768
+    for j in random.Random(32768).sample(range(32768), 300):
+        assert instance_map[j] == tc1.models.index(reduct(h, tc2.models[j]))
+
+
+@pytest.mark.parametrize("name", sorted(CONST_CASES))
+def test_column_instance_map_with_constants_and_a_sort_map(name):
+    h, tc1, tc2 = constants_case(name)
+    want = reference_instance_map(h, tc1, tc2)
+    assert _reduct_positions(h, tc1.models, tc2.models) == want
+    im = truth_infomorphism(h, tc1, tc2)
+    assert list(im.instance_map) == want
+    assert len(set(want)) > 1
+
+
+def perturbed_maps(rng: random.Random, a: Classification, b: Classification, type_map, instance_map):
+    """The true maps, then random changes to the instance map, the type map
+    and both."""
+    yield type_map, instance_map
+    for _ in range(6):
+        tm, imap = dict(type_map), dict(instance_map)
+        what = rng.choice(("instances", "types", "both"))
+        if what != "types" and imap:
+            for j in rng.sample(sorted(imap, key=repr), rng.randint(1, min(3, len(imap)))):
+                imap[j] = rng.choice(a.instances)
+        if what != "instances" and tm:
+            tm[rng.choice(a.types)] = rng.choice(b.types)
+        yield tm, imap
+
+
+def test_column_check_matches_the_row_check_on_random_interpretations():
+    rng = random.Random(44)
+    for h, tc1, tc2 in interpretation_corpus(20261019, 30):
+        im = truth_infomorphism(h, tc1, tc2)
+        a, b = tc1.classification, tc2.classification
+        for tm, imap in perturbed_maps(
+            rng, a, b, dict(im.type_map), dict(enumerate(im.instance_map))
+        ):
+            want = reference_check_infomorphism(a, b, tm, imap)
+            assert check_infomorphism(a, b, tm, imap) == want
+
+
+def test_column_check_matches_the_row_check_on_random_contexts():
+    rng = random.Random(45)
+    for _ in range(200):
+        a = Classification(*random_context(rng, 5, 4))
+        b = Classification(*random_context(rng, 5, 4))
+        if not a.types or (b.instances and not a.instances):
+            continue
+        tm = {t: rng.choice(b.types) for t in a.types} if b.types else {}
+        if len(tm) < len(a.types):
+            continue
+        imap = {j: rng.choice(a.instances) for j in b.instances}
+        for tm2, imap2 in perturbed_maps(rng, a, b, tm, imap):
+            assert check_infomorphism(a, b, tm2, imap2) == reference_check_infomorphism(
+                a, b, tm2, imap2
+            )
+
+
+def test_column_check_matches_the_row_check_on_st_to_m():
+    h, tc1, tc2 = st_to_m(["a", "b"])
+    im = truth_infomorphism(h, tc1, tc2)
+    a, b = tc1.classification, tc2.classification
+    rng = random.Random(46)
+    for tm, imap in perturbed_maps(rng, a, b, dict(im.type_map), dict(enumerate(im.instance_map))):
+        assert check_infomorphism(a, b, tm, imap) == reference_check_infomorphism(a, b, tm, imap)
+
+
+def test_adjoint_pair_indices_match_the_reference_on_random_interpretations():
+    cases = interpretation_corpus(20261020, 20) + [st_to_m(["a", "b"])]
+    for h, tc1, tc2 in cases:
+        lat1, lat2 = theory_lattice(tc1), theory_lattice(tc2)
+        cm = concept_morphism(truth_infomorphism(h, tc1, tc2), lat1, lat2)
+        direct, inverse = reference_adjoint_pair(
+            tc1.classification, tc2.classification, dict(cm.infomorphism.type_map)
+        )
+        at1 = {frozenset(t.keys()): k for k, t in enumerate(lat1.theories)}
+        at2 = {frozenset(t.keys()): k for k, t in enumerate(lat2.theories)}
+        assert cm._dir == tuple(at2[direct(frozenset(t.keys()))] for t in lat1.theories)
+        assert cm._inv == tuple(at1[inverse(frozenset(t.keys()))] for t in lat2.theories)
+
+
+def test_truth_classification_positions_are_built_on_first_use():
+    tc = build_truth_classification(
+        parse_signature(M_SIG), [], carriers={"E": ["a", "b", "c"]}
+    )
+    ctx = tc.classification
+    assert ctx.instances == tuple(range(32768))
+    assert "_ipos" not in vars(ctx)
+    assert ctx._ipos == {i: i for i in range(32768)}
+    assert derive_types(ctx, [5]) == frozenset()
+    with pytest.raises(ValueError, match="duplicate instance ids"):
+        Classification((1, 2, 1), ("a",), frozenset())
+    with pytest.raises(ValueError, match="duplicate instance ids"):
+        Classification.from_columns((1, 2, 1), ("a",), (0,))
+    ctx = Classification.from_columns(range(3), ("a",), (0b101,))
+    assert ctx.instances == (0, 1, 2) and ctx._ipos == {0: 0, 1: 1, 2: 2}
+    assert ctx == Classification.from_columns((0, 1, 2), ("a",), (0b101,))

@@ -16,6 +16,9 @@ from oracles import (
     pairwise_adjunction,
     random_interpretation_case,
     reference_adjoint_pair,
+    reference_instance_map,
+    set_derive_instances,
+    set_derive_types,
 )
 from theorylattice.errors import (
     InfomorphismError,
@@ -28,6 +31,7 @@ from theorylattice.logic import (
     Structure,
     Var,
     enumerate_structures,
+    format_structure,
     parse_formula,
     parse_sentence,
     parse_signature,
@@ -36,6 +40,7 @@ from theorylattice.logic import (
 )
 from theorylattice.morph import (
     Interpretation,
+    TruthInfomorphism,
     _check_adjunction,
     check_infomorphism,
     compose_morphisms,
@@ -482,6 +487,116 @@ class TestAdjunctionAgainstTheOracle:
         for t, keys in zip(lat2.theories, keys2):
             assert frozenset(cm.inv(t).keys()) == inverse(keys)
         assert pairwise_adjunction(keys1, keys2, direct, inverse) is None
+
+
+def reduct_error(h, tc1, tc2) -> str | None:
+    """The error text naming the first target model whose reduct is not a
+    source model, found one reduct at a time; None when every one is."""
+    for m in tc2.models:
+        r = reduct(h, m)
+        if r not in tc1.models:
+            return "reduct of a target model is not among the source models:\n" + format_structure(r)
+    return None
+
+
+class TestReductPathsAgree:
+    """Listed models and mismatched carriers take the per-model path; its
+    instance map and its error text, witness model included, are those of
+    one reduct at a time."""
+
+    @staticmethod
+    def classifications(source, target):
+        m_sig, st_sig = parse_signature(M_SIG), parse_signature(ST_SIG)
+        h = parse_interpretation(st_sig, m_sig, ST_TO_M)
+        sides = []
+        for sig, pool, models in ((st_sig, ST_POOL, source), (m_sig, M_POOL, target)):
+            pool = [parse_sentence(sig, s) for s in pool]
+            if isinstance(models, dict):
+                sides.append(build_truth_classification(sig, pool, carriers=models))
+            else:
+                listed = enumerate_structures(sig, {"E": ["a", "b"]})
+                sides.append(
+                    build_truth_classification(sig, pool, models=[listed[i] for i in models])
+                )
+        return h, *sides
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            ({"E": ["a", "b"]}, {"E": ["a", "b", "c"]}),
+            ({"E": ["b", "a"]}, {"E": ["a", "b"]}),
+            ({"E": ["a", "b", "c"]}, {"E": ["a", "b"]}),
+            (range(0, 64, 2), {"E": ["a", "b"]}),
+            ({"E": ["a", "c"]}, range(0, 256, 7)),
+            (range(0, 64, 3), range(0, 256, 5)),
+        ],
+        ids=["wider target", "reordered source", "wider source", "listed source",
+             "listed target", "both listed"],
+    )
+    def test_missing_reduct_names_the_first_target_model(self, source, target):
+        h, tc1, tc2 = self.classifications(source, target)
+        want = reduct_error(h, tc1, tc2)
+        assert want is not None
+        with pytest.raises(InfomorphismError) as exc:
+            truth_infomorphism(h, tc1, tc2)
+        assert str(exc.value) == want
+
+    def test_wider_target_text_is_pinned(self):
+        h, tc1, tc2 = self.classifications({"E": ["a", "b"]}, {"E": ["a", "b", "c"]})
+        with pytest.raises(InfomorphismError) as exc:
+            truth_infomorphism(h, tc1, tc2)
+        assert str(exc.value) == (
+            "reduct of a target model is not among the source models:\n"
+            "universe E = {a, b, c}\nS = {}\nT = {}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            ({"E": ["a", "b"]}, range(0, 256, 7)),
+            (range(64), {"E": ["a", "b"]}),
+            (range(63, -1, -1), range(0, 256, 5)),
+        ],
+        ids=["listed target", "listed source", "both listed"],
+    )
+    def test_listed_models_map_to_their_reducts(self, source, target):
+        h, tc1, tc2 = self.classifications(source, target)
+        im = truth_infomorphism(h, tc1, tc2)
+        assert list(im.instance_map) == reference_instance_map(h, tc1, tc2)
+
+
+class TestNonClosedPullback:
+    def test_the_first_non_closed_target_theory_is_named(self, st_to_m):
+        """Random type maps bypass the infomorphism check; the error names
+        the first target theory, in lattice order, whose pullback is not
+        closed, found by set derivations."""
+        h, tc1, tc2 = st_to_m
+        lat1, lat2 = theory_lattice(tc1), theory_lattice(tc2)
+        im = truth_infomorphism(h, tc1, tc2)
+        ctx1, ctx2 = tc1.classification, tc2.classification
+        keys2 = [frozenset(t.keys()) for t in lat2.theories]
+        rng = random.Random(9)
+        named = set()
+        for _ in range(12):
+            type_map = {k: rng.choice(ctx2.types) for k in ctx1.types}
+            _, inverse = reference_adjoint_pair(ctx1, ctx2, type_map)
+            want = None
+            for keys in keys2:
+                pre = inverse(keys)
+                extent = set_derive_instances(ctx1.instances, ctx1.incidence, pre)
+                if set_derive_types(ctx1.types, ctx1.incidence, extent) != pre:
+                    want = (
+                        f"inverse image is not closed for target theory {sorted(keys)}: "
+                        f"got {sorted(pre)}"
+                    )
+                    break
+            assert want is not None
+            forced = TruthInfomorphism(h, tc1, tc2, tuple(type_map.items()), im.instance_map)
+            with pytest.raises(InfomorphismError) as exc:
+                concept_morphism(forced, lat1, lat2)
+            assert str(exc.value) == want
+            named.add(want)
+        assert len(named) > 1
 
 
 class TestLinearAdjunctionCheck:
