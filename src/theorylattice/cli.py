@@ -11,9 +11,10 @@ other exception, reported on one line).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import fca, nav
 from .errors import (
@@ -41,10 +42,10 @@ from .morph import (
 from .truth import (
     ClosedTheory,
     TruthClassification,
+    _text_records,
     build_truth_classification,
     closure,
     entails,
-    lattice_text,
     theory_lattice,
 )
 
@@ -129,12 +130,36 @@ def build_tc(args: argparse.Namespace, prefix: str = "") -> TruthClassification:
     return build_truth_classification(sig, pool, models=models)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+_BLOCK = 1 << 16
+
+
+def _blocks(records: Iterable[str]) -> Iterator[str]:
+    """The records joined into blocks of at least ``_BLOCK`` characters, the
+    last one shorter: a write per record of a million-row cxt export costs
+    more than making the records, to a pipe more than twice that."""
+    block: list[str] = []
+    n = 0
+    for record in records:
+        block.append(record)
+        n += len(record)
+        if n >= _BLOCK:
+            yield "".join(block)
+            block, n = [], 0
+    yield "".join(block)
+
+
+def _emit(args: argparse.Namespace, records: Iterable[str]) -> None:
+    """Write an export's records as they are made, to ``--out`` or stdout.
+
+    An exporter runs every check and builds the covers before it returns
+    its records, so a refusal comes before the file is opened.
+    """
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.writelines(_blocks(records))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_blocks(records))
 
 
 def _print_theory(theory: ClosedTheory) -> None:
@@ -150,11 +175,11 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     tc = build_tc(args)
     lat = theory_lattice(tc, concept_cap=args.cap_concepts)
     if args.format == "text":
-        _emit(args, lattice_text(lat))
+        _emit(args, _text_records(lat))
     elif args.format == "dot":
-        _emit(args, fca.lattice_dot(lat.lattice))
+        _emit(args, fca._dot_records(lat.lattice, "lattice"))
     else:
-        _emit(args, fca.write_cxt(tc.classification, "truth"))
+        _emit(args, fca._cxt_records(tc.classification, "truth"))
     return 0
 
 
@@ -257,19 +282,26 @@ def cmd_ctx_concepts(args: argparse.Namespace) -> int:
     ctx = fca.read_cxt(_read(args.cxt), path=args.cxt)
     lat = fca.concept_lattice(ctx, cap=args.cap_concepts)
     if args.format == "dot":
-        _emit(args, fca.lattice_dot(lat))
-        return 0
-    if args.format == "cxt":
-        _emit(args, fca.write_cxt(ctx))
-        return 0
-    objects, attributes = tuple(map(str, ctx.instances)), tuple(map(str, ctx.types))
-    lines = [f"concepts: {len(lat._extents)}"]
-    for k, (extent, intent) in enumerate(zip(lat._extents, lat._intents)):
-        extent_names = ", ".join(sorted(fca._select(objects, extent)))
-        intent_names = ", ".join(sorted(fca._select(attributes, intent)))
-        lines.append(f"concept {k}: extent {{{extent_names}}} intent {{{intent_names}}}")
-    _emit(args, "\n".join(lines) + "\n")
+        _emit(args, fca._dot_records(lat, "lattice"))
+    elif args.format == "cxt":
+        _emit(args, fca._cxt_records(ctx, ""))
+    else:
+        _emit(args, _concept_records(lat))
     return 0
+
+
+def _concept_records(lat: fca.ConceptLattice) -> Iterator[str]:
+    """The ``ctx concepts`` text listing: a count line, then one line per
+    concept with its extent and intent names sorted."""
+    ctx = lat.classification
+    objects, attributes = tuple(map(str, ctx.instances)), tuple(map(str, ctx.types))
+    header = f"concepts: {len(lat._extents)}\n"
+    records = (
+        f"concept {k}: extent {{{', '.join(sorted(fca._select(objects, extent)))}}} "
+        f"intent {{{', '.join(sorted(fca._select(attributes, intent)))}}}\n"
+        for k, (extent, intent) in enumerate(zip(lat._extents, lat._intents))
+    )
+    return itertools.chain((header,), records)
 
 
 # ---------------------------------------------------------------------------

@@ -185,10 +185,12 @@ class Classification:
 
     @cached_property
     def _rows(self) -> tuple[int, ...]:
-        rows = [0] * len(self.instances)
-        for q, col in enumerate(self._columns):
-            for p in _bits(col):
-                rows[p] |= 1 << q
+        """The columns transposed, 64 at a time by :func:`_words`."""
+        n, cols = len(self.instances), self._columns
+        rows = _words(cols[:64], n)
+        for g in range(64, len(cols), 64):
+            high = map(operator.lshift, _words(cols[g : g + 64], n), itertools.repeat(g))
+            rows = list(map(operator.or_, rows, high))
         return tuple(rows)
 
     def holds(self, instance: Id, typ: Id) -> bool:
@@ -452,21 +454,33 @@ def write_cxt(ctx: Classification, name: str = "") -> str:
     The name line is optional on reading, where an all-digit line is an
     object count, so such names are refused, as are names and ids that
     would not read back as the same single line (the reader strips lines).
+    The text is the join of :func:`_cxt_records`, which the CLI writes
+    record by record.
+    """
+    return "".join(_cxt_records(ctx, name))
+
+
+def _cxt_records(ctx: Classification, name: str) -> Iterator[str]:
+    """The lines of the Burmeister text, each with its newline.
+
+    Every name is checked before the lines are returned.  Each distinct
+    row is rendered once: instances with equal rows share one string.
     """
     if not _one_line(name) or name.strip().isdigit():
         raise ValueError(f"name {name!r} cannot be written as a cxt name line")
-    obj_names = [str(i) for i in ctx.instances]
-    att_names = [str(t) for t in ctx.types]
-    for label in itertools.chain(obj_names, att_names):
-        if not label or label != label.strip() or not _one_line(label):
-            raise ValueError(f"id {label!r} cannot be written as a cxt name")
-    lines = ["B", name, str(len(ctx.instances)), str(len(ctx.types)), ""]
-    lines.extend(obj_names)
-    lines.extend(att_names)
+    labels = list(map(str, itertools.chain(ctx.instances, ctx.types)))
+    # all labels at once in C; a fault is then looked for label by label
+    if not (all(labels) and list(map(str.strip, labels)) == labels and _one_line("".join(labels))):
+        bad = next(x for x in labels if not x or x != x.strip() or not _one_line(x))
+        raise ValueError(f"id {bad!r} cannot be written as a cxt name")
     m = len(ctx.types)
-    for row in ctx._rows:
-        lines.append("".join("X" if row >> j & 1 else "." for j in range(m)))
-    return "\n".join(lines) + "\n"
+    rendered = {
+        row: "".join("X" if row >> j & 1 else "." for j in range(m)) + "\n"
+        for row in set(ctx._rows)
+    }
+    header = f"B\n{name}\n{len(ctx.instances)}\n{m}\n\n"
+    names = (label + "\n" for label in labels)
+    return itertools.chain((header,), names, map(rendered.__getitem__, ctx._rows))
 
 
 def read_cxt(text: str, *, path: str | None = None) -> Classification:
@@ -530,28 +544,41 @@ def lattice_dot(lat: ConceptLattice, name: str = "lattice") -> str:
     """Hasse diagram in DOT, drawn bottom-up with reduced labeling.
 
     Each node shows only the instances and types whose embeddings land on
-    that concept; edges are the covering relation.
+    that concept; edges are the covering relation.  The text is the join
+    of :func:`_dot_records`, which the CLI writes record by record.
+    """
+    return "".join(_dot_records(lat, name))
+
+
+def _dot_records(lat: ConceptLattice, name: str) -> Iterator[str]:
+    """The header, one line per node, one per cover edge and the closing
+    brace, each with its newline.
+
+    The covers and the attachment of every instance and type are computed
+    before the records are returned; a node's label is rendered when its
+    record is asked for.
     """
     ctx, by_extent = lat.classification, lat._by_extent
-    attached_types: dict[int, list[str]] = {}
-    attached_insts: dict[int, list[str]] = {}
+    attached: list[tuple[list[str], list[str]]] = [([], []) for _ in lat._extents]
     for t, column in zip(ctx.types, ctx._columns):
-        attached_types.setdefault(by_extent[column], []).append(str(t))
+        attached[by_extent[column]][0].append(str(t))
     row_concept: dict[int, int] = {}  # instances share rows: close each distinct row once
     for i, row in zip(ctx.instances, ctx._rows):
         if row not in row_concept:
             row_concept[row] = by_extent[ctx._extent(row)]
-        attached_insts.setdefault(row_concept[row], []).append(str(i))
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
-    for k in range(len(lat._extents)):
-        parts = []
-        if k in attached_types:
-            parts.append("t: " + ", ".join(attached_types[k]))
-        if k in attached_insts:
-            parts.append("i: " + ", ".join(attached_insts[k]))
-        label = "\\n".join(_dot_escape(p) for p in parts) if parts else f"c{k}"
-        lines.append(f'  c{k} [label="{label}"];')
-    for low, high in lat.covers():
-        lines.append(f"  c{low} -> c{high};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        attached[row_concept[row]][1].append(str(i))
+    nodes = [f"c{k}" for k in range(len(attached))]
+    edges = lat.covers()
+
+    def node(k: int) -> str:
+        parts = [f"{tag}: " + ", ".join(xs) for tag, xs in zip("ti", attached[k]) if xs]
+        label = "\\n".join(map(_dot_escape, parts)) or nodes[k]
+        return f'  {nodes[k]} [label="{label}"];\n'
+
+    header = f"digraph {name} {{\n  rankdir=BT;\n  node [shape=box];\n"
+    return itertools.chain(
+        (header,),
+        map(node, range(len(nodes))),
+        (f"  {nodes[low]} -> {nodes[high]};\n" for low, high in edges),
+        ("}\n",),
+    )

@@ -173,8 +173,23 @@ def make_interpretation(
     """Validate sort/constant transport and the reserved-variable contract.
 
     Each relation R of profile (E1..En) must map to a target formula
-    whose free variables are exactly x1:ent(E1) .. xn:ent(En).
+    whose free variables are exactly x1:ent(E1) .. xn:ent(En), and which
+    is well-typed over the target.
     """
+    return _interpretation(src, dst, ent, const, rel_formula, typed=False)
+
+
+def _interpretation(
+    src: Signature,
+    dst: Signature,
+    ent: Mapping[str, str],
+    const: Mapping[str, str],
+    rel_formula: Mapping[str, Formula],
+    typed: bool,
+) -> Interpretation:
+    """:func:`make_interpretation`; ``typed`` formulas come from the parser,
+    which checked each against its reserved variables, and are not checked
+    again."""
     ent_pairs, const_pairs = _symbol_maps(src, dst, ent, const)
     normalized: list[tuple[str, Formula]] = []
     for name in src.relation_names:
@@ -202,7 +217,8 @@ def make_interpretation(
                 f"formula for relation {name!r} must use exactly "
                 f"{sorted(want_free)} free: {detail}"
             )
-        validate_formula(dst, formula, want_free)
+        if not typed:
+            validate_formula(dst, formula, want_free)
         normalized.append((name, formula))
     for name in rel_formula:
         if not src.has_relation(name):
@@ -735,6 +751,6 @@ def parse_interpretation(
 
     ent, const, rel_formula = _read_map(src, dst, text, path, "interpretation", relation)
     try:
-        return make_interpretation(src, dst, ent, const, rel_formula)
+        return _interpretation(src, dst, ent, const, rel_formula, typed=True)
     except ValueError as exc:
         raise ParseError(str(exc), path=path)

@@ -14,9 +14,10 @@ is their intersection; the meet is the pool theory of their common models.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import fca
 from .errors import PoolMembershipError, SignatureMismatchError
@@ -369,24 +370,38 @@ def lattice_text(lat: TheoryLattice) -> str:
 
     ``covers`` lists the immediately smaller theories (more axioms),
     ``covered-by`` the immediately larger ones, by record id.  Model ids
-    are positions, so an extent's set bits are its models in ascending order.
+    are positions, so an extent's set bits are its models in ascending
+    order; the ``models:`` lines make the text theories × models long.
+    The text is the join of :func:`_text_records`, which the CLI writes
+    record by record.
+    """
+    return "".join(_text_records(lat))
+
+
+def _text_records(lat: TheoryLattice) -> Iterator[str]:
+    """The header, then one record per closed theory, each ending in a newline.
+
+    The covers and the tables the records are read from are built before
+    the records are returned; a record is rendered when it is asked for.
     """
     concepts = lat.lattice
-    below: list[list[str]] = [[] for _ in concepts._extents]
-    above: list[list[str]] = [[] for _ in concepts._extents]
+    ids = [str(k) for k in range(len(concepts._extents))]
+    below: list[list[str]] = [[] for _ in ids]
+    above: list[list[str]] = [[] for _ in ids]
     for low, high in concepts.covers():
-        below[high].append(str(low))
-        above[low].append(str(high))
+        below[high].append(ids[low])
+        above[low].append(ids[high])
     keys = lat.tc.pool_keys
     names = tuple(map(str, lat.tc.classification.instances))
-    lines = [f"closed theories: {len(below)}", f"models: {len(names)}"]
-    for k, (extent, intent) in enumerate(zip(concepts._extents, concepts._intents)):
-        axioms = "; ".join(sorted(fca._select(keys, intent)))
-        models = " ".join(fca._select(names, extent))
-        lines.append("")
-        lines.append(f"theory {k}")
-        lines.append(f"  axioms: {axioms or '(none)'}")
-        lines.append(f"  models: {models or '(none)'}")
-        lines.append(f"  covers: {' '.join(below[k]) or '(none)'}")
-        lines.append(f"  covered-by: {' '.join(above[k]) or '(none)'}")
-    return "\n".join(lines) + "\n"
+    header = f"closed theories: {len(ids)}\nmodels: {len(names)}\n"
+    records = (
+        f"\ntheory {k}\n"
+        f"  axioms: {'; '.join(sorted(fca._select(keys, intent))) or '(none)'}\n"
+        f"  models: {' '.join(fca._select(names, extent)) or '(none)'}\n"
+        f"  covers: {' '.join(lower) or '(none)'}\n"
+        f"  covered-by: {' '.join(upper) or '(none)'}\n"
+        for k, extent, intent, lower, upper in zip(
+            ids, concepts._extents, concepts._intents, below, above
+        )
+    )
+    return itertools.chain((header,), records)

@@ -12,7 +12,7 @@ import pytest
 
 from oracles import M_POOL, M_SIG
 from theorylattice import fca
-from theorylattice.cli import main, parse_carrier_spec
+from theorylattice.cli import _BLOCK, _blocks, main, parse_carrier_spec
 from theorylattice.errors import ParseError
 from theorylattice.logic import parse_signature
 from theorylattice.morph import parse_interpretation, parse_morphism
@@ -48,6 +48,7 @@ def ws(tmp_path_factory):
         "demo.cxt": DEMO_CXT,
         "empty.cxt": "B\nempty\n0\n0\n\n",
         "noattr.cxt": "B\nnoattr\n2\n0\n\n1\n2\n\n\n",
+        "bad.cxt": "B\nbad\n1\n1\n\n1\na\nQ\n",
         "empty.thy": "",
         "t1.thy": "forall x:E. P(x)\n",
         "t3.thy": "exists x:E. P(x)\n",
@@ -177,6 +178,85 @@ def test_m_lattice_output_is_pinned(tmp_path, capsys, fmt, want):
 @pytest.mark.parametrize("fmt, want", [("text", L10_TEXT), ("dot", L10_DOT)])
 def test_l10_lattice_output_is_pinned(tmp_path, capsys, fmt, want):
     assert lattice_digest(tmp_path, capsys, M_POOL[:10], "E=a,b,c", fmt) == want
+
+
+# ---------------------------------------------------------------------------
+# Streamed exports: the same bytes to stdout and to --out, nothing on refusal
+
+EXPORTS = [(cmd, fmt) for cmd in ("lattice", "ctx") for fmt in ("text", "dot", "cxt")]
+
+
+def export_argv(ws, cmd: str, fmt: str, *extra: str) -> list[str]:
+    if cmd == "lattice":
+        return ["lattice", *pq_args(ws), "--format", fmt, *extra]
+    return ["ctx", "concepts", "--cxt", ws["demo.cxt"], "--format", fmt, *extra]
+
+
+@pytest.mark.parametrize("cmd, fmt", EXPORTS)
+def test_out_file_bytes_equal_stdout_bytes(ws, capsys, tmp_path, cmd, fmt):
+    assert main(export_argv(ws, cmd, fmt)) == 0
+    out = capsys.readouterr().out
+    target = tmp_path / "export"
+    assert main(export_argv(ws, cmd, fmt, "--out", str(target))) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_stdout_of_a_process_equals_the_out_file(ws, tmp_path):
+    """Through a real pipe, not a captured stream."""
+    target = tmp_path / "lat.txt"
+    argv = [sys.executable, "-m", "theorylattice", *export_argv(ws, "lattice", "text")]
+    piped = subprocess.run(argv, capture_output=True, check=True).stdout
+    subprocess.run(argv + ["--out", str(target)], check=True)
+    assert piped == target.read_bytes() and piped.startswith(b"closed theories: 8\n")
+
+
+# (command, exit code, extra arguments); each refusal comes before the output
+REFUSALS = {
+    "input-error": ("lattice", 2, ["--pool", "bad_pool"]),
+    "model-cap": ("lattice", 3, ["--cap-models", "4"]),
+    "concept-cap": ("lattice", 3, ["--cap-concepts", "3"]),
+    "cxt-input-error": ("ctx", 2, ["--cxt", "bad.cxt"]),
+    "cxt-concept-cap": ("ctx", 3, ["--cap-concepts", "2"]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "dot", "cxt"])
+@pytest.mark.parametrize("refusal", sorted(REFUSALS))
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_refusals_write_nothing(ws, capsys, tmp_path, refusal, fmt, to_file):
+    cmd, code, extra = REFUSALS[refusal]
+    # a later option replaces an earlier one of the same name
+    extra = [ws.get(x, x) for x in extra]
+    target = tmp_path / "export"
+    argv = export_argv(ws, cmd, fmt, *extra, *(["--out", str(target)] if to_file else []))
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("cmd, fmt", [("lattice", "text"), ("lattice", "dot"), ("ctx", "dot")])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_covers_are_built_before_the_first_byte(ws, capsys, tmp_path, monkeypatch, cmd, fmt, to_file):
+    def broken(self):
+        raise RuntimeError("no covers")
+
+    monkeypatch.setattr(fca.ConceptLattice, "covers", broken)
+    target = tmp_path / "export"
+    argv = export_argv(ws, cmd, fmt, *(["--out", str(target)] if to_file else []))
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", "internal error: RuntimeError: no covers\n")
+    assert not target.exists()
+
+
+def test_blocks_join_records_into_writes_of_at_least_the_block_size():
+    records = [f"{'x' * (k % 700)}\n" for k in range(1000)] + ["y" * 5000 + "\n"]
+    blocks = list(_blocks(iter(records)))
+    assert "".join(blocks) == "".join(records) and len(blocks) > 3
+    assert all(_BLOCK <= len(b) < _BLOCK + 5001 for b in blocks[:-1])
+    assert len(blocks[-1]) < _BLOCK + 5001
+    assert list(_blocks(iter([]))) == [""]
 
 
 class TestClose:

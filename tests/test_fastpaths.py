@@ -15,6 +15,7 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import (
     M_POOL,
     M_SIG,
@@ -41,11 +42,13 @@ from oracles import (
     set_derive_instances,
     set_derive_types,
 )
-from theorylattice.cli import main
+from theorylattice.cli import _concept_records, main
 from theorylattice.errors import SizeCapError
 from theorylattice.fca import (
     Classification,
     FormalConcept,
+    _cxt_records,
+    _dot_records,
     _extent_order,
     _pullbacks,
     _words,
@@ -79,7 +82,13 @@ from theorylattice.morph import (
     translate,
     truth_infomorphism,
 )
-from theorylattice.truth import build_truth_classification, closure, lattice_text, theory_lattice
+from theorylattice.truth import (
+    _text_records,
+    build_truth_classification,
+    closure,
+    lattice_text,
+    theory_lattice,
+)
 
 
 def subsets(xs):
@@ -296,6 +305,46 @@ def export_corpus() -> list[Classification]:
     return corpus(8080, 80) + [quoted, unsorted]
 
 
+def joined_records(records, header_lines: int, record_lines: int) -> str:
+    """Join an export's records after checking their shape: every record
+    ends with a newline, the first has ``header_lines`` lines and each
+    other one ``record_lines``."""
+    records = list(records)
+    assert all(r.endswith("\n") for r in records)
+    assert records[0].count("\n") == header_lines
+    assert all(r.count("\n") == record_lines for r in records[1:])
+    return "".join(records)
+
+
+def reference_cxt(ctx: Classification, name: str) -> str:
+    """``write_cxt`` rendered from the set of incident pairs, a row at a time."""
+    rows = ["".join("X" if (i, t) in ctx.incidence else "." for t in ctx.types) for i in ctx.instances]
+    head = ["B", name, str(len(ctx.instances)), str(len(ctx.types)), ""]
+    return "\n".join(head + [str(x) for x in ctx.instances + ctx.types] + rows) + "\n"
+
+
+def check_concept_records(lat) -> None:
+    """DOT, cxt and the ``ctx concepts`` listing of a concept lattice, record
+    by record: one per node, cover edge, name, row and concept."""
+    ctx, n = lat.classification, len(lat.concepts)
+    dot = list(_dot_records(lat, "lattice"))
+    assert len(dot) == 1 + n + len(lat.covers()) + 1
+    assert joined_records(dot, 3, 1) == reference_lattice_dot(lat)
+    cxt = list(_cxt_records(ctx, "corpus"))
+    assert len(cxt) == 1 + 2 * len(ctx.instances) + len(ctx.types)
+    assert joined_records(cxt, 5, 1) == reference_cxt(ctx, "corpus")
+    listing = joined_records(_concept_records(lat), 1, 1)
+    assert listing.count("\n") == 1 + n
+    assert listing == reference_concepts_text(concept_lattice(read_cxt("".join(cxt))))
+
+
+def check_text_records(lat) -> None:
+    records = list(_text_records(lat))
+    assert len(records) == 1 + len(lat.theories)
+    assert all(r.startswith(f"\ntheory {k}\n") for k, r in enumerate(records[1:]))
+    assert joined_records(records, 2, 6) == reference_lattice_text(lat)
+
+
 def ctx_concepts_text(tmp_path, capsys, ctx: Classification) -> str:
     path = tmp_path / "ctx.cxt"
     path.write_text(write_cxt(ctx, "corpus"), encoding="utf-8")
@@ -310,6 +359,7 @@ def test_concept_exports_match_reference_renderings(tmp_path, capsys):
         assert lattice_dot(lat, "g") == reference_lattice_dot(lat, "g")
         from_file = concept_lattice(read_cxt(write_cxt(ctx)))
         assert ctx_concepts_text(tmp_path, capsys, ctx) == reference_concepts_text(from_file)
+        check_concept_records(lat)
 
 
 @given(contexts())
@@ -317,6 +367,7 @@ def test_concept_exports_match_reference_renderings(tmp_path, capsys):
 def test_concept_dot_matches_reference_on_generated_contexts(ctx):
     lat = concept_lattice(ctx)
     assert lattice_dot(lat) == reference_lattice_dot(lat)
+    check_concept_records(lat)
 
 
 def edge_truth_cases():
@@ -340,6 +391,8 @@ def test_theory_exports_match_reference_renderings_on_random_pools():
         lat = theory_lattice(tc)
         assert lattice_text(lat) == reference_lattice_text(lat)
         assert lattice_dot(lat.lattice) == reference_lattice_dot(lat.lattice)
+        check_text_records(lat)
+        check_concept_records(lat.lattice)
 
 
 def test_exports_build_neither_concepts_nor_theories():
@@ -350,6 +403,68 @@ def test_exports_build_neither_concepts_nor_theories():
         lattice_dot(lat.lattice)
         assert "theories" not in lat.__dict__
         assert "concepts" not in lat.lattice.__dict__
+
+
+@pytest.mark.parametrize(
+    "pool, carriers, dot",
+    [(M_POOL, ["a", "b"], True), (M_POOL[:10], ["a", "b", "c"], False)],
+    ids=["M", "L10"],
+)
+def test_theory_records_match_the_references_on_the_ladder(monkeypatch, pool, carriers, dot):
+    """M and L10 against the reference renderings.  The references scan
+    every triple of concepts for the covers, which is too slow here, so
+    they are given the lattice's own covers: the corpus and generated
+    contexts check those against ``brute_covers``, and the digests in
+    ``test_cli.py`` pin these exports.  The DOT reference scans all
+    instances for each instance's concept, quadratic in the 32768 L10
+    models, so the L10 DOT is left to its digest."""
+    sig = parse_signature(M_SIG)
+    tc = build_truth_classification(
+        sig, [parse_sentence(sig, s) for s in pool], carriers={"E": carriers}
+    )
+    lat = theory_lattice(tc)
+    monkeypatch.setattr(oracles, "brute_covers", lambda concepts: lat.lattice.covers())
+    check_text_records(lat)
+    if dot:
+        assert joined_records(_dot_records(lat.lattice, "lattice"), 3, 1) == reference_lattice_dot(
+            lat.lattice
+        )
+
+
+def test_records_are_checked_and_built_before_they_are_returned():
+    """The record functions refuse and build the covers when called, before
+    the first record is asked for, so that the CLI opens no output then."""
+    lat = theory_lattice(random_truth_case(random.Random(3)))
+    _text_records(lat)
+    assert "_covers" in lat.lattice.__dict__
+    lat = theory_lattice(random_truth_case(random.Random(3)))
+    _dot_records(lat.lattice, "lattice")
+    assert "_covers" in lat.lattice.__dict__
+    with pytest.raises(ValueError, match="cannot be written as a cxt name"):
+        _cxt_records(Classification.make(["a", " c"], [], []), "")
+    with pytest.raises(ValueError, match="cannot be written as a cxt name line"):
+        _cxt_records(Classification.make([], [], []), "12")
+
+
+@pytest.mark.parametrize(
+    "ids, bad",
+    [
+        (["a", "", "b\nc"], ""),
+        (["a", "b\nc", ""], "b\nc"),
+        (["a", "b\u2028c", " d"], "b\u2028c"),
+        (["a", " d", "b\rc"], " d"),
+        (["a", "d\t"], "d\t"),
+    ],
+)
+def test_cxt_names_refused_name_the_first_bad_id(ids, bad):
+    ctx = Classification.make(ids, [], [])
+    with pytest.raises(ValueError) as exc:
+        write_cxt(ctx)
+    assert str(exc.value) == f"id {bad!r} cannot be written as a cxt name"
+    with pytest.raises(ValueError) as exc:
+        write_cxt(Classification.make(["a"], ids, []))
+    assert str(exc.value) == f"id {bad!r} cannot be written as a cxt name"
+
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +660,16 @@ def constants_case(name: str):
 def interpretation_corpus(seed: int, count: int):
     rng = random.Random(seed)
     return [random_interpretation_case(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
+def test_rows_transpose_the_columns(count):
+    rng = random.Random(count)
+    for n in (0, 1, 70):
+        columns = tuple(rng.getrandbits(n) for _ in range(count))
+        ctx = Classification.from_columns(range(n), tuple(range(count)), columns)
+        want = tuple(sum((col >> i & 1) << k for k, col in enumerate(columns)) for i in range(n))
+        assert ctx._rows == want
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 16, 17, 33, 64])

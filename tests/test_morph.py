@@ -20,6 +20,7 @@ from oracles import (
     set_derive_instances,
     set_derive_types,
 )
+from theorylattice import logic, morph
 from theorylattice.errors import (
     InfomorphismError,
     ParseError,
@@ -218,6 +219,11 @@ class TestMakeInterpretation:
         body = parse_formula(dst, "S(x1)", {"x1": "B"})
         with pytest.raises(ValueError, match="wrong sort"):
             make_interpretation(src, dst, {"A": "A", "B": "B"}, {}, {"R": body})
+
+    def test_ill_typed_formula_is_refused(self, unary_sig, pq_sig):
+        body = Atom("P", (Var("x1", "E"), Var("x1", "E")))
+        with pytest.raises(ValueError, match=r"^relation 'P' expects 1 arguments, got 2$"):
+            make_interpretation(unary_sig, pq_sig, {"E": "E"}, {}, {"R": body})
 
     def test_constant_transport(self, const_sigs):
         src, dst = const_sigs
@@ -803,6 +809,31 @@ class TestParsers:
                 unary_sig, pq_sig, "entity E -> E\nrelation R(x1) -> P(x1\n", path="h.int"
             )
         assert exc.value.line == 2 and exc.value.path == "h.int"
+
+    def test_interpretation_body_type_error_located(self, unary_sig, pq_sig):
+        with pytest.raises(ParseError) as exc:
+            parse_interpretation(
+                unary_sig, pq_sig, "entity E -> E\nrelation R(x1) -> P(x1,x1)\n", path="h.int"
+            )
+        assert (exc.value.path, exc.value.line, exc.value.message) == (
+            "h.int", 2, "relation 'P' expects 1 arguments, got 2"
+        )
+
+    def test_each_interpretation_formula_is_type_checked_once(self, pq_sig, monkeypatch):
+        """Once by the parser from a file, once by ``make_interpretation``
+        from the library."""
+        src = parse_signature("entity E\nrelation R(E)\nrelation S(E,E)")
+        text = "entity E -> E\nrelation R(x1) -> P(x1) & Q(x1)\nrelation S(x1,x2) -> P(x1) | Q(x2)\n"
+        calls = []
+        real = logic.validate_formula
+        for module in (logic, morph):
+            monkeypatch.setattr(module, "validate_formula", lambda *a: calls.append(a) or real(*a))
+        h = parse_interpretation(src, pq_sig, text)
+        assert len(calls) == 2
+        calls.clear()
+        rel = {name: h.formula_for(name) for name in ("R", "S")}
+        assert make_interpretation(src, pq_sig, {"E": "E"}, {}, rel) == h
+        assert len(calls) == 2
 
 
 class TestRandomInterpretations:
