@@ -136,10 +136,18 @@ _BLOCK = 1 << 16
 def _blocks(records: Iterable[str]) -> Iterator[str]:
     """The records joined into blocks of at least ``_BLOCK`` characters, the
     last one shorter: a write per record of a million-row cxt export costs
-    more than making the records, to a pipe more than twice that."""
+    more than making the records, to a pipe more than twice that.  A record
+    of at least ``_BLOCK`` characters is passed on as it is, after the
+    smaller ones before it, so that it is not copied into a block."""
     block: list[str] = []
     n = 0
     for record in records:
+        if len(record) >= _BLOCK:
+            if block:
+                yield "".join(block)
+                block, n = [], 0
+            yield record
+            continue
         block.append(record)
         n += len(record)
         if n >= _BLOCK:

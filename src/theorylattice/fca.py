@@ -48,6 +48,46 @@ def _select(items: Sequence, mask: int) -> Iterator:
     return itertools.compress(items, _digits(mask))
 
 
+class _BlockJoin:
+    """``sep.join(_select(names, mask))`` for many masks over the same names,
+    built from aligned blocks of each mask.
+
+    A mask's bytes are cut into blocks of 2^max(6, bit_length(width) // 2)
+    bits, about the square root of the width, so a mask costs that many
+    lookups and a block not seen before that many names.  All-zero blocks
+    are skipped; each other block's joined names are cached under its
+    offset and bytes.  Over an enumerated model space the columns are
+    periodic in the enumeration order, so the blocks of the extents repeat.
+    The cache stops adding entries once its texts hold ``budget``
+    characters.
+    """
+
+    def __init__(self, names: Sequence[str], sep: str, budget: int) -> None:
+        self.names, self.sep, self.room = names, sep, budget
+        self.step = 1 << max(3, len(names).bit_length() // 2 - 3)  # bytes per block
+        self.size = -(-len(names) // (self.step * 8)) * self.step  # whole blocks
+        self.blocks: dict[tuple[int, bytes], str] = {}
+
+    def __call__(self, mask: int) -> str:
+        names, sep, step, blocks = self.names, self.sep, self.step, self.blocks
+        data = mask.to_bytes(self.size, "little")
+        zero = bytes(step)
+        parts = []
+        for at in range(0, self.size, step):
+            chunk = data[at : at + step]
+            if chunk == zero:
+                continue
+            text = blocks.get((at, chunk))
+            if text is None:
+                digits = _digits(int.from_bytes(chunk, "little"))
+                text = sep.join(itertools.compress(names[at * 8 : (at + step) * 8], digits))
+                if len(text) <= self.room:
+                    blocks[at, chunk] = text
+                    self.room -= len(text)
+            parts.append(text)
+        return sep.join(parts)
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     """The positions of the set bits of ``mask``, ascending."""
     return tuple(_select(range(mask.bit_length()), mask))

@@ -371,7 +371,8 @@ def lattice_text(lat: TheoryLattice) -> str:
     ``covers`` lists the immediately smaller theories (more axioms),
     ``covered-by`` the immediately larger ones, by record id.  Model ids
     are positions, so an extent's set bits are its models in ascending
-    order; the ``models:`` lines make the text theories × models long.
+    order; the ``models:`` lines make the text theories × models long,
+    and each is joined from blocks of model names cached across theories.
     The text is the join of :func:`_text_records`, which the CLI writes
     record by record.
     """
@@ -381,8 +382,13 @@ def lattice_text(lat: TheoryLattice) -> str:
 def _text_records(lat: TheoryLattice) -> Iterator[str]:
     """The header, then one record per closed theory, each ending in a newline.
 
-    The covers and the tables the records are read from are built before
-    the records are returned; a record is rendered when it is asked for.
+    The covers and the tables the records are read from (record ids, the
+    printed model names) are built before the records are returned; a
+    record is rendered when it is asked for.  Its ``models:`` line is
+    joined from aligned blocks of the extent by :class:`fca._BlockJoin`,
+    whose cache of joined blocks holds at most as many characters as the
+    extents hold bytes, so memory tracks the largest record, the tables
+    and about the size of the lattice.
     """
     concepts = lat.lattice
     ids = [str(k) for k in range(len(concepts._extents))]
@@ -393,11 +399,12 @@ def _text_records(lat: TheoryLattice) -> Iterator[str]:
         above[low].append(ids[high])
     keys = lat.tc.pool_keys
     names = tuple(map(str, lat.tc.classification.instances))
+    models = fca._BlockJoin(names, " ", len(ids) * ((len(names) + 7) >> 3))
     header = f"closed theories: {len(ids)}\nmodels: {len(names)}\n"
     records = (
         f"\ntheory {k}\n"
         f"  axioms: {'; '.join(sorted(fca._select(keys, intent))) or '(none)'}\n"
-        f"  models: {' '.join(fca._select(names, extent)) or '(none)'}\n"
+        f"  models: {models(extent) or '(none)'}\n"
         f"  covers: {' '.join(lower) or '(none)'}\n"
         f"  covered-by: {' '.join(upper) or '(none)'}\n"
         for k, extent, intent, lower, upper in zip(

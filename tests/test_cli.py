@@ -259,6 +259,15 @@ def test_blocks_join_records_into_writes_of_at_least_the_block_size():
     assert list(_blocks(iter([]))) == [""]
 
 
+def test_blocks_pass_a_large_record_on_uncopied():
+    small = [f"{'x' * k}\n" for k in range(200)]
+    large = "y" * _BLOCK + "\n"
+    records = small + [large, "z\n", large, large, "w\n"]
+    blocks = list(_blocks(iter(records)))
+    assert blocks == ["".join(small), large, "z\n", large, large, "w\n"]
+    assert all(blocks[k] is large for k in (1, 3, 4))
+
+
 class TestClose:
     def test_closure_of_a_universal_axiom(self, ws, capsys):
         assert main(["close", *pq_args(ws), "--theory", ws["t1.thy"]]) == 0

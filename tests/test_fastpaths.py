@@ -47,10 +47,12 @@ from theorylattice.errors import SizeCapError
 from theorylattice.fca import (
     Classification,
     FormalConcept,
+    _BlockJoin,
     _cxt_records,
     _dot_records,
     _extent_order,
     _pullbacks,
+    _select,
     _words,
     concept_lattice,
     derive_instances,
@@ -70,6 +72,8 @@ from theorylattice.logic import (
     Var,
     count_structures,
     enumerate_structures,
+    format_structure,
+    parse_model,
     parse_sentence,
     parse_signature,
 )
@@ -431,6 +435,40 @@ def test_theory_records_match_the_references_on_the_ladder(monkeypatch, pool, ca
         )
 
 
+def listed_model_files(tmp_path, count: int) -> list:
+    """``count`` distinct M models over {a,b,c}, drawn at random from the
+    32768 and listed in the drawn order, each written to a model file."""
+    rng = random.Random(count)
+    space = enumerate_structures(parse_signature(M_SIG), {"E": ["a", "b", "c"]})
+    paths = []
+    for k, p in enumerate(rng.sample(range(len(space)), count)):
+        path = tmp_path / f"m{k}.model"
+        path.write_text(format_structure(space[p]), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("count", [3, 65, 100])
+def test_text_export_over_listed_models_matches_the_reference(tmp_path, capsys, count):
+    """Listed models are in no enumeration order, and their counts are
+    neither multiples of 8 nor of the 64-model blocks of the ``models:``
+    lines: the library text and the CLI ``--model`` text both equal the
+    reference rendering."""
+    sig = parse_signature(M_SIG)
+    paths = listed_model_files(tmp_path, count)
+    models = [parse_model(sig, p.read_text(encoding="utf-8"), path=str(p)) for p in paths]
+    tc = build_truth_classification(sig, [parse_sentence(sig, s) for s in M_POOL], models=models)
+    lat = theory_lattice(tc)
+    want = reference_lattice_text(lat)
+    assert lattice_text(lat) == want
+    check_text_records(lat)
+    (tmp_path / "m.sig").write_text(M_SIG, encoding="utf-8")
+    (tmp_path / "m.pool").write_text("".join(s + "\n" for s in M_POOL), encoding="utf-8")
+    argv = ["lattice", "--sig", str(tmp_path / "m.sig"), "--pool", str(tmp_path / "m.pool")]
+    assert main(argv + [arg for p in paths for arg in ("--model", str(p))]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_records_are_checked_and_built_before_they_are_returned():
     """The record functions refuse and build the covers when called, before
     the first record is asked for, so that the CLI opens no output then."""
@@ -689,6 +727,38 @@ def test_pullbacks_read_masks_at_positions():
             positions = [rng.randrange(width) for _ in range(n)]
             want = [sum((m >> p & 1) << i for i, p in enumerate(positions)) for m in masks]
             assert _pullbacks(masks, positions, width) == want
+
+
+def block_join_masks(rng: random.Random, width: int) -> list[int]:
+    """Zero, full, random and sparse masks, and one that repeats a random
+    64-bit pattern across the width, given twice, so that blocks repeat."""
+    full = (1 << width) - 1
+    pattern = rng.getrandbits(64)
+    periodic = sum(pattern << k for k in range(0, width, 64)) & full
+    sparse = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+    return [0, full, periodic, periodic, sparse, *(rng.getrandbits(width) for _ in range(3))]
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 63, 64, 65, 300, 32768])
+def test_block_join_matches_joining_the_selected_names(width):
+    """The text built from cached blocks equals the join of the selected
+    names, whatever the cache may hold, and the cache holds at most its
+    budget of characters."""
+    rng = random.Random(width)
+    names = tuple(str(k) * rng.randrange(3) for k in range(width))  # lengths 0 to 10
+    masks = block_join_masks(rng, width)
+    bound = len(masks) * ((width + 7) >> 3)  # the bytes of the masks, as for a lattice
+    everything = 3 * sum(map(len, names)) + 2 * width
+    for budget in (0, 1, bound, everything):
+        for sep in (" ", ", "):
+            join = _BlockJoin(names, sep, budget)
+            for mask in masks:
+                assert join(mask) == sep.join(_select(names, mask))
+                assert sum(map(len, join.blocks.values())) <= budget
+            if budget == everything:
+                entries = len(join.blocks)
+                assert join(masks[2]) == sep.join(_select(names, masks[2]))
+                assert len(join.blocks) == entries
 
 
 def test_column_instance_map_matches_reducts_on_random_interpretations():
