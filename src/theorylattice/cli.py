@@ -11,7 +11,6 @@ other exception, reported on one line).
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -294,22 +293,8 @@ def cmd_ctx_concepts(args: argparse.Namespace) -> int:
     elif args.format == "cxt":
         _emit(args, fca._cxt_records(ctx, ""))
     else:
-        _emit(args, _concept_records(lat))
+        _emit(args, fca._concept_records(lat))
     return 0
-
-
-def _concept_records(lat: fca.ConceptLattice) -> Iterator[str]:
-    """The ``ctx concepts`` text listing: a count line, then one line per
-    concept with its extent and intent names sorted."""
-    ctx = lat.classification
-    objects, attributes = tuple(map(str, ctx.instances)), tuple(map(str, ctx.types))
-    header = f"concepts: {len(lat._extents)}\n"
-    records = (
-        f"concept {k}: extent {{{', '.join(sorted(fca._select(objects, extent)))}}} "
-        f"intent {{{', '.join(sorted(fca._select(attributes, intent)))}}}\n"
-        for k, (extent, intent) in enumerate(zip(lat._extents, lat._intents))
-    )
-    return itertools.chain((header,), records)
 
 
 # ---------------------------------------------------------------------------

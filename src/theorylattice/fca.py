@@ -11,7 +11,8 @@ from the lattice order.
 
 Everything runs on Python-int bitsets: each type's column over instance
 positions and each instance's row over type positions.  Sets of ids
-appear only at the public API.
+appear only at the public API.  Every lookup of a concept in its lattice
+closes a type mask, in one step (``ConceptLattice._closing``).
 
 Instance and type ids are opaque hashable values supplied by the caller.
 """
@@ -307,27 +308,33 @@ class ConceptLattice:
         )
 
     @cached_property
-    def _index(self) -> dict[FormalConcept, int]:
-        return {c: k for k, c in enumerate(self.concepts)}
-
-    @cached_property
     def _by_extent(self) -> dict[int, int]:
         return {e: k for k, e in enumerate(self._extents)}
 
+    def _closing(self, intent: int) -> int:
+        """The position of the concept whose intent is the closure of a type
+        mask: the one lookup every concept operation goes through."""
+        return self._by_extent[self.classification._extent(intent)]
+
+    def _find(self, concept: FormalConcept) -> int | None:
+        """The position of a concept of this lattice, found by its intent."""
+        tpos = self.classification._tpos
+        if not isinstance(concept, FormalConcept) or not tpos.keys() >= concept.intent:
+            return None
+        k = self._closing(sum(1 << tpos[t] for t in concept.intent))
+        return k if self.concepts[k] == concept else None
+
     def __contains__(self, concept: FormalConcept) -> bool:
-        return concept in self._index
+        return self._find(concept) is not None
 
     def index(self, concept: FormalConcept) -> int:
-        try:
-            return self._index[concept]
-        except KeyError:
-            raise ValueError(f"concept {concept!r} is not in this lattice") from None
+        if (k := self._find(concept)) is None:
+            raise ValueError(f"concept {concept!r} is not in this lattice")
+        return k
 
     def leq(self, c1: FormalConcept, c2: FormalConcept) -> bool:
         """Subconcept order: smaller extent, equivalently larger intent."""
-        e1 = self._extents[self.index(c1)]
-        e2 = self._extents[self.index(c2)]
-        return e1 & ~e2 == 0
+        return self._extents[self.index(c1)] & ~self._extents[self.index(c2)] == 0
 
     @property
     def bottom(self) -> FormalConcept:
@@ -337,21 +344,17 @@ class ConceptLattice:
     def top(self) -> FormalConcept:
         return self.concepts[-1]
 
-    def _concept(self, extent: int) -> FormalConcept:
-        """The lattice's concept with this (closed) extent mask."""
-        return self.concepts[self._by_extent[extent]]
-
     def instance_concept(self, instance: Id) -> FormalConcept:
         """The embedding of an instance: ({i}'', {i}')."""
         ctx = self.classification
         (p,) = _positions([instance], ctx._ipos, "instance")
-        return self._concept(ctx._extent(ctx._rows[p]))
+        return self.concepts[self._closing(ctx._rows[p])]
 
     def type_concept(self, typ: Id) -> FormalConcept:
         """The embedding of a type: ({t}', {t}'')."""
         ctx = self.classification
         (q,) = _positions([typ], ctx._tpos, "type")
-        return self._concept(ctx._columns[q])
+        return self.concepts[self._closing(1 << q)]
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse edges as (lower index, upper index) pairs.
@@ -419,26 +422,25 @@ def concept_lattice(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> Conc
 
 
 def lattice_meet(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
-    """Infimum: intersect extents, close the union of intents.
+    """Infimum: close the union of the intents.
 
     The empty meet is the top concept.
     """
-    extent = lat.classification._full
+    intent = 0
     for c in concepts:
-        extent &= lat._extents[lat.index(c)]
-    return lat._concept(extent)
+        intent |= lat._intents[lat.index(c)]
+    return lat.concepts[lat._closing(intent)]
 
 
 def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
-    """Supremum: intersect intents, close the union of extents.
+    """Supremum: intersect the intents, which is closed.
 
     The empty join is the bottom concept.
     """
-    ctx = lat.classification
-    intent = (1 << len(ctx.types)) - 1
+    intent = (1 << len(lat.classification.types)) - 1
     for c in concepts:
         intent &= lat._intents[lat.index(c)]
-    return lat._concept(ctx._extent(intent))
+    return lat.concepts[lat._closing(intent)]
 
 
 def basic_theorem_roundtrip(lat: ConceptLattice) -> Classification:
@@ -573,7 +575,7 @@ def read_cxt(text: str, *, path: str | None = None) -> Classification:
 
 
 # ---------------------------------------------------------------------------
-# DOT export
+# DOT export and the concept listing
 
 
 def _dot_escape(label: str) -> str:
@@ -598,14 +600,14 @@ def _dot_records(lat: ConceptLattice, name: str) -> Iterator[str]:
     before the records are returned; a node's label is rendered when its
     record is asked for.
     """
-    ctx, by_extent = lat.classification, lat._by_extent
+    ctx = lat.classification
     attached: list[tuple[list[str], list[str]]] = [([], []) for _ in lat._extents]
-    for t, column in zip(ctx.types, ctx._columns):
-        attached[by_extent[column]][0].append(str(t))
+    for q, t in enumerate(ctx.types):
+        attached[lat._closing(1 << q)][0].append(str(t))
     row_concept: dict[int, int] = {}  # instances share rows: close each distinct row once
     for i, row in zip(ctx.instances, ctx._rows):
         if row not in row_concept:
-            row_concept[row] = by_extent[ctx._extent(row)]
+            row_concept[row] = lat._closing(row)
         attached[row_concept[row]][1].append(str(i))
     nodes = [f"c{k}" for k in range(len(attached))]
     edges = lat.covers()
@@ -622,3 +624,17 @@ def _dot_records(lat: ConceptLattice, name: str) -> Iterator[str]:
         (f"  {nodes[low]} -> {nodes[high]};\n" for low, high in edges),
         ("}\n",),
     )
+
+
+def _concept_records(lat: ConceptLattice) -> Iterator[str]:
+    """The ``ctx concepts`` text listing: a count line, then one line per
+    concept with its extent and intent names sorted."""
+    ctx = lat.classification
+    objects, attributes = tuple(map(str, ctx.instances)), tuple(map(str, ctx.types))
+    header = f"concepts: {len(lat._extents)}\n"
+    records = (
+        f"concept {k}: extent {{{', '.join(sorted(_select(objects, extent)))}}} "
+        f"intent {{{', '.join(sorted(_select(attributes, intent)))}}}\n"
+        for k, (extent, intent) in enumerate(zip(lat._extents, lat._intents))
+    )
+    return itertools.chain((header,), records)

@@ -332,48 +332,54 @@ def validate_formula(sig: Signature, formula: Formula, free: Mapping[str, str] |
     """Check well-typedness over ``sig``.
 
     ``free`` declares the free variables the formula may use (name -> sort);
-    a sentence passes with the default empty mapping.
+    a sentence passes with the default empty mapping.  A fault found at an
+    atom, equation or quantifier carries that node as its ``node``.
     """
     allowed = dict(free or {})
     for name, sort in allowed.items():
         if not sig.has_entity_type(sort):
             raise ValueError(f"free variable {name!r} has undeclared sort {sort!r}")
 
-    def term_sort(t: Term, env: Mapping[str, str]) -> str:
+    def fault(node: Formula, message: str) -> ValueError:
+        exc = ValueError(message)
+        exc.node = node
+        return exc
+
+    def term_sort(t: Term, env: Mapping[str, str], f: Atom | Eq) -> str:
         if isinstance(t, Var):
             if t.name not in env:
-                raise ValueError(f"free variable {t.name!r}")
+                raise fault(f, f"free variable {t.name!r}")
             if env[t.name] != t.sort:
-                raise ValueError(
-                    f"variable {t.name!r} used at sort {t.sort!r} but bound at {env[t.name]!r}"
+                raise fault(
+                    f, f"variable {t.name!r} used at sort {t.sort!r} but bound at {env[t.name]!r}"
                 )
             return t.sort
         if not sig.has_constant(t.name):
-            raise ValueError(f"unknown constant {t.name!r}")
+            raise fault(f, f"unknown constant {t.name!r}")
         return sig.constant_sort(t.name)
 
     def leaf(f: Atom | Eq, env: Mapping[str, str]) -> Formula:
         if isinstance(f, Eq):
-            ls, rs = term_sort(f.left, env), term_sort(f.right, env)
+            ls, rs = term_sort(f.left, env, f), term_sort(f.right, env, f)
             if ls != rs:
-                raise ValueError(f"equality between different sorts {ls!r} and {rs!r}")
+                raise fault(f, f"equality between different sorts {ls!r} and {rs!r}")
             return f
         profile = sig.profile(f.rel)
         if len(f.args) != len(profile):
-            raise ValueError(
-                f"relation {f.rel!r} expects {len(profile)} arguments, got {len(f.args)}"
+            raise fault(
+                f, f"relation {f.rel!r} expects {len(profile)} arguments, got {len(f.args)}"
             )
         for pos, (t, want) in enumerate(zip(f.args, profile), start=1):
-            got = term_sort(t, env)
+            got = term_sort(t, env, f)
             if got != want:
-                raise ValueError(
-                    f"argument {pos} of {f.rel!r} has sort {got!r}, expected {want!r}"
+                raise fault(
+                    f, f"argument {pos} of {f.rel!r} has sort {got!r}, expected {want!r}"
                 )
         return f
 
     def binder(f: Forall | Exists, env: Mapping[str, str]):
         if not sig.has_entity_type(f.sort):
-            raise ValueError(f"quantifier over undeclared entity type {f.sort!r}")
+            raise fault(f, f"quantifier over undeclared entity type {f.sort!r}")
         return f.var, f.sort, {**env, f.var: f.sort}
 
     _map(formula, allowed, leaf, binder)
@@ -501,12 +507,17 @@ class _FormulaParser:
         self.path = path
         self.pos = 0
         self.depth = 0
+        self.lines: dict[int, int] = {}  # the line of each atom, equation and quantifier, by id
 
-    def error(self, message: str) -> ParseError:
-        line = self.toks[self.pos].line if self.pos < len(self.toks) else (
-            self.toks[-1].line if self.toks else 1
-        )
+    def error(self, message: str, line: int | None = None) -> ParseError:
+        """A ParseError at ``line``, by default the line of the current token."""
+        if line is None:
+            line = self.toks[min(self.pos, len(self.toks) - 1)].line if self.toks else 1
         return ParseError(message, line=line, path=self.path)
+
+    def built(self, f: Formula, line: int) -> Formula:
+        self.lines[id(f)] = line
+        return f
 
     def peek(self) -> _Tok | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -548,7 +559,7 @@ class _FormulaParser:
         try:
             validate_formula(self.sig, f, self.free)
         except ValueError as exc:
-            raise self.error(str(exc)) from None
+            raise self.error(str(exc), self.lines.get(id(getattr(exc, "node", None)))) from None
         return f
 
     def formula(self, env: dict[str, str]) -> Formula:
@@ -613,7 +624,7 @@ class _FormulaParser:
         self.expect(".")
         body = self.formula({**env, var: sort})
         cls = Forall if kw.text == "forall" else Exists
-        return cls(var, sort, body)
+        return self.built(cls(var, sort, body), kw.line)
 
     def term(self, env: dict[str, str]) -> Term:
         name = self.ident("a term")
@@ -627,6 +638,7 @@ class _FormulaParser:
         raise self.error(f"free variable or unknown constant {name!r}")
 
     def atom_or_eq(self, env: dict[str, str]) -> Formula:
+        line = self.toks[self.pos].line
         name = self.ident("a relation application or a term")
         nxt = self.peek()
         if nxt is not None and nxt.text == "(" and self.sig.has_relation(name):
@@ -635,10 +647,10 @@ class _FormulaParser:
             while self.take(","):
                 args.append(self.term(env))
             self.expect(")")
-            return Atom(name, tuple(args))
+            return self.built(Atom(name, tuple(args)), line)
         left = self.resolve_term(name, env)
         self.expect("=")
-        return Eq(left, self.term(env))
+        return self.built(Eq(left, self.term(env)), line)
 
 
 def parse_formula(

@@ -482,13 +482,15 @@ def truth_infomorphism(
         raise SignatureMismatchError("interpretation target differs from the target classification")
 
     type_map: list[tuple[str, str]] = []
+    image: list[int] = []  # target pool position of each translated pool sentence
     missing: list[str] = []
-    for s in tc1.pool:
-        image = translate(h, s)
-        if tc2.in_pool(image):
-            type_map.append((sentence_key(s), sentence_key(image)))
+    for key, s in zip(tc1.pool_keys, tc1.pool):
+        translated, q = tc2._lookup(translate(h, s))
+        if q is None:
+            missing.append(sentence_key(translated))
         else:
-            missing.append(sentence_key(image))
+            type_map.append((key, tc2.pool_keys[q]))
+            image.append(q)
     if missing:
         raise InfomorphismError(
             "translated pool sentences are missing from the target pool: "
@@ -508,8 +510,7 @@ def truth_infomorphism(
                     + format_structure(r)
                 ) from None
 
-    ctx1, ctx2 = tc1.classification, tc2.classification
-    check = _transfer(ctx1, ctx2, [ctx2._tpos[k] for _, k in type_map], instance_map)
+    check = _transfer(tc1.classification, tc2.classification, image, instance_map)
     if not check:
         j, t = check.witness
         raise InfomorphismError(
@@ -563,12 +564,13 @@ def concept_morphism(
 ) -> ConceptMorphism:
     """Build the adjoint pair and verify closedness and the adjunction.
 
-    The inverse image of a target theory depends only on its sentences
-    that are images of source sentences, so it is computed, and checked
-    to be closed, once per distinct such set; a failure names the first
-    target theory, in lattice order, whose inverse image is not closed.
-    Failures of either verification indicate an internal inconsistency
-    and raise with the witnessing theories.
+    Each image is an intent mask closed in the other lattice.  The inverse
+    image of a target theory depends only on its sentences that are images
+    of source sentences, so it is computed, and checked to be closed (the
+    intent it closes to), once per distinct such set; a failure names the
+    first target theory, in lattice order, whose inverse image is not
+    closed.  Failures of either verification indicate an internal
+    inconsistency and raise with the witnessing theories.
     """
     if lat1.tc != im.source or lat2.tc != im.target:
         raise SignatureMismatchError("lattices do not match the infomorphism's classifications")
@@ -579,7 +581,7 @@ def concept_morphism(
     dir_index: list[int] = []
     for intent1 in lat1.lattice._intents:
         mapped = fca._mask([image[p] for p in fca._bits(intent1)], len(ctx2.types))
-        dir_index.append(lat2.lattice._by_extent[ctx2._extent(mapped)])
+        dir_index.append(lat2.lattice._closing(mapped))
     reach = fca._mask(image, len(ctx2.types))
     pulled: dict[int, int] = {}
     inv_index: list[int] = []
@@ -588,13 +590,12 @@ def concept_morphism(
         at = pulled.get(key)
         if at is None:
             pre = sum(1 << p for p, q in enumerate(image) if key >> q & 1)
-            extent = ctx1._extent(pre)
-            if ctx1._intent(extent) != pre:
+            at = pulled[key] = lat1.lattice._closing(pre)
+            if lat1.lattice._intents[at] != pre:
                 raise InfomorphismError(
                     "inverse image is not closed for target theory "
                     f"{_names(lat2, k)}: got {sorted(fca._select(lat1.tc.pool_keys, pre))}"
                 )
-            at = pulled[key] = lat1.lattice._by_extent[extent]
         inv_index.append(at)
 
     _check_adjunction(lat1, lat2, dir_index, inv_index)

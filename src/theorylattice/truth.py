@@ -274,8 +274,7 @@ class TheoryLattice:
         return True
 
     def index(self, theory: ClosedTheory) -> int:
-        extent = self.tc.classification._extent(self._intent(theory))
-        return self.lattice._by_extent[extent]
+        return self.lattice._closing(self._intent(theory))
 
     @property
     def bottom(self) -> ClosedTheory:
@@ -309,33 +308,14 @@ def extremes(lat: TheoryLattice) -> tuple[ClosedTheory, ClosedTheory]:
 
 
 def theory_join(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> ClosedTheory:
-    """Supremum: the intersection of the two theories (always closed)."""
-    tc = lat.tc
-    joined = lat._intent(t1) & lat._intent(t2)
-    if tc._close(joined) != joined:
-        raise RuntimeError(
-            f"join of closed theories is not closed: {tc._theory(joined).keys()}"
-        )
-    return tc._theory(joined)
+    """Supremum: the intersection of the two theories, closed as intents are."""
+    return lat.tc._theory(lat._intent(t1) & lat._intent(t2))
 
 
 def theory_meet(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> ClosedTheory:
-    """Infimum: the theory of the common models.
-
-    Computed both as the closure of the union of axioms and as the pool
-    theory of the intersected model sets; the two must agree.
-    """
-    tc, ctx = lat.tc, lat.tc.classification
-    intent1, intent2 = lat._intent(t1), lat._intent(t2)
-    via_closure = tc._close(intent1 | intent2)
-    via_models = ctx._intent(ctx._extent(intent1) & ctx._extent(intent2))
-    if via_closure != via_models:
-        raise RuntimeError(
-            "meet mismatch between closure of union and theory of common models: "
-            f"{sorted(fca._select(tc.pool_keys, via_closure))} vs "
-            f"{sorted(fca._select(tc.pool_keys, via_models))}"
-        )
-    return tc._theory(via_closure)
+    """Infimum: the closure of the union of the two theories, computed once;
+    it is the pool theory of their common models."""
+    return lat.tc._theory(lat.tc._close(lat._intent(t1) | lat._intent(t2)))
 
 
 def object_concept(tc: TruthClassification, model: int | Structure) -> ClosedTheory:

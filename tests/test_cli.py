@@ -315,6 +315,19 @@ class TestEntail:
         assert main(argv) == 1
         assert capsys.readouterr().out == "false\n"
 
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ("forall x:E.\nP(x,x) &\nP(x)", "2: relation 'P' expects 1 arguments, got 2"),
+            ("forall x:F.\nP(x)", "1: quantifier over undeclared entity type 'F'"),
+        ],
+        ids=["arity", "quantifier-sort"],
+    )
+    def test_multi_line_query_fault_names_its_line(self, ws, capsys, query, message):
+        argv = ["entail", *pq_args(ws), "--theory", ws["empty.thy"], "--query", query]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestLeq:
     def test_lower_entails_upper(self, ws, capsys):

@@ -42,12 +42,13 @@ from oracles import (
     set_derive_instances,
     set_derive_types,
 )
-from theorylattice.cli import _concept_records, main
+from theorylattice.cli import main
 from theorylattice.errors import SizeCapError
 from theorylattice.fca import (
     Classification,
     FormalConcept,
     _BlockJoin,
+    _concept_records,
     _cxt_records,
     _dot_records,
     _extent_order,
@@ -91,7 +92,9 @@ from theorylattice.truth import (
     build_truth_classification,
     closure,
     lattice_text,
+    theory_join,
     theory_lattice,
+    theory_meet,
 )
 
 
@@ -144,15 +147,49 @@ def check_against_references(ctx: Classification) -> None:
             assert lattice_join(lat, [c, d]) == order_join(lat.concepts, lat.leq, c, d)
 
 
+def check_lookups(ctx: Classification, other: Classification) -> None:
+    """``_closing`` against the set derivations, and ``index`` and ``in``
+    against membership in the set of concepts, for this lattice's concepts,
+    their extents paired with other intents, intents with an unknown type
+    id, and the concepts of another lattice."""
+    lat = concept_lattice(ctx)
+    assert [lat._closing(intent) for intent in lat._intents] == list(range(len(lat._intents)))
+    for ys in subsets(ctx.types):
+        mask = sum(1 << ctx.types.index(t) for t in ys)
+        xs = set_derive_instances(ctx.instances, ctx.incidence, ys)
+        closed = set_derive_types(ctx.types, ctx.incidence, xs)
+        assert lat.concepts[lat._closing(mask)] == FormalConcept(xs, closed)
+
+    members = {c: k for k, c in enumerate(lat.concepts)}
+    candidates = [FormalConcept(c.extent, d.intent) for c in lat.concepts for d in lat.concepts]
+    candidates += [FormalConcept(c.extent, c.intent | {"?"}) for c in lat.concepts]
+    candidates += concept_lattice(other).concepts
+    for c in candidates:
+        assert (c in lat) == (c in members)
+        if c in members:
+            assert lat.index(c) == members[c]
+        else:
+            with pytest.raises(ValueError, match="not in this lattice"):
+                lat.index(c)
+
+
 def test_fast_paths_on_random_corpus():
-    for ctx in corpus(20261017, 150):
+    ctxs = corpus(20261017, 150)
+    for ctx, other in zip(ctxs, ctxs[1:] + ctxs[:1]):
         check_against_references(ctx)
+        check_lookups(ctx, other)
 
 
 @given(contexts())
 @settings(max_examples=60, deadline=None)
 def test_fast_paths_on_generated_contexts(ctx):
     check_against_references(ctx)
+
+
+@given(contexts(), contexts())
+@settings(max_examples=60, deadline=None)
+def test_lookups_on_generated_contexts(ctx, other):
+    check_lookups(ctx, other)
 
 
 def test_covers_on_a_boolean_lattice():
@@ -253,6 +290,27 @@ def random_truth_case(rng: random.Random):
             pool.append(s)
     carriers = {"E": ["a", "b"][: rng.randint(1, 2)]}
     return build_truth_classification(sig, pool, carriers=carriers)
+
+
+def test_theory_meet_and_join_match_the_order_on_random_pools():
+    """The meet is the closure of the union and the pool theory of the
+    common models; the join, the intersection, is closed.  Both are the
+    order's bounds."""
+    rng = random.Random(1999)
+    for _ in range(25):
+        tc = random_truth_case(rng)
+        lat = theory_lattice(tc)
+        theories = lat.theories
+        holds = [frozenset(s for s in tc.pool if oracle_satisfies(m, s)) for m in tc.models]
+        pairs = [(a, b) for a in theories for b in theories]
+        for t1, t2 in rng.sample(pairs, min(40, len(pairs))):
+            meet, join = theory_meet(lat, t1, t2), theory_join(lat, t1, t2)
+            assert meet == order_meet(theories, lat.leq, t1, t2)
+            common = lat.extent(t1) & lat.extent(t2)
+            assert meet.axioms == frozenset(tc.pool).intersection(*(holds[m] for m in common))
+            assert closure(tc, join.axioms) == join
+            assert join.axioms == t1.axioms & t2.axioms
+            assert join == order_join(theories, lat.leq, t1, t2)
 
 
 def test_closure_and_theory_lattice_match_brute_force_on_random_pools():

@@ -162,11 +162,22 @@ class TestConceptLattice:
 
     def test_foreign_concept_rejected(self, ctx3):
         lat = concept_lattice(ctx3)
-        stray = FormalConcept(frozenset({1}), frozenset({"a"}))
-        with pytest.raises(ValueError, match="not in this lattice"):
-            lattice_meet(lat, [stray])
-        with pytest.raises(ValueError, match="not in this lattice"):
-            lat.index(stray)
+        incidence = [(1, "a"), (1, "b"), (2, "b"), (3, "c")]
+        other = concept_lattice(Classification.make([1, 2, 3], ["a", "b", "c"], incidence))
+        strays = [
+            FormalConcept(frozenset({1}), frozenset({"a"})),  # a closed extent, the wrong intent
+            FormalConcept(frozenset({1}), frozenset({"a", "b", "z"})),  # an unknown type id
+            other.type_concept("c"),  # ({3}, {c}): a concept of another lattice
+        ]
+        assert strays[2] == FormalConcept(frozenset({3}), frozenset({"c"}))
+        for stray in strays:
+            assert stray not in lat
+            with pytest.raises(ValueError, match="not in this lattice"):
+                lattice_meet(lat, [stray])
+            with pytest.raises(ValueError, match="not in this lattice"):
+                lat.index(stray)
+        for k, c in enumerate(lat.concepts):
+            assert c in lat and lat.index(c) == k
 
 
 class TestMeetJoin:

@@ -156,6 +156,24 @@ class TestParseSentence:
             sent("forall x:E. P(c)")
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("forall x:E.\nP(x,x) &\nP(x)", "2: relation 'P' expects 1 arguments, got 2"),
+            ("forall x:E.\nP(x) &\nP(x,x)", "3: relation 'P' expects 1 arguments, got 2"),
+            ("forall x:G.\nP(x)", "1: quantifier over undeclared entity type 'G'"),
+            (
+                "forall x:E.\n\nx = c &\nexists y:F.\nS(y,y)",
+                "5: argument 1 of 'S' has sort 'F', expected 'E'",
+            ),
+        ],
+        ids=["arity", "arity-last", "quantifier-sort", "argument-sort"],
+    )
+    def test_type_fault_is_reported_at_the_line_of_its_node(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_sentence(SOUP_SIG, text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "text",
         [
             "~" * 3000 + "forall x:E. P(x)",
