@@ -446,20 +446,22 @@ def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> Form
 def basic_theorem_roundtrip(lat: ConceptLattice) -> Classification:
     """Rebuild the classification from the lattice order.
 
-    An instance is incident to a type exactly when the instance's concept
-    lies below the type's concept; for a lattice built by
-    ``concept_lattice`` this returns the original classification.
+    An instance is incident to a type exactly when the extent of the
+    instance's concept lies inside the extent of the type's concept; for a
+    lattice built by ``concept_lattice`` this returns the original
+    classification.  Instances with equal rows share a concept, so each
+    distinct row and each type is closed once.
     """
     ctx = lat.classification
-    below = [lat.instance_concept(i) for i in ctx.instances]
-    above = [lat.type_concept(t) for t in ctx.types]
-    incidence = {
-        (i, t)
-        for i, ci in zip(ctx.instances, below)
-        for t, ct in zip(ctx.types, above)
-        if lat.leq(ci, ct)
-    }
-    return Classification(ctx.instances, ctx.types, frozenset(incidence))
+    classes: dict[int, list[int]] = {}
+    for p, row in enumerate(ctx._rows):
+        classes.setdefault(row, []).append(p)
+    width = len(ctx.instances)
+    below = [(lat._extents[lat._closing(r)], _mask(ps, width)) for r, ps in classes.items()]
+    above = [lat._extents[lat._closing(1 << q)] for q in range(len(ctx.types))]
+    # the classes are disjoint, so the sum of their masks is their union
+    columns = tuple(sum(m for e, m in below if e & ~a == 0) for a in above)
+    return Classification.from_columns(ctx.instances, ctx.types, columns)
 
 
 def density_report(lat: ConceptLattice) -> tuple[bool, bool]:

@@ -15,12 +15,13 @@ empty or infinite domains.
 from __future__ import annotations
 
 import collections.abc
+import functools
 import itertools
 import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import fca
 from .errors import ParseError, SignatureMismatchError, SizeCapError
@@ -200,12 +201,17 @@ class Exists:
 
 Formula = Atom | Eq | Not | And | Or | Implies | Iff | Forall | Exists
 
-_BINARY = (And, Or, Implies, Iff)
+# The binary connectives, loosest first, read by both the parser and the
+# printer; a connective's precedence is its place here.  ~ binds tighter
+# than all of them; a quantifier body extends as far right as possible.
+_CONNECTIVES = ((Iff, "<->", "right"), (Implies, "->", "right"), (Or, "|", "left"),
+                (And, "&", "left"))
+_BINARY = tuple(node for node, _, _ in _CONNECTIVES)
 _QUANT = (Forall, Exists)
 # ``_map`` dispatches on the exact node type: one dict lookup is cheaper
 # than a chain of isinstance tests on this hot path.
-_KIND = {Atom: "leaf", Eq: "leaf", Not: "not", And: "binary", Or: "binary",
-         Implies: "binary", Iff: "binary", Forall: "quantifier", Exists: "quantifier"}
+_KIND = {Atom: "leaf", Eq: "leaf", Not: "not", Forall: "quantifier", Exists: "quantifier",
+         **dict.fromkeys(_BINARY, "binary")}
 
 
 def _map(f: Formula, env, leaf: Callable, binder: Callable) -> Formula:
@@ -411,10 +417,15 @@ def substitute(formula: Formula, mapping: Mapping[str, Term]) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
-# Precedence: ~ binds tightest, then & then | then -> (right-assoc) then <->;
-# quantifier bodies extend maximally to the right, so a quantified subformula
-# is parenthesized whenever it is an operand.
-_P_IFF, _P_IMPLIES, _P_OR, _P_AND, _P_NOT, _P_ATOM = 1, 2, 3, 4, 5, 9
+# Precedence, binary node -> (its place in ``_CONNECTIVES`` from 1, symbol,
+# least precedence of the left and the right operand): the side that does
+# not nest needs one more.  A quantifier is 0: an operand gets parentheses.
+_P_BINARY = {
+    node: (prec, symbol, prec + (assoc == "right"), prec + (assoc == "left"))
+    for prec, (node, symbol, assoc) in enumerate(_CONNECTIVES, 1)
+}
+_P_NOT = len(_CONNECTIVES) + 1
+_P_ATOM = _P_NOT + 1
 
 
 def format_term(t: Term) -> str:
@@ -427,20 +438,16 @@ def format_formula(formula: Formula) -> str:
 
 
 def _fmt(f: Formula, min_prec: int) -> str:
-    if isinstance(f, Atom):
+    binary = _P_BINARY.get(type(f))
+    if binary is not None:
+        prec, symbol, left, right = binary
+        s = f"{_fmt(f.left, left)} {symbol} {_fmt(f.right, right)}"
+    elif isinstance(f, Atom):
         s, prec = f"{f.rel}({','.join(format_term(t) for t in f.args)})", _P_ATOM
     elif isinstance(f, Eq):
         s, prec = f"{format_term(f.left)} = {format_term(f.right)}", _P_ATOM
     elif isinstance(f, Not):
         s, prec = "~" + _fmt(f.body, _P_NOT), _P_NOT
-    elif isinstance(f, And):
-        s, prec = f"{_fmt(f.left, _P_AND)} & {_fmt(f.right, _P_AND + 1)}", _P_AND
-    elif isinstance(f, Or):
-        s, prec = f"{_fmt(f.left, _P_OR)} | {_fmt(f.right, _P_OR + 1)}", _P_OR
-    elif isinstance(f, Implies):
-        s, prec = f"{_fmt(f.left, _P_IMPLIES + 1)} -> {_fmt(f.right, _P_IMPLIES)}", _P_IMPLIES
-    elif isinstance(f, Iff):
-        s, prec = f"{_fmt(f.left, _P_IFF + 1)} <-> {_fmt(f.right, _P_IFF)}", _P_IFF
     elif isinstance(f, Forall):
         s, prec = f"forall {f.var}:{f.sort}. {_fmt(f.body, 0)}", 0
     elif isinstance(f, Exists):
@@ -459,35 +466,28 @@ def sentence_key(formula: Formula) -> str:
 # Parsing
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     text: str
     line: int
-    col: int
 
 
-_TOKEN_RE = re.compile(r"<->|->|[~&|().,:=]|[A-Za-z_][A-Za-z0-9_']*")
+# a token, a newline, blank space, or any other character (an error)
+_TOKEN_RE = re.compile(
+    r"(<->|->|[~&|().,:=]|[A-Za-z_][A-Za-z0-9_']*)|(\n)|[ \t\r]+|(.)", re.DOTALL
+)
 
 
 def _tokenize(text: str, path: str | None = None) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {ch!r}", line=line, path=path)
-        toks.append(_Tok(m.group(), line, col))
-        col += m.end() - i
-        i = m.end()
+    line = 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        if kind == 1:
+            toks.append(_Tok(m.group(1), line))
+        elif kind == 2:
+            line += 1
+        elif kind == 3:
+            raise ParseError(f"unexpected character {m.group(3)!r}", line=line, path=path)
     return toks
 
 
@@ -563,37 +563,26 @@ class _FormulaParser:
         return f
 
     def formula(self, env: dict[str, str]) -> Formula:
-        # the parser recurses only here (parentheses, quantifier bodies)
+        # nesting recurses only here (parentheses, quantifier bodies)
         self.depth += 1
         if self.depth > MAX_FORMULA_DEPTH:
             raise self.too_deep()
-        f = self.iff(env)
+        f = self.chain(env)
         self.depth -= 1
         return f
 
-    def iff(self, env: dict[str, str]) -> Formula:
-        parts = [self.implies(env)]
-        while self.take("<->"):
-            parts.append(self.implies(env))
-        return _fold_right(Iff, parts)
-
-    def implies(self, env: dict[str, str]) -> Formula:
-        parts = [self.disj(env)]
-        while self.take("->"):
-            parts.append(self.disj(env))
-        return _fold_right(Implies, parts)
-
-    def disj(self, env: dict[str, str]) -> Formula:
-        left = self.conj(env)
-        while self.take("|"):
-            left = Or(left, self.conj(env))
-        return left
-
-    def conj(self, env: dict[str, str]) -> Formula:
-        left = self.unary(env)
-        while self.take("&"):
-            left = And(left, self.unary(env))
-        return left
+    def chain(self, env: dict[str, str], level: int = 0) -> Formula:
+        """Operands joined by the connective at ``level`` of ``_CONNECTIVES``:
+        chains at the next level, or at the last level unary formulas, read
+        directly so that no frame is added per parenthesis or quantifier."""
+        node, symbol, assoc = _CONNECTIVES[level]
+        tighter = level + 1 < len(_CONNECTIVES)
+        parts = [self.chain(env, level + 1) if tighter else self.unary(env)]
+        while self.take(symbol):
+            parts.append(self.chain(env, level + 1) if tighter else self.unary(env))
+        if len(parts) == 1:
+            return parts[0]
+        return _fold_right(node, parts) if assoc == "right" else functools.reduce(node, parts)
 
     def unary(self, env: dict[str, str]) -> Formula:
         negations = 0

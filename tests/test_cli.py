@@ -108,6 +108,15 @@ class TestCarrierSpec:
         with pytest.raises(ParseError, match="lists no elements"):
             parse_carrier_spec(["E="])
 
+    @pytest.mark.parametrize("specs", [["E=a", "E=b"], ["E=a;E=b"]])
+    def test_duplicate_sort(self, specs):
+        with pytest.raises(ParseError) as exc:
+            parse_carrier_spec(specs)
+        assert str(exc.value) == "duplicate carrier spec for 'E'"
+
+    def test_empty_parts_are_skipped(self):
+        assert parse_carrier_spec(["E=a,b;;F=c;", ";"]) == {"E": ["a", "b"], "F": ["c"]}
+
 
 class TestLattice:
     def test_text_header_and_determinism(self, ws, capsys):

@@ -24,8 +24,18 @@ from theorylattice.fca import (
     read_cxt,
     write_cxt,
 )
+from theorylattice.logic import parse_sentence, parse_signature
+from theorylattice.truth import build_truth_classification
 
-from oracles import brute_concepts, brute_covers, order_join, order_meet, random_context
+from oracles import (
+    M_POOL,
+    M_SIG,
+    brute_concepts,
+    brute_covers,
+    order_join,
+    order_meet,
+    random_context,
+)
 
 
 def subsets(xs):
@@ -246,6 +256,17 @@ class TestBasicTheorem:
             assert basic_theorem_roundtrip(lat) == ctx
             assert density_report(lat) == (True, True)
 
+    def test_roundtrip_on_the_m_classification(self):
+        # 256 models and 20 sentences; many models share a row
+        sig = parse_signature(M_SIG)
+        tc = build_truth_classification(
+            sig, [parse_sentence(sig, s) for s in M_POOL], carriers={"E": ["a", "b"]}
+        )
+        ctx = tc.classification
+        assert (len(ctx.instances), len(ctx.types)) == (256, 20)
+        assert len(set(ctx._rows)) < len(ctx.instances)
+        assert basic_theorem_roundtrip(concept_lattice(ctx)) == ctx
+
 
 @given(st.integers())
 def test_lattice_laws_on_random_contexts(seed):
@@ -289,6 +310,25 @@ class TestCxt:
     def test_bad_row(self):
         with pytest.raises(ParseError, match="characters"):
             read_cxt("B\n\n1\n2\n\no\na\nb\nX\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("B\nname\nx\n", "c.cxt:3: expected object and attribute counts"),
+            (
+                "B\n\n1\n1\n\no\n",
+                "c.cxt:6: expected 1 object names, 1 attribute names and 1 rows",
+            ),
+            # the duplicate names carry no line
+            ("B\n\n2\n1\n\no\no\na\nX\nX\n", "c.cxt: duplicate object names"),
+            ("B\n\n1\n2\n\no\na\na\nXX\n", "c.cxt: duplicate attribute names"),
+        ],
+        ids=["counts", "short", "objects-twice", "attributes-twice"],
+    )
+    def test_reader_error_message(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            read_cxt(text, path="c.cxt")
+        assert str(exc.value) == message
 
     def test_numeric_name_is_refused(self, ctx3):
         # the reader would take an all-digit name line for the object count

@@ -25,6 +25,7 @@ from theorylattice.logic import (
     Or,
     Signature,
     Structure,
+    StructureSpace,
     Var,
     _depth,
     canonicalize,
@@ -51,6 +52,8 @@ from oracles import _random_formula, oracle_satisfies, random_sentence
 
 SIG = parse_signature("entity E\nrelation P(E)\nrelation Q(E)")
 MODELS = enumerate_structures(SIG, {"E": ["a", "b"]})
+# P and Q with a constant, for printing and syntax errors.
+PQC_SIG = parse_signature("entity E\nrelation P(E)\nrelation Q(E)\nconstant c:E")
 # Constants named like canonical bound variables.
 V_SIG = parse_signature("entity E\nrelation P(E)\nrelation R(E,E)\nconstant v0:E\nconstant v1:E\n")
 
@@ -134,6 +137,40 @@ class TestParseSentence:
         k = parse_formula(SIG, "P(x) | Q(x) & P(x)", {"x": "E"})
         assert isinstance(k, Or) and isinstance(k.right, And)
 
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("P(c) -> (Q(c) -> P(c))", "P(c) -> Q(c) -> P(c)"),
+            ("(P(c) -> Q(c)) -> P(c)", "(P(c) -> Q(c)) -> P(c)"),
+            ("P(c) <-> (Q(c) <-> P(c))", "P(c) <-> Q(c) <-> P(c)"),
+            ("(P(c) <-> Q(c)) <-> P(c)", "(P(c) <-> Q(c)) <-> P(c)"),
+            ("(P(c) | Q(c)) | P(c)", "P(c) | Q(c) | P(c)"),
+            ("P(c) | (Q(c) | P(c))", "P(c) | (Q(c) | P(c))"),
+            ("(P(c) & Q(c)) & P(c)", "P(c) & Q(c) & P(c)"),
+            ("P(c) & (Q(c) & P(c))", "P(c) & (Q(c) & P(c))"),
+            ("(P(c) -> Q(c)) <-> (Q(c) | ~P(c))", "P(c) -> Q(c) <-> Q(c) | ~P(c)"),
+        ],
+    )
+    def test_printer_parenthesizes_only_against_the_grouping(self, text, printed):
+        assert format_formula(parse_sentence(PQC_SIG, text)) == printed
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("forall x:E.\nP(x) $ Q(x)", "2: unexpected character '$'"),
+            ("P(c) &", "1: expected a formula, found end of input"),
+            ("", "1: expected a formula, found end of input"),
+            ("forall x:", "1: expected an entity type name, found end of input"),
+            ("c = ", "1: expected a term, found end of input"),
+            ("P(c) -> -> Q(c)", "1: expected a relation application or a term, found '->'"),
+        ],
+        ids=["character", "dangling-connective", "empty", "sort", "term", "doubled-connective"],
+    )
+    def test_syntax_error_message(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_sentence(PQC_SIG, text)
+        assert str(exc.value) == message
+
     def test_conjunction_left_associative(self):
         f = parse_formula(SIG, "P(x) & Q(x) & P(x)", {"x": "E"})
         assert isinstance(f, And) and isinstance(f.left, And)
@@ -194,6 +231,8 @@ class TestParseSentence:
             "~" * 98 + "forall x:E. P(x)",
             "(" * 98 + "forall x:E. P(x)" + ")" * 98,
             "forall x:E. " + " & ".join(["P(x)"] * 99),
+            "forall x:E. " + " | ".join(["P(x)"] * 99),
+            " -> ".join(["(forall x:E. P(x))"] * 99),
             " <-> ".join(["(forall x:E. P(x))"] * 99),
         ],
     )
@@ -608,6 +647,28 @@ class TestModelFiles:
         with pytest.raises(ParseError, match="carrier"):
             parse_model(SIG, "universe E = {a}\nP = {b}\nQ = {}")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("universe F = {a}", "m.model:1: undeclared entity type 'F'"),
+            ("universe E = {a}\nuniverse E = {b}", "m.model:2: duplicate universe for 'E'"),
+            ("universe E = {a,,b}", "m.model:1: malformed universe for 'E'"),
+            ("universe E = {a}\nP = {a}\nP = {a}", "m.model:3: duplicate extension for 'P'"),
+            ("universe E = {a}\nP = a", "m.model:2: relation 'P' needs a tuple set in braces"),
+            ("universe E = {a}\nR = {(a,)}", "m.model:2: malformed tuple '(a,)'"),
+            ("universe E = {a}\nc = a\nc = a", "m.model:3: duplicate denotation for 'c'"),
+            ("universe E = {a, b}\nc = {a}", "m.model:2: constant 'c' needs a single element"),
+            ("universe E = {a}\nnonsense", "m.model:2: unrecognized model line: 'nonsense'"),
+        ],
+        ids=["sort", "universe-twice", "universe-shape", "extension-twice", "braces",
+             "tuple-shape", "denotation-twice", "denotation-shape", "line"],
+    )
+    def test_model_file_error_message(self, text, message):
+        sig = parse_signature("entity E\nrelation P(E)\nrelation R(E,E)\nconstant c:E")
+        with pytest.raises(ParseError) as exc:
+            parse_model(sig, text, path="m.model")
+        assert str(exc.value) == message
+
     def test_pool_file_dedupes_alpha_variants(self):
         pool = parse_sentences(SIG, "forall x:E. P(x)\nforall y:E. P(y)\nexists z:E. Q(z)")
         assert len(pool) == 2
@@ -616,6 +677,22 @@ class TestModelFiles:
         with pytest.raises(ParseError) as exc:
             parse_sentences(SIG, "forall x:E. P(x)\nP(oops)", path="p.pool")
         assert "p.pool:2:" in str(exc.value)
+
+
+def test_structure_space_equality_hash_and_repr():
+    space = enumerate_structures(SIG, {"E": ["a", "b"]})
+    again = enumerate_structures(SIG, {"E": ("a", "b")})
+    assert isinstance(space, StructureSpace) and space is not again
+    assert space == again and hash(space) == hash(again)
+    assert repr(space) == f"StructureSpace({SIG!r}, (('E', ('a', 'b')),))"
+    others = [
+        enumerate_structures(SIG, {"E": ["b", "a"]}),
+        enumerate_structures(SIG, {"E": ["a"]}),
+        enumerate_structures(parse_signature("entity E\nrelation P(E)"), {"E": ["a", "b"]}),
+    ]
+    for other in others:
+        assert space != other and not space == other
+    assert space != tuple(space)
 
 
 def test_structure_validation():

@@ -803,6 +803,24 @@ class TestParsers:
             parse_interpretation(unary_sig, dst, text, path="h.int")
         assert (exc.value.path, exc.value.line, exc.value.message) == ("h.int", 2, message)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("entity E F -> E\n", 1, "unrecognized interpretation line: 'entity E F -> E'"),
+            (
+                "entity E -> E\nrelation R -> P(x1)\n",
+                2,
+                "relation line must look like 'relation R(x1,...,xn) -> FORMULA'",
+            ),
+            ("entity E -> E\nrelation S(x1) -> P(x1)\n", 2, "undeclared relation 'S'"),
+        ],
+        ids=["entity-shape", "relation-shape", "relation-name"],
+    )
+    def test_interpretation_line_error_located(self, unary_sig, pq_sig, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_interpretation(unary_sig, pq_sig, text, path="h.int")
+        assert (exc.value.path, exc.value.line, exc.value.message) == ("h.int", line, message)
+
     def test_interpretation_body_parse_error_located(self, unary_sig, pq_sig):
         with pytest.raises(ParseError) as exc:
             parse_interpretation(

@@ -258,6 +258,18 @@ class TestScripts:
             apply_nav_script(pq_lat, pq_lat.top, "# intro\nexpand P(oops)\n", path="s.nav")
         assert exc.value.line == 2 and exc.value.path == "s.nav"
 
+    def test_empty_sentence_in_payload(self, pq_lat):
+        with pytest.raises(ParseError) as exc:
+            apply_nav_script(
+                pq_lat, pq_lat.top, "expand forall x:E. P(x),,forall x:E. Q(x)\n", path="s.nav"
+            )
+        assert str(exc.value) == "s.nav:1: empty sentence in payload"
+
+    def test_bare_contract_is_a_no_op_step(self, pq_lat):
+        (step,) = apply_nav_script(pq_lat, pq_lat.bottom, "contract\n")
+        assert step.kind == "contract" and step.delete == () and step.add == ()
+        assert step.source == step.result == pq_lat.index(pq_lat.bottom)
+
     def test_revise_requires_separator(self, pq_lat):
         with pytest.raises(ParseError, match="DELETIONS ; ADDITIONS"):
             apply_nav_script(pq_lat, pq_lat.top, "revise forall x:E. P(x)\n")

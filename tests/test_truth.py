@@ -90,6 +90,16 @@ class TestBuild:
         tc = build_truth_classification(pq_sig, [a, b], carriers={"E": ["a"]})
         assert len(tc.pool) == 1
 
+    def test_pool_membership_and_lookup_by_key(self, pq_tc, pq, pq_sig):
+        for s in pq.values():
+            assert pq_tc.in_pool(s)
+            assert pq_tc.sentence(sentence_key(s)) == s
+        assert pq_tc.in_pool(Forall("y", "E", Atom("P", (Var("y", "E"),))))
+        assert not pq_tc.in_pool(parse_sentence(pq_sig, "exists x:E. Q(x)"))
+        with pytest.raises(ValueError) as exc:
+            pq_tc.sentence("nope")
+        assert str(exc.value) == "no pool sentence with key 'nope'"
+
     def test_constructor_builds_the_classification(self, pq_sig, pq_pool, pq_tc):
         tc = TruthClassification(pq_sig, pq_tc.models, pq_pool)
         assert tc == pq_tc
@@ -253,6 +263,28 @@ class TestEntails:
         assert entails(pq_tc, [pq["s2"]], some_q)
         assert not entails(pq_tc, [some_q], all_p)
         assert pq_tc.models_of([all_p]) == pq_tc.models_of([pq["s1"]])
+
+    def test_closed_theory_view_agrees_with_its_axioms(
+        self, pq_tc, pq_lat, pq_pool, pq_sig, monkeypatch
+    ):
+        # a view's models are read off its intent; a theory built by hand
+        # from the same axioms goes through their columns
+        extra = ("exists x:E. Q(x)", "forall x:E. P(x) | Q(x)")
+        queries = [*pq_pool, *(parse_sentence(pq_sig, t) for t in extra)]
+        read = []
+        real = truth._as_axioms
+        monkeypatch.setattr(truth, "_as_axioms", lambda theory: read.append(theory) or real(theory))
+        verdicts = set()
+        for view in pq_lat.theories:
+            by_hand = Theory.make(pq_sig, map(pq_tc.sentence, view.keys()))
+            assert view._tc is pq_tc and view.axioms == by_hand.axioms
+            for q in queries:
+                verdict = entails(pq_tc, view, q)
+                assert verdict == entails(pq_tc, by_hand, q)
+                verdicts.add(verdict)
+        # only the hand-built theories read their axioms
+        assert len(read) == len(pq_lat.theories) * len(queries)
+        assert verdicts == {True, False}
 
     def test_matches_closure_membership_exhaustively(self, pq_tc, pq_pool):
         for axioms in pool_subsets(pq_pool):
