@@ -362,11 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="validate the induced infomorphism" if name == "check" else "apply dir or inv",
         )
         _add_semantics(q)
-        q.add_argument("--dst-sig", required=True, metavar="FILE")
-        q.add_argument("--dst-pool", required=True, metavar="FILE")
-        dst_group = q.add_mutually_exclusive_group(required=True)
-        dst_group.add_argument("--dst-carriers", action="append", metavar="SORT=e1,e2")
-        dst_group.add_argument("--dst-model", action="append", metavar="FILE")
+        _add_semantics(q, prefix="dst-")
         _add_caps(q)
         q.add_argument("--map", required=True, metavar="FILE")
         q.add_argument(

@@ -555,12 +555,13 @@ def read_cxt(text: str, *, path: str | None = None) -> Classification:
             line=len(lines),
             path=path,
         )
-    objs = [line for _, line in rest[:n_obj]]
-    atts = [line for _, line in rest[n_obj : n_obj + n_att]]
-    if len(set(objs)) != n_obj:
-        raise ParseError("duplicate object names", path=path)
-    if len(set(atts)) != n_att:
-        raise ParseError("duplicate attribute names", path=path)
+    named = {"object": rest[:n_obj], "attribute": rest[n_obj : n_obj + n_att]}
+    for what, part in named.items():
+        first: dict[str, int] = {}
+        for lineno, name in part:
+            if first.setdefault(name, lineno) != lineno:
+                raise ParseError(f"duplicate {what} name {name!r}", line=lineno, path=path)
+    objs, atts = ([name for _, name in part] for part in named.values())
     incidence = set()
     for k in range(n_obj if n_att else 0):
         lineno, row = rest[n_obj + n_att + k]

@@ -32,6 +32,7 @@ from .logic import (
     _Group,
     _map,
     _source_lines,
+    _structure_group,
     Atom,
     Const,
     Eq,
@@ -44,7 +45,6 @@ from .logic import (
     Term,
     Var,
     canonicalize,
-    eval_formula,
     format_structure,
     free_vars,
     parse_formula,
@@ -309,6 +309,23 @@ def translate(m: Interpretation, formula: Formula) -> Formula:
     return canonicalize(_map(formula, None, leaf, binder))
 
 
+def _reducts(h: Interpretation, target: _Group) -> _Group:
+    """The reducts of a group of target models, as a group over the same
+    positions: each source sort borrows the carrier of its image sort, the
+    ground atom ``R(t)`` holds where the formula for ``R`` holds with
+    ``x1..xn`` bound to ``t``, and a constant denotes what its image denotes."""
+    carrier = {sort: target.carrier[h.map_entity(sort)] for sort in h.source.entity_types}
+
+    def atom(rel: str, tup: tuple[str, ...]) -> int:
+        env = {f"x{k}": elem for k, elem in enumerate(tup, start=1)}
+        return _column(target, h.formula_for(rel), env)
+
+    def denotes(const: str, elem: str) -> int:
+        return target.denotes(h.map_constant(const), elem)
+
+    return _Group(h.source, carrier, target.full, atom, denotes)
+
+
 def reduct(h: Interpretation, model: Structure) -> Structure:
     """Pull a target model back along an interpretation.
 
@@ -318,48 +335,29 @@ def reduct(h: Interpretation, model: Structure) -> Structure:
     """
     if model.signature != h.target:
         raise SignatureMismatchError("model is not over the interpretation's target signature")
-    src = h.source
-    carriers = {sort: model.carrier(h.map_entity(sort)) for sort in src.entity_types}
-    relations: dict[str, list[tuple[str, ...]]] = {}
-    for name in src.relation_names:
-        profile = src.profile(name)
-        formula = h.formula_for(name)
-        held = []
-        for tup in itertools.product(*(carriers[sort] for sort in profile)):
-            env = {f"x{k}": elem for k, elem in enumerate(tup, start=1)}
-            if eval_formula(model, formula, env):
-                held.append(tup)
-        relations[name] = held
-    constants = {name: model.constant(h.map_constant(name)) for name in src.constant_names}
-    return Structure.make(src, carriers, relations, constants)
+    src, group = h.source, _reducts(h, _structure_group(model))
+    cs = group.carrier
+    relations = {
+        name: [t for t in itertools.product(*(cs[s] for s in src.profile(name))) if group.atom(name, t)]
+        for name in src.relation_names
+    }
+    constants = {
+        name: next(e for e in cs[src.constant_sort(name)] if group.denotes(name, e))
+        for name in src.constant_names
+    }
+    return Structure.make(src, cs, relations, constants)
 
 
 def _reduct_positions(
     h: Interpretation, models1: Sequence[Structure], models2: Sequence[Structure]
 ) -> list[int] | None:
-    """The source position of each target model's reduct, read off columns;
-    None unless both model sets are spaces and each source sort's carrier
-    is the carrier of its image sort.
-
-    The reducts form a group over the target positions: the ground atom
-    ``R(t)`` holds where the formula for ``R`` holds with ``x1..xn`` bound
-    to ``t``, and a constant denotes what its image denotes.
-    """
+    """The source position of each target model's reduct, read off the
+    columns of :func:`_reducts`; None unless both model sets are spaces and
+    each source sort's carrier is the carrier of its image sort."""
     if not (isinstance(models1, StructureSpace) and isinstance(models2, StructureSpace)):
         return None
-    carrier = {sort: models2._cs[h.map_entity(sort)] for sort in h.source.entity_types}
-    if carrier != models1._cs:
-        return None
-    target = models2._group()
-
-    def atom(rel: str, tup: tuple[str, ...]) -> int:
-        env = {f"x{k}": elem for k, elem in enumerate(tup, start=1)}
-        return _column(target, h.formula_for(rel), env)
-
-    def denotes(const: str, elem: str) -> int:
-        return models2._denotes(h.map_constant(const), elem)
-
-    return models1._positions(_Group(h.source, carrier, target.full, atom, denotes))
+    reducts = _reducts(h, models2._group())
+    return models1._positions(reducts) if reducts.carrier == models1._cs else None
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ of the intersection closure of the columns,
 derivations on sets of pairs instead of bitsets, Hasse edges by scanning
 every triple instead of neighbour search, meets/joins by scanning the
 order relation, the adjunction by checking every pair of theories
-instead of the unit/counit form, and the infomorphism by one reduct per
-target model and a comparison of rows instead of columns.  Tests freeze
+instead of the unit/counit form, reducts by ground substitution into each
+relation's formula instead of columns over a reduct group, and the
+infomorphism by one such reduct per target model and a comparison of rows
+instead of columns.  Tests freeze
 fixture expectations against these.
 """
 
@@ -38,7 +40,7 @@ from theorylattice.logic import (
     Structure,
     Var,
 )
-from theorylattice.morph import InfomorphismCheck, Interpretation, make_interpretation, reduct
+from theorylattice.morph import InfomorphismCheck, Interpretation, make_interpretation
 from theorylattice.truth import build_truth_classification
 
 
@@ -509,10 +511,30 @@ def pairwise_adjunction(theories1, theories2, direct, inverse):
 # The infomorphism, one target model and one row at a time
 
 
+def oracle_reduct(h: Interpretation, model: Structure) -> Structure:
+    """The reduct of a target model, one tuple at a time: a source relation
+    holds of ``t`` when its formula, with ``t`` substituted for ``x1..xn``,
+    is true by :func:`oracle_satisfies`."""
+    ent, const, src = dict(h.ent), dict(h.const), h.source
+    carriers = {sort: model.carrier(ent[sort]) for sort in src.entity_types}
+    relations = {}
+    for name, formula in h.rel_formula:
+        relations[name] = []
+        for tup in product(*(carriers[sort] for sort in src.profile(name))):
+            ground = formula
+            for k, elem in enumerate(tup, start=1):
+                ground = _subst_var(ground, f"x{k}", _Elem(elem))
+            if oracle_satisfies(model, ground):
+                relations[name].append(tup)
+    constants = {name: model.constant(image) for name, image in const.items()}
+    return Structure.make(src, carriers, relations, constants)
+
+
 def reference_instance_map(h, tc1, tc2) -> list[int]:
     """The source position of each target model's reduct, found by building
-    the reduct and looking it up among the source models."""
-    return [tc1.models.index(reduct(h, m)) for m in tc2.models]
+    the reduct by ground substitution and looking it up among the source
+    models."""
+    return [tc1.models.index(oracle_reduct(h, m)) for m in tc2.models]
 
 
 def reference_check_infomorphism(a, b, type_map, instance_map) -> InfomorphismCheck:

@@ -5,7 +5,8 @@ columns by the ground evaluator, the lazy structure space against a list
 built by filtering tuple spaces, the exports written from masks
 against renderings of the concept and theory objects, and the
 infomorphism's instance map and transfer check, read off columns,
-against one reduct per model and the comparison of rows."""
+against one reduct per model, built by ground substitution, and the
+comparison of rows; and reducts against that ground-substitution reduct."""
 
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from oracles import (
     brute_concepts,
     brute_covers,
     brute_structures,
+    oracle_reduct,
     oracle_satisfies,
     order_join,
     order_meet,
@@ -837,7 +839,25 @@ def test_column_instance_map_matches_reducts_on_seeded_st_to_m_over_three():
     instance_map = truth_infomorphism(h, tc1, tc2).instance_map
     assert len(instance_map) == 32768
     for j in random.Random(32768).sample(range(32768), 300):
-        assert instance_map[j] == tc1.models.index(reduct(h, tc2.models[j]))
+        assert instance_map[j] == tc1.models.index(oracle_reduct(h, tc2.models[j]))
+
+
+def test_reduct_matches_ground_substitution():
+    """On the random corpus and the constants cases over their target
+    spaces, and on ST into M over models listed from files, over carriers
+    that are not the source's."""
+    cases = [(h, tc2.models) for h, _, tc2 in interpretation_corpus(20261021, 30)]
+    cases += [(h, tc2.models) for h, _, tc2 in map(constants_case, sorted(CONST_CASES))]
+    h, _, tc2 = st_to_m(["a", "b"])
+    rng, listed = random.Random(15), []
+    for elems in (["a"], ["b", "a"], ["a", "b", "c"]):
+        space = enumerate_structures(tc2.signature, {"E": elems})
+        for p in rng.sample(range(len(space)), min(len(space), 40)):
+            listed.append(parse_model(tc2.signature, format_structure(space[p])))
+    cases.append((h, listed))
+    for h, models in cases:
+        for m in models:
+            assert reduct(h, m) == oracle_reduct(h, m)
 
 
 @pytest.mark.parametrize("name", sorted(CONST_CASES))

@@ -319,9 +319,9 @@ class TestCxt:
                 "B\n\n1\n1\n\no\n",
                 "c.cxt:6: expected 1 object names, 1 attribute names and 1 rows",
             ),
-            # the duplicate names carry no line
-            ("B\n\n2\n1\n\no\no\na\nX\nX\n", "c.cxt: duplicate object names"),
-            ("B\n\n1\n2\n\no\na\na\nXX\n", "c.cxt: duplicate attribute names"),
+            # a duplicate name is reported at its second occurrence
+            ("B\n\n2\n1\n\no\no\na\nX\nX\n", "c.cxt:7: duplicate object name 'o'"),
+            ("B\n\n1\n2\n\no\na\na\nXX\n", "c.cxt:8: duplicate attribute name 'a'"),
         ],
         ids=["counts", "short", "objects-twice", "attributes-twice"],
     )
