@@ -3,8 +3,8 @@
 The pipeline: a first-order signature, a finite model set, and a finite
 sentence pool form a truth classification; its concept lattice is the
 lattice of closed theories, navigable by contraction, expansion,
-revision, and analogy, and transportable along language morphisms and
-interpretations.
+revision, and analogy, and transportable along signature maps
+(interpretations), which compose.
 """
 
 from .errors import (
@@ -54,18 +54,15 @@ from .logic import (
 from .morph import (
     ConceptMorphism,
     Interpretation,
-    LanguageMorphism,
     TruthInfomorphism,
     check_infomorphism,
-    compose_morphisms,
+    compose,
     concept_morphism,
     identity_morphism,
     is_theory_morphism,
-    lift_morphism,
     make_interpretation,
     make_language_morphism,
     parse_interpretation,
-    parse_morphism,
     reduct,
     translate,
     truth_infomorphism,

@@ -32,12 +32,7 @@ from .logic import (
     parse_sentences,
     parse_signature,
 )
-from .morph import (
-    concept_morphism,
-    parse_interpretation,
-    parse_morphism,
-    truth_infomorphism,
-)
+from .morph import concept_morphism, parse_interpretation, truth_infomorphism
 from .truth import (
     ClosedTheory,
     TruthClassification,
@@ -221,7 +216,7 @@ def cmd_nav(args: argparse.Namespace) -> int:
     sig = tc.signature
 
     def load_map(path: str):
-        return parse_morphism(sig, sig, _read(path), path=path)
+        return parse_interpretation(sig, sig, _read(path), path=path)
 
     steps = nav.apply_nav_script(lat, start, _read(args.script), load_morphism=load_map, path=args.script)
     for k, step in enumerate(steps, start=1):
@@ -244,24 +239,18 @@ def cmd_analogy(args: argparse.Namespace) -> int:
         lat2 = theory_lattice(tc2, concept_cap=args.cap_concepts)
     else:
         tc2, lat2 = tc1, lat1
-    f = parse_morphism(tc1.signature, tc2.signature, _read(args.map), path=args.map)
+    f = parse_interpretation(tc1.signature, tc2.signature, _read(args.map), path=args.map)
     theory = closure(tc1, load_sentences(tc1.signature, args.theory))
     _print_theory(nav.analogy(f, lat1, lat2, theory))
     return 0
 
 
-def _load_interpretation(args: argparse.Namespace, src: Signature, dst: Signature):
-    text = _read(args.map)
-    if args.kind == "morphism":
-        return parse_morphism(src, dst, text, path=args.map)
-    return parse_interpretation(src, dst, text, path=args.map)
-
-
 def cmd_interp_check(args: argparse.Namespace) -> int:
     tc1 = build_tc(args)
     tc2 = build_tc(args, prefix="dst-")
+    h = parse_interpretation(tc1.signature, tc2.signature, _read(args.map), path=args.map)
     try:
-        truth_infomorphism(_load_interpretation(args, tc1.signature, tc2.signature), tc1, tc2)
+        truth_infomorphism(h, tc1, tc2)
     except InfomorphismError as exc:
         print(f"false: {exc}")
         return 1
@@ -272,7 +261,8 @@ def cmd_interp_check(args: argparse.Namespace) -> int:
 def cmd_interp_apply(args: argparse.Namespace) -> int:
     tc1 = build_tc(args)
     tc2 = build_tc(args, prefix="dst-")
-    im = truth_infomorphism(_load_interpretation(args, tc1.signature, tc2.signature), tc1, tc2)
+    h = parse_interpretation(tc1.signature, tc2.signature, _read(args.map), path=args.map)
+    im = truth_infomorphism(h, tc1, tc2)
     lat1 = theory_lattice(tc1, concept_cap=args.cap_concepts)
     lat2 = theory_lattice(tc2, concept_cap=args.cap_concepts)
     cm = concept_morphism(im, lat1, lat2)
@@ -365,12 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_semantics(q, prefix="dst-")
         _add_caps(q)
         q.add_argument("--map", required=True, metavar="FILE")
-        q.add_argument(
-            "--kind",
-            choices=("interpretation", "morphism"),
-            default="interpretation",
-            help="how to read the map file",
-        )
         if name == "apply":
             q.add_argument("--direction", choices=("dir", "inv"), default="dir")
             q.add_argument(

@@ -1,29 +1,30 @@
-"""Signature maps (interpretations and renamings) and structure transport.
+"""Signature maps and structure transport.
 
-An interpretation maps sorts to sorts, constants to constants of the
-image sort, and each relation R of profile (E1..En) to a target formula
-over the reserved variables x1..xn.  A language morphism, a
-profile-preserving renaming, is the interpretation whose formulas are
-atoms R'(x1..xn); it is one kind of map, validated and read by the same
-code.  A signature map translates sentences forward and pulls target
-models back to source models (reducts), and the contravariant pair
-(translate, reduct) is an infomorphism between truth classifications: a
-target model satisfies a translated sentence exactly when its reduct
-satisfies the original; over enumerated model spaces the reducts of all
-target models are located at once, from bit columns.  On the lattices of
-theories the pair induces an adjoint pair of monotone maps, verified at
-construction in unit/counit form, with monotonicity checked along the
-cover edges.
+A signature map (an interpretation) maps sorts to sorts, constants to
+constants of the image sort, and each relation R of profile (E1..En) to
+a target formula over the reserved variables x1..xn.  A map whose
+formulas are atoms R'(x1..xn) renames relations; it is built, read and
+composed by the same code as every other map.  Maps compose (:func:`compose`, with
+:func:`identity_morphism` as unit).  A signature map translates sentences
+forward and pulls target models back to source models (reducts), and the
+contravariant pair (translate, reduct) is an infomorphism between truth
+classifications: a target model satisfies a translated sentence exactly
+when its reduct satisfies the original; over enumerated model spaces the
+reducts of all target models are located at once, from bit columns.  On
+the lattices of theories the pair induces an adjoint pair of monotone
+maps, verified at construction in unit/counit form, with monotonicity
+checked along the cover edges.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import fca
 from .errors import InfomorphismError, ParseError, SignatureMismatchError
@@ -89,14 +90,6 @@ class Interpretation:
         return self._rel[relation]
 
 
-class LanguageMorphism(Interpretation):
-    """A profile-preserving renaming: the interpretation whose formula for
-    each relation R is the atom rel(R)(x1..xn)."""
-
-    def map_relation(self, name: str) -> str:
-        return self._rel[name].rel
-
-
 _SYMBOLS = {
     "entity": ("entity type", Signature.has_entity_type),
     "constant": ("constant", Signature.has_constant),
@@ -115,7 +108,7 @@ def _check_symbol(src: Signature, dst: Signature, kind: str, name: str, image: s
 def _check_relation(
     src: Signature, dst: Signature, ent: Mapping[str, str], name: str, image: str
 ) -> None:
-    """One renaming ``relation`` mapping onto a declared target of its arity,
+    """One ``relation P -> Q`` mapping onto a declared relation of its arity,
     checked at each profile position whose sort ``ent`` maps already."""
     if not src.has_relation(name):
         raise ValueError(f"mapping for undeclared relation {name!r}")
@@ -226,16 +219,22 @@ def _interpretation(
     return Interpretation(src, dst, ent_pairs, const_pairs, tuple(normalized))
 
 
+def _renaming_atom(src: Signature, ent: Mapping[str, str], name: str, image: str) -> Atom:
+    """The formula of ``relation name -> image``: the atom image(x1..xn)."""
+    return Atom(image, tuple(Var(v, sort) for v, sort in reserved_vars(src.profile(name), ent).items()))
+
+
 def make_language_morphism(
     src: Signature,
     dst: Signature,
     ent: Mapping[str, str],
     rel: Mapping[str, str],
     const: Mapping[str, str],
-) -> LanguageMorphism:
-    """Validate a renaming: the entity and constant maps as for an
-    interpretation, and each relation onto a declared one of the mapped
-    profile, position by position."""
+) -> Interpretation:
+    """Validate a map that sends relations to relations: the entity and
+    constant maps as for any map, and each relation onto a declared one of
+    the mapped profile, position by position.  Returns the interpretation
+    whose formula for each relation R is the atom rel(R)(x1..xn)."""
     ent_pairs, const_pairs = _symbol_maps(src, dst, ent, const)
     for name, image in rel.items():
         _check_relation(src, dst, ent, name, image)
@@ -243,12 +242,11 @@ def make_language_morphism(
     for name in src.relation_names:
         if name not in rel:
             raise ValueError(f"missing mapping for relation {name!r}")
-        args = tuple(Var(v, sort) for v, sort in reserved_vars(src.profile(name), ent).items())
-        atoms.append((name, Atom(rel[name], args)))
-    return LanguageMorphism(src, dst, ent_pairs, const_pairs, tuple(atoms))
+        atoms.append((name, _renaming_atom(src, ent, name, rel[name])))
+    return Interpretation(src, dst, ent_pairs, const_pairs, tuple(atoms))
 
 
-def identity_morphism(sig: Signature) -> LanguageMorphism:
+def identity_morphism(sig: Signature) -> Interpretation:
     return make_language_morphism(
         sig,
         sig,
@@ -258,22 +256,22 @@ def identity_morphism(sig: Signature) -> LanguageMorphism:
     )
 
 
-def compose_morphisms(f: LanguageMorphism, g: LanguageMorphism) -> LanguageMorphism:
-    """The composite renaming: apply ``f``, then ``g``."""
+def compose(f: Interpretation, g: Interpretation) -> Interpretation:
+    """The composite map: apply ``f``, then ``g``.
+
+    The entity and constant maps compose, and the formula for a relation R
+    is ``f``'s formula for R translated along ``g``.  A composite of valid
+    maps is valid, so it is not checked again.
+    """
     if f.target != g.source:
         raise SignatureMismatchError("cannot compose: target of the first is not source of the second")
-    return make_language_morphism(
+    return Interpretation(
         f.source,
         g.target,
-        {n: g.map_entity(f.map_entity(n)) for n in f.source.entity_types},
-        {n: g.map_relation(f.map_relation(n)) for n in f.source.relation_names},
-        {n: g.map_constant(f.map_constant(n)) for n in f.source.constant_names},
+        tuple((n, g.map_entity(image)) for n, image in f.ent),
+        tuple((n, g.map_constant(image)) for n, image in f.const),
+        tuple((n, translate(g, formula)) for n, formula in f.rel_formula),
     )
-
-
-def lift_morphism(f: LanguageMorphism) -> Interpretation:
-    """A renaming as a plain interpretation with the same maps."""
-    return Interpretation(f.source, f.target, f.ent, f.const, f.rel_formula)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +288,8 @@ def translate(m: Interpretation, formula: Formula) -> Formula:
     """Translate a source formula into the target language.
 
     Each atom R(t1..tn) becomes its interpreting formula with x1..xn
-    simultaneously substituted (capture-avoiding), so a renaming's atom
-    R'(x1..xn) becomes R'(t1..tn).  Equality, connectives, and
+    simultaneously substituted (capture-avoiding), so an atom formula
+    R'(x1..xn) makes R'(t1..tn).  Equality, connectives, and
     quantifiers (with mapped sorts) pass through.  The result is
     canonicalized.
     """
@@ -651,70 +649,33 @@ _ARROW_LINE = re.compile(r"(entity|relation|constant)\s+(.+?)\s*->\s*(\S.*?)\s*$
 _REL_HEAD = re.compile(r"(\S+?)\s*\(\s*([^()]*?)\s*\)\s*$")
 
 
-def _read_map(
-    src: Signature,
-    dst: Signature,
-    text: str,
-    path: str | None,
-    what: str,
-    relation: Callable[[str, str, Mapping[str, str]], tuple[str, object]],
-) -> tuple[dict[str, str], dict[str, str], dict[str, object]]:
-    """Read the lines of a signature map file into its entity, constant and
-    relation maps.
-
-    Lines are ``entity E -> E2``, ``constant c -> d`` and relation lines,
-    which ``relation(left, right, ent)`` reads into a (name, value) pair
-    given the entity lines read so far; ``#`` starts a comment.  Each line
-    is checked where it stands, so every error here is a ``ParseError``
-    with the path and the line: its shape, its symbols (a source symbol
-    mapped to a declared target) and duplicates.
-    """
-    maps: dict[str, dict] = {"entity": {}, "constant": {}, "relation": {}}
-    for lineno, line in _source_lines(text):
-        try:
-            m = _ARROW_LINE.match(line)
-            if m is None:
-                raise ParseError(f"unrecognized {what} line: {line!r}")
-            kind, left, right = m.group(1), m.group(2).strip(), m.group(3).strip()
-            if kind == "relation":
-                left, right = relation(left, right, maps["entity"])
-            elif " " in left or "(" in left:
-                raise ParseError(f"unrecognized {what} line: {line!r}")
-            else:
-                _check_symbol(src, dst, kind, left, right)
-            if left in maps[kind]:
-                raise ParseError(f"duplicate {kind} mapping for {left!r}")
-            maps[kind][left] = right
-        except ParseError as exc:
-            raise ParseError(exc.message, line=lineno, path=path)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno, path=path)
-    return maps["entity"], maps["constant"], maps["relation"]
-
-
-def parse_morphism(
-    src: Signature,
-    dst: Signature,
-    text: str,
-    *,
-    path: str | None = None,
-) -> LanguageMorphism:
-    """Parse a renaming file: ``entity E -> E2`` / ``relation P -> Q`` /
-    ``constant c -> d`` lines, ``#`` comments.  A relation line is checked
-    at its line, its arity and each profile position whose sort an entity
-    line above it maps; the positions left are checked once the file is read."""
-
-    def relation(left: str, right: str, ent: Mapping[str, str]) -> tuple[str, str]:
-        if " " in left or "(" in left or "(" in right:
-            raise ParseError("relation line must look like 'relation P -> Q'")
-        _check_relation(src, dst, ent, left, right)
-        return left, right
-
-    ent, const, rel = _read_map(src, dst, text, path, "morphism", relation)
+@contextlib.contextmanager
+def _at_line(line: int | None, path: str | None) -> Iterator[None]:
+    """Report an error raised inside as a ``ParseError`` at this line of the file."""
     try:
-        return make_language_morphism(src, dst, ent, rel, const)
+        yield
+    except ParseError as exc:
+        raise ParseError(exc.message, line=line, path=path)
     except ValueError as exc:
-        raise ParseError(str(exc), path=path)
+        raise ParseError(str(exc), line=line, path=path)
+
+
+def _relation_formula(
+    src: Signature, dst: Signature, ent: Mapping[str, str], name: str, raw_vars: str, body: str
+) -> Formula:
+    """The formula of a ``relation R(x1,...,xn) -> FORMULA`` line, read over
+    R's reserved variables, whose sorts the entity lines above it map."""
+    if not src.has_relation(name):
+        raise ParseError(f"undeclared relation {name!r}")
+    profile = src.profile(name)
+    declared = tuple(v.strip() for v in raw_vars.split(",")) if raw_vars.strip() else ()
+    expect = tuple(f"x{k}" for k in range(1, len(profile) + 1))
+    if declared != expect:
+        raise ParseError(f"relation {name!r} must declare variables {', '.join(expect)}")
+    for sort in profile:
+        if sort not in ent:
+            raise ParseError(f"entity mapping for {sort!r} must precede relation {name!r}")
+    return parse_formula(dst, body, reserved_vars(profile, ent))
 
 
 def parse_interpretation(
@@ -724,32 +685,57 @@ def parse_interpretation(
     *,
     path: str | None = None,
 ) -> Interpretation:
-    """Parse an interpretation file.
+    """Parse a map file.
 
-    Lines: ``entity E -> E2``, ``constant c -> d``, and
-    ``relation R(x1,...,xn) -> FORMULA`` where FORMULA uses exactly
-    x1..xn free; the entity lines for R's sorts come first.
+    Lines are ``entity E -> E2``, ``constant c -> d`` and relation lines of
+    two shapes, told apart by the left side; one file may mix them:
+
+    - ``relation R(x1,...,xn) -> FORMULA``, where FORMULA uses exactly
+      x1..xn free and the entity lines for R's sorts come first;
+    - ``relation P -> Q``, which maps P to the atom Q(x1..xn) and may come
+      before its entity lines.
+
+    ``#`` starts a comment.  Each line is checked where it stands, so an
+    error in it is a ``ParseError`` with the path and the line: its shape,
+    its symbols (a source symbol mapped to a declared target; for
+    ``P -> Q`` also Q's arity and each profile position whose sort an
+    entity line above it maps) and duplicates.  The profile positions of
+    ``P -> Q`` whose entity lines come later are checked once the file is
+    read, and reported at its line.  Only a missing mapping has no line.
     """
-
-    def relation(left: str, right: str, ent: Mapping[str, str]) -> tuple[str, Formula]:
-        head = _REL_HEAD.match(left)
-        if head is None:
-            raise ParseError("relation line must look like 'relation R(x1,...,xn) -> FORMULA'")
-        name, raw_vars = head.group(1), head.group(2)
-        if not src.has_relation(name):
-            raise ParseError(f"undeclared relation {name!r}")
-        profile = src.profile(name)
-        declared = tuple(v.strip() for v in raw_vars.split(",")) if raw_vars.strip() else ()
-        expect = tuple(f"x{k}" for k in range(1, len(profile) + 1))
-        if declared != expect:
-            raise ParseError(f"relation {name!r} must declare variables {', '.join(expect)}")
-        for sort in profile:
-            if sort not in ent:
-                raise ParseError(f"entity mapping for {sort!r} must precede relation {name!r}")
-        return name, parse_formula(dst, right, reserved_vars(profile, ent))
-
-    ent, const, rel_formula = _read_map(src, dst, text, path, "interpretation", relation)
-    try:
-        return _interpretation(src, dst, ent, const, rel_formula, typed=True)
-    except ValueError as exc:
-        raise ParseError(str(exc), path=path)
+    ent: dict[str, str] = {}
+    const: dict[str, str] = {}
+    rel: dict[str, Formula | str] = {}
+    maps = {"entity": ent, "constant": const, "relation": rel}
+    renamed: dict[str, int] = {}  # the line of each ``relation P -> Q``
+    for lineno, line in _source_lines(text):
+        with _at_line(lineno, path):
+            m = _ARROW_LINE.match(line)
+            if m is None:
+                raise ParseError(f"unrecognized map line: {line!r}")
+            kind, left, right = m.group(1), m.group(2).strip(), m.group(3).strip()
+            if kind != "relation":
+                if " " in left or "(" in left:
+                    raise ParseError(f"unrecognized map line: {line!r}")
+                _check_symbol(src, dst, kind, left, right)
+            elif head := _REL_HEAD.match(left):
+                left, right = head.group(1), _relation_formula(src, dst, ent, *head.groups(), right)
+            elif " " in left or "(" in left or "(" in right:
+                raise ParseError(
+                    "relation line must look like 'relation P -> Q' "
+                    "or 'relation R(x1,...,xn) -> FORMULA'"
+                )
+            else:
+                _check_relation(src, dst, ent, left, right)
+                renamed[left] = lineno
+            if left in maps[kind]:
+                raise ParseError(f"duplicate {kind} mapping for {left!r}")
+            maps[kind][left] = right
+    for name, lineno in renamed.items():
+        image = rel.pop(name)
+        with _at_line(lineno, path):
+            _check_relation(src, dst, ent, name, image)
+        if ent.keys() >= set(src.profile(name)):  # else the missing entity line is named below
+            rel[name] = _renaming_atom(src, ent, name, image)
+    with _at_line(None, path):
+        return _interpretation(src, dst, ent, const, rel, typed=True)

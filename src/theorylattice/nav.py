@@ -3,9 +3,8 @@
 Contraction deletes axioms and re-closes (never moves down the lattice),
 expansion adds axioms and closes (never moves up), revision is exactly
 the composite, and analogy transports a closed theory along a signature
-map (an interpretation, a renaming among them) into a destination
-lattice whose pool contains the translated axioms.  Scripts replay
-sequences of moves and return an audit log.
+map into a destination lattice whose pool contains the translated
+axioms.  Scripts replay sequences of moves and return an audit log.
 """
 
 from __future__ import annotations
@@ -63,7 +62,8 @@ def analogy(
     """Translate a closed theory's axioms along ``f`` and close in ``dst``.
 
     Every translated axiom must already be in the destination pool; the
-    source and destination lattices may coincide (an endo-renaming).
+    source and destination lattices may coincide (a map of one language
+    into itself).
     """
     pool, keys = src.tc.pool, src.tc.pool_keys
     # in key order, so that the first missing translated axiom is the one named
@@ -91,7 +91,7 @@ def parse_nav_script(text: str, *, path: str | None = None) -> tuple[tuple[int, 
     """Split a script into (line, kind, payload) triples.
 
     One step per line: ``contract SENTENCE, ...`` / ``expand SENTENCE, ...``
-    / ``revise DELETIONS ; ADDITIONS`` / ``analogy MORPHISM-PATH``;
+    / ``revise DELETIONS ; ADDITIONS`` / ``analogy MAP-PATH``;
     ``#`` comments and blank lines are ignored.
     """
     steps: list[tuple[int, str, str]] = []
@@ -116,8 +116,9 @@ def apply_nav_script(
 ) -> tuple[NavStep, ...]:
     """Replay a script from a starting theory, returning the step log.
 
-    Analogy steps are endo-renamings here: the morphism (loaded by the
-    supplied callback) must map the lattice's language to itself.
+    Analogy steps map the lattice's language to itself here: the map is
+    loaded from the step's path by the supplied callback, and a file it
+    cannot read is reported at the step's line.
     """
     sig = lat.tc.signature
 
@@ -162,7 +163,12 @@ def apply_nav_script(
                     line=lineno,
                     path=path,
                 )
-            f = load_morphism(payload)
+            try:
+                f = load_morphism(payload)
+            except OSError as exc:
+                raise ParseError(
+                    f"cannot read map file {payload!r}: {exc.strerror}", line=lineno, path=path
+                )
             nxt = analogy(f, lat, lat, current)
         log.append(NavStep(kind, lat.index(current), lat.index(nxt), tuple(delete), tuple(add), f))
         current = nxt

@@ -39,6 +39,7 @@ from theorylattice.logic import (
     Signature,
     Structure,
     Var,
+    free_vars,
 )
 from theorylattice.morph import InfomorphismCheck, Interpretation, make_interpretation
 from theorylattice.truth import build_truth_classification
@@ -470,6 +471,39 @@ def random_interpretation_case(rng: random.Random):
     tc1 = build_truth_classification(src_sig, pool1, carriers=src_carriers)
     tc2 = build_truth_classification(dst_sig, pool2, carriers=dst_carriers)
     return h, tc1, tc2
+
+
+def random_map_from(rng: random.Random, sig: Signature, carriers):
+    """A random map out of ``sig`` and the carriers of its target models.
+
+    Each source sort goes to a target sort of its own, in shuffled order,
+    and each constant to a constant of its own; each relation goes to a
+    random formula that may quantify, draws equations as well as atoms,
+    and may pass its variables in any order.  A target sort gets the
+    carrier the source sort mapped onto it has in ``carriers``, so the
+    reducts of the target models over the returned carriers are the
+    source models over ``carriers``.
+    """
+    dst_sorts = [f"U{k}" for k in range(len(sig.entity_types))]
+    rng.shuffle(dst_sorts)
+    ent = dict(zip(sig.entity_types, dst_sorts))
+    const = {c: f"e{k}" for k, c in enumerate(sig.constant_names)}
+    dst_rels = tuple(
+        (f"G{k}", tuple(rng.choice(dst_sorts) for _ in range(rng.randint(1, 2))))
+        for k in range(rng.randint(1, 2))
+    )
+    dst_consts = tuple((const[c], ent[sig.constant_sort(c)]) for c in sig.constant_names)
+    dst_sig = Signature(tuple(sorted(dst_sorts)), dst_rels, dst_consts)
+    rel_formula = {}
+    for name in sig.relation_names:
+        free = {f"x{k}": ent[s] for k, s in enumerate(sig.profile(name), start=1)}
+        body = _random_formula(rng, dst_sig, dict(free), rng.randint(1, 2), equality=True)
+        for v, s in free.items():
+            if v not in free_vars(body):
+                body = And(body, Eq(Var(v, s), Var(v, s)))
+        rel_formula[name] = body
+    g = make_interpretation(sig, dst_sig, ent, const, rel_formula)
+    return g, {ent[s]: list(carriers[s]) for s in sig.entity_types}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from theorylattice import fca
 from theorylattice.cli import _BLOCK, _blocks, main, parse_carrier_spec
 from theorylattice.errors import ParseError
 from theorylattice.logic import parse_signature
-from theorylattice.morph import parse_interpretation, parse_morphism
+from theorylattice.morph import make_language_morphism, parse_interpretation
 
 SIG = "entity E\nrelation P(E)\nrelation Q(E)\n"
 POOL = (
@@ -79,15 +79,12 @@ def pq_args(ws, *, pool="pool"):
     return ["--sig", ws["sig"], "--pool", ws[pool], "--carriers", "E=a,b"]
 
 
-def interp_args(ws, *, dst_pool="wide_pool", kind=None, mapfile="conj.int"):
-    argv = [
+def interp_args(ws, *, dst_pool="wide_pool", mapfile="conj.int"):
+    return [
         "--sig", ws["unary_sig"], "--pool", ws["unary_pool"], "--carriers", "E=a,b",
         "--dst-sig", ws["sig"], "--dst-pool", ws[dst_pool], "--dst-carriers", "E=a,b",
         "--map", ws[mapfile],
     ]
-    if kind:
-        argv += ["--kind", kind]
-    return argv
 
 
 class TestCarrierSpec:
@@ -390,6 +387,32 @@ class TestNav:
         assert main(argv) == 0
         assert capsys.readouterr().out.endswith(": exists v0:E. P(v0)\n")
 
+    def test_analogy_step_reads_an_interpretation(self, ws, capsys, tmp_path):
+        swap_int = tmp_path / "swap.int"
+        swap_int.write_text("entity E -> E\nrelation P(x1) -> Q(x1)\nrelation Q(x1) -> P(x1)\n", encoding="utf-8")
+        script = tmp_path / "steps.nav"
+        script.write_text(
+            Path(ws["steps.nav"]).read_text(encoding="utf-8").replace(ws["swap.map"], str(swap_int)),
+            encoding="utf-8",
+        )
+        argv = ["nav", "--sig", ws["sig"], "--pool", ws["swap_pool"], "--carriers", "E=a,b", "--script"]
+        assert main([*argv, str(script)]) == 0
+        got = capsys.readouterr().out
+        assert main([*argv, ws["steps.nav"]]) == 0
+        assert got == capsys.readouterr().out
+
+    def test_unreadable_map_file_is_located(self, ws, capsys, tmp_path):
+        script = tmp_path / "lost.nav"
+        script.write_text("expand forall x:E. P(x)\nanalogy nosuch.map\n", encoding="utf-8")
+        argv = [
+            "nav", "--sig", ws["sig"], "--pool", ws["swap_pool"],
+            "--carriers", "E=a,b", "--script", str(script),
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {script}:2: cannot read map file 'nosuch.map': No such file or directory\n"
+        )
+
     def test_script_errors_carry_the_location(self, ws, capsys, tmp_path):
         script = tmp_path / "bad.nav"
         script.write_text("# intro\nexpand P(oops)\n", encoding="utf-8")
@@ -425,6 +448,18 @@ class TestAnalogy:
         ]
         assert main(argv) == 0
         assert capsys.readouterr().out == "exists v0:E. P(v0)\nforall v0:E. P(v0)\n"
+
+    def test_interpretation_map_gives_the_direct_image(self, ws, capsys):
+        semantics = [
+            "--sig", ws["unary_sig"], "--pool", ws["unary_pool"], "--carriers", "E=a,b",
+            "--dst-sig", ws["sig"], "--dst-pool", ws["wide_pool"], "--dst-carriers", "E=a,b",
+            "--map", ws["conj.int"], "--theory", ws["t_allR.thy"],
+        ]
+        assert main(["analogy", *semantics]) == 0
+        got = capsys.readouterr().out
+        assert main(["interp", "apply", *semantics, "--direction", "dir"]) == 0
+        assert got == capsys.readouterr().out
+        assert "forall v0:E. P(v0) & Q(v0)\n" in got
 
     def test_bad_map_target_is_located(self, ws, capsys, tmp_path):
         bad = tmp_path / "bad.map"
@@ -548,10 +583,22 @@ class TestInterp:
             "interp", "check",
             "--sig", ws["sig"], "--pool", ws["swap_pool"], "--carriers", "E=a,b",
             "--dst-sig", ws["sig"], "--dst-pool", ws["swap_pool"], "--dst-carriers", "E=a,b",
-            "--map", ws["swap.map"], "--kind", "morphism",
+            "--map", ws["swap.map"],
         ]
         assert main(argv) == 0
         assert capsys.readouterr().out == "true\n"
+
+    @pytest.mark.parametrize("command", ["check", "apply"])
+    def test_the_map_file_kind_is_not_an_option(self, ws, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(["interp", command, "--help"])
+        assert exc.value.code == 0
+        assert "--kind" not in capsys.readouterr().out
+        theory = ["--theory", ws["t_allR.thy"]] if command == "apply" else []
+        with pytest.raises(SystemExit) as exc:
+            main(["interp", command, *interp_args(ws), *theory, "--kind", "morphism"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --kind morphism\n")
 
     def test_apply_direct_image(self, ws, capsys):
         argv = [
@@ -699,10 +746,10 @@ def _readme_block(heading: str) -> str:
 def test_readme_map_examples_parse():
     sig_lines = _readme_block("Signature").splitlines(keepends=True)
     sig = parse_signature("".join(l for l in sig_lines if not l.startswith("constant")))
-    renaming = parse_morphism(sig, sig, _readme_block("Renaming"), path="README.md")
-    assert (renaming.map_relation("P"), renaming.map_relation("Q")) == ("Q", "P")
+    renaming = parse_interpretation(sig, sig, _readme_block("`relation P -> Q`"), path="README.md")
+    assert renaming == make_language_morphism(sig, sig, {"E": "E"}, {"P": "Q", "Q": "P"}, {})
     src = parse_signature("entity E\nrelation R(E)")
-    h = parse_interpretation(src, sig, _readme_block("Interpretation"), path="README.md")
+    h = parse_interpretation(src, sig, _readme_block("Map file"), path="README.md")
     assert h.source == src and h.target == sig
 
 

@@ -1,4 +1,4 @@
-"""Renamings, interpretations, reducts, infomorphisms, and adjoint pairs."""
+"""Signature maps and their composition, reducts, infomorphisms, and adjoint pairs."""
 
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ from oracles import (
     oracle_satisfies,
     pairwise_adjunction,
     random_interpretation_case,
+    random_map_from,
+    random_sentence,
     reference_adjoint_pair,
     reference_instance_map,
     set_derive_instances,
@@ -44,15 +46,13 @@ from theorylattice.morph import (
     TruthInfomorphism,
     _check_adjunction,
     check_infomorphism,
-    compose_morphisms,
+    compose,
     concept_morphism,
     identity_morphism,
     is_theory_morphism,
-    lift_morphism,
     make_interpretation,
     make_language_morphism,
     parse_interpretation,
-    parse_morphism,
     reduct,
     reserved_vars,
     translate,
@@ -76,8 +76,8 @@ def const_sigs():
 class TestMakeLanguageMorphism:
     def test_swap_lookups(self, swap, pq_sig):
         assert swap.map_entity("E") == "E"
-        assert swap.map_relation("P") == "Q"
-        assert swap.map_relation("Q") == "P"
+        assert swap.formula_for("P").rel == "Q"
+        assert swap.formula_for("Q").rel == "P"
         assert swap.source == pq_sig and swap.target == pq_sig
 
     def test_constants_transported(self, const_sigs):
@@ -115,7 +115,7 @@ class TestMakeLanguageMorphism:
             make_language_morphism(unary_sig, pq_sig, {"E": "E"}, {"R": "P", "S": "Q"}, {})
 
     def test_is_an_interpretation_whose_formulas_are_atoms(self, swap):
-        assert isinstance(swap, Interpretation)
+        assert type(swap) is Interpretation
         assert swap.formula_for("P") == Atom("Q", (Var("x1", "E"),))
         assert swap.rel_formula == (
             ("P", Atom("Q", (Var("x1", "E"),))),
@@ -171,28 +171,139 @@ class TestSymbolMaps:
         assert m.formula_for("R") == Atom("P", (Var("x1", "E"),))
 
 
-class TestCompose:
-    def test_swap_is_an_involution(self, swap, pq_sig):
-        assert compose_morphisms(swap, swap) == identity_morphism(pq_sig)
+# ST with a constant into M with two constants (the file mixes both
+# relation-line shapes), then two maps of M into itself; between them they
+# quantify, draw equations, send a constant and swap argument orders.
+CHAIN_SIGS = (
+    "entity E\nrelation S(E)\nrelation T(E,E)\nconstant k:E\n",
+    "entity E\nrelation P(E)\nrelation Q(E)\nrelation R(E,E)\nconstant c:E\nconstant d:E\n",
+)
+CHAIN_MAPS = (
+    "entity E -> E\nconstant k -> d\nrelation S -> P\nrelation T(x1,x2) -> R(x2,x1) & ~(x1 = c)\n",
+    "entity E -> E\nconstant c -> d\nconstant d -> c\n"
+    "relation P(x1) -> exists y:E. R(x1,y) & ~(y = x1)\n"
+    "relation Q(x1) -> Q(x1) | x1 = c\nrelation R(x1,x2) -> R(x2,x1)\n",
+    "entity E -> E\nconstant c -> c\nconstant d -> c\nrelation P -> Q\n"
+    "relation Q(x1) -> forall y:E. R(y,x1)\nrelation R(x1,x2) -> R(x1,x2) & P(x2)\n",
+)
 
-    def test_identity_is_neutral(self, swap, pq_sig):
+
+def _translated(h, tc, carriers):
+    """The truth classification over the target of ``h`` whose pool is the
+    translation of the pool of ``tc``."""
+    return build_truth_classification(h.target, [translate(h, s) for s in tc.pool], carriers=carriers)
+
+
+@pytest.fixture(scope="module")
+def chains():
+    """Chains (f, g, h) of composable maps, each with a truth classification
+    at each of its four signatures: the pool of each holds the translations
+    of the pool before, and its models the reducts of the models after.
+    The first chain is the hand-written one above, the others are random."""
+    rng = random.Random(1616)
+    sig0, sig1 = (parse_signature(t) for t in CHAIN_SIGS)
+    maps = [parse_interpretation(sig0 if k == 0 else sig1, sig1, t) for k, t in enumerate(CHAIN_MAPS)]
+    pool = []
+    while len(pool) < 6:
+        s = random_sentence(rng, sig0, depth=3, equality=True)
+        if s not in pool:
+            pool.append(s)
+    tcs = [build_truth_classification(sig0, pool, carriers={"E": ["a", "b"]})]
+    for m in maps:
+        tcs.append(_translated(m, tcs[-1], {"E": ["a", "b"]}))
+    out = [(maps, tcs)]
+    for _ in range(10):
+        f, tc0, tc1 = random_interpretation_case(rng)
+        maps, tcs = [f], [tc0, tc1]
+        for _ in range(2):
+            carriers = {s: tcs[-1].models[0].carrier(s) for s in maps[-1].target.entity_types}
+            m, carriers = random_map_from(rng, maps[-1].target, carriers)
+            maps.append(m)
+            tcs.append(_translated(m, tcs[-1], carriers))
+        out.append((maps, tcs))
+    return out
+
+
+def _pairs(chain):
+    """Each two consecutive maps (f, g) of a chain, with the classifications
+    at the source of f, between them and at the target of g."""
+    maps, tcs = chain
+    return zip(maps, maps[1:], tcs, tcs[1:], tcs[2:])
+
+
+class TestCompose:
+    """Maps form a category: ``compose`` is associative with
+    ``identity_morphism`` as its unit, and translation, reducts, the truth
+    infomorphism and the adjoint pair are functorial.  None of these needs
+    an oracle, and each catches a fault that ``translate`` and ``reduct``
+    would share, such as the order in which x1..xn are bound."""
+
+    def test_swap_is_an_involution(self, swap, pq_sig):
+        assert compose(swap, swap) == identity_morphism(pq_sig)
+
+    def test_identity_is_neutral(self, swap, pq_sig, chains):
         ident = identity_morphism(pq_sig)
-        assert compose_morphisms(ident, swap) == swap
-        assert compose_morphisms(swap, ident) == swap
+        assert compose(ident, swap) == swap == compose(swap, ident)
+        for maps, _ in chains:
+            for h in maps:
+                assert compose(identity_morphism(h.source), h) == h
+                assert compose(h, identity_morphism(h.target)) == h
+
+    def test_composition_is_associative(self, chains):
+        for (f, g, h), _ in chains:
+            assert compose(compose(f, g), h) == compose(f, compose(g, h))
 
     def test_signature_chaining_enforced(self, swap, unary_sig):
         to_unary = make_language_morphism(
             swap.source, unary_sig, {"E": "E"}, {"P": "R", "Q": "R"}, {}
         )
         with pytest.raises(SignatureMismatchError, match="cannot compose"):
-            compose_morphisms(to_unary, swap)
+            compose(to_unary, swap)
 
-    def test_translation_is_functorial(self, swap, pq_sig, pq_pool):
+    def test_translation_is_functorial(self, swap, pq_sig, pq_pool, chains):
         ident = identity_morphism(pq_sig)
-        composite = compose_morphisms(swap, swap)
         for s in pq_pool:
-            assert translate(composite, s) == translate(swap, translate(swap, s))
+            assert translate(compose(swap, swap), s) == translate(swap, translate(swap, s))
             assert translate(ident, s) == s
+        rng = random.Random(3)
+        for chain in chains:
+            for f, g, tc, _, _ in _pairs(chain):
+                fg = compose(f, g)
+                more = [random_sentence(rng, f.source, depth=3, equality=True) for _ in range(10)]
+                for s in [*tc.pool, *more]:
+                    assert translate(fg, s) == translate(g, translate(f, s))
+
+    def test_reduct_is_functorial(self, chains):
+        for chain in chains:
+            for f, g, _, _, tc in _pairs(chain):
+                fg = compose(f, g)
+                for m in tc.models:
+                    assert reduct(fg, m) == reduct(f, reduct(g, m))
+        # the first two maps of the hand-written chain over a wider carrier
+        (f, g, _), _ = chains[0]
+        fg = compose(f, g)
+        space = enumerate_structures(g.target, {"E": ["a", "b", "c"]})
+        for k in random.Random(4).sample(range(len(space)), 300):
+            assert reduct(fg, space[k]) == reduct(f, reduct(g, space[k]))
+
+    def test_infomorphism_maps_compose(self, chains):
+        for chain in chains:
+            for f, g, tc0, tc1, tc2 in _pairs(chain):
+                im_f, im_g = truth_infomorphism(f, tc0, tc1), truth_infomorphism(g, tc1, tc2)
+                im_fg = truth_infomorphism(compose(f, g), tc0, tc2)
+                types_g = dict(im_g.type_map)
+                assert im_fg.type_map == tuple((k, types_g[v]) for k, v in im_f.type_map)
+                assert im_fg.instance_map == tuple(im_f.instance_map[j] for j in im_g.instance_map)
+
+    def test_adjoint_pair_maps_compose(self, chains):
+        for chain in chains:
+            for f, g, tc0, tc1, tc2 in _pairs(chain):
+                lat0, lat1, lat2 = (theory_lattice(tc) for tc in (tc0, tc1, tc2))
+                cm_f = concept_morphism(truth_infomorphism(f, tc0, tc1), lat0, lat1)
+                cm_g = concept_morphism(truth_infomorphism(g, tc1, tc2), lat1, lat2)
+                cm_fg = concept_morphism(truth_infomorphism(compose(f, g), tc0, tc2), lat0, lat2)
+                assert cm_fg._dir == tuple(cm_g._dir[k] for k in cm_f._dir)
+                assert cm_fg._inv == tuple(cm_f._inv[k] for k in cm_g._inv)
 
 
 class TestMakeInterpretation:
@@ -239,10 +350,12 @@ class TestTranslate:
             swap.source, "forall x:E. Q(x) -> P(x)"
         )
 
-    def test_lift_agrees_with_the_renaming(self, swap, pq_pool):
-        lifted = lift_morphism(swap)
+    def test_renaming_is_the_interpretation_with_atom_formulas(self, swap, pq_sig, pq_pool):
+        atoms = {"P": Atom("Q", (Var("x1", "E"),)), "Q": Atom("P", (Var("x1", "E"),))}
+        h = make_interpretation(pq_sig, pq_sig, {"E": "E"}, {}, atoms)
+        assert h == swap
         for s in pq_pool:
-            assert translate(lifted, s) == translate(swap, s)
+            assert translate(h, s) == translate(swap, s)
 
     def test_interpretation_substitutes_atoms(self, conj_interp, unary_sig, pq_sig):
         got = translate(conj_interp, parse_sentence(unary_sig, "exists x:E. R(x)"))
@@ -287,7 +400,7 @@ class TestReduct:
             assert satisfies(model, translated) == satisfies(reduct(conj_interp, model), sentence)
 
     def test_identity_reduct_is_the_model(self, pq_sig):
-        ident = lift_morphism(identity_morphism(pq_sig))
+        ident = identity_morphism(pq_sig)
         for model in enumerate_structures(pq_sig, {"E": ["a"]}):
             assert reduct(ident, model) == model
 
@@ -674,24 +787,107 @@ class TestIsTheoryMorphism:
 
 
 class TestParsers:
-    def test_morphism_file(self, pq_sig):
+    """One reader for map files; a ``relation P -> Q`` line and a
+    ``relation R(x1,...,xn) -> FORMULA`` line are told apart by their left
+    side.  The ``morphism`` tests read files of ``P -> Q`` lines only."""
+
+    def test_morphism_file(self, pq_sig, swap):
         text = "# swap the relations\nentity E -> E\nrelation P -> Q\nrelation Q -> P\n"
-        f = parse_morphism(pq_sig, pq_sig, text)
-        assert f.map_relation("P") == "Q"
+        assert parse_interpretation(pq_sig, pq_sig, text) == swap
+
+    @pytest.mark.parametrize(
+        "src, dst, text, ent, rel, const",
+        [
+            ("pq", "pq", "entity E -> E\nrelation P -> Q\nrelation Q -> P\n", {"E": "E"}, {"P": "Q", "Q": "P"}, {}),
+            ("pq", "pq", "relation Q -> P\nrelation P -> Q\nentity E -> E\n", {"E": "E"}, {"P": "Q", "Q": "P"}, {}),
+            ("unary", "pq", "entity E -> E\nrelation R -> P\n", {"E": "E"}, {"R": "P"}, {}),
+            (
+                "const", "const_dst", "relation P -> R\nentity E -> D\nconstant c -> e\n",
+                {"E": "D"}, {"P": "R"}, {"c": "e"},
+            ),
+            (
+                "ab", "ab", "entity A -> B\nentity B -> A\nrelation R -> S\nrelation S -> R\n",
+                {"A": "B", "B": "A"}, {"R": "S", "S": "R"}, {},
+            ),
+        ],
+        ids=["swap", "relation-lines-first", "embed", "constant", "sorts-swapped"],
+    )
+    def test_renaming_text_reads_as_make_language_morphism(self, src, dst, text, ent, rel, const):
+        sigs = {
+            "pq": "entity E\nrelation P(E)\nrelation Q(E)",
+            "unary": "entity E\nrelation R(E)",
+            "const": "entity E\nrelation P(E)\nconstant c:E",
+            "const_dst": "entity D\nrelation R(D)\nconstant d:D\nconstant e:D",
+            "ab": "entity A\nentity B\nrelation R(A,B)\nrelation S(B,A)",
+        }
+        src, dst = parse_signature(sigs[src]), parse_signature(sigs[dst])
+        assert parse_interpretation(src, dst, text) == make_language_morphism(src, dst, ent, rel, const)
+
+    @pytest.mark.parametrize(
+        "src, dst, text",
+        [
+            (
+                "entity E\nrelation R(E)", "entity E\nrelation P(E)\nrelation Q(E)",
+                "entity E -> E\nrelation R(x1) -> P(x1) & Q(x1)\n",
+            ),
+            (ST_SIG, M_SIG, ST_TO_M),
+            (
+                CHAIN_SIGS[1], CHAIN_SIGS[1],
+                "entity E -> E\nconstant c -> d\nconstant d -> c\n"
+                "relation P(x1) -> exists y:E. R(x1,y) & ~(y = x1)\n"
+                "relation Q(x1) -> Q(x1) | x1 = c\nrelation R(x1,x2) -> R(x2,x1)\n",
+            ),
+        ],
+        ids=["conj", "st-to-m", "chain"],
+    )
+    def test_interpretation_text_reads_as_make_interpretation(self, src, dst, text):
+        """Each formula line, parsed as a formula over its reserved variables."""
+        src, dst = parse_signature(src), parse_signature(dst)
+        ent, const, rel = {}, {}, {}
+        for line in text.splitlines():
+            kind, left, right = line.replace(" -> ", " ", 1).split(" ", 2)
+            if kind == "relation":
+                name = left.partition("(")[0]
+                rel[name] = parse_formula(dst, right, reserved_vars(src.profile(name), ent))
+            else:
+                (ent if kind == "entity" else const)[left] = right
+        assert parse_interpretation(src, dst, text) == make_interpretation(src, dst, ent, const, rel)
+
+    def test_one_file_mixes_both_shapes(self, pq_sig):
+        text = "relation P -> Q\nentity E -> E\nrelation Q(x1) -> P(x1) & Q(x1)\n"
+        both = parse_formula(pq_sig, "P(x1) & Q(x1)", {"x1": "E"})
+        want = make_interpretation(pq_sig, pq_sig, {"E": "E"}, {}, {"P": Atom("Q", (Var("x1", "E"),)), "Q": both})
+        assert parse_interpretation(pq_sig, pq_sig, text) == want
+
+    def test_a_relation_mapped_in_both_shapes_is_a_duplicate(self, pq_sig):
+        text = "entity E -> E\nrelation P -> Q\nrelation P(x1) -> P(x1)\nrelation Q -> P\n"
+        with pytest.raises(ParseError) as exc:
+            parse_interpretation(pq_sig, pq_sig, text, path="m.map")
+        assert (exc.value.path, exc.value.line, exc.value.message) == (
+            "m.map", 3, "duplicate relation mapping for 'P'"
+        )
 
     def test_morphism_duplicate_line(self, pq_sig):
         text = "entity E -> E\nrelation P -> Q\nrelation P -> P\nrelation Q -> P\n"
-        with pytest.raises(ParseError, match="duplicate relation mapping"):
-            parse_morphism(pq_sig, pq_sig, text)
+        with pytest.raises(ParseError) as exc:
+            parse_interpretation(pq_sig, pq_sig, text, path="m.map")
+        assert (exc.value.path, exc.value.line, exc.value.message) == (
+            "m.map", 3, "duplicate relation mapping for 'P'"
+        )
 
     def test_morphism_bad_line_number(self, pq_sig):
         with pytest.raises(ParseError) as exc:
-            parse_morphism(pq_sig, pq_sig, "entity E -> E\nrelation P => Q\n", path="m.map")
-        assert exc.value.line == 2 and exc.value.path == "m.map"
+            parse_interpretation(pq_sig, pq_sig, "entity E -> E\nrelation P => Q\n", path="m.map")
+        assert (exc.value.path, exc.value.line, exc.value.message) == (
+            "m.map", 2, "unrecognized map line: 'relation P => Q'"
+        )
 
     def test_morphism_semantic_error_wrapped(self, pq_sig, unary_sig):
-        with pytest.raises(ParseError, match="missing mapping for relation 'Q'"):
-            parse_morphism(pq_sig, unary_sig, "entity E -> E\nrelation P -> R\n")
+        with pytest.raises(ParseError) as exc:
+            parse_interpretation(pq_sig, unary_sig, "entity E -> E\nrelation P -> R\n", path="m.map")
+        assert (exc.value.path, exc.value.line, exc.value.message) == (
+            "m.map", None, "missing interpreting formula for relation 'Q'"
+        )
 
     @pytest.mark.parametrize(
         "src, dst, text, line, message",
@@ -703,7 +899,7 @@ class TestParsers:
             ("unary", "unary", "entity E -> E\nrelation R -> Q\n", 2, "relation 'R' maps to undeclared 'Q'"),
             ("pq", "pq", "entity E -> E\nrelation R -> Q\n", 2, "mapping for undeclared relation 'R'"),
             ("pq", "pq", "entity E -> E\nentity Z -> E\n", 2, "mapping for undeclared entity type 'Z'"),
-            ("pq", "pq", "relation P(x1) -> Q\n", 1, "relation line must look like 'relation P -> Q'"),
+            ("pq", "pq", "relation P(x1) -> Q\n", 1, "entity mapping for 'E' must precede relation 'P'"),
             (
                 "const", "const_dst", "entity E -> D\nrelation P -> R\nconstant c -> z\n", 3,
                 "constant 'c' maps to undeclared 'z'",
@@ -726,7 +922,7 @@ class TestParsers:
             "const_dst": "entity D\nrelation R(D)\nconstant d:D",
         }
         with pytest.raises(ParseError) as exc:
-            parse_morphism(parse_signature(sigs[src]), parse_signature(sigs[dst]), text, path="m.map")
+            parse_interpretation(parse_signature(sigs[src]), parse_signature(sigs[dst]), text, path="m.map")
         assert (exc.value.path, exc.value.line, exc.value.message) == ("m.map", line, message)
 
     @pytest.mark.parametrize(
@@ -738,7 +934,7 @@ class TestParsers:
              "relation 'R' has arity 2 but 'R' has arity 3"),
             ("entity A\nentity B\nrelation R(A,A)", "entity A -> A\nentity B -> B\nrelation R -> R\n", 3,
              "relation 'R' position 2: sort 'B' maps to 'B' but 'R' expects 'A'"),
-            ("entity A\nentity B\nrelation R(A,A)", "entity A -> A\nrelation R -> R\nentity B -> B\n", None,
+            ("entity A\nentity B\nrelation R(A,A)", "entity A -> A\nrelation R -> R\nentity B -> B\n", 2,
              "relation 'R' position 2: sort 'B' maps to 'B' but 'R' expects 'A'"),
         ],
         ids=["arity-after-entities", "arity-before-entities", "profile-after-entities", "profile-before-entity"],
@@ -746,7 +942,7 @@ class TestParsers:
     def test_morphism_relation_checked_at_its_line(self, dst, text, line, message):
         src = parse_signature("entity A\nentity B\nrelation R(A,B)")
         with pytest.raises(ParseError) as exc:
-            parse_morphism(src, parse_signature(dst), text, path="m.map")
+            parse_interpretation(src, parse_signature(dst), text, path="m.map")
         assert (exc.value.path, exc.value.line, exc.value.message) == ("m.map", line, message)
 
     def test_interpretation_file(self, unary_sig, pq_sig, conj_interp):
@@ -806,11 +1002,11 @@ class TestParsers:
     @pytest.mark.parametrize(
         "text, line, message",
         [
-            ("entity E F -> E\n", 1, "unrecognized interpretation line: 'entity E F -> E'"),
+            ("entity E F -> E\n", 1, "unrecognized map line: 'entity E F -> E'"),
             (
                 "entity E -> E\nrelation R -> P(x1)\n",
                 2,
-                "relation line must look like 'relation R(x1,...,xn) -> FORMULA'",
+                "relation line must look like 'relation P -> Q' or 'relation R(x1,...,xn) -> FORMULA'",
             ),
             ("entity E -> E\nrelation S(x1) -> P(x1)\n", 2, "undeclared relation 'S'"),
         ],
