@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import fca, nav
 from .errors import (
@@ -204,7 +204,8 @@ def cmd_leq(args: argparse.Namespace) -> int:
     tc = build_tc(args)
     t1 = load_sentences(tc.signature, args.theory)
     t2 = load_sentences(tc.signature, args.theory2)
-    answer = all(entails(tc, t1, s) for s in t2)
+    models = tc._models_mask(t1)
+    answer = all(models & ~tc._column(s) == 0 for s in t2)
     print("true" if answer else "false")
     return 0 if answer else 1
 
@@ -288,51 +289,49 @@ def cmd_ctx_concepts(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly
+# Parser assembly: one options builder per subcommand
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="theorylattice",
-        description="Build lattices of theories over finite model sets and query them.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lattice", help="build the lattice of theories and export it")
+def _lattice_options(p: argparse.ArgumentParser) -> None:
     _add_semantics(p)
     _add_caps(p)
     p.add_argument("--format", choices=("text", "dot", "cxt"), default="text")
     p.add_argument("--out", metavar="FILE", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("close", help="print the closure of a theory")
+
+def _close_options(p: argparse.ArgumentParser) -> None:
     _add_semantics(p)
     _add_caps(p)
     p.add_argument("--theory", required=True, metavar="FILE")
     p.set_defaults(func=cmd_close)
 
-    p = sub.add_parser("entail", help="does a theory entail a sentence? (exit 1 if not)")
+
+def _entail_options(p: argparse.ArgumentParser) -> None:
     _add_semantics(p, pool_required=False)
     _add_caps(p)
     p.add_argument("--theory", required=True, metavar="FILE")
     p.add_argument("--query", required=True, metavar="SENTENCE")
     p.set_defaults(func=cmd_entail)
 
-    p = sub.add_parser("leq", help="is the first theory below the second? (exit 1 if not)")
+
+def _leq_options(p: argparse.ArgumentParser) -> None:
     _add_semantics(p, pool_required=False)
     _add_caps(p)
     p.add_argument("--theory", required=True, metavar="FILE", help="the candidate lower theory")
     p.add_argument("--theory2", required=True, metavar="FILE", help="the candidate upper theory")
     p.set_defaults(func=cmd_leq)
 
-    p = sub.add_parser("nav", help="replay a navigation script")
+
+def _nav_options(p: argparse.ArgumentParser) -> None:
     _add_semantics(p)
     _add_caps(p)
     p.add_argument("--start", metavar="FILE", help="starting theory (default: the top)")
     p.add_argument("--script", required=True, metavar="FILE")
     p.set_defaults(func=cmd_nav)
 
-    p = sub.add_parser("analogy", help="transport a theory along a renaming")
+
+def _analogy_options(p: argparse.ArgumentParser) -> None:
     _add_semantics(p)
     p.add_argument("--dst-sig", metavar="FILE", help="destination signature (default: source)")
     p.add_argument("--dst-pool", metavar="FILE")
@@ -340,11 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     dst_group.add_argument("--dst-carriers", action="append", metavar="SORT=e1,e2")
     dst_group.add_argument("--dst-model", action="append", metavar="FILE")
     _add_caps(p)
-    p.add_argument("--map", required=True, metavar="FILE", help="morphism file")
+    p.add_argument("--map", required=True, metavar="FILE", help="map file")
     p.add_argument("--theory", required=True, metavar="FILE")
     p.set_defaults(func=cmd_analogy)
 
-    p = sub.add_parser("interp", help="interpretation-induced infomorphisms")
+
+def _interp_options(p: argparse.ArgumentParser) -> None:
     isub = p.add_subparsers(dest="subcommand", required=True)
     for name, func in (("check", cmd_interp_check), ("apply", cmd_interp_apply)):
         q = isub.add_parser(
@@ -365,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
         q.set_defaults(func=func)
 
-    p = sub.add_parser("ctx", help="pure formal-context operations")
+
+def _ctx_options(p: argparse.ArgumentParser) -> None:
     csub = p.add_subparsers(dest="subcommand", required=True)
     q = csub.add_parser("concepts", help="enumerate the concepts of a .cxt context")
     q.add_argument("--cxt", required=True, metavar="FILE")
@@ -374,11 +375,45 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--cap-concepts", type=int, default=fca.DEFAULT_CONCEPT_CAP, metavar="N")
     q.set_defaults(func=cmd_ctx_concepts)
 
+
+# Each subcommand's help line and options builder, in the order the help lists them.
+_SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "lattice": ("build the lattice of theories and export it", _lattice_options),
+    "close": ("print the closure of a theory", _close_options),
+    "entail": ("does a theory entail a sentence? (exit 1 if not)", _entail_options),
+    "leq": ("is the first theory below the second? (exit 1 if not)", _leq_options),
+    "nav": ("replay a navigation script", _nav_options),
+    "analogy": ("transport a theory along a signature map", _analogy_options),
+    "interp": ("interpretation-induced infomorphisms", _interp_options),
+    "ctx": ("pure formal-context operations", _ctx_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand or, given a subcommand's name, of that
+    one alone.  Both parse and report that subcommand's arguments alike, and
+    both usage lines list every subcommand; only the full parser can report
+    a missing or unknown subcommand, so ``main`` builds it whenever the first
+    argument is not a subcommand's name."""
+    parser = argparse.ArgumentParser(
+        prog="theorylattice",
+        description="Build lattices of theories over finite model sets and query them.",
+    )
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        help, add_options = _SUBCOMMANDS[name]
+        add_options(sub.add_parser(name, help=help))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except SizeCapError as exc:

@@ -373,17 +373,21 @@ class ConceptLattice:
         by_extent = self._by_extent
         intents = self._intents
         all_types = (1 << len(cols)) - 1
+        columns = [(1 << m, col) for m, col in enumerate(cols)]
         edges = []
         for k, (extent, intent) in enumerate(zip(self._extents, intents)):
             minimal = all_types & ~intent
-            for m in _bits(minimal):
-                bit = 1 << m
-                low = by_extent[extent & cols[m]]
-                if intents[low] & minimal & ~bit:
-                    minimal &= ~bit
+            for bit, col in columns:
+                if intent & bit:
+                    continue
+                low = by_extent[extent & col]
+                # low's intent holds bit; m drops out if it holds another minimal type
+                if intents[low] & minimal != bit:
+                    minimal ^= bit
                 else:
                     edges.append((low, k))
-        return tuple(sorted(edges))
+        edges.sort()
+        return tuple(edges)
 
 
 def _extent_order(extent: int, width: int) -> tuple[int, int]:

@@ -101,7 +101,7 @@ def parse_nav_script(text: str, *, path: str | None = None) -> tuple[tuple[int, 
         if kind not in ("contract", "expand", "revise", "analogy"):
             raise ParseError(f"unknown navigation step {kind!r}", line=lineno, path=path)
         if kind == "analogy" and not payload:
-            raise ParseError("analogy step needs a morphism file path", line=lineno, path=path)
+            raise ParseError("analogy step needs a map file path", line=lineno, path=path)
         steps.append((lineno, kind, payload))
     return tuple(steps)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import runpy
 import subprocess
 import sys
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import cli_surface
 from oracles import M_POOL, M_SIG
-from theorylattice import fca
-from theorylattice.cli import _BLOCK, _blocks, main, parse_carrier_spec
+from theorylattice import cli, fca
+from theorylattice.cli import _BLOCK, _blocks, build_parser, main, parse_carrier_spec
 from theorylattice.errors import ParseError
 from theorylattice.logic import parse_signature
 from theorylattice.morph import make_language_morphism, parse_interpretation
@@ -773,3 +775,72 @@ def test_module_entry_point(ws):
     )
     assert proc.returncode == 1
     assert proc.stdout == "false\n"
+
+
+# ---------------------------------------------------------------------------
+# The parser surface: help and argparse's errors, byte for byte
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != cli_surface.PINNED_ON, reason="pinned in the wording of Python 3.11's argparse"
+)
+@pytest.mark.parametrize("name", cli_surface.CASES)
+def test_parser_surface_is_pinned(name):
+    argv, *want = cli_surface.CASES[name]
+    assert cli_surface.surface(main, argv) == tuple(want)
+
+
+@pytest.mark.parametrize("name", cli_surface.CASES)
+def test_parser_surface_is_the_full_trees(name):
+    argv = cli_surface.CASES[name][0]
+    assert cli_surface.surface(main, argv) == cli_surface.surface(build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("name", ["no-args", "--help", "unknown-command", "lattice --help"])
+def test_module_entry_point_reads_sys_argv(name):
+    argv = cli_surface.CASES[name][0]
+    env = {**os.environ, "COLUMNS": "80"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "theorylattice", *argv], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == cli_surface.surface(main, argv)
+
+
+VALID_ARGVS = [
+    ["lattice", *cli_surface.SEMANTICS, "--pool", "p.pool", "--format", "dot", "--out", "o"],
+    ["close", "--sig", "s.sig", "--pool", "p.pool", "--model", "a", "--model", "b", "--theory", "t"],
+    ["entail", *cli_surface.SEMANTICS, "--theory", "t", "--query", "q", "--cap-models", "9"],
+    ["leq", *cli_surface.SEMANTICS, "--theory", "t", "--theory2", "u"],
+    ["nav", *cli_surface.SEMANTICS, "--pool", "p", "--script", "n"],
+    ["analogy", *cli_surface.SEMANTICS, "--pool", "p", "--dst-sig", "d", "--map", "m", "--theory", "t"],
+    ["interp", "apply", *cli_surface.SEMANTICS, "--pool", "p", "--dst-sig", "d", "--dst-pool", "q",
+     "--dst-model", "x", "--map", "m", "--direction", "inv", "--theory", "t"],
+    ["ctx", "concepts", "--cxt", "c", "--cap-concepts", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=lambda argv: argv[0])
+def test_one_subcommand_parser_reads_what_the_full_tree_reads(argv):
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_a_command_builds_only_its_own_options(ws, capsys, monkeypatch):
+    built = []
+
+    def spy(name, add_options):
+        def add(p):
+            built.append(name)
+            add_options(p)
+
+        return add
+
+    table = {name: (help, spy(name, add)) for name, (help, add) in cli._SUBCOMMANDS.items()}
+    monkeypatch.setattr(cli, "_SUBCOMMANDS", table)
+    argv = ["entail", *pq_args(ws), "--theory", ws["t1.thy"], "--query", "forall x:E. Q(x)"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "false\n"
+    assert built == ["entail"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["entails"])
+    assert built == list(table)

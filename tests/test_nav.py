@@ -221,7 +221,7 @@ class TestScripts:
             parse_nav_script("wander off")
 
     def test_analogy_needs_a_path(self):
-        with pytest.raises(ParseError, match="morphism file path"):
+        with pytest.raises(ParseError, match="map file path"):
             parse_nav_script("analogy")
 
     def test_replay_with_all_kinds(self, swap, swap_lat, pq_sig):
