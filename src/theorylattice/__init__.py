@@ -51,23 +51,6 @@ from .logic import (
     sentence_key,
     theory_of,
 )
-from .morph import (
-    ConceptMorphism,
-    Interpretation,
-    TruthInfomorphism,
-    check_infomorphism,
-    compose,
-    concept_morphism,
-    identity_morphism,
-    is_theory_morphism,
-    make_interpretation,
-    make_language_morphism,
-    parse_interpretation,
-    reduct,
-    translate,
-    truth_infomorphism,
-)
-from .nav import NavStep, analogy, apply_nav_script, contract, expand, parse_nav_script, revise
 from .truth import (
     ClosedTheory,
     Theory,
@@ -87,4 +70,44 @@ from .truth import (
     theory_meet,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The transport layer (signature maps, infomorphisms and the navigation
+# moves that use them) loads on first use, so that importing the package or
+# its CLI compiles only the core pipeline.  Each lazy submodule and the names
+# the package re-exports from it; a name is looked up on every access and
+# never stored here, so that a function swapped in its own module is seen.
+_LAZY = {
+    "morph": (
+        "ConceptMorphism",
+        "Interpretation",
+        "TruthInfomorphism",
+        "check_infomorphism",
+        "compose",
+        "concept_morphism",
+        "identity_morphism",
+        "is_theory_morphism",
+        "make_interpretation",
+        "make_language_morphism",
+        "parse_interpretation",
+        "reduct",
+        "translate",
+        "truth_infomorphism",
+    ),
+    "nav": ("NavStep", "analogy", "apply_nav_script", "contract", "expand", "parse_nav_script", "revise"),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted({*(name for name in dir() if not name.startswith("_")), *_LAZY, *_LAZY_OWNER})
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY:
+        return import_module(f"{__name__}.{name}")
+    if name in _LAZY_OWNER:
+        return getattr(import_module(f"{__name__}.{_LAZY_OWNER[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

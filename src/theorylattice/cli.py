@@ -5,17 +5,19 @@ lattice of theories, and run queries or exports.  All outputs are
 deterministic.  Exit codes: 0 success (and positive answers), 1 negative
 ``entail``/``leq``/``check`` answers, 2 input errors (with file and line
 diagnostics where available), 3 size-cap refusals, 4 internal errors (any
-other exception, reported on one line).
+other exception, reported on one line), 141 when stdout was closed before
+the output was written (``| head``), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import fca, nav
+from . import fca
 from .errors import (
     InfomorphismError,
     ParseError,
@@ -32,7 +34,6 @@ from .logic import (
     parse_sentences,
     parse_signature,
 )
-from .morph import concept_morphism, parse_interpretation, truth_infomorphism
 from .truth import (
     ClosedTheory,
     TruthClassification,
@@ -105,9 +106,21 @@ def _add_semantics(p: argparse.ArgumentParser, prefix: str = "", pool_required: 
     _add_model_source(p, prefix)
 
 
+def _cap(text: str) -> int:
+    """A ``--cap-*`` value: a non-negative int.  A negative cap would refuse
+    every run as if the input were too large, so it is an input error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return value
+
+
 def _add_caps(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap-models", type=int, default=DEFAULT_MODEL_CAP, metavar="N")
-    p.add_argument("--cap-concepts", type=int, default=fca.DEFAULT_CONCEPT_CAP, metavar="N")
+    p.add_argument("--cap-models", type=_cap, default=DEFAULT_MODEL_CAP, metavar="N")
+    p.add_argument("--cap-concepts", type=_cap, default=fca.DEFAULT_CONCEPT_CAP, metavar="N")
 
 
 def build_tc(args: argparse.Namespace, prefix: str = "") -> TruthClassification:
@@ -210,7 +223,14 @@ def cmd_leq(args: argparse.Namespace) -> int:
     return 0 if answer else 1
 
 
+# The four commands below import the transport layer (``morph``, ``nav``)
+# themselves: no other command loads it.
+
+
 def cmd_nav(args: argparse.Namespace) -> int:
+    from . import nav
+    from .morph import parse_interpretation
+
     tc = build_tc(args)
     lat = theory_lattice(tc, concept_cap=args.cap_concepts)
     start = closure(tc, load_sentences(tc.signature, args.start) if args.start else ())
@@ -228,6 +248,9 @@ def cmd_nav(args: argparse.Namespace) -> int:
 
 
 def cmd_analogy(args: argparse.Namespace) -> int:
+    from . import nav
+    from .morph import parse_interpretation
+
     dst_models = args.dst_carriers or args.dst_model
     if args.dst_sig and not (args.dst_pool and dst_models):
         raise ParseError("--dst-sig needs --dst-pool and one of --dst-carriers/--dst-model")
@@ -247,6 +270,8 @@ def cmd_analogy(args: argparse.Namespace) -> int:
 
 
 def cmd_interp_check(args: argparse.Namespace) -> int:
+    from .morph import parse_interpretation, truth_infomorphism
+
     tc1 = build_tc(args)
     tc2 = build_tc(args, prefix="dst-")
     h = parse_interpretation(tc1.signature, tc2.signature, _read(args.map), path=args.map)
@@ -260,6 +285,8 @@ def cmd_interp_check(args: argparse.Namespace) -> int:
 
 
 def cmd_interp_apply(args: argparse.Namespace) -> int:
+    from .morph import concept_morphism, parse_interpretation, truth_infomorphism
+
     tc1 = build_tc(args)
     tc2 = build_tc(args, prefix="dst-")
     h = parse_interpretation(tc1.signature, tc2.signature, _read(args.map), path=args.map)
@@ -372,7 +399,7 @@ def _ctx_options(p: argparse.ArgumentParser) -> None:
     q.add_argument("--cxt", required=True, metavar="FILE")
     q.add_argument("--format", choices=("text", "dot", "cxt"), default="text")
     q.add_argument("--out", metavar="FILE")
-    q.add_argument("--cap-concepts", type=int, default=fca.DEFAULT_CONCEPT_CAP, metavar="N")
+    q.add_argument("--cap-concepts", type=_cap, default=fca.DEFAULT_CONCEPT_CAP, metavar="N")
     q.set_defaults(func=cmd_ctx_concepts)
 
 
@@ -419,6 +446,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): stop quietly with the
+        # status of a process killed by SIGPIPE.  Stdout now writes to
+        # devnull, so that its flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ParseError, PoolMembershipError, SignatureMismatchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

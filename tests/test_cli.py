@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import runpy
@@ -223,9 +224,12 @@ def test_stdout_of_a_process_equals_the_out_file(ws, tmp_path):
 REFUSALS = {
     "input-error": ("lattice", 2, ["--pool", "bad_pool"]),
     "model-cap": ("lattice", 3, ["--cap-models", "4"]),
+    "model-cap-zero": ("lattice", 3, ["--cap-models", "0"]),
     "concept-cap": ("lattice", 3, ["--cap-concepts", "3"]),
+    "concept-cap-zero": ("lattice", 3, ["--cap-concepts", "0"]),
     "cxt-input-error": ("ctx", 2, ["--cxt", "bad.cxt"]),
     "cxt-concept-cap": ("ctx", 3, ["--cap-concepts", "2"]),
+    "cxt-concept-cap-zero": ("ctx", 3, ["--cap-concepts", "0"]),
 }
 
 
@@ -692,6 +696,44 @@ class TestErrorExitCodes:
         assert main(["lattice", *pq_args(ws), "--cap-concepts", "3"]) == 3
         assert "exceeding the cap of 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--cap-models", "--cap-concepts"])
+    def test_a_negative_cap_is_an_argument_error(self, ws, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice", *pq_args(ws), option, "-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: argument {option}: invalid non-negative int value: '-1'\n")
+
+    def test_a_cap_that_is_no_int_keeps_its_message(self, ws, capsys):
+        with pytest.raises(SystemExit):
+            main(["ctx", "concepts", "--cxt", ws["demo.cxt"], "--cap-concepts", "x"])
+        assert capsys.readouterr().err.endswith("error: argument --cap-concepts: invalid int value: 'x'\n")
+
+    def test_every_cap_option_refuses_a_negative_value(self):
+        """Each ``--cap-*`` option of every subcommand, found by walking
+        the full parser, takes 0 and refuses -1."""
+        caps = []
+        parsers = [("theorylattice", build_parser())]
+        while parsers:
+            path, parser = parsers.pop()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers += [(f"{path} {name}", sub) for name, sub in action.choices.items()]
+                elif any(opt.startswith("--cap-") for opt in action.option_strings):
+                    caps.append((path, action))
+        assert len(caps) == 2 * 8 + 1
+        for path, action in caps:
+            assert action.type("0") == 0, path
+            with pytest.raises(argparse.ArgumentTypeError):
+                action.type("-1")
+
+    def test_an_unwritable_out_file_is_an_input_error(self, ws, capsys, tmp_path):
+        assert main(["lattice", *pq_args(ws), "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_deeply_nested_theory_is_an_input_error(self, ws, capsys, tmp_path):
         theory = tmp_path / "deep.thy"
         theory.write_text("~" * 3000 + "forall x:E. P(x)\n", encoding="utf-8")
@@ -775,6 +817,51 @@ def test_module_entry_point(ws):
     )
     assert proc.returncode == 1
     assert proc.stdout == "false\n"
+
+
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path):
+    """``theorylattice lattice … | head -1``: the reader closes the pipe
+    after the first line, and the run stops with the status of a process
+    killed by SIGPIPE, 141, and writes nothing to stderr."""
+    sig, pool = tmp_path / "pq.sig", tmp_path / "pq.pool"
+    sig.write_text(SIG, encoding="utf-8")
+    pool.write_text("forall x:E. P(x)\nexists x:E. Q(x)\n", encoding="utf-8")
+    # 65536 models: a text export of about 770 kB, many times what a pipe holds
+    argv = [
+        sys.executable, "-m", "theorylattice", "lattice",
+        "--sig", str(sig), "--pool", str(pool), "--carriers", "E=a,b,c,d,e,f,g,h",
+    ]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"closed theories: 4\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
+
+
+# The commands that use the transport layer, each run by a fresh interpreter,
+# which loads morph and nav only when the command asks for them.
+TRANSPORT_COMMANDS = {
+    "nav": (
+        lambda ws: ["nav", *pq_args(ws, pool="swap_pool"), "--script", ws["steps.nav"]],
+        "1 expand -> theory 6: exists v0:E. P(v0); forall v0:E. P(v0); forall v0:E. Q(v0) -> P(v0)\n"
+        "2 analogy -> theory 5: exists v0:E. Q(v0); forall v0:E. P(v0) -> Q(v0); forall v0:E. Q(v0)\n"
+        "3 contract -> theory 9: exists v0:E. Q(v0); forall v0:E. P(v0) -> Q(v0)\n",
+    ),
+    "analogy": (
+        lambda ws: ["analogy", *pq_args(ws, pool="swap_pool"), "--map", ws["swap.map"], "--theory", ws["t1.thy"]],
+        "exists v0:E. Q(v0)\nforall v0:E. P(v0) -> Q(v0)\nforall v0:E. Q(v0)\n",
+    ),
+    "interp check": (lambda ws: ["interp", "check", *interp_args(ws)], "true\n"),
+}
+
+
+@pytest.mark.parametrize("name", TRANSPORT_COMMANDS)
+def test_transport_commands_from_a_fresh_interpreter(ws, name):
+    make_argv, want = TRANSPORT_COMMANDS[name]
+    proc = subprocess.run(
+        [sys.executable, "-m", "theorylattice", *make_argv(ws)], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
 # ---------------------------------------------------------------------------
