@@ -15,6 +15,7 @@ empty or infinite domains.
 from __future__ import annotations
 
 import collections.abc
+import contextlib
 import functools
 import itertools
 import math
@@ -47,8 +48,40 @@ def _check_name(kind: str, name: str) -> None:
         raise ValueError(f"invalid {kind} name {name!r}")
 
 
+def _fault(node: object, message: str) -> ValueError:
+    """A ``ValueError`` that names the ``node`` at fault, so that a reader can
+    report it at the line the node was read from (see :func:`_at_line`)."""
+    exc = ValueError(message)
+    exc.node = node
+    return exc
+
+
 # ---------------------------------------------------------------------------
 # Signatures
+
+# What a declaration of each kind is called in a message.
+_DECLARED = {"entity": "entity type", "relation": "relation type", "constant": "constant"}
+
+
+def _declare(declared: dict[str, dict], kind: str, name: str, sorts: tuple[str, ...]) -> None:
+    """Check one declaration against those before it, then record it.
+
+    ``declared`` maps each kind to the names declared so far with their
+    sorts: none for an entity type, its profile for a relation type, its
+    one sort for a constant.  :class:`Signature` declares the entity types
+    first; the file reader declares line by line, so that a sort must be
+    declared above the line that uses it.
+    """
+    what = _DECLARED[kind]
+    _check_name(what, name)
+    if name in declared[kind]:
+        raise ValueError(f"duplicate {what} {name!r}")
+    if kind == "relation" and not sorts:
+        raise ValueError(f"{what} {name!r} has an empty profile")
+    for sort in sorts:
+        if sort not in declared["entity"]:
+            raise ValueError(f"{what} {name!r} references undeclared entity type {sort!r}")
+    declared[kind][name] = sorts
 
 
 @dataclass(frozen=True)
@@ -64,36 +97,16 @@ class Signature:
     constants: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        ents: list[str] = []
+        declared: dict[str, dict] = {kind: {} for kind in _DECLARED}
         for name in self.entity_types:
-            _check_name("entity type", name)
-            if name in ents:
-                raise ValueError(f"duplicate entity type {name!r}")
-            ents.append(name)
-        ent_set = frozenset(ents)
-        profiles: dict[str, tuple[str, ...]] = {}
+            _declare(declared, "entity", name, ())
         for name, profile in self.relation_types:
-            _check_name("relation type", name)
-            if name in profiles:
-                raise ValueError(f"duplicate relation type {name!r}")
-            if not profile:
-                raise ValueError(f"relation type {name!r} has an empty profile")
-            for sort in profile:
-                if sort not in ent_set:
-                    raise ValueError(
-                        f"relation type {name!r} references undeclared entity type {sort!r}"
-                    )
-            profiles[name] = tuple(profile)
-        const_sorts: dict[str, str] = {}
+            _declare(declared, "relation", name, tuple(profile))
         for name, sort in self.constants:
-            _check_name("constant", name)
-            if name in const_sorts:
-                raise ValueError(f"duplicate constant {name!r}")
-            if sort not in ent_set:
-                raise ValueError(f"constant {name!r} references undeclared entity type {sort!r}")
-            const_sorts[name] = sort
-        object.__setattr__(self, "_ents", ent_set)
-        object.__setattr__(self, "_profiles", profiles)
+            _declare(declared, "constant", name, (sort,))
+        object.__setattr__(self, "_ents", declared["entity"])
+        object.__setattr__(self, "_profiles", declared["relation"])
+        const_sorts = {name: sort for name, (sort,) in declared["constant"].items()}
         object.__setattr__(self, "_const_sorts", const_sorts)
 
     def has_entity_type(self, name: str) -> bool:
@@ -346,46 +359,41 @@ def validate_formula(sig: Signature, formula: Formula, free: Mapping[str, str] |
         if not sig.has_entity_type(sort):
             raise ValueError(f"free variable {name!r} has undeclared sort {sort!r}")
 
-    def fault(node: Formula, message: str) -> ValueError:
-        exc = ValueError(message)
-        exc.node = node
-        return exc
-
     def term_sort(t: Term, env: Mapping[str, str], f: Atom | Eq) -> str:
         if isinstance(t, Var):
             if t.name not in env:
-                raise fault(f, f"free variable {t.name!r}")
+                raise _fault(f, f"free variable {t.name!r}")
             if env[t.name] != t.sort:
-                raise fault(
+                raise _fault(
                     f, f"variable {t.name!r} used at sort {t.sort!r} but bound at {env[t.name]!r}"
                 )
             return t.sort
         if not sig.has_constant(t.name):
-            raise fault(f, f"unknown constant {t.name!r}")
+            raise _fault(f, f"unknown constant {t.name!r}")
         return sig.constant_sort(t.name)
 
     def leaf(f: Atom | Eq, env: Mapping[str, str]) -> Formula:
         if isinstance(f, Eq):
             ls, rs = term_sort(f.left, env, f), term_sort(f.right, env, f)
             if ls != rs:
-                raise fault(f, f"equality between different sorts {ls!r} and {rs!r}")
+                raise _fault(f, f"equality between different sorts {ls!r} and {rs!r}")
             return f
         profile = sig.profile(f.rel)
         if len(f.args) != len(profile):
-            raise fault(
+            raise _fault(
                 f, f"relation {f.rel!r} expects {len(profile)} arguments, got {len(f.args)}"
             )
         for pos, (t, want) in enumerate(zip(f.args, profile), start=1):
             got = term_sort(t, env, f)
             if got != want:
-                raise fault(
+                raise _fault(
                     f, f"argument {pos} of {f.rel!r} has sort {got!r}, expected {want!r}"
                 )
         return f
 
     def binder(f: Forall | Exists, env: Mapping[str, str]):
         if not sig.has_entity_type(f.sort):
-            raise fault(f, f"quantifier over undeclared entity type {f.sort!r}")
+            raise _fault(f, f"quantifier over undeclared entity type {f.sort!r}")
         return f.var, f.sort, {**env, f.var: f.sort}
 
     _map(formula, allowed, leaf, binder)
@@ -688,9 +696,9 @@ class Structure:
 
     def __post_init__(self) -> None:
         sig = self.signature
+        carrier_map = validate_carriers(sig, dict(self.carriers))
         if tuple(name for name, _ in self.carriers) != sig.entity_types:
             raise ValueError("carriers must list every entity type in declaration order")
-        carrier_map = validate_carriers(sig, dict(self.carriers))
         if tuple(name for name, _ in self.relations) != sig.relation_names:
             raise ValueError("relations must list every relation type in declaration order")
         rel_map: dict[str, frozenset[tuple[str, ...]]] = {}
@@ -698,21 +706,28 @@ class Structure:
             profile = sig.profile(name)
             for tup in tuples:
                 if len(tup) != len(profile):
-                    raise ValueError(f"tuple {tup!r} has wrong arity for relation {name!r}")
+                    raise _fault(
+                        ("relation", name), f"tuple {tup!r} has wrong arity for relation {name!r}"
+                    )
                 for elem, sort in zip(tup, profile):
                     if elem not in carrier_map[sort]:
-                        raise ValueError(
-                            f"tuple {tup!r} of relation {name!r} leaves the carrier of {sort!r}"
+                        raise _fault(
+                            ("relation", name),
+                            f"tuple {tup!r} of relation {name!r} leaves the carrier of {sort!r}",
                         )
             rel_map[name] = frozenset(tuples)
-        if tuple(name for name, _ in self.constants) != sig.constant_names:
-            raise ValueError("constants must list every constant in declaration order")
         const_map: dict[str, str] = {}
         for name, elem in self.constants:
-            sort = sig.constant_sort(name)
-            if elem not in carrier_map[sort]:
-                raise ValueError(f"constant {name!r} denotes {elem!r} outside its carrier")
+            if elem not in carrier_map[sig.constant_sort(name)]:
+                raise _fault(
+                    ("constant", name), f"constant {name!r} denotes {elem!r} outside its carrier"
+                )
             const_map[name] = elem
+        missing = [name for name in sig.constant_names if name not in const_map]
+        if missing:
+            raise ValueError(f"missing denotations for constants {missing}")
+        if tuple(name for name, _ in self.constants) != sig.constant_names:
+            raise ValueError("constants must list every constant in declaration order")
         object.__setattr__(self, "_carrier", carrier_map)
         object.__setattr__(self, "_relation", rel_map)
         object.__setattr__(self, "_constant", const_map)
@@ -726,7 +741,6 @@ class Structure:
         constants: Mapping[str, str] | None = None,
     ) -> "Structure":
         """Build a structure from mappings; missing relations default to empty."""
-        cs = validate_carriers(sig, carriers)
         relations = dict(relations or {})
         constants = dict(constants or {})
         for name in relations:
@@ -735,17 +749,16 @@ class Structure:
         for name in constants:
             if not sig.has_constant(name):
                 raise ValueError(f"denotation for undeclared constant {name!r}")
-        missing = [name for name in sig.constant_names if name not in constants]
-        if missing:
-            raise ValueError(f"missing denotations for constants {missing}")
+        # the declared sorts in declaration order, then any others, for the constructor to refuse
+        ordered = {sort: carriers[sort] for sort in sig.entity_types if sort in carriers}
         return cls(
             signature=sig,
-            carriers=tuple(cs.items()),
+            carriers=tuple((sort, tuple(elems)) for sort, elems in {**ordered, **carriers}.items()),
             relations=tuple(
                 (name, frozenset(tuple(t) for t in relations.get(name, ())))
                 for name in sig.relation_names
             ),
-            constants=tuple((name, constants[name]) for name in sig.constant_names),
+            constants=tuple((name, constants[name]) for name in sig.constant_names if name in constants),
         )
 
     def carrier(self, sort: str) -> tuple[str, ...]:
@@ -983,20 +996,22 @@ def theory_of(structure: Structure, pool: Iterable[Formula]) -> frozenset[Formul
 
 
 def validate_carriers(sig: Signature, carriers: Mapping[str, Sequence[str]]) -> dict[str, tuple[str, ...]]:
+    """The carriers in declaration order, each checked: a fault with one
+    carrier names its sort as the node ``("entity", sort)``."""
     out: dict[str, tuple[str, ...]] = {}
-    for sort in sig.entity_types:
-        if sort not in carriers:
-            raise ValueError(f"missing carrier for entity type {sort!r}")
-        elems = tuple(carriers[sort])
-        if not elems:
-            raise ValueError(f"carrier of {sort!r} is empty")
-        if len(set(elems)) != len(elems):
-            raise ValueError(f"carrier of {sort!r} has duplicate elements")
-        out[sort] = elems
-    for sort in carriers:
+    for sort, elems in carriers.items():
+        node, elems = ("entity", sort), tuple(elems)
         if not sig.has_entity_type(sort):
-            raise ValueError(f"carrier for undeclared entity type {sort!r}")
-    return out
+            raise _fault(node, f"carrier for undeclared entity type {sort!r}")
+        if not elems:
+            raise _fault(node, f"carrier of {sort!r} is empty")
+        if len(set(elems)) != len(elems):
+            raise _fault(node, f"carrier of {sort!r} has duplicate elements")
+        out[sort] = elems
+    for sort in sig.entity_types:
+        if sort not in out:
+            raise ValueError(f"missing carrier for entity type {sort!r}")
+    return {sort: out[sort] for sort in sig.entity_types}
 
 
 def _space_size(sig: Signature, cs: Mapping[str, tuple[str, ...]]) -> tuple[int, int]:
@@ -1232,55 +1247,43 @@ def _source_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def parse_signature(text: str, *, path: str | None = None) -> Signature:
-    """Parse a signature file: entity/relation/constant declarations."""
-    ents: list[str] = []
-    rels: list[tuple[str, tuple[str, ...]]] = []
-    consts: list[tuple[str, str]] = []
-    seen: dict[str, set[str]] = {"entity": set(), "relation": set(), "constant": set()}
-
-    def check(kind: str, name: str, lineno: int) -> None:
-        if not _is_name(name):
-            raise ParseError(f"invalid {kind} name {name!r}", line=lineno, path=path)
-        if name in seen[kind]:
-            raise ParseError(f"duplicate {kind} name {name!r}", line=lineno, path=path)
-        seen[kind].add(name)
-
-    for lineno, line in _source_lines(text):
-        if m := _ENTITY_LINE.match(line):
-            name = m.group(1)
-            check("entity", name, lineno)
-            ents.append(name)
-        elif m := _RELATION_LINE.match(line):
-            name, raw_profile = m.group(1), m.group(2)
-            check("relation", name, lineno)
-            profile = tuple(s.strip() for s in raw_profile.split(",")) if raw_profile.strip() else ()
-            if not profile:
-                raise ParseError(f"relation {name!r} has an empty profile", line=lineno, path=path)
-            for sort in profile:
-                if sort not in seen["entity"]:
-                    raise ParseError(
-                        f"relation {name!r} references undeclared entity type {sort!r}",
-                        line=lineno,
-                        path=path,
-                    )
-            rels.append((name, profile))
-        elif m := _CONSTANT_LINE.match(line):
-            name, sort = m.group(1), m.group(2)
-            check("constant", name, lineno)
-            if sort not in seen["entity"]:
-                raise ParseError(
-                    f"constant {name!r} references undeclared entity type {sort!r}",
-                    line=lineno,
-                    path=path,
-                )
-            consts.append((name, sort))
-        else:
-            raise ParseError(f"unrecognized declaration: {line!r}", line=lineno, path=path)
+@contextlib.contextmanager
+def _at_line(line: int | Mapping | None, path: str | None) -> Iterator[None]:
+    """Report a ``ValueError`` raised inside as a ``ParseError`` at ``line``
+    of the file.  ``line`` may instead map nodes to the lines they were
+    read from: a fault that names its node (see :func:`_fault`) is then
+    reported at the node's line, any other without a line."""
     try:
-        return Signature(tuple(ents), tuple(rels), tuple(consts))
+        yield
     except ValueError as exc:
-        raise ParseError(str(exc), path=path)
+        message = exc.message if isinstance(exc, ParseError) else str(exc)
+        if isinstance(line, collections.abc.Mapping):
+            line = line.get(getattr(exc, "node", None))
+        raise ParseError(message, line=line, path=path) from None
+
+
+def parse_signature(text: str, *, path: str | None = None) -> Signature:
+    """Parse a signature file: entity/relation/constant declarations, each
+    checked as :class:`Signature` checks it, against the lines above it."""
+    declared: dict[str, dict] = {kind: {} for kind in _DECLARED}
+    for lineno, line in _source_lines(text):
+        with _at_line(lineno, path):
+            if m := _ENTITY_LINE.match(line):
+                kind, name, sorts = "entity", m.group(1), ()
+            elif m := _RELATION_LINE.match(line):
+                profile = m.group(2)
+                sorts = tuple(s.strip() for s in profile.split(",")) if profile else ()
+                kind, name = "relation", m.group(1)
+            elif m := _CONSTANT_LINE.match(line):
+                kind, name, sorts = "constant", m.group(1), (m.group(2),)
+            else:
+                raise ParseError(f"unrecognized declaration: {line!r}")
+            _declare(declared, kind, name, sorts)
+    return Signature(
+        tuple(declared["entity"]),
+        tuple(declared["relation"].items()),
+        tuple((name, sort) for name, (sort,) in declared["constant"].items()),
+    )
 
 
 def parse_sentences(sig: Signature, text: str, *, path: str | None = None) -> tuple[Formula, ...]:
@@ -1291,10 +1294,8 @@ def parse_sentences(sig: Signature, text: str, *, path: str | None = None) -> tu
     out: list[Formula] = []
     seen: set[Formula] = set()
     for lineno, line in _source_lines(text):
-        try:
-            sentence = parse_sentence(sig, line, path=path)
-        except ParseError as exc:
-            raise ParseError(exc.message, line=lineno, path=path)
+        with _at_line(lineno, path):
+            sentence = parse_sentence(sig, line)
         if sentence not in seen:
             seen.add(sentence)
             out.append(sentence)
@@ -1321,58 +1322,59 @@ def _split_top_commas(text: str) -> list[str]:
 
 
 def parse_model(sig: Signature, text: str, *, path: str | None = None) -> Structure:
-    """Parse a model file: universe lines, relation extensions, denotations."""
+    """Parse a model file: universe lines, relation extensions, denotations.
+
+    The reader checks each line's shape and that no universe, extension or
+    denotation is given twice; :class:`Structure` checks the rest, and a
+    fault it finds in one of them is reported at its line.
+    """
     carriers: dict[str, tuple[str, ...]] = {}
     relations: dict[str, list[tuple[str, ...]]] = {}
     constants: dict[str, str] = {}
+    lines: dict[tuple[str, str], int] = {}  # the line of each universe, extension and denotation
     for lineno, line in _source_lines(text):
-        if m := _UNIVERSE_LINE.match(line):
-            sort, body = m.group(1), m.group(2).strip()
-            if not sig.has_entity_type(sort):
-                raise ParseError(f"undeclared entity type {sort!r}", line=lineno, path=path)
-            if sort in carriers:
-                raise ParseError(f"duplicate universe for {sort!r}", line=lineno, path=path)
-            elems = tuple(e.strip() for e in body.split(",")) if body else ()
-            if not all(elems):
-                raise ParseError(f"malformed universe for {sort!r}", line=lineno, path=path)
-            carriers[sort] = elems
-        elif m := _ASSIGN_LINE.match(line):
-            name, rhs = m.group(1), m.group(2)
-            if sig.has_relation(name):
-                if name in relations:
-                    raise ParseError(f"duplicate extension for {name!r}", line=lineno, path=path)
-                if not (rhs.startswith("{") and rhs.endswith("}")):
-                    raise ParseError(
-                        f"relation {name!r} needs a tuple set in braces", line=lineno, path=path
-                    )
-                body = rhs[1:-1].strip()
-                tuples: list[tuple[str, ...]] = []
-                if body:
-                    for item in _split_top_commas(body):
+        with _at_line(lineno, path):
+            if m := _UNIVERSE_LINE.match(line):
+                kind, name, body = "entity", m.group(1), m.group(2).strip()
+                if name in carriers:
+                    raise ParseError(f"duplicate universe for {name!r}")
+                elems = tuple(e.strip() for e in body.split(",")) if body else ()
+                if not all(elems):
+                    raise ParseError(f"malformed universe for {name!r}")
+                carriers[name] = elems
+            elif m := _ASSIGN_LINE.match(line):
+                name, rhs = m.group(1), m.group(2)
+                if sig.has_relation(name):
+                    kind = "relation"
+                    if name in relations:
+                        raise ParseError(f"duplicate extension for {name!r}")
+                    if not (rhs.startswith("{") and rhs.endswith("}")):
+                        raise ParseError(f"relation {name!r} needs a tuple set in braces")
+                    body = rhs[1:-1].strip()
+                    tuples: list[tuple[str, ...]] = []
+                    for item in _split_top_commas(body) if body else ():
                         if item.startswith("(") and item.endswith(")"):
                             tup = tuple(e.strip() for e in item[1:-1].split(","))
                         else:
                             tup = (item,)
                         if not all(tup):
-                            raise ParseError(f"malformed tuple {item!r}", line=lineno, path=path)
+                            raise ParseError(f"malformed tuple {item!r}")
                         tuples.append(tup)
-                relations[name] = tuples
-            elif sig.has_constant(name):
-                if name in constants:
-                    raise ParseError(f"duplicate denotation for {name!r}", line=lineno, path=path)
-                if "{" in rhs or "," in rhs:
-                    raise ParseError(
-                        f"constant {name!r} needs a single element", line=lineno, path=path
-                    )
-                constants[name] = rhs
+                    relations[name] = tuples
+                elif sig.has_constant(name):
+                    kind = "constant"
+                    if name in constants:
+                        raise ParseError(f"duplicate denotation for {name!r}")
+                    if "{" in rhs or "," in rhs:
+                        raise ParseError(f"constant {name!r} needs a single element")
+                    constants[name] = rhs
+                else:
+                    raise ParseError(f"unknown relation or constant {name!r}")
             else:
-                raise ParseError(f"unknown relation or constant {name!r}", line=lineno, path=path)
-        else:
-            raise ParseError(f"unrecognized model line: {line!r}", line=lineno, path=path)
-    try:
+                raise ParseError(f"unrecognized model line: {line!r}")
+        lines[kind, name] = lineno
+    with _at_line(lines, path):
         return Structure.make(sig, carriers, relations, constants)
-    except ValueError as exc:
-        raise ParseError(str(exc), path=path)
 
 
 def format_structure(structure: Structure) -> str:

@@ -18,18 +18,19 @@ checked along the cover edges.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import fca
 from .errors import InfomorphismError, ParseError, SignatureMismatchError
 from .logic import (
+    _at_line,
     _column,
+    _fault,
     _Group,
     _map,
     _source_lines,
@@ -146,9 +147,10 @@ def _symbol_maps(
     for name in src.constant_names:
         sort, got = src.constant_sort(name), dst.constant_sort(const[name])
         if ent[sort] != got:
-            raise ValueError(
+            raise _fault(
+                ("constant", name),
                 f"constant {name!r} of sort {sort!r} maps to {const[name]!r} of sort "
-                f"{got!r}, expected {ent[sort]!r}"
+                f"{got!r}, expected {ent[sort]!r}",
             )
     return (
         tuple((n, ent[n]) for n in src.entity_types),
@@ -206,9 +208,9 @@ def _interpretation(
                 )
                 if part
             )
-            raise ValueError(
-                f"formula for relation {name!r} must use exactly "
-                f"{sorted(want_free)} free: {detail}"
+            raise _fault(
+                ("relation", name),
+                f"formula for relation {name!r} must use exactly {sorted(want_free)} free: {detail}",
             )
         if not typed:
             validate_formula(dst, formula, want_free)
@@ -649,17 +651,6 @@ _ARROW_LINE = re.compile(r"(entity|relation|constant)\s+(.+?)\s*->\s*(\S.*?)\s*$
 _REL_HEAD = re.compile(r"(\S+?)\s*\(\s*([^()]*?)\s*\)\s*$")
 
 
-@contextlib.contextmanager
-def _at_line(line: int | None, path: str | None) -> Iterator[None]:
-    """Report an error raised inside as a ``ParseError`` at this line of the file."""
-    try:
-        yield
-    except ParseError as exc:
-        raise ParseError(exc.message, line=line, path=path)
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line, path=path)
-
-
 def _relation_formula(
     src: Signature, dst: Signature, ent: Mapping[str, str], name: str, raw_vars: str, body: str
 ) -> Formula:
@@ -700,14 +691,17 @@ def parse_interpretation(
     its symbols (a source symbol mapped to a declared target; for
     ``P -> Q`` also Q's arity and each profile position whose sort an
     entity line above it maps) and duplicates.  The profile positions of
-    ``P -> Q`` whose entity lines come later are checked once the file is
-    read, and reported at its line.  Only a missing mapping has no line.
+    ``P -> Q`` whose entity lines come later, the sort of each constant's
+    image and the free variables of each formula are checked once the file
+    is read, and reported at their line.  Only a missing mapping has no
+    line.
     """
     ent: dict[str, str] = {}
     const: dict[str, str] = {}
     rel: dict[str, Formula | str] = {}
     maps = {"entity": ent, "constant": const, "relation": rel}
-    renamed: dict[str, int] = {}  # the line of each ``relation P -> Q``
+    lines: dict[tuple[str, str], int] = {}  # the line of each mapping
+    renamed: list[str] = []  # the relations of the ``relation P -> Q`` lines
     for lineno, line in _source_lines(text):
         with _at_line(lineno, path):
             m = _ARROW_LINE.match(line)
@@ -727,15 +721,16 @@ def parse_interpretation(
                 )
             else:
                 _check_relation(src, dst, ent, left, right)
-                renamed[left] = lineno
+                renamed.append(left)
             if left in maps[kind]:
                 raise ParseError(f"duplicate {kind} mapping for {left!r}")
             maps[kind][left] = right
-    for name, lineno in renamed.items():
+        lines[kind, left] = lineno
+    for name in renamed:
         image = rel.pop(name)
-        with _at_line(lineno, path):
+        with _at_line(lines["relation", name], path):
             _check_relation(src, dst, ent, name, image)
         if ent.keys() >= set(src.profile(name)):  # else the missing entity line is named below
             rel[name] = _renaming_atom(src, ent, name, image)
-    with _at_line(None, path):
+    with _at_line(lines, path):
         return _interpretation(src, dst, ent, const, rel, typed=True)

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 from . import fca
 from .errors import ParseError
-from .logic import Formula, _source_lines, _split_top_commas, parse_sentence
+from .logic import Formula, _at_line, _source_lines, _split_top_commas, parse_sentence
 from .morph import Interpretation, translate
 from .truth import ClosedTheory, TheoryLattice
 
@@ -98,10 +98,11 @@ def parse_nav_script(text: str, *, path: str | None = None) -> tuple[tuple[int, 
     for lineno, line in _source_lines(text):
         kind, _, payload = line.partition(" ")
         payload = payload.strip()
-        if kind not in ("contract", "expand", "revise", "analogy"):
-            raise ParseError(f"unknown navigation step {kind!r}", line=lineno, path=path)
-        if kind == "analogy" and not payload:
-            raise ParseError("analogy step needs a map file path", line=lineno, path=path)
+        with _at_line(lineno, path):
+            if kind not in ("contract", "expand", "revise", "analogy"):
+                raise ParseError(f"unknown navigation step {kind!r}")
+            if kind == "analogy" and not payload:
+                raise ParseError("analogy step needs a map file path")
         steps.append((lineno, kind, payload))
     return tuple(steps)
 
@@ -118,51 +119,44 @@ def apply_nav_script(
 
     Analogy steps map the lattice's language to itself here: the map is
     loaded from the step's path by the supplied callback, and a file it
-    cannot read is reported at the step's line.
+    cannot read is reported at the step's line.  A fault in the map file
+    itself, and a move's own error, pass through as they are.
     """
     sig = lat.tc.signature
 
-    def payload_sentences(payload: str, lineno: int) -> list[Formula]:
+    def sentences(payload: str) -> list[Formula]:
         if not payload:
             return []
         out = []
         for part in _split_top_commas(payload):
             if not part:
-                raise ParseError("empty sentence in payload", line=lineno, path=path)
-            try:
-                out.append(parse_sentence(sig, part))
-            except ParseError as exc:
-                raise ParseError(exc.message, line=lineno, path=path)
+                raise ParseError("empty sentence in payload")
+            out.append(parse_sentence(sig, part))
         return out
 
     log: list[NavStep] = []
     current = start
     for lineno, kind, payload in parse_nav_script(text, path=path):
         delete, add, f = [], [], None
+        with _at_line(lineno, path):
+            if kind == "contract":
+                delete = sentences(payload)
+            elif kind == "expand":
+                add = sentences(payload)
+            elif kind == "revise":
+                left, sep, right = payload.partition(";")
+                if not sep:
+                    raise ParseError("revise needs 'DELETIONS ; ADDITIONS' (either side may be empty)")
+                delete, add = sentences(left.strip()), sentences(right.strip())
+            elif load_morphism is None:
+                raise ParseError("analogy steps are not available here (no morphism loader)")
         if kind == "contract":
-            delete = payload_sentences(payload, lineno)
             nxt = contract(lat, current, delete)
         elif kind == "expand":
-            add = payload_sentences(payload, lineno)
             nxt = expand(lat, current, add)
         elif kind == "revise":
-            left, sep, right = payload.partition(";")
-            if not sep:
-                raise ParseError(
-                    "revise needs 'DELETIONS ; ADDITIONS' (either side may be empty)",
-                    line=lineno,
-                    path=path,
-                )
-            delete = payload_sentences(left.strip(), lineno)
-            add = payload_sentences(right.strip(), lineno)
             nxt = revise(lat, current, delete, add)
         else:
-            if load_morphism is None:
-                raise ParseError(
-                    "analogy steps are not available here (no morphism loader)",
-                    line=lineno,
-                    path=path,
-                )
             try:
                 f = load_morphism(payload)
             except OSError as exc:

@@ -381,3 +381,22 @@ class TestDot:
     def test_covers_are_the_hasse_relation(self, ctx3):
         lat = concept_lattice(ctx3)
         assert lat.covers() == brute_covers(lat.concepts)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Classification((1,), ("a",), frozenset({(2, "a")})), "incidence references unknown instance id 2"),
+        (lambda: Classification((1,), ("a",), frozenset({(1, "z")})), "incidence references unknown type id 'z'"),
+        (lambda: Classification.from_columns((1, 2), ("a", "b"), (1,)),
+         "one column per type, over the instance positions, is required"),
+        (lambda: Classification.from_columns(range(2), ("a",), (4,)),
+         "one column per type, over the instance positions, is required"),
+        (lambda: Classification((1,), ("a", "a"), frozenset()), "duplicate type ids"),
+    ],
+    ids=["unknown-instance", "unknown-type", "column-count", "column-width", "duplicate-types"],
+)
+def test_classification_refusal(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

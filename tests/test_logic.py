@@ -650,7 +650,7 @@ class TestModelFiles:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("universe F = {a}", "m.model:1: undeclared entity type 'F'"),
+            ("universe F = {a}", "m.model:1: carrier for undeclared entity type 'F'"),
             ("universe E = {a}\nuniverse E = {b}", "m.model:2: duplicate universe for 'E'"),
             ("universe E = {a,,b}", "m.model:1: malformed universe for 'E'"),
             ("universe E = {a}\nP = {a}\nP = {a}", "m.model:3: duplicate extension for 'P'"),
@@ -668,6 +668,15 @@ class TestModelFiles:
         with pytest.raises(ParseError) as exc:
             parse_model(sig, text, path="m.model")
         assert str(exc.value) == message
+
+    def test_roundtrip_with_constants(self):
+        sig = parse_signature("entity E\nentity F\nrelation P(E)\nrelation R(E,F)\nconstant c:E\nconstant d:F")
+        space = enumerate_structures(sig, {"E": ["a", "b"], "F": ["x"]})
+        assert len(space) == 32
+        for m in space:
+            text = format_structure(m)
+            assert text.endswith(f"\nc = {m.constant('c')}\nd = x\n")
+            assert parse_model(sig, text) == m
 
     def test_pool_file_dedupes_alpha_variants(self):
         pool = parse_sentences(SIG, "forall x:E. P(x)\nforall y:E. P(y)\nexists z:E. Q(z)")
@@ -707,6 +716,19 @@ def test_structure_validation():
     sig = parse_signature("entity E\nconstant c : E")
     with pytest.raises(ValueError, match="missing denotations"):
         Structure.make(sig, {"E": ["a"]})
+
+
+@pytest.mark.parametrize(
+    "env, message",
+    [({}, "assignment misses free variables: ['x', 'y']"), ({"y": "a"}, "assignment misses free variables: ['x']")],
+    ids=["empty", "partial"],
+)
+def test_eval_formula_refuses_a_partial_assignment(env, message):
+    sig = parse_signature("entity E\nrelation R(E,E)")
+    f = parse_formula(sig, "R(x,y)", {"x": "E", "y": "E"})
+    with pytest.raises(ValueError) as exc:
+        eval_formula(enumerate_structures(sig, {"E": ["a"]})[0], f, env)
+    assert str(exc.value) == message
 
 
 def test_sentence_key_is_stable():

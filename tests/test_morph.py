@@ -448,6 +448,39 @@ class TestCheckInfomorphism:
             check_infomorphism(ctx3, ctx3, {"a": "z", "b": "b", "c": "c"}, {1: 1, 2: 2, 3: 3})
 
 
+def _formula_for_undeclared_relation(request):
+    unary_sig, pq_sig = request.getfixturevalue("unary_sig"), request.getfixturevalue("pq_sig")
+    body = parse_formula(pq_sig, "P(x1)", {"x1": "E"})
+    make_interpretation(unary_sig, pq_sig, {"E": "E"}, {}, {"R": body, "S": body})
+
+
+def _instance_to_unknown(request):
+    ctx3 = request.getfixturevalue("ctx3")
+    check_infomorphism(ctx3, ctx3, {t: t for t in ctx3.types}, {1: 1, 2: 2, 3: 9})
+
+
+def _lattices_of_other_classifications(request):
+    get = request.getfixturevalue
+    im = truth_infomorphism(get("conj_interp"), get("unary_tc"), get("wide_tc"))
+    concept_morphism(im, get("unary_lat"), get("pq_lat"))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (_formula_for_undeclared_relation, ValueError, "interpreting formula for undeclared relation 'S'"),
+        (_instance_to_unknown, ValueError, "instance 3 maps to unknown 9"),
+        (_lattices_of_other_classifications, SignatureMismatchError,
+         "lattices do not match the infomorphism's classifications"),
+    ],
+    ids=["make_interpretation", "check_infomorphism", "concept_morphism"],
+)
+def test_library_refusal(request, call, error, message):
+    with pytest.raises(error) as exc:
+        call(request)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 class TestTruthInfomorphism:
     def test_pool_sentences_map_to_their_translations(self, conj_interp, unary_tc, wide_tc):
         im = truth_infomorphism(conj_interp, unary_tc, wide_tc)

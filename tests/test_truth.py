@@ -50,6 +50,14 @@ def pool_subsets(pq_pool):
 # Building
 
 
+@pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+def test_model_source_refusal(pq_sig, pq_tc, both):
+    kwargs = {"models": pq_tc.models[:1], "carriers": {"E": ["a"]}} if both else {}
+    with pytest.raises(ValueError) as exc:
+        build_truth_classification(pq_sig, (), **kwargs)
+    assert str(exc.value) == "exactly one of models and carriers must be given"
+
+
 class TestBuild:
     def test_incidence_count(self, pq_tc):
         assert len(pq_tc.models) == 16
