@@ -7,6 +7,8 @@ revision, and analogy, and transportable along signature maps
 (interpretations), which compose.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     InfomorphismError,
     ParseError,

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import fca
+from . import __version__, fca
 from .errors import (
     InfomorphismError,
     ParseError,
@@ -46,7 +46,10 @@ from .truth import (
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {exc.start}: {exc.reason}", path=path) from None
 
 
 def load_signature(path: str) -> Signature:
@@ -426,6 +429,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="theorylattice",
         description="Build lattices of theories over finite model sets and query them.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     if command is None:
         sub = parser.add_subparsers(dest="command", required=True)
     else:

@@ -14,6 +14,13 @@ positions and each instance's row over type positions.  Sets of ids
 appear only at the public API.  Every lookup of a concept in its lattice
 closes a type mask, in one step (``ConceptLattice._closing``).
 
+Instances with equal rows cannot be told apart by any type, so merging
+them into row classes keeps the lattice isomorphic (object clarification,
+Ganter & Wille, *Formal Concept Analysis*, 1999, section 1.5).  When a
+classification has few row classes for its instances, as an enumerated
+model space does, concepts, lookups and covers run on masks over the
+classes, and only the extents a caller reads are over the instances.
+
 Instance and type ids are opaque hashable values supplied by the caller.
 """
 
@@ -132,6 +139,12 @@ def _words(columns: Sequence[int], width: int) -> list[int]:
     return memoryview(buf).cast(_WORD_FORMAT[size]).tolist()
 
 
+def _reversed(mask: int, width: int) -> int:
+    """The ``width``-bit mask with its bit order reversed."""
+    little = mask.to_bytes((width + 7) >> 3, "little")
+    return int.from_bytes(little.translate(_REVERSED_BYTE), "big")
+
+
 def _positions(ids: Iterable[Id], pos: dict, what: str) -> list[int]:
     """The positions of the given ids; an unknown id is a ValueError."""
     xs = set(ids)
@@ -141,7 +154,15 @@ def _positions(ids: Iterable[Id], pos: dict, what: str) -> list[int]:
     return [pos[x] for x in xs]
 
 
-@dataclass(frozen=True, init=False)
+# Row classes are used when there are at most this many per instance.  On
+# narrow masks they cost more than they save: on M (124 classes of 256
+# models), on M with its models repeated and on random contexts, lattice
+# plus covers gained at this ratio and below from about 1500 instances up,
+# and lost a fraction of a millisecond on a few hundred.
+_CLASS_RATIO = 1 / 16
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Classification:
     """Instances, types, and an incidence relation between them.
 
@@ -149,10 +170,11 @@ class Classification:
     instance positions.  All derivations run on these masks; the rows (an
     int over type positions per instance) and the set of incident
     ``(instance, type)`` pairs are derived from the columns when first
-    asked for.
+    asked for.  Two classifications are equal when their instance
+    ids, type ids and columns are, whether the ids are a ``range`` or not.
     """
 
-    instances: tuple[Id, ...]
+    instances: Sequence[Id]
     types: tuple[Id, ...]
     _columns: tuple[int, ...] = field(repr=False)
 
@@ -190,9 +212,10 @@ class Classification:
 
     def _set_ids(self, instances: Sequence[Id], types: tuple[Id, ...]) -> None:
         """Store the ids, refusing duplicates.  A ``range`` of instances has
-        none, so it is stored as a tuple unscanned and its position map is
-        built on first use; any other sequence is scanned into it now."""
+        none, so it is kept as it is and its position map is built on first
+        use; any other sequence is stored as a tuple and scanned now."""
         if not isinstance(instances, range):
+            instances = tuple(instances)
             ipos = {i: k for k, i in enumerate(instances)}
             if len(ipos) != len(instances):
                 raise ValueError("duplicate instance ids")
@@ -200,10 +223,20 @@ class Classification:
         tpos = {t: k for k, t in enumerate(types)}
         if len(tpos) != len(types):
             raise ValueError("duplicate type ids")
-        object.__setattr__(self, "instances", tuple(instances))
+        object.__setattr__(self, "instances", instances)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "_tpos", tpos)
         object.__setattr__(self, "_full", (1 << len(instances)) - 1)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Classification):
+            return NotImplemented
+        return (self.types, self._columns) == (other.types, other._columns) and (
+            self.instances == other.instances or tuple(self.instances) == tuple(other.instances)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.types, self._columns))
 
     @cached_property
     def _ipos(self) -> dict[Id, int]:
@@ -260,6 +293,38 @@ class Classification:
         return frozenset(_select(self.types, intent))
 
 
+def _row_classes(ctx: Classification, limit: float = float("inf")) -> Classification | None:
+    """The classification of the row classes: the instances with equal rows.
+
+    The full instance mask is split by each column in turn, each part
+    keeping the types it lies in.  Refining stops, returning ``None``, as
+    soon as there are more than ``limit`` parts.  Class ``c`` is the part
+    with the ``c``-th lowest first instance, so two masks over the classes
+    compare by their lowest bits as their instance masks do.  Each class
+    lies wholly inside or outside each column, so the class columns are
+    exact.
+    """
+    parts = [(ctx._full, 0)] if ctx._full else []
+    for j, col in enumerate(ctx._columns):
+        if len(parts) > limit:
+            break
+        rest = ctx._full ^ col
+        parts = [
+            (m, r)
+            for mask, row in parts
+            for m, r in ((mask & col, row | 1 << j), (mask & rest, row))
+            if m
+        ]
+    if len(parts) > limit:
+        return None
+    parts.sort(key=lambda part: (part[0] ^ (part[0] - 1)).bit_length())
+    columns = [0] * len(ctx.types)
+    for c, (_, row) in enumerate(parts):
+        for j in _bits(row):
+            columns[j] |= 1 << c
+    return Classification.from_columns(range(len(parts)), ctx.types, tuple(columns))
+
+
 def derive_types(ctx: Classification, instances: Iterable[Id]) -> frozenset[Id]:
     """The types incident to every given instance (X-prime)."""
     extent = _mask(_positions(instances, ctx._ipos, "instance"), len(ctx.instances))
@@ -293,11 +358,25 @@ class ConceptLattice:
     by extent size, then by the positions of the extent's instances.  The
     first concept is the bottom, the last is the top.  The
     :class:`FormalConcept` objects are a view built on first use.
+
+    A lattice built on the row classes keeps, as ``_classes``, the
+    classification of the classes and each concept's extent over them:
+    lookups and covers then run on those narrow masks, and ``_extents``
+    holds the instance masks that callers read.
     """
 
     classification: Classification
     _extents: tuple[int, ...] = field(repr=False)
     _intents: tuple[int, ...] = field(repr=False)
+    _classes: tuple[Classification, tuple[int, ...]] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # The classification lookups and covers run on: the row classes' or
+        # the instances'.  A plain attribute, read on every lookup.
+        space = self.classification if self._classes is None else self._classes[0]
+        object.__setattr__(self, "_space", space)
 
     @cached_property
     def concepts(self) -> tuple[FormalConcept, ...]:
@@ -309,12 +388,14 @@ class ConceptLattice:
 
     @cached_property
     def _by_extent(self) -> dict[int, int]:
-        return {e: k for k, e in enumerate(self._extents)}
+        """Each concept's position under its extent in ``_space``."""
+        keys = self._extents if self._classes is None else self._classes[1]
+        return {e: k for k, e in enumerate(keys)}
 
     def _closing(self, intent: int) -> int:
         """The position of the concept whose intent is the closure of a type
         mask: the one lookup every concept operation goes through."""
-        return self._by_extent[self.classification._extent(intent)]
+        return self._by_extent[self._space._extent(intent)]
 
     def _find(self, concept: FormalConcept) -> int | None:
         """The position of a concept of this lattice, found by its intent."""
@@ -369,13 +450,13 @@ class ConceptLattice:
 
     @cached_property
     def _covers(self) -> tuple[tuple[int, int], ...]:
-        cols = self.classification._columns
+        cols = self._space._columns
         by_extent = self._by_extent
         intents = self._intents
         all_types = (1 << len(cols)) - 1
         columns = [(1 << m, col) for m, col in enumerate(cols)]
         edges = []
-        for k, (extent, intent) in enumerate(zip(self._extents, intents)):
+        for k, (extent, intent) in enumerate(zip(by_extent, intents)):
             minimal = all_types & ~intent
             for bit, col in columns:
                 if intent & bit:
@@ -393,11 +474,12 @@ class ConceptLattice:
 def _extent_order(extent: int, width: int) -> tuple[int, int]:
     """Sort key of extent masks: by size, then by ascending positions, which
     puts the lowest set bit of e1 ^ e2 first: the larger bit-reversed mask."""
-    little = extent.to_bytes((width + 7) >> 3, "little")
-    return extent.bit_count(), -int.from_bytes(little.translate(_REVERSED_BYTE), "big")
+    return extent.bit_count(), -_reversed(extent, width)
 
 
-def concept_lattice(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
+def concept_lattice(
+    ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP, *, _by_class: bool | None = None
+) -> ConceptLattice:
     """Enumerate all formal concepts as the intersection closure of the columns.
 
     Every extent is an intersection of columns, the empty intersection
@@ -409,9 +491,20 @@ def concept_lattice(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> Conc
     canonically.  The entries only grow and each ends up a concept, so
     this raises as soon as, after any column (or with no columns at all),
     more than ``cap`` extents have been found.
+
+    When the classification has at most :data:`_CLASS_RATIO` row classes
+    per instance (see :func:`_row_classes`), the pass runs over the
+    columns of the classes.  Each concept's instance mask is then
+    intersected from its intent, and the concepts are sorted by the size
+    of that mask, then by the class mask reversed, which orders masks of
+    equal size as their instance masks.  ``_by_class`` forces the classes
+    (``True``, refined with no bound) or the instances (``False``).
     """
-    closed = {ctx._full: 0}
-    for j, col in enumerate(ctx._columns):
+    limit = len(ctx.instances) * _CLASS_RATIO if _by_class is None else float("inf")
+    quotient = None if _by_class is False else _row_classes(ctx, limit)
+    space = ctx if quotient is None else quotient
+    closed = {space._full: 0}
+    for j, col in enumerate(space._columns):
         if len(closed) > cap:
             break
         bit = 1 << j
@@ -420,9 +513,17 @@ def concept_lattice(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> Conc
             closed[meet] = closed.get(meet, 0) | intent | bit
     if len(closed) > cap:
         raise SizeCapError("concept enumeration", f"more than {cap}", cap)
-    width = len(ctx.instances)
-    found = sorted(closed.items(), key=lambda c: _extent_order(c[0], width))
-    return ConceptLattice(ctx, *zip(*found))
+    if quotient is None:
+        width = len(ctx.instances)
+        found = sorted(closed.items(), key=lambda c: _extent_order(c[0], width))
+        return ConceptLattice(ctx, *zip(*found))
+    k = len(quotient.instances)
+    found = sorted(
+        ((ctx._extent(intent), extent, intent) for extent, intent in closed.items()),
+        key=lambda c: (c[0].bit_count(), -_reversed(c[1], k)),
+    )
+    extents, narrow, intents = zip(*found)
+    return ConceptLattice(ctx, extents, intents, (quotient, narrow))
 
 
 def lattice_meet(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
@@ -447,6 +548,19 @@ def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> Form
     return lat.concepts[lat._closing(intent)]
 
 
+def _object_concepts(lat: ConceptLattice) -> Iterator[tuple[int, int]]:
+    """Each concept that is the object concept of some instances, with the
+    mask of those instances.  Concepts are listed by extent size, so the
+    first one whose extent holds an instance is its least concept; the
+    narrow extents of ``_by_extent`` tell which concepts those are."""
+    seen = seen_narrow = 0
+    for k, narrow in enumerate(lat._by_extent):
+        if narrow & ~seen_narrow:
+            seen_narrow |= narrow
+            yield k, lat._extents[k] & ~seen
+            seen |= lat._extents[k]
+
+
 def basic_theorem_roundtrip(lat: ConceptLattice) -> Classification:
     """Rebuild the classification from the lattice order.
 
@@ -454,16 +568,12 @@ def basic_theorem_roundtrip(lat: ConceptLattice) -> Classification:
     instance's concept lies inside the extent of the type's concept; for a
     lattice built by ``concept_lattice`` this returns the original
     classification.  Instances with equal rows share a concept, so each
-    distinct row and each type is closed once.
+    object concept and each type is visited once.
     """
     ctx = lat.classification
-    classes: dict[int, list[int]] = {}
-    for p, row in enumerate(ctx._rows):
-        classes.setdefault(row, []).append(p)
-    width = len(ctx.instances)
-    below = [(lat._extents[lat._closing(r)], _mask(ps, width)) for r, ps in classes.items()]
+    below = [(lat._extents[k], members) for k, members in _object_concepts(lat)]
     above = [lat._extents[lat._closing(1 << q)] for q in range(len(ctx.types))]
-    # the classes are disjoint, so the sum of their masks is their union
+    # the member masks are disjoint, so the sum of some is their union
     columns = tuple(sum(m for e, m in below if e & ~a == 0) for a in above)
     return Classification.from_columns(ctx.instances, ctx.types, columns)
 
@@ -603,24 +713,24 @@ def _dot_records(lat: ConceptLattice, name: str) -> Iterator[str]:
     """The header, one line per node, one per cover edge and the closing
     brace, each with its newline.
 
-    The covers and the attachment of every instance and type are computed
-    before the records are returned; a node's label is rendered when its
-    record is asked for.
+    The covers and the attachment of every type and of every object
+    concept's instance mask are computed before the records are returned;
+    a node's label is rendered when its record is asked for.
     """
     ctx = lat.classification
-    attached: list[tuple[list[str], list[str]]] = [([], []) for _ in lat._extents]
+    types: list[list[str]] = [[] for _ in lat._extents]
     for q, t in enumerate(ctx.types):
-        attached[lat._closing(1 << q)][0].append(str(t))
-    row_concept: dict[int, int] = {}  # instances share rows: close each distinct row once
-    for i, row in zip(ctx.instances, ctx._rows):
-        if row not in row_concept:
-            row_concept[row] = lat._closing(row)
-        attached[row_concept[row]][1].append(str(i))
-    nodes = [f"c{k}" for k in range(len(attached))]
+        types[lat._closing(1 << q)].append(str(t))
+    members = dict(_object_concepts(lat))
+    # the member masks are disjoint, so no block of names repeats: cache none
+    join = _BlockJoin(tuple(map(str, ctx.instances)), ", ", 0)
+    nodes = [f"c{k}" for k in range(len(types))]
     edges = lat.covers()
 
     def node(k: int) -> str:
-        parts = [f"{tag}: " + ", ".join(xs) for tag, xs in zip("ti", attached[k]) if xs]
+        parts = [f"t: {', '.join(types[k])}"] if types[k] else []
+        if k in members:
+            parts.append(f"i: {join(members[k])}")
         label = "\\n".join(map(_dot_escape, parts)) or nodes[k]
         return f'  {nodes[k]} [label="{label}"];\n'
 

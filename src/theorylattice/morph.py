@@ -95,6 +95,8 @@ _SYMBOLS = {
     "entity": ("entity type", Signature.has_entity_type),
     "constant": ("constant", Signature.has_constant),
 }
+# A map line or a formula for a relation the source does not declare.
+_UNDECLARED_RELATION = "mapping for undeclared relation {!r}"
 
 
 def _check_symbol(src: Signature, dst: Signature, kind: str, name: str, image: str) -> None:
@@ -112,7 +114,7 @@ def _check_relation(
     """One ``relation P -> Q`` mapping onto a declared relation of its arity,
     checked at each profile position whose sort ``ent`` maps already."""
     if not src.has_relation(name):
-        raise ValueError(f"mapping for undeclared relation {name!r}")
+        raise ValueError(_UNDECLARED_RELATION.format(name))
     if not dst.has_relation(image):
         raise ValueError(f"relation {name!r} maps to undeclared {image!r}")
     src_profile, dst_profile = src.profile(name), dst.profile(image)
@@ -217,7 +219,7 @@ def _interpretation(
         normalized.append((name, formula))
     for name in rel_formula:
         if not src.has_relation(name):
-            raise ValueError(f"interpreting formula for undeclared relation {name!r}")
+            raise ValueError(_UNDECLARED_RELATION.format(name))
     return Interpretation(src, dst, ent_pairs, const_pairs, tuple(normalized))
 
 
@@ -657,7 +659,7 @@ def _relation_formula(
     """The formula of a ``relation R(x1,...,xn) -> FORMULA`` line, read over
     R's reserved variables, whose sorts the entity lines above it map."""
     if not src.has_relation(name):
-        raise ParseError(f"undeclared relation {name!r}")
+        raise ParseError(_UNDECLARED_RELATION.format(name))
     profile = src.profile(name)
     declared = tuple(v.strip() for v in raw_vars.split(",")) if raw_vars.strip() else ()
     expect = tuple(f"x{k}" for k in range(1, len(profile) + 1))

@@ -28,7 +28,7 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
         2,
         "",
         (
-            "usage: theorylattice [-h]\n"
+            "usage: theorylattice [-h] [--version]\n"
             "                     {lattice,close,entail,leq,nav,analogy,interp,ctx} ...\n"
             "theorylattice: error: the following arguments are required: command\n"
         ),
@@ -37,7 +37,7 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
         ["-h"],
         0,
         (
-            "usage: theorylattice [-h]\n"
+            "usage: theorylattice [-h] [--version]\n"
             "                     {lattice,close,entail,leq,nav,analogy,interp,ctx} ...\n"
             "\n"
             "Build lattices of theories over finite model sets and query them.\n"
@@ -55,6 +55,7 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
+            "  --version             show program's version number and exit\n"
         ),
         "",
     ),
@@ -62,7 +63,7 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
         ["--help"],
         0,
         (
-            "usage: theorylattice [-h]\n"
+            "usage: theorylattice [-h] [--version]\n"
             "                     {lattice,close,entail,leq,nav,analogy,interp,ctx} ...\n"
             "\n"
             "Build lattices of theories over finite model sets and query them.\n"
@@ -80,19 +81,11 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
+            "  --version             show program's version number and exit\n"
         ),
         "",
     ),
-    "--version": (
-        ["--version"],
-        2,
-        "",
-        (
-            "usage: theorylattice [-h]\n"
-            "                     {lattice,close,entail,leq,nav,analogy,interp,ctx} ...\n"
-            "theorylattice: error: the following arguments are required: command\n"
-        ),
-    ),
+    "--version": (["--version"], 0, "theorylattice 0.1.0\n", ""),
     "option-first": (
         ["-x", "lattice"],
         2,
@@ -110,7 +103,7 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
         2,
         "",
         (
-            "usage: theorylattice [-h]\n"
+            "usage: theorylattice [-h] [--version]\n"
             "                     {lattice,close,entail,leq,nav,analogy,interp,ctx} ...\n"
             "theorylattice: error: argument command: invalid choice: 'bogus' (choose from 'lattice', 'close', 'entail', 'leq', 'nav', 'analogy', 'interp', 'ctx')\n"
         ),
@@ -120,7 +113,7 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
         2,
         "",
         (
-            "usage: theorylattice [-h]\n"
+            "usage: theorylattice [-h] [--version]\n"
             "                     {lattice,close,entail,leq,nav,analogy,interp,ctx} ...\n"
             "theorylattice: error: argument command: invalid choice: 'lat' (choose from 'lattice', 'close', 'entail', 'leq', 'nav', 'analogy', 'interp', 'ctx')\n"
         ),
@@ -428,7 +421,7 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
         2,
         "",
         (
-            "usage: theorylattice [-h]\n"
+            "usage: theorylattice [-h] [--version]\n"
             "                     {lattice,close,entail,leq,nav,analogy,interp,ctx} ...\n"
             "theorylattice: error: unrecognized arguments: extra\n"
         ),
@@ -450,7 +443,7 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
         2,
         "",
         (
-            "usage: theorylattice [-h]\n"
+            "usage: theorylattice [-h] [--version]\n"
             "                     {lattice,close,entail,leq,nav,analogy,interp,ctx} ...\n"
             "theorylattice: error: unrecognized arguments: --bogus\n"
         ),

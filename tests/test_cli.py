@@ -678,6 +678,15 @@ class TestErrorExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("option", ["--sig", "--model"])
+    def test_file_that_is_not_utf8_is_an_input_error_at_its_path(self, ws, capsys, tmp_path, option):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        paths = {"--sig": ws["sig"], "--model": ws["m_pa_qb.model"], option: str(bad)}
+        argv = ["lattice", "--sig", paths["--sig"], "--pool", ws["pool"], "--model", paths["--model"]]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8 text: byte 0: invalid start byte\n")
+
     def test_pool_parse_error_reports_the_line(self, ws, capsys):
         assert main(["lattice", "--sig", ws["sig"], "--pool", ws["bad_pool"],
                      "--carriers", "E=a,b"]) == 2

@@ -55,8 +55,10 @@ from theorylattice.fca import (
     _dot_records,
     _extent_order,
     _pullbacks,
+    _row_classes,
     _select,
     _words,
+    basic_theorem_roundtrip,
     concept_lattice,
     derive_instances,
     derive_types,
@@ -263,6 +265,85 @@ def test_concept_cap_boundary(name):
         concept_lattice(ctx, cap=n - 1)
 
 
+# ---------------------------------------------------------------------------
+# Row classes: the lattice on the classes of equal rows against the lattice on
+# the instances and NextClosure, on contexts whose instances repeat few rows
+
+
+@st.composite
+def duplicated_contexts(draw):
+    """Up to 40 instances, each taking one of at most four rows over at most
+    five types; the ids are a range or a tuple of names."""
+    m = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.integers(0, 2**m - 1), min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(rows), max_size=40))
+    columns = tuple(sum(1 << p for p, row in enumerate(picks) if row >> j & 1) for j in range(m))
+    ids = range(len(picks)) if draw(st.booleans()) else tuple(f"i{p}" for p in range(len(picks)))
+    return Classification.from_columns(ids, tuple("abcde"[:m]), columns)
+
+
+def check_row_classes(ctx: Classification) -> None:
+    """Both paths give NextClosure's extents, intents and order, the brute
+    covers, the same lookups, DOT and round trip, and refuse the same caps;
+    the classes are the distinct rows, numbered by their first instance."""
+    quotient = _row_classes(ctx)
+    assert quotient._rows == tuple(dict.fromkeys(ctx._rows))
+    for limit in range(len(quotient.instances) + 2):
+        assert (_row_classes(ctx, limit) is None) == (len(quotient.instances) > limit)
+    ref = reference_next_closure(ctx)
+    for by_class in (True, False):
+        lat = concept_lattice(ctx, _by_class=by_class)
+        assert (lat._classes is not None) == by_class
+        assert (lat._extents, lat._intents) == (ref._extents, ref._intents)
+        assert lat.concepts == ref.concepts
+        assert lat.covers() == brute_covers(ref.concepts)
+        assert [lat._closing(i) for i in lat._intents] == list(range(len(lat._intents)))
+        for q in range(len(ctx.types)):
+            assert lat._closing(1 << q) == ref._closing(1 << q)
+        assert lattice_dot(lat) == reference_lattice_dot(ref)
+        assert basic_theorem_roundtrip(lat) == ctx
+    n = len(ref._extents)
+    for cap in range(n + 2):
+        refused = []
+        for by_class in (True, False):
+            try:
+                concept_lattice(ctx, cap, _by_class=by_class)
+            except SizeCapError:
+                refused.append(by_class)
+        assert refused == ([] if cap >= n else [True, False])
+
+
+@given(duplicated_contexts())
+@settings(max_examples=80, deadline=None)
+def test_row_classes_match_the_instances_on_duplicated_rows(ctx):
+    check_row_classes(ctx)
+
+
+def test_row_classes_match_the_instances_on_random_corpus():
+    for ctx in corpus(1999, 80) + list(edge_contexts().values()):
+        check_row_classes(ctx)
+
+
+@given(contexts())
+@settings(max_examples=40, deadline=None)
+def test_row_classes_match_the_instances_on_generated_contexts(ctx):
+    check_row_classes(ctx)
+
+
+def test_row_classes_are_taken_below_the_ratio():
+    """M (124 classes of 256 models) keeps the instances; L10 (27 of 32768)
+    takes the classes and lists what the instances give."""
+    sig = parse_signature(M_SIG)
+    pool = [parse_sentence(sig, t) for t in M_POOL]
+    m = build_truth_classification(sig, pool, carriers={"E": ["a", "b"]}).classification
+    assert concept_lattice(m)._classes is None
+    l10 = build_truth_classification(sig, pool[:10], carriers={"E": ["a", "b", "c"]}).classification
+    lat, ref = concept_lattice(l10), concept_lattice(l10, _by_class=False)
+    assert len(lat._classes[0].instances) == 27
+    assert (lat._extents, lat._intents, lat.covers()) == (ref._extents, ref._intents, ref.covers())
+    assert lattice_dot(lat) == lattice_dot(ref)
+
+
 def reference_unknown_message(known, ids, what):
     unknown = set(ids) - set(known)
     return f"unknown {what} id {sorted(map(repr, unknown))[0]}"
@@ -384,7 +465,7 @@ def reference_cxt(ctx: Classification, name: str) -> str:
     """``write_cxt`` rendered from the set of incident pairs, a row at a time."""
     rows = ["".join("X" if (i, t) in ctx.incidence else "." for t in ctx.types) for i in ctx.instances]
     head = ["B", name, str(len(ctx.instances)), str(len(ctx.types)), ""]
-    return "\n".join(head + [str(x) for x in ctx.instances + ctx.types] + rows) + "\n"
+    return "\n".join(head + [str(x) for x in (*ctx.instances, *ctx.types)] + rows) + "\n"
 
 
 def check_concept_records(lat) -> None:
@@ -942,7 +1023,7 @@ def test_truth_classification_positions_are_built_on_first_use():
         parse_signature(M_SIG), [], carriers={"E": ["a", "b", "c"]}
     )
     ctx = tc.classification
-    assert ctx.instances == tuple(range(32768))
+    assert ctx.instances == range(32768)  # kept as a range, not copied
     assert "_ipos" not in vars(ctx)
     assert ctx._ipos == {i: i for i in range(32768)}
     assert derive_types(ctx, [5]) == frozenset()
@@ -951,5 +1032,7 @@ def test_truth_classification_positions_are_built_on_first_use():
     with pytest.raises(ValueError, match="duplicate instance ids"):
         Classification.from_columns((1, 2, 1), ("a",), (0,))
     ctx = Classification.from_columns(range(3), ("a",), (0b101,))
-    assert ctx.instances == (0, 1, 2) and ctx._ipos == {0: 0, 1: 1, 2: 2}
-    assert ctx == Classification.from_columns((0, 1, 2), ("a",), (0b101,))
+    assert ctx.instances == range(3) and ctx._ipos == {0: 0, 1: 1, 2: 2}
+    listed = Classification.from_columns((0, 1, 2), ("a",), (0b101,))
+    assert ctx == listed and hash(ctx) == hash(listed)
+    assert ctx != Classification.from_columns((0, 1, 3), ("a",), (0b101,))

@@ -468,7 +468,7 @@ def _lattices_of_other_classifications(request):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (_formula_for_undeclared_relation, ValueError, "interpreting formula for undeclared relation 'S'"),
+        (_formula_for_undeclared_relation, ValueError, "mapping for undeclared relation 'S'"),
         (_instance_to_unknown, ValueError, "instance 3 maps to unknown 9"),
         (_lattices_of_other_classifications, SignatureMismatchError,
          "lattices do not match the infomorphism's classifications"),
@@ -1041,7 +1041,7 @@ class TestParsers:
                 2,
                 "relation line must look like 'relation P -> Q' or 'relation R(x1,...,xn) -> FORMULA'",
             ),
-            ("entity E -> E\nrelation S(x1) -> P(x1)\n", 2, "undeclared relation 'S'"),
+            ("entity E -> E\nrelation S(x1) -> P(x1)\n", 2, "mapping for undeclared relation 'S'"),
         ],
         ids=["entity-shape", "relation-shape", "relation-name"],
     )

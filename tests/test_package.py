@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import importlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,11 @@ ALL = [
     "theory_leq", "theory_meet", "theory_of", "translate", "truth", "truth_infomorphism",
     "write_cxt",
 ]
+
+
+def test_version_is_the_one_in_pyproject():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "(.*)"$', text, re.MULTILINE)[1] == theorylattice.__version__
 
 
 def test_all_is_unchanged():
