@@ -29,10 +29,10 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
 
+from ._value import Value
 from .errors import ParseError, SizeCapError
 
 DEFAULT_CONCEPT_CAP = 100000
@@ -162,8 +162,7 @@ def _positions(ids: Iterable[Id], pos: dict, what: str) -> list[int]:
 _CLASS_RATIO = 1 / 16
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Classification:
+class Classification(Value):
     """Instances, types, and an incidence relation between them.
 
     The incidence is kept as bitsets: each type's column is an int over
@@ -174,9 +173,10 @@ class Classification:
     ids, type ids and columns are, whether the ids are a ``range`` or not.
     """
 
+    _shown = ("instances", "types")
     instances: Sequence[Id]
     types: tuple[Id, ...]
-    _columns: tuple[int, ...] = field(repr=False)
+    _columns: tuple[int, ...]
 
     def __init__(
         self,
@@ -337,10 +337,10 @@ def derive_instances(ctx: Classification, types: Iterable[Id]) -> frozenset[Id]:
     return ctx._instance_ids(ctx._extent(intent))
 
 
-@dataclass(frozen=True)
-class FormalConcept:
+class FormalConcept(Value):
     """A derivation fixed point: extent-prime = intent, intent-prime = extent."""
 
+    _fields = ("extent", "intent")
     extent: frozenset[Id]
     intent: frozenset[Id]
 
@@ -350,8 +350,7 @@ def is_formal_concept(ctx: Classification, extent: Iterable[Id], intent: Iterabl
     return derive_types(ctx, xs) == ys and derive_instances(ctx, ys) == xs
 
 
-@dataclass(frozen=True)
-class ConceptLattice:
+class ConceptLattice(Value):
     """All formal concepts of a classification under the extent order.
 
     Stored as each concept's extent and intent masks, in canonical order:
@@ -365,14 +364,14 @@ class ConceptLattice:
     holds the instance masks that callers read.
     """
 
+    _fields = ("classification", "_extents", "_intents", "_classes")
+    _compared, _shown = _fields[:3], _fields[:1]
     classification: Classification
-    _extents: tuple[int, ...] = field(repr=False)
-    _intents: tuple[int, ...] = field(repr=False)
-    _classes: tuple[Classification, tuple[int, ...]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _extents: tuple[int, ...]
+    _intents: tuple[int, ...]
+    _classes: tuple[Classification, tuple[int, ...]] | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # The classification lookups and covers run on: the row classes' or
         # the instances'.  A plain attribute, read on every lookup.
         space = self.classification if self._classes is None else self._classes[0]

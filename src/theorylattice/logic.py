@@ -6,7 +6,9 @@ formulas; :func:`validate_formula` defines well-typed, and the parser
 checks each formula it builds with it, once.  Bound variables are renamed
 to canonical depth-indexed names so alpha-equivalent sentences are
 structurally equal (and hash equal), which is what makes sentence pools
-and theory intents well defined.  Structures are finite models with
+and theory intents well defined.  Terms and formulas are immutable
+slotted nodes that compute their hash once, when built, so a pool lookup
+does not walk the tree.  Structures are finite models with
 nonempty carriers; satisfaction is Tarskian, with quantifiers ranging
 over the carrier of the bound sort.  There are no function symbols and no
 empty or infinite domains.
@@ -21,10 +23,10 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import fca
+from ._value import Value
 from .errors import ParseError, SignatureMismatchError, SizeCapError
 
 DEFAULT_MODEL_CAP = 2**20
@@ -84,19 +86,19 @@ def _declare(declared: dict[str, dict], kind: str, name: str, sorts: tuple[str, 
     declared[kind][name] = sorts
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """A first-order type language: sorts, typed relations, sorted constants.
 
     Declaration order is preserved; it anchors every deterministic
     enumeration downstream (model enumeration, export order, golden files).
     """
 
+    _fields = ("entity_types", "relation_types", "constants")
     entity_types: tuple[str, ...] = ()
     relation_types: tuple[tuple[str, tuple[str, ...]], ...] = ()
     constants: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         declared: dict[str, dict] = {kind: {} for kind in _DECLARED}
         for name in self.entity_types:
             _declare(declared, "entity", name, ())
@@ -143,74 +145,156 @@ class Signature:
 # Terms and formulas
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    sort: str
+class _Node(Value):
+    """A term or formula node: slotted, its hash computed once, when it is built.
+
+    Each shape writes its slots through the slot descriptors' ``__set__``,
+    past the frozen ``__setattr__`` at half the cost of ``object.__setattr__``,
+    and compares its own fields in one ``and`` chain.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor: a hash does not outlive its process
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+_put_hash = _Node._hash.__set__
+
+
+class Var(_Node):
+    __slots__ = _fields = ("name", "sort")
+
+    def __init__(self, name: str, sort: str) -> None:
+        _var_name(self, name)
+        _var_sort(self, sort)
+        _put_hash(self, hash((name, sort)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.sort == other.sort
+
+
+class Const(_Node):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _const_name(self, name)
+        _put_hash(self, hash((Const, name)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
 
 
 Term = Var | Const
 
 
-@dataclass(frozen=True)
-class Atom:
-    rel: str
-    args: tuple[Term, ...]
+class Atom(_Node):
+    __slots__ = _fields = ("rel", "args")
+
+    def __init__(self, rel: str, args: tuple[Term, ...]) -> None:
+        _atom_rel(self, rel)
+        _atom_args(self, args)
+        _put_hash(self, hash((rel, args)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rel == other.rel and self.args == other.args
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
+class Eq(_Node):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Term, right: Term) -> None:
+        _eq_left(self, left)
+        _eq_right(self, right)
+        _put_hash(self, hash((Eq, left, right)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(_Node):
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: Formula) -> None:
+        _not_body(self, body)
+        _put_hash(self, hash((Not, body._hash)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.body == other.body
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    """A binary connective; the four differ only in their class."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _binary_left(self, left)
+        _binary_right(self, right)
+        _put_hash(self, hash((type(self), left._hash, right._hash)))
+
+    __eq__ = Eq.__eq__  # left and right, as in an equation
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    sort: str
-    body: "Formula"
+class Iff(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    sort: str
-    body: "Formula"
+class _Quantifier(_Node):
+    __slots__ = _fields = ("var", "sort", "body")
 
+    def __init__(self, var: str, sort: str, body: Formula) -> None:
+        _quantifier_var(self, var)
+        _quantifier_sort(self, sort)
+        _quantifier_body(self, body)
+        _put_hash(self, hash((type(self), var, sort, body._hash)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.var == other.var and self.sort == other.sort and self.body == other.body
+
+
+class Forall(_Quantifier):
+    __slots__ = ()
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
+
+
+_var_name, _var_sort, _const_name = Var.name.__set__, Var.sort.__set__, Const.name.__set__
+_atom_rel, _atom_args, _not_body = Atom.rel.__set__, Atom.args.__set__, Not.body.__set__
+_eq_left, _eq_right = Eq.left.__set__, Eq.right.__set__
+_binary_left, _binary_right = _Binary.left.__set__, _Binary.right.__set__
+_quantifier_var, _quantifier_sort = _Quantifier.var.__set__, _Quantifier.sort.__set__
+_quantifier_body = _Quantifier.body.__set__
 
 Formula = Atom | Eq | Not | And | Or | Implies | Iff | Forall | Exists
 
@@ -219,12 +303,10 @@ Formula = Atom | Eq | Not | And | Or | Implies | Iff | Forall | Exists
 # than all of them; a quantifier body extends as far right as possible.
 _CONNECTIVES = ((Iff, "<->", "right"), (Implies, "->", "right"), (Or, "|", "left"),
                 (And, "&", "left"))
-_BINARY = tuple(node for node, _, _ in _CONNECTIVES)
-_QUANT = (Forall, Exists)
 # ``_map`` dispatches on the exact node type: one dict lookup is cheaper
 # than a chain of isinstance tests on this hot path.
 _KIND = {Atom: "leaf", Eq: "leaf", Not: "not", Forall: "quantifier", Exists: "quantifier",
-         **dict.fromkeys(_BINARY, "binary")}
+         **dict.fromkeys((node for node, _, _ in _CONNECTIVES), "binary")}
 
 
 def _map(f: Formula, env, leaf: Callable, binder: Callable) -> Formula:
@@ -299,9 +381,9 @@ def _depth(formula: Formula) -> int:
     while stack:
         f, d = stack.pop()
         deepest = max(deepest, d)
-        if isinstance(f, (Not, *_QUANT)):
+        if isinstance(f, (Not, _Quantifier)):
             stack.append((f.body, d + 1))
-        elif isinstance(f, _BINARY):
+        elif isinstance(f, _Binary):
             stack.extend(((f.left, d + 1), (f.right, d + 1)))
     return deepest
 
@@ -680,8 +762,7 @@ def parse_sentence(sig: Signature, text: str, *, path: str | None = None) -> For
 # Structures
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(Value):
     """A finite model: carriers per sort, relation extensions, denotations.
 
     Fields are ordered by signature declaration order; equality is
@@ -689,12 +770,13 @@ class Structure:
     order used by enumeration).
     """
 
+    _fields = ("signature", "carriers", "relations", "constants")
     signature: Signature
     carriers: tuple[tuple[str, tuple[str, ...]], ...]
     relations: tuple[tuple[str, frozenset[tuple[str, ...]]], ...]
     constants: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         sig = self.signature
         carrier_map = validate_carriers(sig, dict(self.carriers))
         if tuple(name for name, _ in self.carriers) != sig.entity_types:
@@ -863,7 +945,7 @@ def _column(group: _Group, formula: Formula, env: Mapping[str, str]) -> int:
             return (full ^ left) | walk(f.right, env) if left else full
         if isinstance(f, Iff):
             return full ^ walk(f.left, env) ^ walk(f.right, env)
-        if isinstance(f, _QUANT):
+        if isinstance(f, _Quantifier):
             # a quantifier met only once needs no key
             if id(f) not in free:
                 free[id(f)] = None

@@ -22,10 +22,10 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import fca
+from ._value import Value
 from .errors import InfomorphismError, ParseError, SignatureMismatchError
 from .logic import (
     _at_line,
@@ -66,17 +66,17 @@ def reserved_vars(profile: Iterable[str], ent: Mapping[str, str]) -> dict[str, s
     return {f"x{k}": ent[sort] for k, sort in enumerate(profile, start=1)}
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Value):
     """Relations mapped to target formulas over reserved variables x1..xn."""
 
+    _fields = ("source", "target", "ent", "const", "rel_formula")
     source: Signature
     target: Signature
     ent: tuple[tuple[str, str], ...]
     const: tuple[tuple[str, str], ...]
     rel_formula: tuple[tuple[str, Formula], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "_ent", dict(self.ent))
         object.__setattr__(self, "_const", dict(self.const))
         object.__setattr__(self, "_rel", dict(self.rel_formula))
@@ -366,14 +366,14 @@ def _reduct_positions(
 # Infomorphisms
 
 
-@dataclass(frozen=True)
-class InfomorphismCheck:
+class InfomorphismCheck(Value):
     """Outcome of the satisfaction-transfer check; falsy on failure.
 
     ``witness`` is the first (target instance, source type) pair where
     the two sides of the bi-implication disagree.
     """
 
+    _fields = ("ok", "witness")
     ok: bool
     witness: tuple[Hashable, Hashable] | None = None
 
@@ -429,8 +429,7 @@ def _transfer(
     return InfomorphismCheck(False, (b.instances[j], a.types[k]))
 
 
-@dataclass(frozen=True)
-class TruthInfomorphism:
+class TruthInfomorphism(Value):
     """The contravariant pair induced by an interpretation.
 
     ``type_map`` sends each source pool sentence (by key) to its
@@ -441,13 +440,14 @@ class TruthInfomorphism:
     construction and holds for every pair.
     """
 
+    _fields = ("interpretation", "source", "target", "type_map", "instance_map")
     interpretation: Interpretation
     source: TruthClassification
     target: TruthClassification
     type_map: tuple[tuple[str, str], ...]
     instance_map: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "_type_map", dict(self.type_map))
 
     def map_model(self, index: int) -> int:
@@ -523,17 +523,18 @@ def truth_infomorphism(
 # Concept morphisms (adjoint pairs)
 
 
-@dataclass(frozen=True)
-class ConceptMorphism:
+class ConceptMorphism(Value):
     """Monotone maps between two lattices of theories, adjoint in the
     inclusion form dir(C1) <= C2 iff C1 <= inv(C2) (axiom-set inclusion),
     kept as the index of each theory's image in the other lattice."""
 
+    _fields = ("infomorphism", "source", "target", "_dir", "_inv")
+    _compared = _shown = _fields[:3]
     infomorphism: TruthInfomorphism
     source: TheoryLattice
     target: TheoryLattice
-    _dir: tuple[int, ...] = field(repr=False, compare=False)
-    _inv: tuple[int, ...] = field(repr=False, compare=False)
+    _dir: tuple[int, ...]
+    _inv: tuple[int, ...]
 
     def dir(self, theory: ClosedTheory) -> ClosedTheory:
         """Translate the axioms, close in the target lattice."""

@@ -9,10 +9,10 @@ axioms.  Scripts replay sequences of moves and return an audit log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import fca
+from ._value import Value
 from .errors import ParseError
 from .logic import Formula, _at_line, _source_lines, _split_top_commas, parse_sentence
 from .morph import Interpretation, translate
@@ -71,14 +71,14 @@ def analogy(
     return dst.closure([translate(f, pool[p]) for p in positions])
 
 
-@dataclass(frozen=True)
-class NavStep:
+class NavStep(Value):
     """One applied move: kind, payload, and source/result theory ids.
 
     Ids are positions in the owning lattice's theory list; for an analogy
     step crossing lattices the result id refers to the destination.
     """
 
+    _fields = ("kind", "source", "result", "delete", "add", "morphism")
     kind: str
     source: int
     result: int

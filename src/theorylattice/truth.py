@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import fca
+from ._value import Value
 from .errors import PoolMembershipError, SignatureMismatchError
 from .logic import (
     DEFAULT_MODEL_CAP,
@@ -35,14 +35,14 @@ from .logic import (
 )
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Value):
     """A signature together with a finite set of closed axioms."""
 
+    _fields = ("signature", "axioms")
     signature: Signature
     axioms: frozenset[Formula]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "axioms", frozenset(canonicalize(a) for a in self.axioms))
         for a in self.axioms:
             _check_sentence(self.signature, a)
@@ -77,8 +77,7 @@ class ClosedTheory(Theory):
         return tuple(sorted(fca._select(self._tc.pool_keys, self._intent)))
 
 
-@dataclass(frozen=True)
-class TruthClassification:
+class TruthClassification(Value):
     """Models as instances, pool sentences as types, satisfaction as incidence.
 
     Instance ids are model positions; type ids are the canonical printed
@@ -91,12 +90,14 @@ class TruthClassification:
     the lattice need no re-validation.
     """
 
+    _fields = ("signature", "models", "pool")
+    _shown = (*_fields, "classification")
     signature: Signature
     models: Sequence[Structure]
     pool: tuple[Formula, ...]
-    classification: fca.Classification = field(init=False, compare=False)
+    classification: fca.Classification
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(set(self.pool)) != len(self.pool):
             raise ValueError("duplicate pool sentences")
         for s in self.pool:
@@ -238,8 +239,7 @@ def theory_leq(tc: TruthClassification, t1: Theory | Iterable[Formula], t2: Theo
     return tc._close(tc._mask(t2)) & ~closed1 == 0
 
 
-@dataclass(frozen=True)
-class TheoryLattice:
+class TheoryLattice(Value):
     """All closed theories of a truth classification, ordered by reverse inclusion.
 
     Theories are listed parallel to the underlying concept lattice; the
@@ -248,6 +248,7 @@ class TheoryLattice:
     of the concept lattice's intents, built on first use.
     """
 
+    _fields = ("tc", "lattice")
     tc: TruthClassification
     lattice: fca.ConceptLattice
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import random
 
@@ -382,7 +383,9 @@ def test_print_parse_roundtrip(text):
     assert parse_sentence(SIG, format_formula(f)) == f
 
 
-def _sentences(depth: int = 3):
+def _formulas(depth: int = 3):
+    """Sentences over P, Q and equality, their bound variables named
+    z0, z1, ... by depth, as built: not canonicalized."""
     vars_of = lambda env: st.sampled_from(env)
 
     def formulas(env, d):
@@ -410,7 +413,11 @@ def _sentences(depth: int = 3):
             quantified,
         )
 
-    return formulas((), depth).map(canonicalize)
+    return formulas((), depth)
+
+
+def _sentences(depth: int = 3):
+    return _formulas(depth).map(canonicalize)
 
 
 # Token soup over two sorts, a constant and relations of arity 1 and 2: a
@@ -468,6 +475,37 @@ def test_roundtrip_on_generated_sentences(sentence):
 def test_satisfaction_matches_ground_substitution(sentence, index):
     model = MODELS[index]
     assert satisfies(model, sentence) == oracle_satisfies(model, sentence)
+
+
+@given(_formulas(), _formulas())
+def test_equal_trees_have_equal_reprs_and_hashes(a, b):
+    """Trees built or parsed apart: ``==`` holds exactly when the reprs are
+    equal, and equal trees hash equal, before and after canonicalizing.
+    The cached hash is in neither the repr nor the equality."""
+    parsed = parse_sentence(SIG, format_formula(a))
+    for x, y in ((a, b), (canonicalize(a), canonicalize(b)), (canonicalize(a), parsed), (a, copy.deepcopy(a))):
+        assert (x == y) == (repr(x) == repr(y)) == (not x != y)
+        assert x != y or hash(x) == hash(y)
+    assert "_hash" not in repr(a)
+    twin = copy.copy(a)
+    object.__setattr__(twin, "_hash", hash(a) + 1)
+    assert twin == a and repr(twin) == repr(a)
+
+
+def test_a_tree_of_the_maximum_depth_hashes_alike_each_time():
+    leaf = Atom("P", (Var("x", "E"),))
+    wraps = (Not, lambda g: And(leaf, g), lambda g: Forall("x", "E", g))
+
+    def chain(n):
+        f = leaf
+        for k in range(n - 2):
+            f = wraps[k % 3](f)
+        return Exists("x", "E", f)
+
+    deep = chain(MAX_FORMULA_DEPTH)
+    assert _depth(deep) == MAX_FORMULA_DEPTH
+    assert hash(deep) == hash(deep) == hash(chain(MAX_FORMULA_DEPTH))
+    assert deep == chain(MAX_FORMULA_DEPTH) != chain(MAX_FORMULA_DEPTH - 1)
 
 
 # ---------------------------------------------------------------------------

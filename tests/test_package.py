@@ -89,21 +89,30 @@ def test_a_lazy_name_is_looked_up_on_each_access(monkeypatch):
     assert theorylattice.analogy is original
 
 
-def _loaded_after(code: str) -> list:
-    """The theorylattice modules loaded, after ``code`` ran in a fresh interpreter."""
-    listing = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('theorylattice'))))"
+def _loaded_after(code: str, prefix: str = "theorylattice") -> list:
+    """The modules named ``prefix...`` loaded, after ``code`` ran in a fresh interpreter."""
+    listing = f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     script = f"{code}\nimport json, sys\n{listing}"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
-CORE = ["theorylattice", *(f"theorylattice.{m}" for m in ("errors", "fca", "logic", "truth"))]
+CORE = ["theorylattice", *(f"theorylattice.{m}" for m in ("_value", "errors", "fca", "logic", "truth"))]
 TRANSPORT = ["theorylattice.morph", "theorylattice.nav"]
 
 
 def test_importing_the_cli_leaves_the_transport_layer_unloaded():
     assert _loaded_after("import theorylattice.cli") == sorted(CORE + ["theorylattice.cli"])
     assert _loaded_after("import theorylattice") == CORE
+
+
+@pytest.mark.parametrize("code", ["import theorylattice.cli", "import theorylattice"])
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_start_up_loads_neither_dataclasses_nor_inspect(code, module):
+    """The value classes are declared without class-building code, so a CLI
+    start compiles and runs none of these modules (beyond any the
+    interpreter's own start-up hooks load)."""
+    assert _loaded_after(code, module) == _loaded_after("", module)
 
 
 @pytest.mark.parametrize(
