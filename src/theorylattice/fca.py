@@ -640,20 +640,26 @@ def _cxt_records(ctx: Classification, name: str) -> Iterator[str]:
     return itertools.chain((header,), names, map(rendered.__getitem__, ctx._rows))
 
 
+def _is_count(line: str) -> bool:
+    """A count line is a run of ASCII digits: no sign, no ``_``, no other
+    script's digits, all of which ``int`` would take."""
+    line = line.strip()
+    return line.isascii() and line.isdigit()
+
+
 def read_cxt(text: str, *, path: str | None = None) -> Classification:
     """Parse Burmeister format; instance and type ids are the name strings."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "B":
         raise ParseError("not a Burmeister context (first line must be 'B')", line=1, path=path)
     pos = 1
-    # The name line is optional; counts start at the first integer line.
-    if pos < len(lines) and not lines[pos].strip().isdigit():
+    # The name line is optional; counts start at the first count line.
+    if pos < len(lines) and not _is_count(lines[pos]):
         pos += 1
-    try:
-        n_obj = int(lines[pos].strip())
-        n_att = int(lines[pos + 1].strip())
-    except (IndexError, ValueError):
-        raise ParseError("expected object and attribute counts", line=pos + 1, path=path)
+    for lineno in (pos + 1, pos + 2):
+        if lineno > len(lines) or not _is_count(lines[lineno - 1]):
+            raise ParseError("expected object and attribute counts", line=min(lineno, len(lines)), path=path)
+    n_obj, n_att = int(lines[pos]), int(lines[pos + 1])
     pos += 2
     rest = [
         (lineno, line.strip())
@@ -668,6 +674,8 @@ def read_cxt(text: str, *, path: str | None = None) -> Classification:
             line=len(lines),
             path=path,
         )
+    if len(rest) > need:
+        raise ParseError("unexpected line after the last row", line=rest[need][0], path=path)
     named = {"object": rest[:n_obj], "attribute": rest[n_obj : n_obj + n_att]}
     for what, part in named.items():
         first: dict[str, int] = {}

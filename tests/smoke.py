@@ -1,0 +1,315 @@
+"""End-to-end smoke checks of ``python -m theorylattice`` on the benchmark's
+inputs, one function each; CI runs each check as one step.
+
+    python tests/smoke.py NAME [WORKDIR]   run one check, keeping its files in WORKDIR/NAME
+    python tests/smoke.py --list           print the names of the checks
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from collections.abc import Mapping
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
+
+import cli_surface  # noqa: E402  (tests/, the directory of this script)
+import inputs  # noqa: E402
+from theorylattice.cli import build_parser  # noqa: E402
+from theorylattice.logic import enumerate_structures, format_structure, parse_signature  # noqa: E402
+
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+FILES = {
+    "m.sig": inputs.M_SIG,
+    "st.sig": inputs.ST_SIG,
+    "m.pool": "\n".join(inputs.M_POOL) + "\n",
+    "st.pool": "\n".join(inputs.ST_POOL) + "\n",
+    "l10.pool": "\n".join(inputs.L10_POOL) + "\n",
+    "st_m.int": inputs.ST_TO_M,
+    "w20.sig": "entity E\nrelation P(E)\nrelation R(E,E)\n",
+    "w20.pool": "".join(s + "\n" for s in inputs.M_POOL if "Q(" not in s),
+    "m.thy": "forall x:E. forall y:E. R(x,y) -> R(y,x)\nexists x:E. P(x)\n",
+    "pq.sig": "entity E\nrelation P(E)\nrelation Q(E)\n",
+}
+
+
+def fixtures(out: Path, extra: Mapping[str, str] = {}) -> dict[str, str]:
+    """Write the benchmark's inputs, the other shared files and ``extra``
+    (name -> text) into ``out``; return each file's path by its name."""
+    files = {**FILES, **extra}
+    for name, text in files.items():
+        (out / name).write_text(text)
+    return {name: str(out / name) for name in files}
+
+
+def cli(*argv: str, check: bool = True, **env: str) -> subprocess.CompletedProcess:
+    """``python -m theorylattice ARGV`` with ``PYTHONPATH=src`` and ``env``, stdout captured;
+    ``check`` raises on a non-zero exit, else stderr is captured too."""
+    return subprocess.run([sys.executable, "-m", "theorylattice", *argv], env={**ENV, **env}, cwd=ROOT, check=check,
+                          stdout=subprocess.PIPE, stderr=None if check else subprocess.PIPE)
+
+
+def piped(*argv: str) -> tuple[int, str, float, float, int]:
+    """``python -m theorylattice ARGV``, its stdout hashed from the pipe: the
+    byte count, sha256, wall seconds, peak RSS in MB and exit code."""
+    h, n = hashlib.sha256(), 0
+    start = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-m", "theorylattice", *argv], env=ENV, cwd=ROOT,
+                          stdout=subprocess.PIPE) as proc:
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+            h.update(chunk)
+            n += len(chunk)
+        # wait4 gives this child's own peak RSS
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return n, h.hexdigest(), time.perf_counter() - start, usage.ru_maxrss / 1024, proc.returncode
+
+
+def interp_at_scale(out: Path) -> None:
+    """ST read into M over E=a,b,c (4096 source and 32768 target models):
+    interp check and the inverse image of one M theory, compared with stdout
+    recorded before the infomorphism was built from columns.  No timing is
+    asserted."""
+    t = fixtures(out)
+    args = ["--sig", t["st.sig"], "--pool", t["st.pool"], "--carriers", "E=a,b,c", "--dst-sig", t["m.sig"],
+            "--dst-pool", t["m.pool"], "--dst-carriers", "E=a,b,c", "--map", t["st_m.int"]]
+    got = cli("interp", "check", *args).stdout
+    assert got == b"true\n", got
+    got = cli("interp", "apply", *args, "--direction", "inv", "--theory", t["m.thy"]).stdout
+    assert got == b"exists v0:E. S(v0)\nforall v0:E. forall v1:E. T(v0,v1) -> T(v1,v0)\n", got
+
+
+def map_reader(out: Path) -> None:
+    """Every command reads a map file the same way, whatever the shape of
+    its relation lines.  analogy along ST -> M over E=a,b,c (the
+    interpretation of the smoke above) prints the bytes of interp apply
+    --direction dir; a nav script over M steps along a map of M into itself
+    written as formulas; interp check reads a map written as relation
+    P -> Q lines."""
+    t = fixtures(out, {
+        "st.thy": "forall x:E. forall y:E. T(x,y) -> T(y,x)\nexists x:E. S(x)\n",
+        "swap_m.int": "entity E -> E\nrelation P(x1) -> Q(x1)\nrelation Q(x1) -> P(x1)\n"
+        "relation R(x1,x2) -> R(x1,x2)\n",
+        "steps.nav": "expand exists x:E. P(x), forall x:E. exists y:E. R(x,y)\n"
+        f"analogy {out / 'swap_m.int'}\ncontract exists x:E. Q(x)\n",
+        "pq.pool": "".join(f"{q} x:E. {a}\n" for q in ("forall", "exists") for a in ("P(x)", "Q(x)")),
+        "swap.map": "entity E -> E\nrelation P -> Q\nrelation Q -> P\n",
+    })
+    args = ["--sig", t["st.sig"], "--pool", t["st.pool"], "--carriers", "E=a,b,c", "--dst-sig", t["m.sig"],
+            "--dst-pool", t["m.pool"], "--dst-carriers", "E=a,b,c", "--map", t["st_m.int"], "--theory", t["st.thy"]]
+    got = cli("analogy", *args).stdout
+    assert got == cli("interp", "apply", *args, "--direction", "dir").stdout, got
+    assert got == b"exists v0:E. P(v0)\nforall v0:E. forall v1:E. R(v0,v1) -> R(v1,v0)\n", got
+    got = cli("nav", "--sig", t["m.sig"], "--pool", t["m.pool"], "--carriers", "E=a,b",
+              "--script", t["steps.nav"]).stdout
+    assert got == (b"1 expand -> theory 2452: exists v0:E. P(v0); forall v0:E. exists v1:E. R(v0,v1)\n"
+                   b"2 analogy -> theory 2449: exists v0:E. Q(v0); forall v0:E. exists v1:E. R(v0,v1)\n"
+                   b"3 contract -> theory 2490: forall v0:E. exists v1:E. R(v0,v1)\n"), got
+    got = cli("interp", "check", "--sig", t["pq.sig"], "--pool", t["pq.pool"], "--carriers", "E=a,b,c",
+              "--dst-sig", t["pq.sig"], "--dst-pool", t["pq.pool"], "--dst-carriers", "E=a,b,c",
+              "--map", t["swap.map"]).stdout
+    assert got == b"true\n", got
+
+
+def listed_models(out: Path) -> None:
+    """ST read into M over E=a,b, with the 256 M models written one to a file
+    in enumeration order and passed as --dst-model: interp check and the
+    inverse image of one M theory take the per-model reduct path, and their
+    stdout must equal that of the same run over --dst-carriers E=a,b, which
+    reads the reducts off columns."""
+    space = enumerate_structures(parse_signature(inputs.M_SIG), {"E": ["a", "b"]})
+    models = {f"m{k:03d}.model": format_structure(model) for k, model in enumerate(space)}
+    t = fixtures(out, models)
+    listed = [arg for name in models for arg in ("--dst-model", t[name])]
+    assert len(listed) == 2 * 256
+    common = ["--sig", t["st.sig"], "--pool", t["st.pool"], "--carriers", "E=a,b",
+              "--dst-sig", t["m.sig"], "--dst-pool", t["m.pool"], "--map", t["st_m.int"]]
+    for command in (["check"], ["apply", "--direction", "inv", "--theory", t["m.thy"]]):
+        got = cli("interp", *command, *common, *listed).stdout
+        want = cli("interp", *command, *common, "--dst-carriers", "E=a,b").stdout
+        print(command[0], repr(got))
+        assert got == want, command[0]
+
+
+def exports_w20(out: Path) -> None:
+    """W20: P(E), R(E,E) over E=a,b,c,d (2^20 models, the default model cap)
+    with the 12 M-pool sentences that do not mention Q.  Each export is
+    hashed as it is read from the pipe and compared with the sha256 recorded
+    before the exports were streamed, and its wall seconds and peak RSS are
+    printed.  The text export (171 MB) peaked at 687 MB RSS when it was built
+    as one string, at about 190 MB streamed, at about 216 MB (2.0 s, against
+    6.2 s) with its models: lines joined from cached blocks, and at about
+    176 MB (1.7 s) once the model ids stayed a range and the lattice ran on
+    the 102 row classes.  DOT and cxt then went from about 202 and 209 MB
+    (1.2-1.4 and 1.4-1.7 s) to 136 and 169 MB (1.1 and 1.2-1.4 s).  The
+    ceiling is generous."""
+    t = fixtures(out)
+    want = {
+        "text": (170809744, "2e7f21ca6b97d10ad283db7dca0e780562408a9bbded77086c49155fad941e9c", 400),
+        "dot": (8343030, "2d16f9e4012dd5ba50b9162f00c39d9488183d22e1841bc82bd8de1874b4088d", None),
+        "cxt": (20909377, "bc664ef74c071b4527e0e66ccf94092f70d7558c2cdb8294ff9949d3e09a6a61", None),
+    }
+    for fmt, (size, digest, ceiling_mb) in want.items():
+        n, sha, wall_s, peak_mb, code = piped("lattice", "--sig", t["w20.sig"], "--pool", t["w20.pool"],
+                                              "--carriers", "E=a,b,c,d", "--format", fmt)
+        print(f"{fmt}: {n} bytes, {wall_s:.2f} s, peak RSS {peak_mb:.1f} MB")
+        assert code == 0, fmt
+        assert (n, sha) == (size, digest), fmt
+        assert ceiling_mb is None or peak_mb < ceiling_mb, f"{fmt}: {peak_mb:.1f} MB"
+
+
+def dot_l(out: Path) -> None:
+    """L: the M signature over E=a,b,c (32768 models) with the first ten
+    M-pool sentences (109 theories, 27 distinct rows).  The DOT export is
+    hashed as it is read from the pipe and compared with the sha256 recorded
+    before the lattice ran on row classes; its wall seconds and peak RSS are
+    printed.  No timing is asserted."""
+    t = fixtures(out)
+    n, sha, wall_s, peak_mb, code = piped("lattice", "--sig", t["m.sig"], "--pool", t["l10.pool"],
+                                          "--carriers", "E=a,b,c", "--format", "dot")
+    print(f"dot: {n} bytes, {wall_s:.2f} s, peak RSS {peak_mb:.1f} MB")
+    assert code == 0
+    assert (n, sha) == (224912, "2eec248916729f73cb4bd28967292c3b5203623e0af95a48a9dbbfd7e11d3e0d")
+
+
+def concepts_m(out: Path) -> None:
+    """The M truth classification (256 models, 20 sentences, 2508 concepts)
+    written as cxt and read back by ctx concepts: its DOT must equal the
+    lattice's DOT, its cxt the input but for the name line (and reading that
+    again gives it back), and its text listing the sha256 recorded before the
+    concept lookups went through one step."""
+    t = fixtures(out)
+    semantics = ["--sig", t["m.sig"], "--pool", t["m.pool"], "--carriers", "E=a,b"]
+    (out / "m.cxt").write_bytes(cli("lattice", *semantics, "--format", "cxt").stdout)
+
+    def concepts(path: Path, fmt: str) -> bytes:
+        return cli("ctx", "concepts", "--cxt", str(path), "--format", fmt).stdout
+    assert concepts(out / "m.cxt", "dot") == cli("lattice", *semantics, "--format", "dot").stdout
+    given, again = (out / "m.cxt").read_bytes(), concepts(out / "m.cxt", "cxt")
+    # the first line and everything after the name line
+    assert given.split(b"\n", 2)[::2] == again.split(b"\n", 2)[::2], "cxt body"
+    (out / "again.cxt").write_bytes(again)
+    assert concepts(out / "again.cxt", "cxt") == again, "cxt fixed point"
+    text = concepts(out / "m.cxt", "text")
+    digest = "7172b1512912d394f956bffcae203b60f16de7d0cb05030a4c2dc0a18ccd4753"
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (995779, digest)
+
+
+def entry_point(out: Path) -> None:
+    """python -m theorylattice through run_main, which reads sys.argv (no
+    in-process test does): no args, --help, an unknown command and lattice
+    --help must print the exit codes and bytes pinned in tests/cli_surface.py
+    (on another Python than the pinned one, those of the parser of every
+    subcommand, built in-process), and one entail over E=a,b,c its answer."""
+    t = fixtures(out, {"q.thy": "forall x:E. Q(x)\n"})
+    cases = {name: cli_surface.CASES[name] for name in ("no-args", "--help", "unknown-command", "lattice --help")}
+    if sys.version_info[:2] != cli_surface.PINNED_ON:
+        full = build_parser().parse_args
+        cases = {name: (argv, *cli_surface.surface(full, argv)) for name, (argv, *_) in cases.items()}
+    entail = ["entail", "--sig", t["pq.sig"], "--carriers", "E=a,b,c", "--theory", t["q.thy"]]
+    cases["entail"] = ([*entail, "--query", "forall x:E. P(x) -> Q(x)"], 0, "true\n", "")
+    for name, (argv, code, stdout, stderr) in cases.items():
+        proc = cli(*argv, check=False, COLUMNS="80")
+        got = (proc.returncode, proc.stdout, proc.stderr)
+        assert got == (code, stdout.encode(), stderr.encode()), (name, got)
+        print(f"{name}: exit {code}, {len(proc.stdout)} + {len(proc.stderr)} bytes as pinned")
+
+
+def reader_faults(out: Path) -> None:
+    """A fault in a signature, model or map file exits 2 with the file and
+    the line of the declaration at fault, whichever check finds it: the
+    reader's own (line shape, order, repeated keys) or the constructor's."""
+    t = fixtures(out, {
+        "pq.pool": "forall x:E. P(x)\nexists x:E. Q(x)\n",
+        "r.sig": "entity E\nrelation R(E,E)\n",
+        "r.pool": "forall x:E. exists y:E. R(x,y)\n",
+        "bad.sig": "entity E\n# P twice\nrelation P(E)\nrelation P(E)\n",
+        "bad.model": "universe E = {a, b}\nP = {a}\nQ = {(a,b)}\n",
+        "bad.map": "entity E -> E\nrelation R(x1,x2) -> P(x1)\n",
+    })
+    cases = {
+        "signature": (["lattice", "--sig", t["bad.sig"], "--pool", t["pq.pool"], "--carriers", "E=a,b"],
+                      f"{t['bad.sig']}:4: duplicate relation type 'P'"),
+        "model": (["lattice", "--sig", t["pq.sig"], "--pool", t["pq.pool"], "--model", t["bad.model"]],
+                  f"{t['bad.model']}:3: tuple ('a', 'b') has wrong arity for relation 'Q'"),
+        "map": (["interp", "check", "--sig", t["r.sig"], "--pool", t["r.pool"], "--carriers", "E=a,b",
+                 "--dst-sig", t["pq.sig"], "--dst-pool", t["pq.pool"], "--dst-carriers", "E=a,b",
+                 "--map", t["bad.map"]],
+                f"{t['bad.map']}:2: formula for relation 'R' must use exactly ['x1', 'x2'] free: missing ['x2']"),
+    }
+    for name, (argv, message) in cases.items():
+        proc = cli(*argv, check=False)
+        got = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+        assert got == (2, "", f"error: {message}\n"), (name, got)
+        print(f"{name}: exit 2, {got[2].strip()}")
+
+
+REIMPORTS = """\
+import importlib, statistics, sys, time
+times = []
+for _ in range(5):
+    for name in [m for m in sys.modules if m.split(".")[0] == "theorylattice"]:
+        del sys.modules[name]
+    t0 = time.perf_counter()
+    importlib.import_module("theorylattice.cli")
+    times.append(time.perf_counter() - t0)
+print(f"import theorylattice.cli, median of 5 in-process re-imports: {statistics.median(times) * 1e3:.1f} ms")
+"""
+
+
+def startup_imports(out: Path) -> None:
+    """import theorylattice.cli loads the core pipeline only (_value, errors,
+    fca, logic, truth), and neither dataclasses nor inspect: the value
+    classes are declared without generated code.  The transport layer
+    (morph, nav) loads when a command uses it.  The median of five
+    in-process re-imports of theorylattice.cli without bytecode, as
+    bench/run.py times them, and the -X importtime table of one CLI start-up
+    (--version, which must exit 0) go to the log; no timing is asserted."""
+    code = "import sys, theorylattice.cli; print(*sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=ENV, cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True)
+    modules = run.stdout.split()
+    loaded = sorted(m for m in modules if m.split(".")[0] == "theorylattice")
+    want = ["theorylattice", *(f"theorylattice.{m}" for m in ("_value", "cli", "errors", "fca", "logic", "truth"))]
+    assert loaded == want, loaded
+    assert not {"dataclasses", "inspect"} & set(modules), "dataclasses or inspect loaded"
+    print("loaded:", *loaded, flush=True)
+    subprocess.run([sys.executable, "-c", REIMPORTS], env={**ENV, "PYTHONDONTWRITEBYTECODE": "1"}, cwd=ROOT, check=True)
+    subprocess.run([sys.executable, "-X", "importtime", "-m", "theorylattice", "--version"], env=ENV, cwd=ROOT,
+                   check=True)
+
+
+def bench_smoke(out: Path) -> None:
+    """Fails on a crash, a wrong stage count or a failed operation check."""
+    for workload in ("lattice_M", "models_L", "session_M"):
+        argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
+        report = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True).stdout
+        n = json.loads(report.splitlines()[-1])["failed"]
+        if n:
+            sys.exit(f"{workload}: {n} operations failed")
+
+
+CHECKS = {check.__name__: check for check in (interp_at_scale, map_reader, listed_models, exports_w20, dot_l,
+                                              concepts_m, entry_point, reader_faults, startup_imports, bench_smoke)}
+
+
+def main(argv: list[str]) -> None:
+    if argv == ["--list"]:
+        print(*CHECKS, sep="\n")
+    elif not 1 <= len(argv) <= 2 or argv[0] not in CHECKS:
+        sys.exit(__doc__.split("\n\n")[1].rstrip())
+    else:
+        name, *workdir = argv
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(workdir[0] if workdir else tmp, name)
+            out.mkdir(parents=True, exist_ok=True)
+            CHECKS[name](out)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

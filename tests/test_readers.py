@@ -1,16 +1,22 @@
 """Each input rule is written once, in a constructor; each file reader
 checks only the shape of its lines, their order and repeated keys, and
-reports a constructor's fault at the line it read the faulty part from."""
+reports a constructor's fault at the line it read the faulty part from.
+On any text made of a format's tokens a reader raises only ``ParseError``."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from theorylattice import logic
+from theorylattice.cli import main, parse_carrier_spec
 from theorylattice.errors import ParseError, PoolMembershipError
-from theorylattice.logic import Signature, Structure, parse_model, parse_sentences, parse_signature
+from theorylattice.fca import read_cxt, write_cxt
+from theorylattice.logic import (
+    Signature, Structure, format_structure, parse_model, parse_sentences, parse_signature, validate_carriers,
+)
 from theorylattice.morph import parse_interpretation
-from theorylattice.nav import apply_nav_script
+from theorylattice.nav import apply_nav_script, parse_nav_script
 from theorylattice.truth import build_truth_classification, theory_lattice
 
 # ---------------------------------------------------------------------------
@@ -131,19 +137,27 @@ def test_make_checks_the_carriers_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Model and map files: the constructor's fault at the line of the part at fault
+# Model, map and cxt files: the constructor's fault at the line of the part at fault
 
 MODEL_SIG = parse_signature("entity E\nentity F\nrelation P(E)\nrelation R(E,F)\nconstant c:E\nconstant d:F")
 MAP_SRC = parse_signature("entity E\nrelation R(E,E)\nrelation S(E)\nconstant c:E")
 MAP_DST = parse_signature("entity E\nentity F\nrelation P(E)\nrelation Q(E,E)\nconstant d:F\nconstant e:E")
 UNIVERSES = "universe E = {a, b}\nuniverse F = {x}\n"
 DENOTATIONS = "c = a\nd = x\n"
+PATHS = {"model": "m.model", "map": "h.map", "cxt": "c.cxt"}
+# a count is a run of ASCII digits, and nothing follows the last row
+CXT_FAULTS = [
+    ("B\n\n-1\n2\na\nb\nc\n", 3, "expected object and attribute counts"),
+    ("B\n\n1\n1\na\nt\nX\nX\n", 8, "unexpected line after the last row"),
+]
 
 
 def read(kind: str, text: str):
     if kind == "model":
-        return parse_model(MODEL_SIG, text, path="m.model")
-    return parse_interpretation(MAP_SRC, MAP_DST, text, path="h.map")
+        return parse_model(MODEL_SIG, text, path=PATHS[kind])
+    if kind == "cxt":
+        return read_cxt(text, path=PATHS[kind])
+    return parse_interpretation(MAP_SRC, MAP_DST, text, path=PATHS[kind])
 
 
 @pytest.mark.parametrize(
@@ -168,16 +182,24 @@ def read(kind: str, text: str):
          "constant 'c' of sort 'E' maps to 'd' of sort 'F', expected 'E'"),
         ("map", "constant c -> d\nentity E -> E\nrelation R -> Q\nrelation S -> P\n", 1,
          "constant 'c' of sort 'E' maps to 'd' of sort 'F', expected 'E'"),
+        *(("cxt", *fault) for fault in CXT_FAULTS),
     ],
     ids=["arity", "arity-unary-shorthand", "tuple-carrier", "tuple-before-universe", "carrier-repeats",
          "carrier-empty", "carrier-sort", "constant-carrier", "unused-reserved-variable",
-         "constant-sort", "constant-sort-before-entity"],
+         "constant-sort", "constant-sort-before-entity", "cxt-negative-count", "cxt-trailing-row"],
 )
 def test_reader_fault_located(kind, text, line, message):
     with pytest.raises(ParseError) as exc:
         read(kind, text)
-    path = "m.model" if kind == "model" else "h.map"
-    assert str(exc.value) == f"{path}:{line}: {message}"
+    assert str(exc.value) == f"{PATHS[kind]}:{line}: {message}"
+
+
+@pytest.mark.parametrize("text, line, message", CXT_FAULTS, ids=["negative-count", "trailing-row"])
+def test_ctx_concepts_exits_2_on_a_cxt_fault(tmp_path, capsys, text, line, message):
+    path = tmp_path / "c.cxt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["ctx", "concepts", "--cxt", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}:{line}: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -195,7 +217,7 @@ def test_reader_fault_located(kind, text, line, message):
 def test_what_only_the_whole_file_shows_has_no_line(kind, text, message):
     with pytest.raises(ParseError) as exc:
         read(kind, text)
-    path = "m.model" if kind == "model" else "h.map"
+    path = PATHS[kind]
     assert (exc.value.path, exc.value.line, str(exc.value)) == (path, None, f"{path}: {message}")
 
 
@@ -243,3 +265,112 @@ def test_nav_line_fault_located(pq_lattice, script, line, message):
     with pytest.raises(ParseError) as exc:
         apply_nav_script(lat, lat.top, script, path="s.nav")
     assert str(exc.value) == f"s.nav:{line}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: a valid file with lines dropped and loose tokens of its format put in
+# anywhere.  Only a ParseError escapes a reader (and the constructor's
+# ValueError a carrier spec), and where a printer exists, what was read prints
+# and reads back alike.
+
+
+@st.composite
+def mutants(draw, texts, tokens: tuple[str, ...]) -> str:
+    """A text drawn from ``texts`` with up to two of its lines dropped and up
+    to three ``tokens`` put in anywhere."""
+    lines = draw(texts).splitlines()
+    for _ in range(draw(st.integers(0, min(2, len(lines))))):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    text = "".join(line + "\n" for line in lines)
+    for token in draw(st.lists(st.sampled_from(tokens), max_size=3)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + token + text[at:]
+    return text
+
+
+def arranged(lines: tuple[str, ...]):
+    """The lines of a valid file as given, or in any order."""
+    return st.one_of(st.just(lines), st.permutations(lines)).map("\n".join)
+
+
+def read_or_none(read, path: str):
+    """``read()``'s value, or None when it raises a ParseError naming ``path``."""
+    try:
+        return read()
+    except ParseError as exc:
+        assert exc.path == path
+        return None
+
+
+SIG_LINES = ("entity E", "entity F", "relation P(E)", "relation R(E,F)", "constant c:E", "# comment")
+SIG_TOKENS = ("entity", "relation", "constant", "E", "F", "1x", "(", ")", ",", ":", "#", " ", "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutants(arranged(SIG_LINES), SIG_TOKENS))
+def test_signature_reader_fuzz(text):
+    read_or_none(lambda: parse_signature(text, path="s.sig"), "s.sig")
+
+
+MODEL_LINES = ("universe E = {a, b}", "universe F = {x}", "P = {a}", "R = {(a,x), (b,x)}", "c = a", "d = x")
+MODEL_TOKENS = ("universe", "E", "G", "R", "S", "c", "a", "x", "=", "{", "}", "(", ")", ",", "#", " ", "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutants(arranged(MODEL_LINES), MODEL_TOKENS))
+def test_model_reader_fuzz(text):
+    model = read_or_none(lambda: parse_model(MODEL_SIG, text, path="m.model"), "m.model")
+    assert model is None or parse_model(MODEL_SIG, format_structure(model)) == model
+
+
+MAP_LINES = ("entity E -> E", "relation R(x1,x2) -> Q(x2,x1) | x1 = e", "relation S -> P", "constant c -> e")
+MAP_TOKENS = ("entity", "relation", "->", "R", "Q", "F", "d", "x1", "x2", "(", ")", ",", "&", "~",
+              "exists y:E.", "#", " ", "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutants(arranged(MAP_LINES), MAP_TOKENS))
+def test_map_reader_fuzz(text):
+    read_or_none(lambda: parse_interpretation(MAP_SRC, MAP_DST, text, path="h.map"), "h.map")
+
+
+NAV_LINES = ("expand forall x:E. P(x), exists x:E. Q(x)", "contract forall x:E. P(x)",
+             "revise forall x:E. P(x) ; exists x:E. Q(x)", "analogy swap.map", "# comment")
+NAV_TOKENS = ("contract", "expand", "analogy", "fly", ";", ",", "#", " ", "\n")
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutants(arranged(NAV_LINES), NAV_TOKENS))
+def test_nav_script_reader_fuzz(text):
+    read_or_none(lambda: parse_nav_script(text, path="s.nav"), "s.nav")
+
+
+@st.composite
+def cxt_texts(draw) -> str:
+    objs = draw(st.lists(st.sampled_from(("o", "p", "1")), unique=True, max_size=3))
+    atts = draw(st.lists(st.sampled_from(("a", "b", "2")), unique=True, max_size=3))
+    rows = ["".join(draw(st.sampled_from("X.")) for _ in atts) for _ in objs]
+    return "\n".join(["B", draw(st.sampled_from(("", "demo"))), str(len(objs)), str(len(atts)), "",
+                      *objs, *atts, *rows])
+
+
+CXT_TOKENS = ("B", "1", "-", "+", "_", "o", "a", "X", ".", " ", "\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutants(cxt_texts(), CXT_TOKENS))
+def test_cxt_reader_fuzz(text):
+    ctx = read_or_none(lambda: read_cxt(text, path="c.cxt"), "c.cxt")
+    assert ctx is None or read_cxt(write_cxt(ctx)) == ctx
+
+
+CARRIER_TOKENS = ("E", "F", "G", "=", ",", ";", "a", " ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(mutants(st.sampled_from(("E=a,b", "F=x", "E=a;F=x,y")), CARRIER_TOKENS), max_size=3))
+def test_carrier_spec_fuzz(specs):
+    try:
+        validate_carriers(MODEL_SIG, parse_carrier_spec(specs))
+    except ValueError:
+        pass
