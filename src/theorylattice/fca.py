@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from ._value import Value
@@ -195,7 +195,7 @@ class Classification(Value):
                 raise ValueError(f"incidence references unknown type id {t!r}")
             held[q].append(p)
         n = len(instances)
-        object.__setattr__(self, "_columns", tuple(_mask(ps, n) for ps in held))
+        self._set_columns(tuple(_mask(ps, n) for ps in held))
 
     @classmethod
     def from_columns(
@@ -207,7 +207,7 @@ class Classification(Value):
         ctx._set_ids(instances, types)
         if len(columns) != len(types) or any(c < 0 or c > ctx._full for c in columns):
             raise ValueError("one column per type, over the instance positions, is required")
-        object.__setattr__(ctx, "_columns", tuple(columns))
+        ctx._set_columns(tuple(columns))
         return ctx
 
     def _set_ids(self, instances: Sequence[Id], types: tuple[Id, ...]) -> None:
@@ -227,6 +227,14 @@ class Classification(Value):
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "_tpos", tpos)
         object.__setattr__(self, "_full", (1 << len(instances)) - 1)
+
+    def _set_columns(self, columns: tuple[int, ...]) -> None:
+        """Store the columns, and each column with its type's bit, which
+        ``_intent`` reads.  Both are plain attributes: a cached_property on
+        this class slowed every concept lookup."""
+        bits = (1 << j for j in range(len(columns)))
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_column_bits", tuple(zip(columns, bits)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Classification):
@@ -272,18 +280,21 @@ class Classification(Value):
         return p is not None and q is not None and self._columns[q] >> p & 1 == 1
 
     def _extent(self, intent: int) -> int:
-        """The instance mask incident to every type in the type mask."""
-        out = self._full
-        for j in _bits(intent):
-            out &= self._columns[j]
-        return out
+        """The instance mask incident to every type in the type mask: the
+        selected columns ANDed in C."""
+        return reduce(operator.and_, _select(self._columns, intent), self._full)
 
     def _intent(self, extent: int) -> int:
-        """The type mask incident to every instance in the instance mask."""
+        """The type mask incident to every instance in the instance mask.
+
+        A loop over the columns and their bits: on 5 to 200 columns it
+        measured faster than picking the bits with C-level maps and
+        ``compress``, whose bound-method calls cost more than the loop.
+        """
         out = 0
-        for j, col in enumerate(self._columns):
+        for col, bit in self._column_bits:
             if col & extent == extent:
-                out |= 1 << j
+                out |= bit
         return out
 
     def _instance_ids(self, extent: int) -> frozenset[Id]:
@@ -608,9 +619,10 @@ def _one_line(text: str) -> bool:
 def write_cxt(ctx: Classification, name: str = "") -> str:
     """Render in Burmeister format; ids are rendered with str().
 
-    The name line is optional on reading, where an all-digit line is an
-    object count, so such names are refused, as are names and ids that
-    would not read back as the same single line (the reader strips lines).
+    The name line is optional on reading, where a line of ASCII digits is
+    an object count (:func:`_is_count`), so such names are refused, as are
+    names and ids that would not read back as the same single line (the
+    reader strips lines).
     The text is the join of :func:`_cxt_records`, which the CLI writes
     record by record.
     """
@@ -623,7 +635,7 @@ def _cxt_records(ctx: Classification, name: str) -> Iterator[str]:
     Every name is checked before the lines are returned.  Each distinct
     row is rendered once: instances with equal rows share one string.
     """
-    if not _one_line(name) or name.strip().isdigit():
+    if not _one_line(name) or _is_count(name):
         raise ValueError(f"name {name!r} cannot be written as a cxt name line")
     labels = list(map(str, itertools.chain(ctx.instances, ctx.types)))
     # all labels at once in C; a fault is then looked for label by label

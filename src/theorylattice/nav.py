@@ -4,7 +4,9 @@ Contraction deletes axioms and re-closes (never moves down the lattice),
 expansion adds axioms and closes (never moves up), revision is exactly
 the composite, and analogy transports a closed theory along a signature
 map into a destination lattice whose pool contains the translated
-axioms.  Scripts replay sequences of moves and return an audit log.
+axioms.  Each move closes its result by one lookup in its lattice and
+returns the lattice's own theory object.  Scripts replay sequences of
+moves and return an audit log.
 """
 
 from __future__ import annotations
@@ -33,14 +35,12 @@ def contract(lat: TheoryLattice, theory: ClosedTheory, axioms: Iterable[Formula]
         p = tc._pos.get(a)
         if p is not None:
             intent &= ~(1 << p)
-    return tc._theory(tc._close(intent))
+    return lat._closed(intent)
 
 
 def expand(lat: TheoryLattice, theory: ClosedTheory, axioms: Iterable[Formula]) -> ClosedTheory:
     """Add axioms and close; the result is at or below the input."""
-    tc = lat.tc
-    intent = lat._intent(theory)
-    return tc._theory(tc._close(intent | tc._mask(axioms)))
+    return lat._closed(lat._intent(theory) | lat.tc._mask(axioms))
 
 
 def revise(

@@ -9,6 +9,9 @@ theory; the closed theories are the intents of the incidence relation
 and form a complete lattice under the order "more models, fewer
 sentences" (reverse theory inclusion).  The join of two closed theories
 is their intersection; the meet is the pool theory of their common models.
+The meet and :meth:`TheoryLattice.closure` close a pool mask by one lookup
+in the lattice and return its own theory object; :func:`closure`, which
+has no lattice, derives the closure from the classification.
 """
 
 from __future__ import annotations
@@ -257,15 +260,23 @@ class TheoryLattice(Value):
         return tuple(map(self.tc._theory, self.lattice._intents))
 
     def _intent(self, theory: ClosedTheory) -> int:
-        """The intent mask of a closed theory of this lattice; one that is not
-        a view of its classification is looked up by its axioms."""
+        """The intent mask of a closed theory of this lattice: a view of its
+        classification carries it; any other one is looked up by its axioms."""
         tc = self.tc
-        if isinstance(theory, ClosedTheory) and theory.signature == tc.signature:
-            with contextlib.suppress(PoolMembershipError):
-                intent = tc._mask(theory)
-                if theory._tc is tc or tc._close(intent) == intent:
-                    return intent
+        if isinstance(theory, ClosedTheory):
+            if theory._tc is tc:
+                return theory._intent
+            if theory.signature == tc.signature:
+                with contextlib.suppress(PoolMembershipError):
+                    intent = tc._mask(theory)
+                    if tc._close(intent) == intent:
+                        return intent
         raise ValueError("foreign theory: not a closed theory of this lattice")
+
+    def _closed(self, intent: int) -> ClosedTheory:
+        """The theory of this lattice closing a mask over pool positions: one
+        lookup in the concept lattice, on its row classes if it has them."""
+        return self.theories[self.lattice._closing(intent)]
 
     def __contains__(self, theory: ClosedTheory) -> bool:
         try:
@@ -295,7 +306,9 @@ class TheoryLattice(Value):
         return frozenset(fca._bits(self.tc.classification._extent(self._intent(theory))))
 
     def closure(self, axioms: Theory | Iterable[Formula]) -> ClosedTheory:
-        return closure(self.tc, axioms)
+        """The theory of this lattice closing pool axioms, as :func:`closure`
+        does, found by one lookup."""
+        return self._closed(self.tc._mask(axioms))
 
 
 def theory_lattice(tc: TruthClassification, concept_cap: int = fca.DEFAULT_CONCEPT_CAP) -> TheoryLattice:
@@ -314,9 +327,9 @@ def theory_join(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> Close
 
 
 def theory_meet(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> ClosedTheory:
-    """Infimum: the closure of the union of the two theories, computed once;
-    it is the pool theory of their common models."""
-    return lat.tc._theory(lat.tc._close(lat._intent(t1) | lat._intent(t2)))
+    """Infimum: the closure of the union of the two theories, found by one
+    lookup; it is the pool theory of their common models."""
+    return lat._closed(lat._intent(t1) | lat._intent(t2))
 
 
 def object_concept(tc: TruthClassification, model: int | Structure) -> ClosedTheory:

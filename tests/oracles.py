@@ -171,8 +171,13 @@ def reference_next_closure(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) 
     """
     cols = ctx._columns
     m = len(cols)
+
+    def types_holding(extent: int) -> int:
+        # a column scan of its own: the oracle shares no derivation with fca
+        return sum(1 << j for j, col in enumerate(cols) if col & extent == extent)
+
     found: list[tuple[int, int]] = []
-    nxt: tuple[int, int] | None = (ctx._full, ctx._intent(ctx._full))
+    nxt: tuple[int, int] | None = (ctx._full, types_holding(ctx._full))
     while nxt is not None:
         found.append(nxt)
         if len(found) > cap:
@@ -189,7 +194,7 @@ def reference_next_closure(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) 
             if intent >> i & 1:
                 continue
             cand = prefix[i] & cols[i]
-            closed = ctx._intent(cand)
+            closed = types_holding(cand)
             below = (1 << i) - 1
             if closed & below == intent & below:
                 nxt = (cand, closed)

@@ -201,6 +201,74 @@ def concepts_m(out: Path) -> None:
     assert (len(text), hashlib.sha256(text).hexdigest()) == (995779, digest)
 
 
+NAV_M = """\
+expand exists x:E. P(x)
+expand forall x:E. exists y:E. R(x,y)
+analogy {sw}
+expand forall x:E. forall y:E. R(x,y) -> R(y,x)
+contract exists x:E. Q(x)
+revise forall x:E. exists y:E. R(x,y) ; exists x:E. forall y:E. R(x,y)
+analogy {sw}
+expand forall x:E. Q(x) -> R(x,x), exists x:E. ~P(x)
+analogy {id}
+contract forall x:E. forall y:E. R(x,y) -> R(y,x)
+revise exists x:E. ~P(x) ; forall x:E. P(x) -> R(x,x)
+expand exists x:E. R(x,x)
+analogy {sw}
+contract exists x:E. forall y:E. R(x,y), exists x:E. R(x,x)
+expand forall x:E. ~Q(x)
+analogy {sw}
+expand forall x:E. forall y:E. forall z:E. R(x,y) & R(y,z) -> R(x,z)
+revise forall x:E. ~P(x), forall x:E. P(x) -> Q(x) ; exists x:E. P(x) & R(x,x)
+expand exists x:E. ~Q(x)
+analogy {sw}
+contract exists x:E. P(x) & R(x,x), forall x:E. forall y:E. forall z:E. R(x,y) & R(y,z) -> R(x,z)
+expand forall x:E. P(x)
+contract {big}
+revise ; exists x:E. ~Q(x)
+analogy {sw}
+contract exists x:E. forall y:E. R(x,y), forall x:E. R(x,x), forall x:E. forall y:E. R(x,y) -> R(y,x)
+expand exists x:E. Q(x) & R(x,x)
+analogy {sw}
+contract forall x:E. exists y:E. R(x,y), exists x:E. R(x,x)
+revise exists x:E. ~P(x), exists x:E. ~Q(x) ; exists x:E. P(x) & R(x,x)
+analogy {sw}
+expand forall x:E. forall y:E. R(x,y) -> R(y,x)
+contract exists x:E. Q(x) & R(x,x), forall x:E. forall y:E. forall z:E. R(x,y) & R(y,z) -> R(x,z)
+expand exists x:E. forall y:E. R(x,y)
+analogy {id}
+revise forall x:E. forall y:E. R(x,y) -> R(y,x) ; forall x:E. Q(x) -> R(x,x)
+contract exists x:E. forall y:E. R(x,y)
+expand exists x:E. ~P(x), exists x:E. ~Q(x)
+analogy {sw}
+contract exists x:E. P(x)
+"""
+
+
+def nav_m(out: Path) -> None:
+    """A nav script of 40 steps over M from the top: expansions,
+    contractions, revisions, and analogy along two maps of M into itself,
+    the P<->Q swap and the identity written as formulas.  One expansion
+    reaches the inconsistent bottom, and a contraction of the first sixteen
+    pool sentences leaves it.  Its stdout is compared with the sha256
+    recorded before the moves closed by one lookup in their lattice."""
+    t = fixtures(out, {
+        "swap_m.int": "entity E -> E\nrelation P(x1) -> Q(x1)\nrelation Q(x1) -> P(x1)\n"
+        "relation R(x1,x2) -> R(x1,x2)\n",
+        "id_m.int": "entity E -> E\nrelation P(x1) -> P(x1)\nrelation Q(x1) -> Q(x1)\n"
+        "relation R(x1,x2) -> R(x1,x2)\n",
+    })
+    script = NAV_M.format(big=", ".join(inputs.M_POOL[:16]), sw=t["swap_m.int"], id=t["id_m.int"])
+    assert len(script.splitlines()) == 40
+    (out / "m.nav").write_text(script)
+    got = cli("nav", "--sig", t["m.sig"], "--pool", t["m.pool"], "--carriers", "E=a,b",
+              "--script", str(out / "m.nav")).stdout
+    steps = got.count(b"\n")
+    print(f"nav: {steps} steps, {len(got)} bytes")
+    digest = "6ebc3edb1367b20615ec882a1e98fa21d3c76949651c05ac3774fb124001c9fa"
+    assert (steps, len(got), hashlib.sha256(got).hexdigest()) == (40, 9298, digest)
+
+
 def entry_point(out: Path) -> None:
     """python -m theorylattice through run_main, which reads sys.argv (no
     in-process test does): no args, --help, an unknown command and lattice
@@ -295,7 +363,8 @@ def bench_smoke(out: Path) -> None:
 
 
 CHECKS = {check.__name__: check for check in (interp_at_scale, map_reader, listed_models, exports_w20, dot_l,
-                                              concepts_m, entry_point, reader_faults, startup_imports, bench_smoke)}
+                                              concepts_m, nav_m, entry_point, reader_faults, startup_imports,
+                                              bench_smoke)}
 
 
 def main(argv: list[str]) -> None:

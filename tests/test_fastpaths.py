@@ -91,7 +91,10 @@ from theorylattice.morph import (
     translate,
     truth_infomorphism,
 )
+from theorylattice.nav import contract, expand, revise
 from theorylattice.truth import (
+    ClosedTheory,
+    TheoryLattice,
     _text_records,
     build_truth_classification,
     closure,
@@ -409,6 +412,98 @@ def test_closure_and_theory_lattice_match_brute_force_on_random_pools():
             brute = [t for t in want if set(axioms) <= t]
             assert closed.axioms == min(brute, key=len)
             assert closed in lat
+
+
+# ---------------------------------------------------------------------------
+# The derivations against the set references, and the lattice moves, which
+# close by one lookup in their own lattice, against the classification's
+# double-prime closure
+
+
+@st.composite
+def wide_contexts(draw):
+    """A context of 0 to 6 instances and 0 to 6 or 60 to 70 types, built from
+    its incidence or from its columns, with type masks of up to three types
+    to derive from (more would almost always derive the empty extent)."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.one_of(st.integers(0, 6), st.integers(60, 70)))
+    instances, types = tuple(range(n)), tuple(f"t{j}" for j in range(m))
+    columns = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        ctx = Classification.from_columns(instances, types, tuple(columns))
+    else:
+        incidence = frozenset((i, t) for t, col in zip(types, columns) for i in instances if col >> i & 1)
+        ctx = Classification(instances, types, incidence)
+    positions = st.sets(st.integers(0, max(m - 1, 0)), max_size=3 if m else 0)
+    return ctx, [sum(1 << j for j in js) for js in draw(st.lists(positions, max_size=8))]
+
+
+@given(wide_contexts())
+@settings(max_examples=150, deadline=None)
+def test_derivations_match_the_set_references(case):
+    ctx, intents = case
+    incidence = ctx.incidence
+    for xs in subsets(ctx.instances):
+        extent = sum(1 << i for i in xs)
+        assert ctx._type_ids(ctx._intent(extent)) == set_derive_types(ctx.types, incidence, xs)
+    for intent in intents:
+        ys = ctx._type_ids(intent)
+        assert ctx._instance_ids(ctx._extent(intent)) == set_derive_instances(ctx.instances, incidence, ys)
+
+
+def truth_lattices(tc):
+    """The lattice ``theory_lattice`` builds (M-sized cases stay on the
+    instances) and one forced onto the row classes."""
+    by_class = TheoryLattice(tc, concept_lattice(tc.classification, _by_class=True))
+    assert by_class.lattice._classes is not None
+    return theory_lattice(tc), by_class
+
+
+def own(lat, theory) -> bool:
+    """Whether the theory is one of the lattice's own objects."""
+    return any(theory is t for t in lat.theories)
+
+
+@given(st.integers(0, 2**32), st.lists(st.integers(0, 2**6 - 1), min_size=1, max_size=10))
+@settings(max_examples=60, deadline=None)
+def test_closing_step_is_one_lookup_of_the_double_prime_closure(seed, masks):
+    tc = random_truth_case(random.Random(seed))
+    for lat in truth_lattices(tc):
+        for mask in masks:
+            mask &= (1 << len(tc.pool)) - 1
+            closed = lat._closed(mask)
+            assert closed is lat.theories[lat.lattice._intents.index(tc._close(mask))]
+            axioms = list(_select(tc.pool, mask))
+            assert lat.closure(axioms) is closed
+            assert closed == closure(tc, axioms)
+
+
+@given(st.integers(0, 2**32), st.data())
+@settings(max_examples=60, deadline=None)
+def test_moves_return_the_lattices_own_theories(seed, data):
+    """expand, contract, revise and meet return theories the lattice holds,
+    equal to the closures the classification computes; a theory built by
+    hand with the axioms of a lattice theory gives the same results."""
+    tc = random_truth_case(random.Random(seed))
+    for lat in truth_lattices(tc):
+        theories, pool = lat.theories, tc.pool
+        t1, t2 = data.draw(st.sampled_from(theories)), data.draw(st.sampled_from(theories))
+        add = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+        delete = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+        kept = t1.axioms - set(delete)
+        moves = {
+            "expand": (lambda t: expand(lat, t, add), closure(tc, [*t1.axioms, *add])),
+            "contract": (lambda t: contract(lat, t, delete), closure(tc, kept)),
+            "revise": (lambda t: revise(lat, t, delete, add), closure(tc, [*closure(tc, kept).axioms, *add])),
+            "meet": (lambda t: theory_meet(lat, t, t2), closure(tc, t1.axioms | t2.axioms)),
+        }
+        by_hand = ClosedTheory.make(tc.signature, t1.axioms)
+        for name, (move, want) in moves.items():
+            got = move(t1)
+            assert own(lat, got), name
+            assert got == want, name
+            assert move(by_hand) is got, name
+        assert theory_meet(lat, by_hand, ClosedTheory.make(tc.signature, t2.axioms)) is moves["meet"][0](t1)
 
 
 # ---------------------------------------------------------------------------

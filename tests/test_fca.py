@@ -341,7 +341,8 @@ class TestCxt:
         with pytest.raises(ValueError, match="cxt name line"):
             write_cxt(ctx3, "two\nlines")
 
-    @pytest.mark.parametrize("name", ["", "demo", "4two", "  "])
+    # digits outside ASCII are not a count to the reader, so they are a name
+    @pytest.mark.parametrize("name", ["", "demo", "4two", "  ", "\u00b2", " \u0661\u0662 "])
     def test_name_roundtrip(self, name):
         ctx = Classification.make(["1", "2"], ["a", "b"], [("1", "a"), ("2", "a"), ("2", "b")])
         assert read_cxt(write_cxt(ctx, name)) == ctx

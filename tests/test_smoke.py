@@ -12,7 +12,7 @@ import smoke
 # in CI only: exports_w20 (about 1 s per export) and bench_smoke take seconds;
 # dot_l, entry_point and startup_imports repeat test_l10_lattice_output_is_pinned,
 # the test_module_entry_point tests and the start-up tests of test_package.py.
-FAST = ["interp_at_scale", "map_reader", "listed_models", "concepts_m", "reader_faults"]
+FAST = ["interp_at_scale", "map_reader", "listed_models", "concepts_m", "nav_m", "reader_faults"]
 
 
 @pytest.mark.parametrize("name", FAST)
