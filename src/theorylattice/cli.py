@@ -236,7 +236,7 @@ def cmd_nav(args: argparse.Namespace) -> int:
 
     tc = build_tc(args)
     lat = theory_lattice(tc, concept_cap=args.cap_concepts)
-    start = closure(tc, load_sentences(tc.signature, args.start) if args.start else ())
+    start = lat.closure(load_sentences(tc.signature, args.start) if args.start else ())
     sig = tc.signature
 
     def load_map(path: str):
@@ -267,7 +267,7 @@ def cmd_analogy(args: argparse.Namespace) -> int:
     else:
         tc2, lat2 = tc1, lat1
     f = parse_interpretation(tc1.signature, tc2.signature, _read(args.map), path=args.map)
-    theory = closure(tc1, load_sentences(tc1.signature, args.theory))
+    theory = lat1.closure(load_sentences(tc1.signature, args.theory))
     _print_theory(nav.analogy(f, lat1, lat2, theory))
     return 0
 
@@ -298,10 +298,10 @@ def cmd_interp_apply(args: argparse.Namespace) -> int:
     lat2 = theory_lattice(tc2, concept_cap=args.cap_concepts)
     cm = concept_morphism(im, lat1, lat2)
     if args.direction == "dir":
-        theory = closure(tc1, load_sentences(tc1.signature, args.theory))
+        theory = lat1.closure(load_sentences(tc1.signature, args.theory))
         _print_theory(cm.dir(theory))
     else:
-        theory = closure(tc2, load_sentences(tc2.signature, args.theory))
+        theory = lat2.closure(load_sentences(tc2.signature, args.theory))
         _print_theory(cm.inv(theory))
     return 0
 

@@ -18,8 +18,9 @@ Instances with equal rows cannot be told apart by any type, so merging
 them into row classes keeps the lattice isomorphic (object clarification,
 Ganter & Wille, *Formal Concept Analysis*, 1999, section 1.5).  When a
 classification has few row classes for its instances, as an enumerated
-model space does, concepts, lookups and covers run on masks over the
-classes, and only the extents a caller reads are over the instances.
+model space does, the concepts are enumerated over the classes and
+lookups and covers run on masks over them; only the extents a caller
+reads are over the instances.
 
 Instance and type ids are opaque hashable values supplied by the caller.
 """
@@ -304,7 +305,7 @@ class Classification(Value):
         return frozenset(_select(self.types, intent))
 
 
-def _row_classes(ctx: Classification, limit: float = float("inf")) -> Classification | None:
+def _row_quotient(ctx: Classification, limit: float = float("inf")) -> Classification | None:
     """The classification of the row classes: the instances with equal rows.
 
     The full instance mask is split by each column in turn, each part
@@ -369,24 +370,19 @@ class ConceptLattice(Value):
     first concept is the bottom, the last is the top.  The
     :class:`FormalConcept` objects are a view built on first use.
 
-    A lattice built on the row classes keeps, as ``_classes``, the
-    classification of the classes and each concept's extent over them:
-    lookups and covers then run on those narrow masks, and ``_extents``
-    holds the instance masks that callers read.
+    Lookups and covers run on ``_space``, the classification the concepts
+    were enumerated over (see :func:`concept_lattice`), and ``_keys`` holds
+    each concept's extent over it.  Over the instances, ``_space`` is the
+    classification and ``_keys`` is ``_extents``.
     """
 
-    _fields = ("classification", "_extents", "_intents", "_classes")
+    _fields = ("classification", "_extents", "_intents", "_space", "_keys")
     _compared, _shown = _fields[:3], _fields[:1]
     classification: Classification
     _extents: tuple[int, ...]
     _intents: tuple[int, ...]
-    _classes: tuple[Classification, tuple[int, ...]] | None = None
-
-    def _check(self) -> None:
-        # The classification lookups and covers run on: the row classes' or
-        # the instances'.  A plain attribute, read on every lookup.
-        space = self.classification if self._classes is None else self._classes[0]
-        object.__setattr__(self, "_space", space)
+    _space: Classification
+    _keys: tuple[int, ...]
 
     @cached_property
     def concepts(self) -> tuple[FormalConcept, ...]:
@@ -399,8 +395,7 @@ class ConceptLattice(Value):
     @cached_property
     def _by_extent(self) -> dict[int, int]:
         """Each concept's position under its extent in ``_space``."""
-        keys = self._extents if self._classes is None else self._classes[1]
-        return {e: k for k, e in enumerate(keys)}
+        return {e: k for k, e in enumerate(self._keys)}
 
     def _closing(self, intent: int) -> int:
         """The position of the concept whose intent is the closure of a type
@@ -466,7 +461,7 @@ class ConceptLattice(Value):
         all_types = (1 << len(cols)) - 1
         columns = [(1 << m, col) for m, col in enumerate(cols)]
         edges = []
-        for k, (extent, intent) in enumerate(zip(by_extent, intents)):
+        for k, (extent, intent) in enumerate(zip(self._keys, intents)):
             minimal = all_types & ~intent
             for bit, col in columns:
                 if intent & bit:
@@ -481,38 +476,36 @@ class ConceptLattice(Value):
         return tuple(edges)
 
 
-def _extent_order(extent: int, width: int) -> tuple[int, int]:
-    """Sort key of extent masks: by size, then by ascending positions, which
-    puts the lowest set bit of e1 ^ e2 first: the larger bit-reversed mask."""
-    return extent.bit_count(), -_reversed(extent, width)
+def concept_lattice(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
+    """Enumerate all formal concepts of a classification (see :func:`_concepts`).
+
+    When it has at most :data:`_CLASS_RATIO` row classes per instance (see
+    :func:`_row_quotient`), the concepts are enumerated over the classes,
+    otherwise over the instances.
+    """
+    quotient = _row_quotient(ctx, len(ctx.instances) * _CLASS_RATIO)
+    return _concepts(ctx, ctx if quotient is None else quotient, cap)
 
 
-def concept_lattice(
-    ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP, *, _by_class: bool | None = None
-) -> ConceptLattice:
-    """Enumerate all formal concepts as the intersection closure of the columns.
+def _concepts(ctx: Classification, space: Classification, cap: int) -> ConceptLattice:
+    """The concept lattice of ``ctx``, enumerated over ``space``: ``ctx``
+    itself or its row classes, whose lattice is isomorphic.
 
     Every extent is an intersection of columns, the empty intersection
-    being the full instance mask.  One pass over the columns keeps each
+    being the full mask.  One pass over the columns of ``space`` keeps each
     extent found so far with its intent over the columns seen so far:
     column ``j`` adds ``extent & column[j]`` for every extent, with the
     union of the intents meeting there plus ``j``.  After the last column
-    the entries are exactly the concepts, which are then sorted
-    canonically.  The entries only grow and each ends up a concept, so
-    this raises as soon as, after any column (or with no columns at all),
-    more than ``cap`` extents have been found.
+    the entries are exactly the concepts.  The entries only grow and each
+    ends up a concept, so this raises as soon as, after any column (or with
+    no columns at all), more than ``cap`` extents have been found.
 
-    When the classification has at most :data:`_CLASS_RATIO` row classes
-    per instance (see :func:`_row_classes`), the pass runs over the
-    columns of the classes.  Each concept's instance mask is then
-    intersected from its intent, and the concepts are sorted by the size
-    of that mask, then by the class mask reversed, which orders masks of
-    equal size as their instance masks.  ``_by_class`` forces the classes
-    (``True``, refined with no bound) or the instances (``False``).
+    The concepts are sorted by the size of their instance mask, then by
+    their mask over ``space`` bit-reversed, descending: of two masks, the
+    one holding the lowest bit where they differ comes first.  The classes
+    are numbered by their first instance, so masks over them compare as
+    their instance masks do.
     """
-    limit = len(ctx.instances) * _CLASS_RATIO if _by_class is None else float("inf")
-    quotient = None if _by_class is False else _row_classes(ctx, limit)
-    space = ctx if quotient is None else quotient
     closed = {space._full: 0}
     for j, col in enumerate(space._columns):
         if len(closed) > cap:
@@ -523,17 +516,13 @@ def concept_lattice(
             closed[meet] = closed.get(meet, 0) | intent | bit
     if len(closed) > cap:
         raise SizeCapError("concept enumeration", f"more than {cap}", cap)
-    if quotient is None:
-        width = len(ctx.instances)
-        found = sorted(closed.items(), key=lambda c: _extent_order(c[0], width))
-        return ConceptLattice(ctx, *zip(*found))
-    k = len(quotient.instances)
+    width = len(space.instances)
     found = sorted(
-        ((ctx._extent(intent), extent, intent) for extent, intent in closed.items()),
-        key=lambda c: (c[0].bit_count(), -_reversed(c[1], k)),
+        ((key if space is ctx else ctx._extent(intent), key, intent) for key, intent in closed.items()),
+        key=lambda c: (c[0].bit_count(), -_reversed(c[1], width)),
     )
-    extents, narrow, intents = zip(*found)
-    return ConceptLattice(ctx, extents, intents, (quotient, narrow))
+    extents, keys, intents = zip(*found)
+    return ConceptLattice(ctx, extents, intents, space, extents if space is ctx else keys)
 
 
 def lattice_meet(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
@@ -562,9 +551,9 @@ def _object_concepts(lat: ConceptLattice) -> Iterator[tuple[int, int]]:
     """Each concept that is the object concept of some instances, with the
     mask of those instances.  Concepts are listed by extent size, so the
     first one whose extent holds an instance is its least concept; the
-    narrow extents of ``_by_extent`` tell which concepts those are."""
+    extents over ``_space``, ``_keys``, tell which concepts those are."""
     seen = seen_narrow = 0
-    for k, narrow in enumerate(lat._by_extent):
+    for k, narrow in enumerate(lat._keys):
         if narrow & ~seen_narrow:
             seen_narrow |= narrow
             yield k, lat._extents[k] & ~seen

@@ -283,9 +283,13 @@ def compose(f: Interpretation, g: Interpretation) -> Interpretation:
 
 
 def _translate_term(m: Interpretation, t: Term) -> Term:
+    """The term with its sort or constant mapped; one the map leaves
+    unchanged is returned itself, not copied."""
     if isinstance(t, Var):
-        return Var(t.name, m.map_entity(t.sort))
-    return Const(m.map_constant(t.name))
+        sort = m.map_entity(t.sort)
+        return t if sort == t.sort else Var(t.name, sort)
+    name = m.map_constant(t.name)
+    return t if name == t.name else Const(name)
 
 
 def translate(m: Interpretation, formula: Formula) -> Formula:

@@ -269,13 +269,13 @@ class TheoryLattice(Value):
             if theory.signature == tc.signature:
                 with contextlib.suppress(PoolMembershipError):
                     intent = tc._mask(theory)
-                    if tc._close(intent) == intent:
+                    if self.lattice._intents[self.lattice._closing(intent)] == intent:
                         return intent
         raise ValueError("foreign theory: not a closed theory of this lattice")
 
     def _closed(self, intent: int) -> ClosedTheory:
         """The theory of this lattice closing a mask over pool positions: one
-        lookup in the concept lattice, on its row classes if it has them."""
+        lookup in the concept lattice, over the space it was enumerated on."""
         return self.theories[self.lattice._closing(intent)]
 
     def __contains__(self, theory: ClosedTheory) -> bool:

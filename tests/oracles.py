@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from theorylattice.errors import SizeCapError
-from theorylattice.fca import DEFAULT_CONCEPT_CAP, Classification, ConceptLattice, _extent_order
+from theorylattice.fca import DEFAULT_CONCEPT_CAP, Classification, ConceptLattice
 from theorylattice.logic import (
     And,
     Atom,
@@ -166,7 +166,8 @@ def reference_next_closure(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) 
     by ANDing its columns into an extent and taking every type whose
     column contains that extent; the extent of the current intent's types
     below each position is kept as a prefix, so a candidate costs one AND
-    and one closure.  The concept list is then sorted canonically.
+    and one closure.  The concept list is then sorted canonically, by
+    extent size, then by the list of the extent's instance positions.
     Raises once more than ``cap`` concepts have been found.
     """
     cols = ctx._columns
@@ -200,9 +201,13 @@ def reference_next_closure(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) 
                 nxt = (cand, closed)
                 break
 
-    width = len(ctx.instances)
-    found.sort(key=lambda c: _extent_order(c[0], width))
-    return ConceptLattice(ctx, *zip(*found))
+    def size_then_positions(concept: tuple[int, int]) -> tuple[int, list[int]]:
+        positions = [p for p in range(len(ctx.instances)) if concept[0] >> p & 1]
+        return len(positions), positions
+
+    found.sort(key=size_then_positions)
+    extents, intents = zip(*found)
+    return ConceptLattice(ctx, extents, intents, ctx, extents)
 
 
 def set_derive_types(types, incidence, xs) -> frozenset:

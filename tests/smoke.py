@@ -169,13 +169,18 @@ def dot_l(out: Path) -> None:
     M-pool sentences (109 theories, 27 distinct rows).  The DOT export is
     hashed as it is read from the pipe and compared with the sha256 recorded
     before the lattice ran on row classes; its wall seconds and peak RSS are
-    printed.  No timing is asserted."""
+    printed.  The same classification written as cxt and read back by
+    ctx concepts, whose instance ids are then names rather than a range,
+    must give the same DOT.  No timing is asserted."""
     t = fixtures(out)
-    n, sha, wall_s, peak_mb, code = piped("lattice", "--sig", t["m.sig"], "--pool", t["l10.pool"],
-                                          "--carriers", "E=a,b,c", "--format", "dot")
-    print(f"dot: {n} bytes, {wall_s:.2f} s, peak RSS {peak_mb:.1f} MB")
-    assert code == 0
-    assert (n, sha) == (224912, "2eec248916729f73cb4bd28967292c3b5203623e0af95a48a9dbbfd7e11d3e0d")
+    semantics = ["--sig", t["m.sig"], "--pool", t["l10.pool"], "--carriers", "E=a,b,c"]
+    (out / "l10.cxt").write_bytes(cli("lattice", *semantics, "--format", "cxt").stdout)
+    pin = (224912, "2eec248916729f73cb4bd28967292c3b5203623e0af95a48a9dbbfd7e11d3e0d")
+    for what, argv in (("dot", ["lattice", *semantics]), ("cxt dot", ["ctx", "concepts", "--cxt", str(out / "l10.cxt")])):
+        n, sha, wall_s, peak_mb, code = piped(*argv, "--format", "dot")
+        print(f"{what}: {n} bytes, {wall_s:.2f} s, peak RSS {peak_mb:.1f} MB")
+        assert code == 0, what
+        assert (n, sha) == pin, what
 
 
 def concepts_m(out: Path) -> None:

@@ -743,6 +743,31 @@ class TestErrorExitCodes:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["nav", "analogy", "apply-dir", "apply-inv"])
+    def test_a_theory_outside_the_pool_is_refused_as_close_refuses_it(self, ws, capsys, tmp_path, command):
+        """nav --start, analogy --theory and interp apply --theory close their
+        theory in the lattice they build: a sentence outside the pool exits 2
+        with the text close prints for it."""
+        unary = ["--sig", ws["unary_sig"], "--pool", ws["unary_pool"], "--carriers", "E=a,b"]
+        wide = pq_args(ws, pool="wide_pool")
+        script = tmp_path / "one.nav"
+        script.write_text("contract forall x:E. P(x)\n", encoding="utf-8")
+        cases = {  # (the command's argv, the semantics close reads, the sentence)
+            "nav": (["nav", *pq_args(ws), "--script", str(script), "--start"], pq_args(ws), "exists x:E. Q(x)"),
+            "analogy": (["analogy", *pq_args(ws), "--map", ws["swap.map"], "--theory"], pq_args(ws), "exists x:E. Q(x)"),
+            "apply-dir": (["interp", "apply", *interp_args(ws), "--direction", "dir", "--theory"], unary, "forall x:E. ~R(x)"),
+            "apply-inv": (["interp", "apply", *interp_args(ws), "--direction", "inv", "--theory"], wide, "exists x:E. Q(x)"),
+        }
+        argv, semantics, sentence = cases[command]
+        theory = tmp_path / "outside.thy"
+        theory.write_text(f"{sentence}\n", encoding="utf-8")
+        assert main(["close", *semantics, "--theory", str(theory)]) == 2
+        refusal = capsys.readouterr()
+        assert refusal.out == ""
+        assert refusal.err.startswith("error: sentence '") and "' is not in the pool (closure is pool-relative); " in refusal.err
+        assert main([*argv, str(theory)]) == 2
+        assert capsys.readouterr() == refusal
+
     def test_deeply_nested_theory_is_an_input_error(self, ws, capsys, tmp_path):
         theory = tmp_path / "deep.thy"
         theory.write_text("~" * 3000 + "forall x:E. P(x)\n", encoding="utf-8")

@@ -47,15 +47,17 @@ from oracles import (
 from theorylattice.cli import main
 from theorylattice.errors import SizeCapError
 from theorylattice.fca import (
+    DEFAULT_CONCEPT_CAP,
     Classification,
     FormalConcept,
     _BlockJoin,
     _concept_records,
     _cxt_records,
+    _concepts,
     _dot_records,
-    _extent_order,
     _pullbacks,
-    _row_classes,
+    _reversed,
+    _row_quotient,
     _select,
     _words,
     basic_theorem_roundtrip,
@@ -286,17 +288,19 @@ def duplicated_contexts(draw):
 
 
 def check_row_classes(ctx: Classification) -> None:
-    """Both paths give NextClosure's extents, intents and order, the brute
+    """Both spaces give NextClosure's extents, intents and order, the brute
     covers, the same lookups, DOT and round trip, and refuse the same caps;
     the classes are the distinct rows, numbered by their first instance."""
-    quotient = _row_classes(ctx)
+    quotient = _row_quotient(ctx)
     assert quotient._rows == tuple(dict.fromkeys(ctx._rows))
     for limit in range(len(quotient.instances) + 2):
-        assert (_row_classes(ctx, limit) is None) == (len(quotient.instances) > limit)
+        assert (_row_quotient(ctx, limit) is None) == (len(quotient.instances) > limit)
     ref = reference_next_closure(ctx)
-    for by_class in (True, False):
-        lat = concept_lattice(ctx, _by_class=by_class)
-        assert (lat._classes is not None) == by_class
+    for space in (quotient, ctx):
+        lat = _concepts(ctx, space, DEFAULT_CONCEPT_CAP)
+        assert lat._space is space
+        assert (lat._keys is lat._extents) == (space is ctx)
+        assert [space._intent(key) for key in lat._keys] == list(lat._intents)
         assert (lat._extents, lat._intents) == (ref._extents, ref._intents)
         assert lat.concepts == ref.concepts
         assert lat.covers() == brute_covers(ref.concepts)
@@ -308,12 +312,12 @@ def check_row_classes(ctx: Classification) -> None:
     n = len(ref._extents)
     for cap in range(n + 2):
         refused = []
-        for by_class in (True, False):
+        for space in (quotient, ctx):
             try:
-                concept_lattice(ctx, cap, _by_class=by_class)
+                _concepts(ctx, space, cap)
             except SizeCapError:
-                refused.append(by_class)
-        assert refused == ([] if cap >= n else [True, False])
+                refused.append(space)
+        assert refused == ([] if cap >= n else [quotient, ctx])
 
 
 @given(duplicated_contexts())
@@ -339,10 +343,10 @@ def test_row_classes_are_taken_below_the_ratio():
     sig = parse_signature(M_SIG)
     pool = [parse_sentence(sig, t) for t in M_POOL]
     m = build_truth_classification(sig, pool, carriers={"E": ["a", "b"]}).classification
-    assert concept_lattice(m)._classes is None
+    assert concept_lattice(m)._space is m
     l10 = build_truth_classification(sig, pool[:10], carriers={"E": ["a", "b", "c"]}).classification
-    lat, ref = concept_lattice(l10), concept_lattice(l10, _by_class=False)
-    assert len(lat._classes[0].instances) == 27
+    lat, ref = concept_lattice(l10), _concepts(l10, l10, DEFAULT_CONCEPT_CAP)
+    assert len(lat._space.instances) == 27
     assert (lat._extents, lat._intents, lat.covers()) == (ref._extents, ref._intents, ref.covers())
     assert lattice_dot(lat) == lattice_dot(ref)
 
@@ -454,8 +458,8 @@ def test_derivations_match_the_set_references(case):
 def truth_lattices(tc):
     """The lattice ``theory_lattice`` builds (M-sized cases stay on the
     instances) and one forced onto the row classes."""
-    by_class = TheoryLattice(tc, concept_lattice(tc.classification, _by_class=True))
-    assert by_class.lattice._classes is not None
+    ctx = tc.classification
+    by_class = TheoryLattice(tc, _concepts(ctx, _row_quotient(ctx), DEFAULT_CONCEPT_CAP))
     return theory_lattice(tc), by_class
 
 
@@ -517,13 +521,15 @@ same_width_masks = st.integers(0, 70).flatmap(
 
 @given(same_width_masks)
 def test_extent_order_is_the_order_of_sorted_positions(case):
+    """The key ``_concepts`` sorts by (size, then the mask bit-reversed,
+    descending) orders masks as their sorted positions do."""
     width, masks = case
 
     def positions(mask):
         return tuple(i for i in range(width) if mask >> i & 1)
 
     by_positions = sorted(masks, key=lambda e: (len(positions(e)), positions(e)))
-    assert sorted(masks, key=lambda e: _extent_order(e, width)) == by_positions
+    assert sorted(masks, key=lambda e: (e.bit_count(), -_reversed(e, width))) == by_positions
 
 
 def test_concepts_are_listed_in_the_order_of_sorted_positions():

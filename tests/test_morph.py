@@ -31,6 +31,7 @@ from theorylattice.errors import (
 from theorylattice.fca import Classification
 from theorylattice.logic import (
     Atom,
+    Const,
     Structure,
     Var,
     enumerate_structures,
@@ -373,6 +374,21 @@ class TestTranslate:
         body = parse_formula(dst, "R(x1)", {"x1": "D"})
         h = make_interpretation(src, dst, {"E": "D"}, {"c": "e"}, {"P": body})
         assert translate(h, parse_sentence(src, "P(c)")) == parse_sentence(dst, "R(e)")
+
+    def test_a_term_the_map_leaves_unchanged_is_not_copied(self, const_sigs):
+        """A variable whose sort and a constant whose name the map keeps come
+        back as the very same objects; a map that changes the sort or the
+        name builds new ones."""
+        src, dst = const_sigs
+        x, c = Var("x", "E"), Const("c")
+        ident = identity_morphism(src)
+        assert morph._translate_term(ident, x) is x
+        assert morph._translate_term(ident, c) is c
+        body = parse_formula(dst, "R(x1)", {"x1": "D"})
+        h = make_interpretation(src, dst, {"E": "D"}, {"c": "e"}, {"P": body})
+        moved = morph._translate_term(h, x)
+        assert type(moved) is Var and moved == Var("x", "D") and x == Var("x", "E")
+        assert morph._translate_term(h, c) == Const("e")
 
     def test_equality_passes_through(self, conj_interp, unary_sig, pq_sig):
         got = translate(conj_interp, parse_sentence(unary_sig, "forall x:E. x = x"))
