@@ -683,20 +683,19 @@ def read_cxt(text: str, *, path: str | None = None) -> Classification:
         for lineno, name in part:
             if first.setdefault(name, lineno) != lineno:
                 raise ParseError(f"duplicate {what} name {name!r}", line=lineno, path=path)
-    objs, atts = ([name for _, name in part] for part in named.values())
-    incidence = set()
-    for k in range(n_obj if n_att else 0):
-        lineno, row = rest[n_obj + n_att + k]
-        if len(row) != n_att or any(ch not in "X.x" for ch in row):
+    objs, atts = (tuple(name for _, name in part) for part in named.values())
+    rows = [row for _, row in rest[n_obj + n_att :]]
+    for k, row in enumerate(rows):
+        if len(row) != n_att or row.strip("X.x"):
             raise ParseError(
                 f"row for object {objs[k]!r} must be {n_att} characters of 'X'/'.'",
-                line=lineno,
+                line=rest[n_obj + n_att + k][0],
                 path=path,
             )
-        for j, ch in enumerate(row):
-            if ch in "Xx":
-                incidence.add((objs[k], atts[j]))
-    return Classification(tuple(objs), tuple(atts), frozenset(incidence))
+    # attribute j's column is every n_att-th cell from j; the first object is bit 0
+    cells = "".join(rows).translate(str.maketrans("Xx.", "110"))
+    columns = tuple(int(cells[j::n_att][::-1] or "0", 2) for j in range(n_att))
+    return Classification.from_columns(objs, atts, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -1029,13 +1029,15 @@ class ModelColumns:
 
 
 def _check_sentence(sig: Signature, sentence: Formula) -> None:
-    """A sentence is closed and well-typed over ``sig``; an error names it by its key."""
-    fv = free_vars(sentence)
-    if fv:
-        raise ValueError(f"sentence {sentence_key(sentence)!r} has free variables: {sorted(fv)}")
+    """A sentence is closed and well-typed over ``sig``; an error names it by its key.
+    One walk checks both; a refused sentence's free variables, if any, are named."""
     try:
         validate_formula(sig, sentence)
     except ValueError as exc:
+        fv = free_vars(sentence)
+        if fv:
+            key = sentence_key(sentence)
+            raise ValueError(f"sentence {key!r} has free variables: {sorted(fv)}") from None
         raise SignatureMismatchError(
             f"sentence {sentence_key(sentence)!r} does not fit the signature: {exc}"
         )

@@ -111,23 +111,25 @@ def _check_symbol(src: Signature, dst: Signature, kind: str, name: str, image: s
 def _check_relation(
     src: Signature, dst: Signature, ent: Mapping[str, str], name: str, image: str
 ) -> None:
-    """One ``relation P -> Q`` mapping onto a declared relation of its arity,
-    checked at each profile position whose sort ``ent`` maps already."""
-    if not src.has_relation(name):
-        raise ValueError(_UNDECLARED_RELATION.format(name))
+    """One ``relation name -> image`` mapping of a declared source relation:
+    onto a declared target relation of its arity, each profile position's
+    sort mapped by the total entity map ``ent`` to the image's sort there.
+    A fault names the node ``("relation", name)``."""
     if not dst.has_relation(image):
-        raise ValueError(f"relation {name!r} maps to undeclared {image!r}")
+        raise _fault(("relation", name), f"relation {name!r} maps to undeclared {image!r}")
     src_profile, dst_profile = src.profile(name), dst.profile(image)
     if len(src_profile) != len(dst_profile):
-        raise ValueError(
+        raise _fault(
+            ("relation", name),
             f"relation {name!r} has arity {len(src_profile)} but {image!r} "
-            f"has arity {len(dst_profile)}"
+            f"has arity {len(dst_profile)}",
         )
     for pos, (s, d) in enumerate(zip(src_profile, dst_profile), start=1):
-        if s in ent and ent[s] != d:
-            raise ValueError(
+        if ent[s] != d:
+            raise _fault(
+                ("relation", name),
                 f"relation {name!r} position {pos}: sort {s!r} maps to "
-                f"{ent[s]!r} but {image!r} expects {d!r}"
+                f"{ent[s]!r} but {image!r} expects {d!r}",
             )
 
 
@@ -165,13 +167,17 @@ def make_interpretation(
     dst: Signature,
     ent: Mapping[str, str],
     const: Mapping[str, str],
-    rel_formula: Mapping[str, Formula],
+    rel_formula: Mapping[str, Formula | str],
 ) -> Interpretation:
     """Validate sort/constant transport and the reserved-variable contract.
 
-    Each relation R of profile (E1..En) must map to a target formula
-    whose free variables are exactly x1:ent(E1) .. xn:ent(En), and which
-    is well-typed over the target.
+    Each relation R of profile (E1..En) must map either to a target
+    formula whose free variables are exactly x1:ent(E1) .. xn:ent(En), and
+    which is well-typed over the target, or to the name of a target
+    relation, which stands for its atom over x1..xn and must be declared
+    with the mapped profile.  A relation mapping that the source does not
+    declare, a bad relation name and a formula's wrong free variables are
+    faults that name the node ``("relation", R)``.
     """
     return _interpretation(src, dst, ent, const, rel_formula, typed=False)
 
@@ -181,18 +187,26 @@ def _interpretation(
     dst: Signature,
     ent: Mapping[str, str],
     const: Mapping[str, str],
-    rel_formula: Mapping[str, Formula],
+    rel_formula: Mapping[str, Formula | str],
     typed: bool,
 ) -> Interpretation:
     """:func:`make_interpretation`; ``typed`` formulas come from the parser,
     which checked each against its reserved variables, and are not checked
     again."""
     ent_pairs, const_pairs = _symbol_maps(src, dst, ent, const)
+    for name in rel_formula:
+        if not src.has_relation(name):
+            raise _fault(("relation", name), _UNDECLARED_RELATION.format(name))
     normalized: list[tuple[str, Formula]] = []
     for name in src.relation_names:
         if name not in rel_formula:
-            raise ValueError(f"missing interpreting formula for relation {name!r}")
-        formula = canonicalize(rel_formula[name])
+            raise ValueError(f"missing mapping for relation {name!r}")
+        image = rel_formula[name]
+        if isinstance(image, str):
+            _check_relation(src, dst, ent, name, image)
+            normalized.append((name, _renaming_atom(src, ent, name, image)))
+            continue
+        formula = canonicalize(image)
         want_free = reserved_vars(src.profile(name), ent)
         got_free = free_vars(formula)
         if got_free != want_free:
@@ -202,13 +216,9 @@ def _interpretation(
                 v for v in set(got_free) & set(want_free) if got_free[v] != want_free[v]
             )
             detail = "; ".join(
-                part
-                for part in (
-                    f"unexpected {unexpected}" if unexpected else "",
-                    f"missing {missing}" if missing else "",
-                    f"wrong sort for {wrong}" if wrong else "",
-                )
-                if part
+                f"{what} {names}"
+                for what, names in (("unexpected", unexpected), ("missing", missing), ("wrong sort for", wrong))
+                if names
             )
             raise _fault(
                 ("relation", name),
@@ -217,9 +227,6 @@ def _interpretation(
         if not typed:
             validate_formula(dst, formula, want_free)
         normalized.append((name, formula))
-    for name in rel_formula:
-        if not src.has_relation(name):
-            raise ValueError(_UNDECLARED_RELATION.format(name))
     return Interpretation(src, dst, ent_pairs, const_pairs, tuple(normalized))
 
 
@@ -235,19 +242,10 @@ def make_language_morphism(
     rel: Mapping[str, str],
     const: Mapping[str, str],
 ) -> Interpretation:
-    """Validate a map that sends relations to relations: the entity and
-    constant maps as for any map, and each relation onto a declared one of
-    the mapped profile, position by position.  Returns the interpretation
-    whose formula for each relation R is the atom rel(R)(x1..xn)."""
-    ent_pairs, const_pairs = _symbol_maps(src, dst, ent, const)
-    for name, image in rel.items():
-        _check_relation(src, dst, ent, name, image)
-    atoms: list[tuple[str, Formula]] = []
-    for name in src.relation_names:
-        if name not in rel:
-            raise ValueError(f"missing mapping for relation {name!r}")
-        atoms.append((name, _renaming_atom(src, ent, name, rel[name])))
-    return Interpretation(src, dst, ent_pairs, const_pairs, tuple(atoms))
+    """The map that sends each relation R to the relation rel(R): the
+    interpretation whose formula for R is the atom rel(R)(x1..xn), checked
+    as :func:`make_interpretation` checks it."""
+    return make_interpretation(src, dst, ent, const, rel)
 
 
 def identity_morphism(sig: Signature) -> Interpretation:
@@ -693,22 +691,21 @@ def parse_interpretation(
     - ``relation P -> Q``, which maps P to the atom Q(x1..xn) and may come
       before its entity lines.
 
-    ``#`` starts a comment.  Each line is checked where it stands, so an
-    error in it is a ``ParseError`` with the path and the line: its shape,
-    its symbols (a source symbol mapped to a declared target; for
-    ``P -> Q`` also Q's arity and each profile position whose sort an
-    entity line above it maps) and duplicates.  The profile positions of
-    ``P -> Q`` whose entity lines come later, the sort of each constant's
-    image and the free variables of each formula are checked once the file
-    is read, and reported at their line.  Only a missing mapping has no
-    line.
+    ``#`` starts a comment.  Each line is read where it stands, so a fault
+    in its shape, a duplicate, the symbols of an entity or constant line and
+    the relation and formula of a ``R(x1,...,xn)`` line are a ``ParseError``
+    with the path and the line.  The rest is checked once the file is read,
+    as :func:`make_interpretation` checks it, and reported at its line: the
+    sort of each constant's image, the free variables of each formula, and
+    each ``P -> Q`` line, once (P and Q declared, of one arity, and each
+    position's sort mapped to Q's sort there).  Only a missing mapping has
+    no line.
     """
     ent: dict[str, str] = {}
     const: dict[str, str] = {}
     rel: dict[str, Formula | str] = {}
     maps = {"entity": ent, "constant": const, "relation": rel}
     lines: dict[tuple[str, str], int] = {}  # the line of each mapping
-    renamed: list[str] = []  # the relations of the ``relation P -> Q`` lines
     for lineno, line in _source_lines(text):
         with _at_line(lineno, path):
             m = _ARROW_LINE.match(line)
@@ -726,18 +723,9 @@ def parse_interpretation(
                     "relation line must look like 'relation P -> Q' "
                     "or 'relation R(x1,...,xn) -> FORMULA'"
                 )
-            else:
-                _check_relation(src, dst, ent, left, right)
-                renamed.append(left)
             if left in maps[kind]:
                 raise ParseError(f"duplicate {kind} mapping for {left!r}")
             maps[kind][left] = right
         lines[kind, left] = lineno
-    for name in renamed:
-        image = rel.pop(name)
-        with _at_line(lines["relation", name], path):
-            _check_relation(src, dst, ent, name, image)
-        if ent.keys() >= set(src.profile(name)):  # else the missing entity line is named below
-            rel[name] = _renaming_atom(src, ent, name, image)
     with _at_line(lines, path):
         return _interpretation(src, dst, ent, const, rel, typed=True)

@@ -2,11 +2,11 @@
 
 A truth classification pairs a finite model set with a finite sentence
 pool under satisfaction.  ``TruthClassification(signature, models, pool)``
-checks the pool once and builds the classification; an axiom outside the
-pool is checked by ``Theory``, a query by computing its column.  Closing
-a theory keeps exactly the pool sentences true in every model of the
-theory; the closed theories are the intents of the incidence relation
-and form a complete lattice under the order "more models, fewer
+checks the models and the pool once and builds the classification; an
+axiom outside the pool is checked by ``Theory``, a query by computing its
+column.  Closing a theory keeps exactly the pool sentences true in every
+model of the theory; the closed theories are the intents of the incidence
+relation and form a complete lattice under the order "more models, fewer
 sentences" (reverse theory inclusion).  The join of two closed theories
 is their intersection; the meet is the pool theory of their common models.
 The meet and :meth:`TheoryLattice.closure` close a pool mask by one lookup
@@ -30,6 +30,7 @@ from .logic import (
     ModelColumns,
     Signature,
     Structure,
+    StructureSpace,
     _check_sentence,
     canonicalize,
     enumerate_structures,
@@ -85,12 +86,13 @@ class TruthClassification(Value):
 
     Instance ids are model positions; type ids are the canonical printed
     sentences, so the underlying classification is directly exportable.
-    ``models`` is a tuple of listed models or the lazy
-    :class:`~theorylattice.logic.StructureSpace` of an enumeration.  The
-    pool is checked here, once: its sentences must be distinct and
-    canonical, and computing each one's column checks that it is closed
-    and well-typed.  The closed theories built from its members inside
-    the lattice need no re-validation.
+    Both inputs are checked here, once.  ``models``, the lazy
+    :class:`~theorylattice.logic.StructureSpace` of an enumeration or any
+    other sequence of structures (stored as a tuple, no two equal), must be
+    nonempty and over the signature.  The pool's sentences must be distinct
+    and canonical, and computing each one's column checks that it is closed
+    and well-typed.  The closed theories built from its members inside the
+    lattice need no re-validation.
     """
 
     _fields = ("signature", "models", "pool")
@@ -101,6 +103,19 @@ class TruthClassification(Value):
     classification: fca.Classification
 
     def _check(self) -> None:
+        models = self.models
+        if isinstance(models, StructureSpace):
+            if models.signature != self.signature:
+                raise SignatureMismatchError("model over a different signature")
+        else:
+            models = tuple(models)
+            object.__setattr__(self, "models", models)
+            if any(m.signature != self.signature for m in models):
+                raise SignatureMismatchError("model over a different signature")
+            if len(set(models)) != len(models):
+                raise ValueError("duplicate structures in the model list")
+        if not models:
+            raise ValueError("empty model set; the lattice of theories degenerates")
         if len(set(self.pool)) != len(self.pool):
             raise ValueError("duplicate pool sentences")
         for s in self.pool:
@@ -195,25 +210,16 @@ def build_truth_classification(
 ) -> TruthClassification:
     """Materialize satisfaction between a model set and a sentence pool.
 
-    Exactly one of ``models`` (an explicit, duplicate-free list) and
+    Exactly one of ``models`` (listed structures or a space) and
     ``carriers`` (enumerate every structure over the fixed carriers) must
-    be given.  The model set must be nonempty; the pool may be empty.
+    be given.  The pool is canonicalized, alpha-variants kept once; the
+    constructor checks the models and the pool.  The pool may be empty.
     """
     if (models is None) == (carriers is None):
         raise ValueError("exactly one of models and carriers must be given")
     if carriers is not None:
-        model_seq = enumerate_structures(sig, carriers, cap=model_cap)
-    else:
-        model_seq = tuple(models)
-        for m in model_seq:
-            if m.signature != sig:
-                raise SignatureMismatchError("model over a different signature")
-        if len(set(model_seq)) != len(model_seq):
-            raise ValueError("duplicate structures in the model list")
-    if not model_seq:
-        raise ValueError("empty model set; the lattice of theories degenerates")
-
-    return TruthClassification(sig, model_seq, tuple(dict.fromkeys(canonicalize(s) for s in pool)))
+        models = enumerate_structures(sig, carriers, cap=model_cap)
+    return TruthClassification(sig, models, tuple(dict.fromkeys(canonicalize(s) for s in pool)))
 
 
 def closure(tc: TruthClassification, theory: Theory | Iterable[Formula]) -> ClosedTheory:
@@ -237,9 +243,11 @@ def entails(tc: TruthClassification, theory: Theory | Iterable[Formula], sentenc
 
 
 def theory_leq(tc: TruthClassification, t1: Theory | Iterable[Formula], t2: Theory | Iterable[Formula]) -> bool:
-    """The theory order: t1 is below t2 when t1's closure contains t2's."""
-    closed1 = tc._close(tc._mask(t1))
-    return tc._close(tc._mask(t2)) & ~closed1 == 0
+    """The theory order: t1 is below t2 when t1's closure contains t2's, that
+    is, when every model of t1 is a model of t2.  Axioms must come from the pool."""
+    ctx = tc.classification
+    models1 = ctx._extent(tc._mask(t1))
+    return models1 & ~ctx._extent(tc._mask(t2)) == 0
 
 
 class TheoryLattice(Value):

@@ -297,14 +297,21 @@ def entry_point(out: Path) -> None:
 def reader_faults(out: Path) -> None:
     """A fault in a signature, model or map file exits 2 with the file and
     the line of the declaration at fault, whichever check finds it: the
-    reader's own (line shape, order, repeated keys) or the constructor's."""
+    reader's own (line shape, order, repeated keys) or the constructor's.
+    The ``relation R -> R`` line of ``late.map`` stands above the entity
+    line that makes it wrong, so only the whole file shows its fault."""
     t = fixtures(out, {
         "pq.pool": "forall x:E. P(x)\nexists x:E. Q(x)\n",
         "r.sig": "entity E\nrelation R(E,E)\n",
         "r.pool": "forall x:E. exists y:E. R(x,y)\n",
+        "ab.sig": "entity A\nentity B\nrelation R(A,B)\n",
+        "ab.pool": "forall x:A. exists y:B. R(x,y)\n",
+        "aa.sig": "entity A\nentity B\nrelation R(A,A)\n",
+        "aa.pool": "forall x:A. R(x,x)\n",
         "bad.sig": "entity E\n# P twice\nrelation P(E)\nrelation P(E)\n",
         "bad.model": "universe E = {a, b}\nP = {a}\nQ = {(a,b)}\n",
         "bad.map": "entity E -> E\nrelation R(x1,x2) -> P(x1)\n",
+        "late.map": "relation R -> R\nentity A -> A\nentity B -> B\n",
     })
     cases = {
         "signature": (["lattice", "--sig", t["bad.sig"], "--pool", t["pq.pool"], "--carriers", "E=a,b"],
@@ -315,6 +322,10 @@ def reader_faults(out: Path) -> None:
                  "--dst-sig", t["pq.sig"], "--dst-pool", t["pq.pool"], "--dst-carriers", "E=a,b",
                  "--map", t["bad.map"]],
                 f"{t['bad.map']}:2: formula for relation 'R' must use exactly ['x1', 'x2'] free: missing ['x2']"),
+        "renaming": (["interp", "check", "--sig", t["ab.sig"], "--pool", t["ab.pool"], "--carriers", "A=a;B=b",
+                      "--dst-sig", t["aa.sig"], "--dst-pool", t["aa.pool"], "--dst-carriers", "A=a;B=b",
+                      "--map", t["late.map"]],
+                     f"{t['late.map']}:1: relation 'R' position 2: sort 'B' maps to 'B' but 'R' expects 'A'"),
     }
     for name, (argv, message) in cases.items():
         proc = cli(*argv, check=False)

@@ -935,7 +935,7 @@ class TestParsers:
         with pytest.raises(ParseError) as exc:
             parse_interpretation(pq_sig, unary_sig, "entity E -> E\nrelation P -> R\n", path="m.map")
         assert (exc.value.path, exc.value.line, exc.value.message) == (
-            "m.map", None, "missing interpreting formula for relation 'Q'"
+            "m.map", None, "missing mapping for relation 'Q'"
         )
 
     @pytest.mark.parametrize(

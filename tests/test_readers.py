@@ -210,7 +210,7 @@ def test_ctx_concepts_exits_2_on_a_cxt_fault(tmp_path, capsys, text, line, messa
         ("map", "relation R -> Q\nrelation S -> P\nconstant c -> e\n", "missing mapping for entity type 'E'"),
         ("map", "entity E -> E\nrelation R -> Q\nrelation S -> P\n", "missing mapping for constant 'c'"),
         ("map", "entity E -> E\nrelation R -> Q\nconstant c -> e\n",
-         "missing interpreting formula for relation 'S'"),
+         "missing mapping for relation 'S'"),
     ],
     ids=["carrier", "denotation", "entity-mapping", "constant-mapping", "relation-mapping"],
 )

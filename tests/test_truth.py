@@ -11,11 +11,14 @@ from theorylattice import logic, truth
 from theorylattice.errors import PoolMembershipError, SignatureMismatchError
 from theorylattice.fca import lattice_join, lattice_meet
 from theorylattice.logic import (
+    And,
     Atom,
     Exists,
     Forall,
     Structure,
+    StructureSpace,
     Var,
+    enumerate_structures,
     parse_sentence,
     parse_signature,
     sentence_key,
@@ -91,6 +94,43 @@ class TestBuild:
     def test_empty_model_set_rejected(self, pq_sig):
         with pytest.raises(ValueError, match="empty model set"):
             build_truth_classification(pq_sig, [], models=[])
+
+    @pytest.mark.parametrize(
+        "case, error, message",
+        [
+            ("empty", ValueError, "empty model set; the lattice of theories degenerates"),
+            ("duplicate", ValueError, "duplicate structures in the model list"),
+            ("foreign-model", SignatureMismatchError, "model over a different signature"),
+            ("foreign-space", SignatureMismatchError, "model over a different signature"),
+        ],
+        ids=["empty", "duplicate", "foreign-model", "foreign-space"],
+    )
+    def test_constructor_refuses_the_model_sets_the_builder_refuses(self, pq_sig, pq_pool, case, error, message):
+        other = parse_signature("entity E\nrelation R(E)")
+        m = Structure.make(pq_sig, {"E": ["a"]}, {})
+        models = {
+            "empty": [],
+            "duplicate": [m, m],
+            "foreign-model": [m, Structure.make(other, {"E": ["a"]}, {"R": []})],
+            "foreign-space": enumerate_structures(other, {"E": ["a"]}),
+        }[case]
+        # the model set is checked ahead of the pool, whose repeats only the builder drops
+        for build in (
+            lambda: TruthClassification(pq_sig, models, pq_pool * 2),
+            lambda: build_truth_classification(pq_sig, pq_pool * 2, models=models),
+        ):
+            with pytest.raises(error) as exc:
+                build()
+            assert (type(exc.value), str(exc.value)) == (error, message)
+
+    def test_a_space_given_as_models_stays_lazy(self, pq_sig, pq_pool, pq_tc):
+        space = enumerate_structures(pq_sig, {"E": ["a", "b"]})
+        tc = build_truth_classification(pq_sig, pq_pool, models=space)
+        assert tc.models is space and isinstance(tc.models, StructureSpace)
+        assert tc == pq_tc
+        listed = TruthClassification(pq_sig, list(space), pq_pool)
+        assert type(listed.models) is tuple and listed.models == tuple(space)
+        assert listed.classification == pq_tc.classification
 
     def test_pool_deduplicates_alpha_variants(self, pq_sig):
         a = parse_sentence(pq_sig, "forall x:E. P(x)")
@@ -259,10 +299,13 @@ class TestEntails:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module, name in ((logic, "canonicalize"), (truth, "canonicalize"), (logic, "validate_formula")):
+        for module, name in (
+            (logic, "canonicalize"), (truth, "canonicalize"), (logic, "validate_formula"), (logic, "free_vars")
+        ):
             count(module, name)
         assert not entails(pq_tc, [], query)
-        assert calls == {"canonicalize": 1, "validate_formula": 1}
+        # the one free_vars walk is canonicalize's; the check walks once
+        assert calls == {"canonicalize": 1, "validate_formula": 1, "free_vars": 1}
 
     def test_alpha_variants_count_as_their_canonical_forms(self, pq_tc, pq):
         all_p = Forall("y", "E", Atom("P", (Var("y", "E"),)))
@@ -480,18 +523,30 @@ class TestTheory:
         [
             (Atom("P", (Var("x", "E"),)), ValueError, "sentence 'P(x)' has free variables: ['x']"),
             (
+                And(Atom("S", (Var("x", "E"),)), Atom("P", (Var("x", "E"),))),
+                ValueError,
+                "sentence 'S(x) & P(x)' has free variables: ['x']",
+            ),
+            (
                 Forall("y", "F", Atom("P", (Var("y", "F"),))),
                 SignatureMismatchError,
                 "sentence 'forall v0:F. P(v0)' does not fit the signature: "
                 "quantifier over undeclared entity type 'F'",
             ),
         ],
-        ids=["open", "ill-typed"],
+        ids=["open", "open-and-ill-typed", "ill-typed"],
     )
     def test_axioms_are_checked_by_key(self, pq_sig, axiom, error, message):
         with pytest.raises(error) as exc:
             Theory.make(pq_sig, [axiom])
         assert str(exc.value) == message
+
+    def test_the_sentence_check_keeps_the_two_sort_fault(self, pq_sig):
+        # validate_formula refuses the free x; free_vars, walked only then, names the fault
+        sentence = And(Atom("P", (Var("x", "E"),)), Atom("P", (Var("x", "F"),)))
+        with pytest.raises(ValueError) as exc:
+            logic._check_sentence(pq_sig, sentence)
+        assert (type(exc.value), str(exc.value)) == (ValueError, "variable 'x' occurs free at sorts 'E' and 'F'")
 
 
 class TestLatticeText:
