@@ -13,7 +13,7 @@ when its reduct satisfies the original; over enumerated model spaces the
 reducts of all target models are located at once, from bit columns.  On
 the lattices of theories the pair induces an adjoint pair of monotone
 maps, verified at construction in unit/counit form, with monotonicity
-checked along the cover edges.
+checked from each theory to the closures of it plus one pool sentence.
 """
 
 from __future__ import annotations
@@ -262,8 +262,10 @@ def compose(f: Interpretation, g: Interpretation) -> Interpretation:
     """The composite map: apply ``f``, then ``g``.
 
     The entity and constant maps compose, and the formula for a relation R
-    is ``f``'s formula for R translated along ``g``.  A composite of valid
-    maps is valid, so it is not checked again.
+    is ``f``'s formula for R translated along ``g``.  Each such formula was
+    checked against ``f``'s target when ``f`` was built, so once ``g``'s
+    source is found to be that target it is translated unchecked; a
+    composite of valid maps is valid, so it is not checked again either.
     """
     if f.target != g.source:
         raise SignatureMismatchError("cannot compose: target of the first is not source of the second")
@@ -272,7 +274,7 @@ def compose(f: Interpretation, g: Interpretation) -> Interpretation:
         g.target,
         tuple((n, g.map_entity(image)) for n, image in f.ent),
         tuple((n, g.map_constant(image)) for n, image in f.const),
-        tuple((n, translate(g, formula)) for n, formula in f.rel_formula),
+        tuple((n, _translate(g, formula)) for n, formula in f.rel_formula),
     )
 
 
@@ -293,13 +295,25 @@ def _translate_term(m: Interpretation, t: Term) -> Term:
 def translate(m: Interpretation, formula: Formula) -> Formula:
     """Translate a source formula into the target language.
 
+    The formula is checked first: its free variables must each have one
+    sort, and it must be well-typed over the map's source with them free
+    (``ValueError``).  It is then translated by :func:`_translate`.
+    """
+    validate_formula(m.source, formula, free_vars(formula))
+    return _translate(m, formula)
+
+
+def _translate(m: Interpretation, formula: Formula) -> Formula:
+    """:func:`translate` without its check, for a formula already known to
+    be well-typed over ``m.source``: a pool sentence, an axiom of a
+    :class:`~theorylattice.truth.Theory` or the formula of a map.
+
     Each atom R(t1..tn) becomes its interpreting formula with x1..xn
     simultaneously substituted (capture-avoiding), so an atom formula
     R'(x1..xn) makes R'(t1..tn).  Equality, connectives, and
     quantifiers (with mapped sorts) pass through.  The result is
     canonicalized.
     """
-    validate_formula(m.source, formula, free_vars(formula))
 
     def leaf(f: Atom | Eq, env: None) -> Formula:
         if isinstance(f, Eq):
@@ -456,6 +470,14 @@ class TruthInfomorphism(Value):
         return self.instance_map[index]
 
 
+def _check_signatures(h: Interpretation, source: Signature, target: Signature) -> None:
+    """The map runs from the source classification's signature to the target's."""
+    if h.source != source:
+        raise SignatureMismatchError("interpretation source differs from the source classification")
+    if h.target != target:
+        raise SignatureMismatchError("interpretation target differs from the target classification")
+
+
 def truth_infomorphism(
     h: Interpretation,
     tc1: TruthClassification,
@@ -466,7 +488,9 @@ def truth_infomorphism(
 
     Preconditions checked with named witnesses: every translated pool
     sentence must be in the target pool, and every target model's reduct
-    must be among the source models.
+    must be among the source models.  The pool sentences were checked when
+    ``tc1`` was built, so once the map's source is found to be its
+    signature they are translated by :func:`_translate`, unchecked.
 
     When both model sets are enumerated spaces and each source sort's
     carrier is the carrier of its image sort, every reduct is a source
@@ -478,16 +502,12 @@ def truth_infomorphism(
     in the error.  Either way the transfer is then checked for every
     (target model, source sentence) pair, a column at a time.
     """
-    if h.source != tc1.signature:
-        raise SignatureMismatchError("interpretation source differs from the source classification")
-    if h.target != tc2.signature:
-        raise SignatureMismatchError("interpretation target differs from the target classification")
-
+    _check_signatures(h, tc1.signature, tc2.signature)
     type_map: list[tuple[str, str]] = []
     image: list[int] = []  # target pool position of each translated pool sentence
     missing: list[str] = []
     for key, s in zip(tc1.pool_keys, tc1.pool):
-        translated, q = tc2._lookup(translate(h, s))
+        translated, q = tc2._lookup(_translate(h, s))
         if q is None:
             missing.append(sentence_key(translated))
         else:
@@ -613,20 +633,25 @@ def _check_adjunction(
     Monotone maps with dir(C1) <= C2 iff C1 <= inv(C2) for every pair are
     exactly those with the unit C1 <= inv(dir(C1)) and the counit
     dir(inv(C2)) <= C2 (Davey & Priestley, Introduction to Lattices and
-    Order, 2nd ed., ch. 7); monotone along the cover edges is monotone.
+    Order, 2nd ed., ch. 7).  Monotonicity is checked along the steps of
+    :func:`_shrinking_step`: each is a pair of the order and every cover
+    edge is one, so a map monotone along them is monotone, and the Hasse
+    diagrams are not built.  A failure names the two theories of the
+    failing step, or of the failing unit or counit.
     """
     intents1, intents2 = lat1.lattice._intents, lat2.lattice._intents
 
     def fail(what: str, la: TheoryLattice, a: int, lb: TheoryLattice, b: int):
         return InfomorphismError(f"{what} at {_names(la, a)} / {_names(lb, b)}")
 
-    # a cover edge (low, high) has the larger intent at low, and so must its image
-    for low, high in lat1.lattice.covers():
-        if intents2[dir_index[high]] & ~intents2[dir_index[low]]:
-            raise fail("direct image is not monotone", lat1, low, lat1, high)
-    for low, high in lat2.lattice.covers():
-        if intents1[inv_index[high]] & ~intents1[inv_index[low]]:
-            raise fail("inverse image is not monotone", lat2, low, lat2, high)
+    for lat, image, what in (
+        (lat1, [intents2[d] for d in dir_index], "direct"),
+        (lat2, [intents1[c] for c in inv_index], "inverse"),
+    ):
+        step = _shrinking_step(lat, image)
+        if step is not None:
+            low, high = step
+            raise fail(f"{what} image is not monotone", lat, low, lat, high)
     for k, d in enumerate(dir_index):
         if intents1[k] & ~intents1[inv_index[d]]:
             raise fail("adjunction fails (unit)", lat1, k, lat2, d)
@@ -635,18 +660,45 @@ def _check_adjunction(
             raise fail("adjunction fails (counit)", lat1, c, lat2, k)
 
 
+def _shrinking_step(lat: TheoryLattice, image: Sequence[int]) -> tuple[int, int] | None:
+    """The first step (low, high) of the lattice along which the image
+    intent ``image[high]`` is not inside ``image[low]``, or None.
+
+    A step goes from a theory ``high`` to ``low``, the theory closing its
+    intent plus one pool sentence outside it, found by one lookup over the
+    lattice's ``_space``.  Its ``low`` is below ``high``, and the steps are
+    the candidates of Lindig's neighbour algorithm (see
+    :meth:`~theorylattice.fca.ConceptLattice.covers`), so every cover edge
+    is one of them.
+    """
+    concepts = lat.lattice
+    by_extent = concepts._by_extent
+    columns = [(1 << m, column) for m, column in enumerate(concepts._space._columns)]
+    for high, (key, intent) in enumerate(zip(concepts._keys, concepts._intents)):
+        up = image[high]
+        for bit, column in columns:
+            if not intent & bit:
+                low = by_extent[key & column]
+                if up & ~image[low]:
+                    return low, high
+    return None
+
+
 def is_theory_morphism(
     f: Interpretation,
     t1: Theory,
     t2: Theory,
     tc2: TruthClassification,
 ) -> bool:
-    """True when the target theory entails every translated source axiom."""
+    """True when the target theory entails every translated source axiom.
+
+    The axioms were checked when ``t1`` was built, so once its signature is
+    found to be the map's source they are translated unchecked."""
     if t1.signature != f.source:
         raise SignatureMismatchError("first theory is not over the morphism's source")
     if t2.signature != f.target or tc2.signature != f.target:
         raise SignatureMismatchError("second theory and classification must be over the target")
-    return all(entails(tc2, t2, translate(f, a)) for a in t1.axioms)
+    return all(entails(tc2, t2, _translate(f, a)) for a in t1.axioms)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import fca
 from ._value import Value
 from .errors import ParseError
 from .logic import Formula, _at_line, _source_lines, _split_top_commas, parse_sentence
-from .morph import Interpretation, translate
+from .morph import Interpretation, _check_signatures, _translate
 from .truth import ClosedTheory, TheoryLattice
 
 
@@ -61,14 +61,20 @@ def analogy(
 ) -> ClosedTheory:
     """Translate a closed theory's axioms along ``f`` and close in ``dst``.
 
-    Every translated axiom must already be in the destination pool; the
-    source and destination lattices may coincide (a map of one language
-    into itself).
+    ``f`` must map the signature of ``src`` to that of ``dst``
+    (``SignatureMismatchError``), checked before anything else, so a map
+    over other signatures is refused for every theory, the top one
+    included.  The axioms are pool sentences, checked when the source
+    classification was built, so they are translated without being
+    checked again.  Every translated axiom must already be in the
+    destination pool; the source and destination lattices may coincide (a
+    map of one language into itself).
     """
+    _check_signatures(f, src.tc.signature, dst.tc.signature)
     pool, keys = src.tc.pool, src.tc.pool_keys
     # in key order, so that the first missing translated axiom is the one named
     positions = sorted(fca._bits(src._intent(theory)), key=keys.__getitem__)
-    return dst.closure([translate(f, pool[p]) for p in positions])
+    return dst.closure([_translate(f, pool[p]) for p in positions])
 
 
 class NavStep(Value):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -92,7 +93,10 @@ class TruthClassification(Value):
     nonempty and over the signature.  The pool's sentences must be distinct
     and canonical, and computing each one's column checks that it is closed
     and well-typed.  The closed theories built from its members inside the
-    lattice need no re-validation.
+    lattice need no re-validation.  Two classifications are equal when
+    their signatures, pools and models in order are, whether the models are
+    held by a space or a tuple; the hash reads the number of models, not
+    the models.
     """
 
     _fields = ("signature", "models", "pool")
@@ -129,6 +133,19 @@ class TruthClassification(Value):
         object.__setattr__(self, "classification", ctx)
         object.__setattr__(self, "_satisfaction", satisfaction)
         object.__setattr__(self, "_pos", {s: k for k, s in enumerate(self.pool)})
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.models, other.models
+        return (self.signature, self.pool, len(a)) == (other.signature, other.pool, len(b)) and (
+            a == b or all(map(operator.eq, a, b))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.signature, self.pool, len(self.models)))
 
     @property
     def pool_keys(self) -> tuple[str, ...]:

@@ -1,13 +1,15 @@
 """Shared fixtures: a two-relation language, its 16-model classification,
-a swap-closed pool for renaming tests, and a conjunctive interpretation."""
+a swap-closed pool for renaming tests, a conjunctive interpretation, and
+the benchmark's map of ST into M over two elements."""
 
 from __future__ import annotations
 
 import pytest
 
+from oracles import M_POOL, M_SIG, ST_POOL, ST_SIG, ST_TO_M
 from theorylattice.fca import Classification
 from theorylattice.logic import parse_sentence, parse_signature
-from theorylattice.morph import make_interpretation, make_language_morphism
+from theorylattice.morph import make_interpretation, make_language_morphism, parse_interpretation
 from theorylattice.truth import build_truth_classification, theory_lattice
 from theorylattice.logic import parse_formula
 
@@ -135,3 +137,17 @@ def theory_with():
         return matches[0]
 
     return find
+
+
+@pytest.fixture(scope="session")
+def st_to_m():
+    """ST read into M over E=a,b: the map and both classifications."""
+    m_sig, st_sig = parse_signature(M_SIG), parse_signature(ST_SIG)
+    h = parse_interpretation(st_sig, m_sig, ST_TO_M)
+    tc1 = build_truth_classification(
+        st_sig, [parse_sentence(st_sig, s) for s in ST_POOL], carriers={"E": ["a", "b"]}
+    )
+    tc2 = build_truth_classification(
+        m_sig, [parse_sentence(m_sig, s) for s in M_POOL], carriers={"E": ["a", "b"]}
+    )
+    return h, tc1, tc2

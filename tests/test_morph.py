@@ -398,6 +398,21 @@ class TestTranslate:
         with pytest.raises(ValueError, match="unknown relation type 'P'"):
             translate(conj_interp, parse_sentence(pq_sig, "forall x:E. P(x)"))
 
+    def test_open_formulas_are_checked_too(self, conj_interp, pq_sig):
+        """A formula with one sort per free variable is translated free; a
+        variable free at two sorts, or at a sort the source does not
+        declare, is refused with the texts of free_vars and validate_formula."""
+        opened = parse_formula(conj_interp.source, "R(x) & ~R(y)", {"x": "E", "y": "E"})
+        assert translate(conj_interp, opened) == parse_formula(
+            pq_sig, "(P(x) & Q(x)) & ~(P(y) & Q(y))", {"x": "E", "y": "E"}
+        )
+        two_sorts = logic.And(Atom("R", (Var("x", "E"),)), logic.Eq(Var("x", "F"), Var("x", "F")))
+        with pytest.raises(ValueError, match="variable 'x' occurs free at sorts 'E' and 'F'"):
+            translate(conj_interp, two_sorts)
+        undeclared = logic.Eq(Var("x", "F"), Var("x", "F"))
+        with pytest.raises(ValueError, match="free variable 'x' has undeclared sort 'F'"):
+            translate(conj_interp, undeclared)
+
 
 class TestReduct:
     def test_conjunction_intersects(self, conj_interp, pq_sig, unary_sig):
@@ -614,19 +629,6 @@ class TestConceptMorphism:
             assert cm.dir(cm.inv(t)) == t
 
 
-@pytest.fixture(scope="module")
-def st_to_m():
-    m_sig, st_sig = parse_signature(M_SIG), parse_signature(ST_SIG)
-    h = parse_interpretation(st_sig, m_sig, ST_TO_M)
-    tc1 = build_truth_classification(
-        st_sig, [parse_sentence(st_sig, s) for s in ST_POOL], carriers={"E": ["a", "b"]}
-    )
-    tc2 = build_truth_classification(
-        m_sig, [parse_sentence(m_sig, s) for s in M_POOL], carriers={"E": ["a", "b"]}
-    )
-    return h, tc1, tc2
-
-
 @pytest.fixture(params=["conj", "swap", "st_to_m"])
 def adjoint_case(request):
     """(interpretation, source and target classifications) of a known pair."""
@@ -731,6 +733,33 @@ class TestReductPathsAgree:
         h, tc1, tc2 = self.classifications(source, target)
         im = truth_infomorphism(h, tc1, tc2)
         assert list(im.instance_map) == reference_instance_map(h, tc1, tc2)
+
+
+class TestMonotonicitySteps:
+    """The adjunction check reads monotonicity along one step per theory and
+    pool sentence outside it, not along the Hasse diagram."""
+
+    @pytest.mark.parametrize("name", ["swap_lat", "unary_lat", "wide_lat"])
+    def test_every_cover_edge_is_a_step(self, request, name):
+        """An image that shrinks across exactly one cover edge: the down-set
+        of its upper theory without its lower one.  Only that edge's step
+        fails, so the check must find it there."""
+        lat = request.getfixturevalue(name)
+        intents = lat.lattice._intents
+        edges = lat.lattice.covers()
+        assert edges
+        for low, high in edges:
+            image = [int(intents[high] & ~intents[k] == 0 and k != low) for k in range(len(intents))]
+            assert image[high] and not image[low]
+            assert morph._shrinking_step(lat, image) == (low, high)
+        assert morph._shrinking_step(lat, [1] * len(intents)) is None
+
+    def test_concept_morphism_builds_no_covers(self, st_to_m):
+        h, tc1, tc2 = st_to_m
+        lat1, lat2 = theory_lattice(tc1), theory_lattice(tc2)
+        concept_morphism(truth_infomorphism(h, tc1, tc2), lat1, lat2)
+        assert "_covers" not in vars(lat1.lattice)
+        assert "_covers" not in vars(lat2.lattice)
 
 
 class TestNonClosedPullback:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from theorylattice.errors import ParseError, PoolMembershipError
+from theorylattice import logic, morph, nav
+from theorylattice.errors import ParseError, PoolMembershipError, SignatureMismatchError
 from theorylattice.logic import Atom, Forall, Var, parse_sentence, sentence_key
 from theorylattice.nav import (
     NavStep,
@@ -157,6 +159,67 @@ class TestAnalogy:
         with pytest.raises(PoolMembershipError) as exc:
             analogy(swap, lat, lat, lat.closure(pool))
         assert exc.value.sentence_key == "exists v0:E. Q(v0)"
+
+
+class TestAnalogyIsTheDirectImage:
+    """Analogy translates pool sentences without checking them again; it
+    must land where the adjoint pair's direct image does."""
+
+    @pytest.fixture(params=["st_to_m", "swap"])
+    def pair(self, request):
+        """(map, source lattice, destination lattice, adjoint pair)."""
+        if request.param == "st_to_m":
+            h, tc1, tc2 = request.getfixturevalue("st_to_m")
+            lat1, lat2 = theory_lattice(tc1), theory_lattice(tc2)
+        else:
+            h, tc1 = request.getfixturevalue("swap"), request.getfixturevalue("swap_tc")
+            tc2 = tc1
+            lat1 = lat2 = request.getfixturevalue("swap_lat")
+        return h, lat1, lat2, concept_morphism(truth_infomorphism(h, tc1, tc2), lat1, lat2)
+
+    def test_every_source_theory_lands_on_its_direct_image(self, pair):
+        h, lat1, lat2, cm = pair
+        for t in lat1.theories:
+            assert analogy(h, lat1, lat2, t) is cm.dir(t)
+            hand = ClosedTheory(lat1.tc.signature, t.axioms)
+            assert analogy(h, lat1, lat2, hand) is cm.dir(t)
+
+    def test_a_map_over_other_signatures_is_refused_first(
+        self, swap, conj_interp, swap_lat, unary_lat, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(nav, "_translate", lambda *args: calls.append(args))
+        cases = [
+            (conj_interp, swap_lat, swap_lat, "source differs from the source classification"),
+            (swap, swap_lat, unary_lat, "target differs from the target classification"),
+        ]
+        for f, src, dst, text in cases:
+            for theory in (src.top, src.bottom):
+                with pytest.raises(SignatureMismatchError) as exc:
+                    analogy(f, src, dst, theory)
+                assert str(exc.value) == "interpretation " + text
+        assert calls == []
+
+    def test_pool_sentences_are_not_checked_again(self, swap, swap_lat, monkeypatch):
+        """No validate_formula; the one free_vars walk per image is canonicalize's."""
+        calls = Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (logic, morph):
+            count(module, "validate_formula")
+            count(module, "free_vars")
+        for t in swap_lat.theories:
+            calls.clear()
+            analogy(swap, swap_lat, swap_lat, t)
+            assert calls == Counter(free_vars=len(t.axioms))
 
 
 class TestClosedTheoryIdentity:

@@ -23,6 +23,7 @@ from theorylattice.logic import (
     parse_signature,
     sentence_key,
 )
+from theorylattice.morph import concept_morphism, identity_morphism, truth_infomorphism
 from theorylattice.truth import (
     ClosedTheory,
     Theory,
@@ -131,6 +132,22 @@ class TestBuild:
         listed = TruthClassification(pq_sig, list(space), pq_pool)
         assert type(listed.models) is tuple and listed.models == tuple(space)
         assert listed.classification == pq_tc.classification
+
+    def test_equality_reads_the_models_in_order_whatever_holds_them(self, pq_sig, pq_pool, pq_tc, pq_lat):
+        models = tuple(pq_tc.models)
+        listed = build_truth_classification(pq_sig, pq_pool, models=list(models))
+        assert isinstance(pq_tc.models, StructureSpace) and type(listed.models) is tuple
+        assert listed == pq_tc and pq_tc == listed and hash(listed) == hash(pq_tc)
+        for other in (models[::-1], models[:-1], models[1:] + models[:1]):
+            changed = build_truth_classification(pq_sig, pq_pool, models=other)
+            assert changed != pq_tc and pq_tc != changed
+        assert build_truth_classification(pq_sig, pq_pool[1:], models=models) != pq_tc
+        wider = build_truth_classification(pq_sig, pq_pool, carriers={"E": ["a", "c"]})
+        assert len(wider.models) == len(models) and wider != pq_tc
+        # a lattice of the listed models goes with an infomorphism of the space
+        ident = identity_morphism(pq_sig)
+        cm = concept_morphism(truth_infomorphism(ident, pq_tc, pq_tc), theory_lattice(listed), pq_lat)
+        assert cm.source.tc is listed
 
     def test_pool_deduplicates_alpha_variants(self, pq_sig):
         a = parse_sentence(pq_sig, "forall x:E. P(x)")
