@@ -327,8 +327,9 @@ class TheoryLattice(Value):
         return self._intent(t2) & ~intent1 == 0
 
     def extent(self, theory: ClosedTheory) -> frozenset[int]:
-        """The indices of the models satisfying the theory."""
-        return frozenset(fca._bits(self.tc.classification._extent(self._intent(theory))))
+        """The indices of the models satisfying the theory: its concept's
+        extent, as the lattice stores it."""
+        return frozenset(fca._bits(self.lattice._extents[self.index(theory)]))
 
     def closure(self, axioms: Theory | Iterable[Formula]) -> ClosedTheory:
         """The theory of this lattice closing pool axioms, as :func:`closure`

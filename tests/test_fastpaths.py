@@ -351,6 +351,54 @@ def test_row_classes_are_taken_below_the_ratio():
     assert lattice_dot(lat) == lattice_dot(ref)
 
 
+# ---------------------------------------------------------------------------
+# Meet tables: every lookup ANDs one table entry per run of 8 types
+
+
+@st.composite
+def table_cases(draw):
+    """A context whose type count sits at or next to a run boundary (or is
+    60 to 70), over up to 6 distinct rows repeated up to 12 times, with type
+    masks: 0, all ones, one with bits in every run, and random ones."""
+    m = draw(st.one_of(st.sampled_from((0, 1, 7, 8, 9, 16, 17)), st.integers(60, 70)))
+    rows = draw(st.lists(st.integers(0, 2**m - 1), min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(rows), max_size=12))
+    columns = tuple(sum(1 << p for p, row in enumerate(picks) if row >> j & 1) for j in range(m))
+    ctx = Classification.from_columns(range(len(picks)), tuple(f"t{j}" for j in range(m)), columns)
+    runs = [draw(st.integers(1, 2 ** min(8, m - g) - 1)) << g for g in range(0, m, 8)]
+    randoms = draw(st.lists(st.integers(0, 2**m - 1), max_size=6))
+    return ctx, [0, 2**m - 1, sum(runs), *randoms]
+
+
+def table_lattices(ctx: Classification) -> list:
+    """The lattice over the instances, over the row classes, and the one
+    the NextClosure oracle builds with the constructor."""
+    quotient = _row_quotient(ctx)
+    return [concept_lattice(ctx), _concepts(ctx, quotient, DEFAULT_CONCEPT_CAP), reference_next_closure(ctx)]
+
+
+@given(table_cases())
+@settings(max_examples=80, deadline=None)
+def test_closing_reads_the_meet_of_the_selected_columns(case):
+    ctx, masks = case
+    for lat in table_lattices(ctx):
+        for mask in masks:
+            assert lat._closing(mask) == lat._by_extent[lat._space._extent(mask)]
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 16, 17, 65])
+def test_meet_tables_have_one_entry_per_subset_of_each_run(m):
+    rng = random.Random(m)
+    rows = [rng.getrandbits(m) for _ in range(3)]
+    picks = [rng.choice(rows) for _ in range(9)]
+    columns = tuple(sum(1 << p for p, row in enumerate(picks) if row >> j & 1) for j in range(m))
+    ctx = Classification.from_columns(range(9), tuple(range(m)), columns)
+    for lat in table_lattices(ctx):
+        sizes = [256] * (m // 8) + ([2 ** (m % 8)] if m % 8 else [])
+        assert [len(table) for table in lat._meets] == sizes
+        assert all(table[0] == lat._space._full for table in lat._meets)
+
+
 def reference_unknown_message(known, ids, what):
     unknown = set(ids) - set(known)
     return f"unknown {what} id {sorted(map(repr, unknown))[0]}"
@@ -461,6 +509,22 @@ def truth_lattices(tc):
     ctx = tc.classification
     by_class = TheoryLattice(tc, _concepts(ctx, _row_quotient(ctx), DEFAULT_CONCEPT_CAP))
     return theory_lattice(tc), by_class
+
+
+def test_extent_is_the_models_of_the_axioms_on_both_spaces():
+    """On the instances and on the row classes; a theory with an axiom
+    outside the pool is refused as foreign."""
+    rng = random.Random(2718)
+    for _ in range(20):
+        tc = random_truth_case(rng)
+        stray = random_sentence(rng, tc.signature, depth=2)
+        for lat in truth_lattices(tc):
+            for t in lat.theories:
+                holds = (all(oracle_satisfies(m, s) for s in t.axioms) for m in tc.models)
+                assert lat.extent(t) == frozenset(i for i, ok in enumerate(holds) if ok)
+            if tc._lookup(stray)[1] is None:
+                with pytest.raises(ValueError, match="foreign theory"):
+                    lat.extent(ClosedTheory(tc.signature, frozenset({stray})))
 
 
 def own(lat, theory) -> bool:

@@ -434,6 +434,11 @@ class TestTheoryLattice:
         full = frozenset({("a",), ("b",)})
         assert m.relation("P") == full and m.relation("Q") == full
 
+    def test_extent_is_the_models_of_the_axioms(self, pq_lat, pq_tc):
+        for t in pq_lat.theories:
+            holds = (all(logic.satisfies(m, a) for a in t.axioms) for m in pq_tc.models)
+            assert pq_lat.extent(t) == frozenset(i for i, ok in enumerate(holds) if ok)
+
     def test_unsatisfiable_pool_member_empties_the_bottom(self, pq_sig):
         bad = parse_sentence(pq_sig, "exists x:E. ~(x = x)")
         tc = build_truth_classification(pq_sig, [bad], carriers={"E": ["a", "b"]})
