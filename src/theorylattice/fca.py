@@ -58,9 +58,49 @@ def _select(items: Sequence, mask: int) -> Iterator:
     return itertools.compress(items, _digits(mask))
 
 
+def _numbered(ids: Sequence[Id]) -> bool:
+    """The ids are the positions themselves: ``range(len(ids))``."""
+    return isinstance(ids, range) and ids == range(len(ids))
+
+
+_SUFFIXES = tuple(map("".join, itertools.product("0123456789", repeat=3)))  # "000" to "999"
+_NUMERALS = tuple(map(str, range(100))) + _SUFFIXES[100:]  # "0" to "999"
+
+
+def _numerals(lo: int, digits: bytes, sep: str) -> str:
+    """The numerals of the positions ``lo + i`` whose digit ``i`` is 1,
+    joined by ``sep``.  ``digits`` are a mask's binary digits, lowest first,
+    as :func:`_digits` gives them; ``sep`` is not empty and holds no decimal
+    digit.
+
+    Positions below 1000 are joined from their numerals.  Positions in
+    thousand q >= 1 are joined from their three-digit suffixes, and then
+    one replace writes ``str(q)`` after every separator; it is put before
+    the first.  A separator never occurs inside a numeral, so the text is
+    exact.
+    """
+    hi = lo + len(digits)
+    if hi <= 1000:
+        return sep.join(itertools.compress(_NUMERALS[lo:hi], digits))
+    parts = []
+    for base in range(lo - lo % 1000, hi, 1000):
+        a, b = max(lo, base), min(hi, base + 1000)
+        bits = digits[a - lo : b - lo]
+        if base:
+            text = sep.join(itertools.compress(_SUFFIXES[a - base : b - base], bits))
+            if text:
+                q = str(base // 1000)
+                text = q + text.replace(sep, sep + q)
+        else:
+            text = sep.join(itertools.compress(_NUMERALS[a:b], bits))
+        if text:
+            parts.append(text)
+    return sep.join(parts)
+
+
 class _BlockJoin:
-    """``sep.join(_select(names, mask))`` for many masks over the same names,
-    built from aligned blocks of each mask.
+    """``sep.join(_select(tuple(map(str, ids)), mask))`` for many masks over
+    the same ids, built from aligned blocks of each mask.
 
     A mask's bytes are cut into blocks of 2^max(6, bit_length(width) // 2)
     bits, about the square root of the width, so a mask costs that many
@@ -70,12 +110,19 @@ class _BlockJoin:
     periodic in the enumeration order, so the blocks of the extents repeat.
     The cache stops adding entries once its texts hold ``budget``
     characters.
+
+    When the ids are ``range(n)``, as for every truth classification, no
+    table of names is kept: a block that misses the cache is rendered by
+    :func:`_numerals`, so ``sep`` must then be a nonempty text without
+    decimal digits.  Other ids are rendered once, into a table of one
+    string per id.
     """
 
-    def __init__(self, names: Sequence[str], sep: str, budget: int) -> None:
-        self.names, self.sep, self.room = names, sep, budget
-        self.step = 1 << max(3, len(names).bit_length() // 2 - 3)  # bytes per block
-        self.size = -(-len(names) // (self.step * 8)) * self.step  # whole blocks
+    def __init__(self, ids: Sequence[Id], sep: str, budget: int) -> None:
+        self.names = None if _numbered(ids) else tuple(map(str, ids))
+        self.sep, self.room = sep, budget
+        self.step = 1 << max(3, len(ids).bit_length() // 2 - 3)  # bytes per block
+        self.size = -(-len(ids) // (self.step * 8)) * self.step  # whole blocks
         self.blocks: dict[tuple[int, bytes], str] = {}
 
     def __call__(self, mask: int) -> str:
@@ -90,7 +137,10 @@ class _BlockJoin:
             text = blocks.get((at, chunk))
             if text is None:
                 digits = _digits(int.from_bytes(chunk, "little"))
-                text = sep.join(itertools.compress(names[at * 8 : (at + step) * 8], digits))
+                if names is None:
+                    text = _numerals(at * 8, digits, sep)
+                else:
+                    text = sep.join(itertools.compress(names[at * 8 : (at + step) * 8], digits))
                 if len(text) <= self.room:
                     blocks[at, chunk] = text
                     self.room -= len(text)
@@ -658,10 +708,15 @@ def _cxt_records(ctx: Classification, name: str) -> Iterator[str]:
 
     Every name is checked before the lines are returned.  Each distinct
     row is rendered once: instances with equal rows share one string.
+    Instance ids ``range(n)`` are numerals, which pass the check; their
+    lines are written a thousand at a time by :func:`_numerals`, with no
+    label per instance.
     """
     if not _one_line(name) or _is_count(name):
         raise ValueError(f"name {name!r} cannot be written as a cxt name line")
-    labels = list(map(str, itertools.chain(ctx.instances, ctx.types)))
+    n = len(ctx.instances)
+    numbered = _numbered(ctx.instances)
+    labels = list(map(str, ctx.types if numbered else itertools.chain(ctx.instances, ctx.types)))
     # all labels at once in C; a fault is then looked for label by label
     if not (all(labels) and list(map(str.strip, labels)) == labels and _one_line("".join(labels))):
         bad = next(x for x in labels if not x or x != x.strip() or not _one_line(x))
@@ -671,9 +726,11 @@ def _cxt_records(ctx: Classification, name: str) -> Iterator[str]:
         row: "".join("X" if row >> j & 1 else "." for j in range(m)) + "\n"
         for row in set(ctx._rows)
     }
-    header = f"B\n{name}\n{len(ctx.instances)}\n{m}\n\n"
+    header = f"B\n{name}\n{n}\n{m}\n\n"
+    ones = b"\x01" * 1000
+    numerals = (_numerals(lo, ones[: n - lo], "\n") + "\n" for lo in range(0, n, 1000)) if numbered else ()
     names = (label + "\n" for label in labels)
-    return itertools.chain((header,), names, map(rendered.__getitem__, ctx._rows))
+    return itertools.chain((header,), numerals, names, map(rendered.__getitem__, ctx._rows))
 
 
 def _is_count(line: str) -> bool:
@@ -757,7 +814,10 @@ def _dot_records(lat: ConceptLattice, name: str) -> Iterator[str]:
 
     The covers and the attachment of every type and of every object
     concept's instance mask are computed before the records are returned;
-    a node's label is rendered when its record is asked for.
+    a node's label is rendered when its record is asked for.  The instance
+    names are joined by :class:`_BlockJoin`: ids ``range(n)``, as a truth
+    classification's, are rendered from fixed numeral tables, other ids
+    from one string per instance.
     """
     ctx = lat.classification
     types: list[list[str]] = [[] for _ in lat._extents]
@@ -765,7 +825,7 @@ def _dot_records(lat: ConceptLattice, name: str) -> Iterator[str]:
         types[lat._closing(1 << q)].append(str(t))
     members = dict(_object_concepts(lat))
     # the member masks are disjoint, so no block of names repeats: cache none
-    join = _BlockJoin(tuple(map(str, ctx.instances)), ", ", 0)
+    join = _BlockJoin(ctx.instances, ", ", 0)
     nodes = [f"c{k}" for k in range(len(types))]
     edges = lat.covers()
 

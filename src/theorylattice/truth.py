@@ -392,9 +392,9 @@ def lattice_text(lat: TheoryLattice) -> str:
     ``covered-by`` the immediately larger ones, by record id.  Model ids
     are positions, so an extent's set bits are its models in ascending
     order; the ``models:`` lines make the text theories × models long,
-    and each is joined from blocks of model names cached across theories.
-    The text is the join of :func:`_text_records`, which the CLI writes
-    record by record.
+    and each is joined from blocks of model numerals cached across
+    theories, with no table of one name per model.  The text is the join
+    of :func:`_text_records`, which the CLI writes record by record.
     """
     return "".join(_text_records(lat))
 
@@ -402,13 +402,14 @@ def lattice_text(lat: TheoryLattice) -> str:
 def _text_records(lat: TheoryLattice) -> Iterator[str]:
     """The header, then one record per closed theory, each ending in a newline.
 
-    The covers and the tables the records are read from (record ids, the
-    printed model names) are built before the records are returned; a
-    record is rendered when it is asked for.  Its ``models:`` line is
-    joined from aligned blocks of the extent by :class:`fca._BlockJoin`,
-    whose cache of joined blocks holds at most as many characters as the
-    extents hold bytes, so memory tracks the largest record, the tables
-    and about the size of the lattice.
+    The covers and the record ids are built before the records are
+    returned; a record is rendered when it is asked for.  Its ``models:``
+    line is joined from aligned blocks of the extent by
+    :class:`fca._BlockJoin`, handed the model ids ``range(n)`` themselves:
+    a block that misses its cache is rendered from fixed numeral tables,
+    and the cache holds at most as many characters as the extents hold
+    bytes, so memory tracks the largest record and about the size of the
+    lattice, not the number of models.
     """
     concepts = lat.lattice
     ids = [str(k) for k in range(len(concepts._extents))]
@@ -418,9 +419,9 @@ def _text_records(lat: TheoryLattice) -> Iterator[str]:
         below[high].append(ids[low])
         above[low].append(ids[high])
     keys = lat.tc.pool_keys
-    names = tuple(map(str, lat.tc.classification.instances))
-    models = fca._BlockJoin(names, " ", len(ids) * ((len(names) + 7) >> 3))
-    header = f"closed theories: {len(ids)}\nmodels: {len(names)}\n"
+    instances = lat.tc.classification.instances
+    models = fca._BlockJoin(instances, " ", len(ids) * ((len(instances) + 7) >> 3))
+    header = f"closed theories: {len(ids)}\nmodels: {len(instances)}\n"
     records = (
         f"\ntheory {k}\n"
         f"  axioms: {'; '.join(sorted(fca._select(keys, intent))) or '(none)'}\n"

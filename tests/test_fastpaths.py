@@ -11,7 +11,9 @@ comparison of rows; and reducts against that ground-substitution reduct."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import chain, combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -641,8 +643,12 @@ def check_concept_records(lat) -> None:
     assert len(dot) == 1 + n + len(lat.covers()) + 1
     assert joined_records(dot, 3, 1) == reference_lattice_dot(lat)
     cxt = list(_cxt_records(ctx, "corpus"))
-    assert len(cxt) == 1 + 2 * len(ctx.instances) + len(ctx.types)
-    assert joined_records(cxt, 5, 1) == reference_cxt(ctx, "corpus")
+    # instances numbered range(n) are named a thousand lines to a record
+    width = len(ctx.instances)
+    named = [min(1000, width - lo) for lo in range(0, width, 1000)] if ctx.instances == range(width) else [1] * width
+    assert all(r.endswith("\n") for r in cxt)
+    assert [r.count("\n") for r in cxt] == [5, *named, *[1] * (len(ctx.types) + width)]
+    assert "".join(cxt) == reference_cxt(ctx, "corpus")
     listing = joined_records(_concept_records(lat), 1, 1)
     assert listing.count("\n") == 1 + n
     assert listing == reference_concepts_text(concept_lattice(read_cxt("".join(cxt))))
@@ -1045,19 +1051,17 @@ def block_join_masks(rng: random.Random, width: int) -> list[int]:
     return [0, full, periodic, periodic, sparse, *(rng.getrandbits(width) for _ in range(3))]
 
 
-@pytest.mark.parametrize("width", [0, 1, 7, 8, 63, 64, 65, 300, 32768])
-def test_block_join_matches_joining_the_selected_names(width):
+def check_block_join(ids, masks: list[int]) -> None:
     """The text built from cached blocks equals the join of the selected
     names, whatever the cache may hold, and the cache holds at most its
-    budget of characters."""
-    rng = random.Random(width)
-    names = tuple(str(k) * rng.randrange(3) for k in range(width))  # lengths 0 to 10
-    masks = block_join_masks(rng, width)
+    budget of characters.  ``masks[2]`` is joined again with room to spare
+    and must hit the cache."""
+    names, width = tuple(map(str, ids)), len(ids)
     bound = len(masks) * ((width + 7) >> 3)  # the bytes of the masks, as for a lattice
     everything = 3 * sum(map(len, names)) + 2 * width
     for budget in (0, 1, bound, everything):
         for sep in (" ", ", "):
-            join = _BlockJoin(names, sep, budget)
+            join = _BlockJoin(ids, sep, budget)
             for mask in masks:
                 assert join(mask) == sep.join(_select(names, mask))
                 assert sum(map(len, join.blocks.values())) <= budget
@@ -1065,6 +1069,68 @@ def test_block_join_matches_joining_the_selected_names(width):
                 entries = len(join.blocks)
                 assert join(masks[2]) == sep.join(_select(names, masks[2]))
                 assert len(join.blocks) == entries
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 63, 64, 65, 300, 32768])
+def test_block_join_matches_joining_the_selected_names(width):
+    rng = random.Random(width)
+    names = tuple(str(k) * rng.randrange(3) for k in range(width))  # lengths 0 to 10
+    check_block_join(names, block_join_masks(rng, width))
+
+
+def boundary_mask(width: int, period: int) -> int:
+    """Bits at each multiple of ``period`` below ``width`` and on either side of it."""
+    return sum(1 << p for k in range(0, width + 1, period) for p in (k - 1, k, k + 1) if 0 <= p < width)
+
+
+@pytest.mark.parametrize("width", [0, 1, 999, 1000, 1001, 9999, 10000, 10001, 32768])
+def test_block_join_over_positions_matches_joining_their_numerals(width):
+    """Ids ``range(n)`` keep no names table: a block that misses the cache
+    is joined from the numeral tables, split at each multiple of 1000, so
+    the masks set bits at and next to the multiples of 1000 and of 10000."""
+    rng = random.Random(width)
+    masks = block_join_masks(rng, width)[:5] + [boundary_mask(width, 1000), boundary_mask(width, 10000)]
+    check_block_join(range(width), masks)
+
+
+@pytest.mark.parametrize(
+    "sig, pool",
+    [("entity E\nrelation P(E)\nrelation R(E,E)\n", [s for s in M_POOL if "Q(" not in s]), (M_SIG, M_POOL[:10])],
+    ids=["PR-4096", "L10-32768"],
+)
+def test_exports_over_positions_match_the_exports_over_their_names(sig, pool):
+    """The text and DOT records and the cxt text of 4096 and of 32768 models
+    over E=a,b,c, whose ids are ``range(n)``, equal those over the same
+    columns with the ids ``tuple(map(str, range(n)))``, which are rendered
+    from a names table."""
+    sig = parse_signature(sig)
+    sentences = [parse_sentence(sig, s) for s in pool]
+    lat = theory_lattice(build_truth_classification(sig, sentences, carriers={"E": ["a", "b", "c"]}))
+    ctx = lat.tc.classification
+    named = Classification.from_columns(tuple(map(str, ctx.instances)), ctx.types, ctx._columns)
+    by_name = SimpleNamespace(tc=SimpleNamespace(classification=named, pool_keys=lat.tc.pool_keys),
+                              lattice=concept_lattice(named))
+    assert list(_text_records(lat)) == list(_text_records(by_name))
+    assert list(_dot_records(lat.lattice, "lattice")) == list(_dot_records(by_name.lattice, "lattice"))
+    assert write_cxt(ctx) == write_cxt(named)
+
+
+def test_building_the_l10_export_records_keeps_no_per_model_table():
+    """With the covers built, setting up the text and DOT records of L10
+    (32768 models) allocates well under a per-model table of names, which
+    alone is about 2 MB."""
+    sig = parse_signature(M_SIG)
+    pool = [parse_sentence(sig, s) for s in M_POOL[:10]]
+    lat = theory_lattice(build_truth_classification(sig, pool, carriers={"E": ["a", "b", "c"]}))
+    lat.lattice.covers()
+    for build in (lambda: _text_records(lat), lambda: _dot_records(lat.lattice, "lattice")):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, peak
 
 
 def test_column_instance_map_matches_reducts_on_random_interpretations():
