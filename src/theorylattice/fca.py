@@ -80,8 +80,6 @@ def _numerals(lo: int, digits: bytes, sep: str) -> str:
     exact.
     """
     hi = lo + len(digits)
-    if hi <= 1000:
-        return sep.join(itertools.compress(_NUMERALS[lo:hi], digits))
     parts = []
     for base in range(lo - lo % 1000, hi, 1000):
         a, b = max(lo, base), min(hi, base + 1000)
