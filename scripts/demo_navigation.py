@@ -14,7 +14,7 @@ from theorylattice import (
     build_truth_classification,
     contract,
     expand,
-    make_language_morphism,
+    make_interpretation,
     parse_sentence,
     parse_signature,
     revise,
@@ -43,7 +43,7 @@ def main() -> None:
     pool = [parse_sentence(sig, s) for s in POOL]
     tc = build_truth_classification(sig, pool, carriers={"E": ["a", "b"]})
     lat = theory_lattice(tc)
-    swap = make_language_morphism(sig, sig, {"E": "E"}, {"P": "Q", "Q": "P"}, {})
+    swap = make_interpretation(sig, sig, {"E": "E"}, {}, {"P": "Q", "Q": "P"})
 
     t = lat.top
     show("start (top)", t)

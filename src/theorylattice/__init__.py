@@ -51,7 +51,6 @@ from .logic import (
     parse_signature,
     satisfies,
     sentence_key,
-    theory_of,
 )
 from .truth import (
     ClosedTheory,
@@ -62,8 +61,6 @@ from .truth import (
     build_truth_classification,
     closure,
     entails,
-    extremes,
-    generator_concepts,
     lattice_text,
     object_concept,
     theory_join,
@@ -88,7 +85,6 @@ _LAZY = {
         "identity_morphism",
         "is_theory_morphism",
         "make_interpretation",
-        "make_language_morphism",
         "parse_interpretation",
         "reduct",
         "translate",

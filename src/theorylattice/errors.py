@@ -32,11 +32,10 @@ class SignatureMismatchError(ValueError):
 class PoolMembershipError(ValueError):
     """A sentence referenced an operation that is restricted to the pool."""
 
-    def __init__(self, sentence_key: str, context: str = ""):
+    def __init__(self, sentence_key: str):
         self.sentence_key = sentence_key
-        detail = f" ({context})" if context else ""
         super().__init__(
-            f"sentence {sentence_key!r} is not in the pool{detail}; "
+            f"sentence {sentence_key!r} is not in the pool (closure is pool-relative); "
             "rebuild the truth classification with an extended pool to include it"
         )
 

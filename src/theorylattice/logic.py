@@ -518,10 +518,6 @@ _P_NOT = len(_CONNECTIVES) + 1
 _P_ATOM = _P_NOT + 1
 
 
-def format_term(t: Term) -> str:
-    return t.name
-
-
 def format_formula(formula: Formula) -> str:
     """Render with minimal parentheses; parsing the result restores the AST."""
     return _fmt(formula, 0)
@@ -533,9 +529,9 @@ def _fmt(f: Formula, min_prec: int) -> str:
         prec, symbol, left, right = binary
         s = f"{_fmt(f.left, left)} {symbol} {_fmt(f.right, right)}"
     elif isinstance(f, Atom):
-        s, prec = f"{f.rel}({','.join(format_term(t) for t in f.args)})", _P_ATOM
+        s, prec = f"{f.rel}({','.join(t.name for t in f.args)})", _P_ATOM
     elif isinstance(f, Eq):
-        s, prec = f"{format_term(f.left)} = {format_term(f.right)}", _P_ATOM
+        s, prec = f"{f.left.name} = {f.right.name}", _P_ATOM
     elif isinstance(f, Not):
         s, prec = "~" + _fmt(f.body, _P_NOT), _P_NOT
     elif isinstance(f, Forall):
@@ -1068,11 +1064,6 @@ def eval_formula(structure: Structure, formula: Formula, env: Mapping[str, str])
     if missing:
         raise ValueError(f"assignment misses free variables: {sorted(missing)}")
     return _column(_structure_group(structure), formula, env) == 1
-
-
-def theory_of(structure: Structure, pool: Iterable[Formula]) -> frozenset[Formula]:
-    """The pool sentences true in the structure."""
-    return frozenset(s for s in pool if satisfies(structure, s))
 
 
 # ---------------------------------------------------------------------------

@@ -235,26 +235,13 @@ def _renaming_atom(src: Signature, ent: Mapping[str, str], name: str, image: str
     return Atom(image, tuple(Var(v, sort) for v, sort in reserved_vars(src.profile(name), ent).items()))
 
 
-def make_language_morphism(
-    src: Signature,
-    dst: Signature,
-    ent: Mapping[str, str],
-    rel: Mapping[str, str],
-    const: Mapping[str, str],
-) -> Interpretation:
-    """The map that sends each relation R to the relation rel(R): the
-    interpretation whose formula for R is the atom rel(R)(x1..xn), checked
-    as :func:`make_interpretation` checks it."""
-    return make_interpretation(src, dst, ent, const, rel)
-
-
 def identity_morphism(sig: Signature) -> Interpretation:
-    return make_language_morphism(
+    return make_interpretation(
         sig,
         sig,
         {n: n for n in sig.entity_types},
-        {n: n for n in sig.relation_names},
         {n: n for n in sig.constant_names},
+        {n: n for n in sig.relation_names},
     )
 
 
@@ -575,11 +562,6 @@ class ConceptMorphism(Value):
         return self.source.theories[self._inv[k]]
 
 
-def _names(lat: TheoryLattice, k: int) -> list[str]:
-    """The sorted keys of a theory's axioms, to name a witness."""
-    return sorted(fca._select(lat.tc.pool_keys, lat.lattice._intents[k]))
-
-
 def concept_morphism(
     im: TruthInfomorphism,
     lat1: TheoryLattice,
@@ -617,7 +599,7 @@ def concept_morphism(
             if lat1.lattice._intents[at] != pre:
                 raise InfomorphismError(
                     "inverse image is not closed for target theory "
-                    f"{_names(lat2, k)}: got {sorted(fca._select(lat1.tc.pool_keys, pre))}"
+                    f"{list(lat2.theories[k].keys())}: got {list(lat1.tc._theory(pre).keys())}"
                 )
         inv_index.append(at)
 
@@ -642,7 +624,7 @@ def _check_adjunction(
     intents1, intents2 = lat1.lattice._intents, lat2.lattice._intents
 
     def fail(what: str, la: TheoryLattice, a: int, lb: TheoryLattice, b: int):
-        return InfomorphismError(f"{what} at {_names(la, a)} / {_names(lb, b)}")
+        return InfomorphismError(f"{what} at {list(la.theories[a].keys())} / {list(lb.theories[b].keys())}")
 
     for lat, image, what in (
         (lat1, [intents2[d] for d in dir_index], "direct"),

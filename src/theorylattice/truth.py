@@ -194,14 +194,12 @@ class TruthClassification(Value):
         return out
 
     def _mask(self, theory: Theory | Iterable[Formula]) -> int:
-        """The pool positions of the axioms, as a mask (a view carries it)."""
-        if isinstance(theory, ClosedTheory) and theory._tc is self:
-            return theory._intent
+        """The pool positions of the axioms, as a mask."""
         intent = 0
         for a in _as_axioms(theory):
             a, p = self._lookup(a)
             if p is None:
-                raise PoolMembershipError(sentence_key(a), "closure is pool-relative")
+                raise PoolMembershipError(sentence_key(a))
             intent |= 1 << p
         return intent
 
@@ -342,11 +340,6 @@ def theory_lattice(tc: TruthClassification, concept_cap: int = fca.DEFAULT_CONCE
     return TheoryLattice(tc, fca.concept_lattice(tc.classification, cap=concept_cap))
 
 
-def extremes(lat: TheoryLattice) -> tuple[ClosedTheory, ClosedTheory]:
-    """(top, bottom): the closure of nothing, and the closure of the whole pool."""
-    return lat.top, lat.bottom
-
-
 def theory_join(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> ClosedTheory:
     """Supremum: the intersection of the two theories, closed as intents are."""
     return lat.tc._theory(lat._intent(t1) & lat._intent(t2))
@@ -376,13 +369,6 @@ def attribute_concept(tc: TruthClassification, sentence: Formula) -> ClosedTheor
     if p is None:
         raise ValueError(f"unknown sentence {sentence_key(sentence)!r}: not in the pool")
     return tc._theory(tc._close(1 << p))
-
-
-def generator_concepts(tc: TruthClassification, x: int | Structure | Formula) -> ClosedTheory:
-    """Dispatch to the object concept (models) or attribute concept (sentences)."""
-    if isinstance(x, (int, Structure)):
-        return object_concept(tc, x)
-    return attribute_concept(tc, x)
 
 
 def lattice_text(lat: TheoryLattice) -> str:

@@ -9,7 +9,7 @@ import pytest
 from oracles import M_POOL, M_SIG, ST_POOL, ST_SIG, ST_TO_M
 from theorylattice.fca import Classification
 from theorylattice.logic import parse_sentence, parse_signature
-from theorylattice.morph import make_interpretation, make_language_morphism, parse_interpretation
+from theorylattice.morph import make_interpretation, parse_interpretation
 from theorylattice.truth import build_truth_classification, theory_lattice
 from theorylattice.logic import parse_formula
 
@@ -57,7 +57,7 @@ def ctx3():
 @pytest.fixture(scope="session")
 def swap(pq_sig):
     """The renaming that exchanges the two relations."""
-    return make_language_morphism(pq_sig, pq_sig, {"E": "E"}, {"P": "Q", "Q": "P"}, {})
+    return make_interpretation(pq_sig, pq_sig, {"E": "E"}, {}, {"P": "Q", "Q": "P"})
 
 
 @pytest.fixture(scope="session")

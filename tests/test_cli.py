@@ -18,7 +18,7 @@ from theorylattice import cli, fca
 from theorylattice.cli import _BLOCK, _blocks, build_parser, main, parse_carrier_spec
 from theorylattice.errors import ParseError
 from theorylattice.logic import parse_signature
-from theorylattice.morph import make_language_morphism, parse_interpretation
+from theorylattice.morph import make_interpretation, parse_interpretation
 
 SIG = "entity E\nrelation P(E)\nrelation Q(E)\n"
 POOL = (
@@ -825,7 +825,7 @@ def test_readme_map_examples_parse():
     sig_lines = _readme_block("Signature").splitlines(keepends=True)
     sig = parse_signature("".join(l for l in sig_lines if not l.startswith("constant")))
     renaming = parse_interpretation(sig, sig, _readme_block("`relation P -> Q`"), path="README.md")
-    assert renaming == make_language_morphism(sig, sig, {"E": "E"}, {"P": "Q", "Q": "P"}, {})
+    assert renaming == make_interpretation(sig, sig, {"E": "E"}, {}, {"P": "Q", "Q": "P"})
     src = parse_signature("entity E\nrelation R(E)")
     h = parse_interpretation(src, sig, _readme_block("Map file"), path="README.md")
     assert h.source == src and h.target == sig

@@ -52,7 +52,6 @@ from theorylattice.morph import (
     identity_morphism,
     is_theory_morphism,
     make_interpretation,
-    make_language_morphism,
     parse_interpretation,
     reduct,
     reserved_vars,
@@ -83,37 +82,37 @@ class TestMakeLanguageMorphism:
 
     def test_constants_transported(self, const_sigs):
         src, dst = const_sigs
-        f = make_language_morphism(src, dst, {"E": "D"}, {"P": "R"}, {"c": "e"})
+        f = make_interpretation(src, dst, {"E": "D"}, {"c": "e"}, {"P": "R"})
         assert f.map_constant("c") == "e"
 
     def test_missing_relation_mapping(self, pq_sig, unary_sig):
         with pytest.raises(ValueError, match="missing mapping for relation 'Q'"):
-            make_language_morphism(pq_sig, unary_sig, {"E": "E"}, {"P": "R"}, {})
+            make_interpretation(pq_sig, unary_sig, {"E": "E"}, {}, {"P": "R"})
 
     def test_undeclared_target(self, unary_sig, pq_sig):
         with pytest.raises(ValueError, match="maps to undeclared 'S'"):
-            make_language_morphism(unary_sig, pq_sig, {"E": "E"}, {"R": "S"}, {})
+            make_interpretation(unary_sig, pq_sig, {"E": "E"}, {}, {"R": "S"})
 
     def test_arity_mismatch(self, unary_sig):
         binary = parse_signature("entity E\nrelation R(E, E)")
         with pytest.raises(ValueError, match="arity 1 but 'R' has arity 2"):
-            make_language_morphism(unary_sig, binary, {"E": "E"}, {"R": "R"}, {})
+            make_interpretation(unary_sig, binary, {"E": "E"}, {}, {"R": "R"})
 
     def test_profile_position_named(self):
         src = parse_signature("entity A\nentity B\nrelation R(A, B)")
         dst = parse_signature("entity A\nentity B\nrelation R(A, A)")
         with pytest.raises(ValueError, match="position 2"):
-            make_language_morphism(src, dst, {"A": "A", "B": "B"}, {"R": "R"}, {})
+            make_interpretation(src, dst, {"A": "A", "B": "B"}, {}, {"R": "R"})
 
     def test_constant_sort_preserved(self, const_sigs):
         src, _ = const_sigs
         dst2 = parse_signature("entity D\nentity F\nrelation R(D)\nconstant d:F")
         with pytest.raises(ValueError, match="of sort 'F', expected 'D'"):
-            make_language_morphism(src, dst2, {"E": "D"}, {"P": "R"}, {"c": "d"})
+            make_interpretation(src, dst2, {"E": "D"}, {"c": "d"}, {"P": "R"})
 
     def test_extra_mapping_rejected(self, unary_sig, pq_sig):
         with pytest.raises(ValueError, match="undeclared relation 'S'"):
-            make_language_morphism(unary_sig, pq_sig, {"E": "E"}, {"R": "P", "S": "Q"}, {})
+            make_interpretation(unary_sig, pq_sig, {"E": "E"}, {}, {"R": "P", "S": "Q"})
 
     def test_is_an_interpretation_whose_formulas_are_atoms(self, swap):
         assert type(swap) is Interpretation
@@ -125,7 +124,7 @@ class TestMakeLanguageMorphism:
 
 
 def _rename_r_to_p(src, dst, ent, const):
-    return make_language_morphism(src, dst, ent, {"R": "P"}, const)
+    return make_interpretation(src, dst, ent, const, {"R": "P"})
 
 
 def _interpret_r_as_p(src, dst, ent, const):
@@ -255,8 +254,8 @@ class TestCompose:
             assert compose(compose(f, g), h) == compose(f, compose(g, h))
 
     def test_signature_chaining_enforced(self, swap, unary_sig):
-        to_unary = make_language_morphism(
-            swap.source, unary_sig, {"E": "E"}, {"P": "R", "Q": "R"}, {}
+        to_unary = make_interpretation(
+            swap.source, unary_sig, {"E": "E"}, {}, {"P": "R", "Q": "R"}
         )
         with pytest.raises(SignatureMismatchError, match="cannot compose"):
             compose(to_unary, swap)
@@ -899,7 +898,7 @@ class TestParsers:
             "ab": "entity A\nentity B\nrelation R(A,B)\nrelation S(B,A)",
         }
         src, dst = parse_signature(sigs[src]), parse_signature(sigs[dst])
-        assert parse_interpretation(src, dst, text) == make_language_morphism(src, dst, ent, rel, const)
+        assert parse_interpretation(src, dst, text) == make_interpretation(src, dst, ent, const, rel)
 
     @pytest.mark.parametrize(
         "src, dst, text",

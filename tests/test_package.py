@@ -17,7 +17,8 @@ import theorylattice
 
 SUBMODULES = ("errors", "fca", "logic", "morph", "nav", "truth")
 
-# ``theorylattice.__all__`` as it was when ``__init__`` imported every submodule
+# ``theorylattice.__all__`` as it was when ``__init__`` imported every submodule,
+# less the aliases retired since
 ALL = [
     "CarrierAssignment", "Classification", "ClosedTheory", "ConceptLattice", "ConceptMorphism",
     "FormalConcept", "Formula", "InfomorphismError", "Interpretation", "NavStep", "ParseError",
@@ -26,14 +27,13 @@ ALL = [
     "analogy", "apply_nav_script", "attribute_concept", "basic_theorem_roundtrip",
     "build_truth_classification", "check_infomorphism", "closure", "compose", "concept_lattice",
     "concept_morphism", "contract", "count_structures", "density_report", "derive_instances",
-    "derive_types", "entails", "enumerate_structures", "errors", "eval_formula", "expand",
-    "extremes", "fca", "format_formula", "format_structure", "free_vars", "generator_concepts",
-    "identity_morphism", "is_formal_concept", "is_theory_morphism", "lattice_dot", "lattice_join",
-    "lattice_meet", "lattice_text", "logic", "make_interpretation", "make_language_morphism",
-    "morph", "nav", "object_concept", "parse_formula", "parse_interpretation", "parse_model",
-    "parse_nav_script", "parse_sentence", "parse_sentences", "parse_signature", "read_cxt",
-    "reduct", "revise", "satisfies", "sentence_key", "theory_join", "theory_lattice",
-    "theory_leq", "theory_meet", "theory_of", "translate", "truth", "truth_infomorphism",
+    "derive_types", "entails", "enumerate_structures", "errors", "eval_formula", "expand", "fca",
+    "format_formula", "format_structure", "free_vars", "identity_morphism", "is_formal_concept",
+    "is_theory_morphism", "lattice_dot", "lattice_join", "lattice_meet", "lattice_text", "logic",
+    "make_interpretation", "morph", "nav", "object_concept", "parse_formula",
+    "parse_interpretation", "parse_model", "parse_nav_script", "parse_sentence", "parse_sentences",
+    "parse_signature", "read_cxt", "reduct", "revise", "satisfies", "sentence_key", "theory_join",
+    "theory_lattice", "theory_leq", "theory_meet", "translate", "truth", "truth_infomorphism",
     "write_cxt",
 ]
 

@@ -13,6 +13,8 @@ from theorylattice.fca import lattice_join, lattice_meet
 from theorylattice.logic import (
     And,
     Atom,
+    Const,
+    Eq,
     Exists,
     Forall,
     Structure,
@@ -32,8 +34,6 @@ from theorylattice.truth import (
     build_truth_classification,
     closure,
     entails,
-    extremes,
-    generator_concepts,
     lattice_text,
     object_concept,
     theory_join,
@@ -422,7 +422,7 @@ class TestTheoryLattice:
             assert pq_lat.leq(lower, upper)
 
     def test_extremes(self, pq_lat, pq_pool):
-        top, bottom = extremes(pq_lat)
+        top, bottom = pq_lat.top, pq_lat.bottom
         assert top.axioms == frozenset()
         assert bottom.axioms == frozenset(pq_pool)
         assert top == pq_lat.closure([])
@@ -510,10 +510,6 @@ class TestGeneratorConcepts:
         assert attribute_concept(pq_tc, pq["s2"]).axioms == {pq["s2"], pq["s4"]}
         assert attribute_concept(pq_tc, pq["s3"]).axioms == {pq["s3"]}
 
-    def test_dispatch(self, pq_tc, pq):
-        assert generator_concepts(pq_tc, 0) == object_concept(pq_tc, 0)
-        assert generator_concepts(pq_tc, pq["s2"]) == attribute_concept(pq_tc, pq["s2"])
-
     def test_unknown_model(self, pq_tc, pq_sig):
         with pytest.raises(ValueError, match="unknown model"):
             object_concept(pq_tc, 99)
@@ -555,8 +551,19 @@ class TestTheory:
                 "sentence 'forall v0:F. P(v0)' does not fit the signature: "
                 "quantifier over undeclared entity type 'F'",
             ),
+            (
+                Exists("y", "E", Eq(Var("y", "E"), Const("k"))),
+                SignatureMismatchError,
+                "sentence 'exists v0:E. v0 = k' does not fit the signature: unknown constant 'k'",
+            ),
+            (
+                Forall("y", "E", Atom("P", (Var("y", "F"),))),
+                SignatureMismatchError,
+                "sentence 'forall v0:E. P(v0)' does not fit the signature: "
+                "variable 'v0' used at sort 'F' but bound at 'E'",
+            ),
         ],
-        ids=["open", "open-and-ill-typed", "ill-typed"],
+        ids=["open", "open-and-ill-typed", "ill-typed", "unknown-constant", "sort-clash"],
     )
     def test_axioms_are_checked_by_key(self, pq_sig, axiom, error, message):
         with pytest.raises(error) as exc:
