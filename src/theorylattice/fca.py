@@ -10,7 +10,7 @@ generators, and the basic theorem round-trip rebuilds the classification
 from the lattice order.
 
 Everything runs on Python-int bitsets: each type's column over instance
-positions and each instance's row over type positions.  Sets of ids
+positions, from which an instance's types are read.  Sets of ids
 appear only at the public API.  Every lookup of a concept in its lattice
 closes a type mask (``ConceptLattice._closing``): it ANDs one precomputed
 meet of columns per 8 types and finds the concept by that extent.
@@ -32,7 +32,7 @@ import itertools
 import operator
 import sys
 from functools import cached_property, reduce
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from ._value import Value
 from .errors import ParseError, SizeCapError
@@ -43,6 +43,7 @@ Id = Hashable
 
 
 _BINARY_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+_CELLS = bytes.maketrans(b"01", b".X")  # binary digits as cxt cells
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _WORD_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # native unsigned words by byte size
 
@@ -195,13 +196,13 @@ def _reversed(mask: int, width: int) -> int:
     return int.from_bytes(little.translate(_REVERSED_BYTE), "big")
 
 
-def _positions(ids: Iterable[Id], pos: dict, what: str) -> list[int]:
-    """The positions of the given ids; an unknown id is a ValueError."""
-    xs = set(ids)
-    unknown = [x for x in xs if x not in pos]
+def _positions(ids: Iterable[Id], position: Callable[[Id], int | None], what: str) -> list[int]:
+    """The positions of the ids, found by ``position``; an unknown id is a ValueError."""
+    found = {x: position(x) for x in set(ids)}
+    unknown = [x for x, p in found.items() if p is None]
     if unknown:
         raise ValueError(f"unknown {what} id {sorted(map(repr, unknown))[0]}")
-    return [pos[x] for x in xs]
+    return list(found.values())
 
 
 # Row classes are used when there are at most this many per instance.  On
@@ -216,11 +217,11 @@ class Classification(Value):
     """Instances, types, and an incidence relation between them.
 
     The incidence is kept as bitsets: each type's column is an int over
-    instance positions.  All derivations run on these masks; the rows (an
-    int over type positions per instance) and the set of incident
-    ``(instance, type)`` pairs are derived from the columns when first
-    asked for.  Two classifications are equal when their instance
-    ids, type ids and columns are, whether the ids are a ``range`` or not.
+    instance positions, and nothing else is kept per instance.  All
+    derivations run on these masks; the set of incident ``(instance,
+    type)`` pairs is derived from the columns when first asked for.  Two
+    classifications are equal when their instance ids, type ids and
+    columns are, whether the ids are a ``range`` or not.
     """
 
     _shown = ("instances", "types")
@@ -237,7 +238,7 @@ class Classification(Value):
         self._set_ids(instances, types)
         held: list[list[int]] = [[] for _ in types]
         for i, t in incidence:
-            p = self._ipos.get(i)
+            p = self._position(i)
             if p is None:
                 raise ValueError(f"incidence references unknown instance id {i!r}")
             q = self._tpos.get(t)
@@ -262,8 +263,8 @@ class Classification(Value):
 
     def _set_ids(self, instances: Sequence[Id], types: tuple[Id, ...]) -> None:
         """Store the ids, refusing duplicates.  A ``range`` of instances has
-        none, so it is kept as it is and its position map is built on first
-        use; any other sequence is stored as a tuple and scanned now."""
+        none and is kept as it is; any other sequence is stored as a tuple,
+        scanned now into a map of positions."""
         if not isinstance(instances, range):
             instances = tuple(instances)
             ipos = {i: k for k, i in enumerate(instances)}
@@ -296,9 +297,12 @@ class Classification(Value):
     def __hash__(self) -> int:
         return hash((self.types, self._columns))
 
-    @cached_property
-    def _ipos(self) -> dict[Id, int]:
-        return {i: k for k, i in enumerate(self.instances)}
+    def _position(self, instance: Id) -> int | None:
+        """The position of an instance id, or ``None``: a ``range`` answers
+        by arithmetic, other ids from the map ``_set_ids`` built."""
+        if isinstance(self.instances, range):
+            return self.instances.index(instance) if instance in self.instances else None
+        return self._ipos.get(instance)
 
     @classmethod
     def make(
@@ -315,18 +319,8 @@ class Classification(Value):
             (self.instances[p], t) for t, col in zip(self.types, self._columns) for p in _bits(col)
         )
 
-    @cached_property
-    def _rows(self) -> tuple[int, ...]:
-        """The columns transposed, 64 at a time by :func:`_words`."""
-        n, cols = len(self.instances), self._columns
-        rows = _words(cols[:64], n)
-        for g in range(64, len(cols), 64):
-            high = map(operator.lshift, _words(cols[g : g + 64], n), itertools.repeat(g))
-            rows = list(map(operator.or_, rows, high))
-        return tuple(rows)
-
     def holds(self, instance: Id, typ: Id) -> bool:
-        p, q = self._ipos.get(instance), self._tpos.get(typ)
+        p, q = self._position(instance), self._tpos.get(typ)
         return p is not None and q is not None and self._columns[q] >> p & 1 == 1
 
     def _extent(self, intent: int) -> int:
@@ -388,13 +382,13 @@ def _row_quotient(ctx: Classification, limit: float = float("inf")) -> Classific
 
 def derive_types(ctx: Classification, instances: Iterable[Id]) -> frozenset[Id]:
     """The types incident to every given instance (X-prime)."""
-    extent = _mask(_positions(instances, ctx._ipos, "instance"), len(ctx.instances))
+    extent = _mask(_positions(instances, ctx._position, "instance"), len(ctx.instances))
     return ctx._type_ids(ctx._intent(extent))
 
 
 def derive_instances(ctx: Classification, types: Iterable[Id]) -> frozenset[Id]:
     """The instances incident to every given type (Y-prime)."""
-    intent = _mask(_positions(types, ctx._tpos, "type"), len(ctx.types))
+    intent = _mask(_positions(types, ctx._tpos.get, "type"), len(ctx.types))
     return ctx._instance_ids(ctx._extent(intent))
 
 
@@ -493,13 +487,13 @@ class ConceptLattice(Value):
     def instance_concept(self, instance: Id) -> FormalConcept:
         """The embedding of an instance: ({i}'', {i}')."""
         ctx = self.classification
-        (p,) = _positions([instance], ctx._ipos, "instance")
-        return self.concepts[self._closing(ctx._rows[p])]
+        (p,) = _positions([instance], ctx._position, "instance")
+        return self.concepts[self._closing(ctx._intent(1 << p))]
 
     def type_concept(self, typ: Id) -> FormalConcept:
         """The embedding of a type: ({t}', {t}'')."""
         ctx = self.classification
-        (q,) = _positions([typ], ctx._tpos, "type")
+        (q,) = _positions([typ], ctx._tpos.get, "type")
         return self.concepts[self._closing(1 << q)]
 
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -664,16 +658,13 @@ def density_report(lat: ConceptLattice) -> tuple[bool, bool]:
     """(join-dense, meet-dense) for the instance and type embeddings.
 
     Each concept must be the join of the instance concepts of its extent
-    (their intents are the rows) and the meet of the type concepts of its
-    intent (their extents are the columns).
+    (their intents meet in the extent's intent) and the meet of the type
+    concepts of its intent (their extents are the columns).
     """
     ctx = lat.classification
-    all_types = (1 << len(ctx.types)) - 1
     join_dense = meet_dense = True
     for extent, intent in zip(lat._extents, lat._intents):
-        joined = all_types
-        for p in _bits(extent):
-            joined &= ctx._rows[p]
+        joined = ctx._intent(extent)
         join_dense = join_dense and (ctx._extent(joined), joined) == (extent, intent)
         met = ctx._extent(intent)
         meet_dense = meet_dense and (met, ctx._intent(met)) == (extent, intent)
@@ -704,11 +695,11 @@ def write_cxt(ctx: Classification, name: str = "") -> str:
 def _cxt_records(ctx: Classification, name: str) -> Iterator[str]:
     """The lines of the Burmeister text, each with its newline.
 
-    Every name is checked before the lines are returned.  Each distinct
-    row is rendered once: instances with equal rows share one string.
-    Instance ids ``range(n)`` are numerals, which pass the check; their
-    lines are written a thousand at a time by :func:`_numerals`, with no
-    label per instance.
+    Every name is checked before the lines are returned.  Instance ids
+    ``range(n)`` are numerals, which pass the check; their lines are
+    written a thousand at a time by :func:`_numerals`, with no label per
+    instance.  The rows are written 2^16 instances to a record by
+    :func:`_cxt_rows`, straight from the columns.
     """
     if not _one_line(name) or _is_count(name):
         raise ValueError(f"name {name!r} cannot be written as a cxt name line")
@@ -719,16 +710,25 @@ def _cxt_records(ctx: Classification, name: str) -> Iterator[str]:
     if not (all(labels) and list(map(str.strip, labels)) == labels and _one_line("".join(labels))):
         bad = next(x for x in labels if not x or x != x.strip() or not _one_line(x))
         raise ValueError(f"id {bad!r} cannot be written as a cxt name")
-    m = len(ctx.types)
-    rendered = {
-        row: "".join("X" if row >> j & 1 else "." for j in range(m)) + "\n"
-        for row in set(ctx._rows)
-    }
-    header = f"B\n{name}\n{n}\n{m}\n\n"
+    header = f"B\n{name}\n{n}\n{len(ctx.types)}\n\n"
     ones = b"\x01" * 1000
     numerals = (_numerals(lo, ones[: n - lo], "\n") + "\n" for lo in range(0, n, 1000)) if numbered else ()
     names = (label + "\n" for label in labels)
-    return itertools.chain((header,), numerals, names, map(rendered.__getitem__, ctx._rows))
+    return itertools.chain((header,), numerals, names, _cxt_rows(ctx._columns, n))
+
+def _cxt_rows(columns: Sequence[int], n: int) -> Iterator[str]:
+    """The row lines of ``n`` instances, 2^16 to a record.  Cell ``j`` of a
+    line is the instance's binary digit in column ``j``: a column's digits
+    over the block, lowest first and kept to ``count`` by a set bit above
+    them, fill every ``(m + 1)``-th byte of the record from byte ``j``."""
+    m = len(columns)
+    for lo in range(0, n, 1 << 16):
+        count = min(1 << 16, n - lo)
+        block = bytearray(b"." * m + b"\n") * count
+        for j, col in enumerate(columns):
+            digits = bin(col >> lo & (1 << count) - 1 | 1 << count)[:2:-1]
+            block[j :: m + 1] = digits.encode().translate(_CELLS)
+        yield block.decode()
 
 
 def _is_count(line: str) -> bool:

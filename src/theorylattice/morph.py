@@ -409,9 +409,10 @@ def check_infomorphism(
     for j in b.instances:
         if j not in instance_map:
             raise ValueError(f"unmapped instance {j!r}")
-        if instance_map[j] not in a._ipos:
+        p = a._position(instance_map[j])
+        if p is None:
             raise ValueError(f"instance {j!r} maps to unknown {instance_map[j]!r}")
-        source.append(a._ipos[instance_map[j]])
+        source.append(p)
     return _transfer(a, b, image, source)
 
 

@@ -360,7 +360,7 @@ def object_concept(tc: TruthClassification, model: int | Structure) -> ClosedThe
             raise ValueError("unknown model: not in this classification") from None
     if not 0 <= model < len(tc.models):
         raise ValueError(f"unknown model index {model}")
-    return tc._theory(tc.classification._rows[model])
+    return tc._theory(tc.classification._intent(1 << model))
 
 
 def attribute_concept(tc: TruthClassification, sentence: Formula) -> ClosedTheory:

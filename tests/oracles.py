@@ -581,28 +581,39 @@ def reference_instance_map(h, tc1, tc2) -> list[int]:
     return [tc1.models.index(oracle_reduct(h, m)) for m in tc2.models]
 
 
+def reference_rows(ctx: Classification) -> list[int]:
+    """Each instance's row, an int over type positions, read from the
+    columns cell by cell."""
+    return [
+        sum((col >> p & 1) << q for q, col in enumerate(ctx._columns)) for p in range(len(ctx.instances))
+    ]
+
+
 def reference_check_infomorphism(a, b, type_map, instance_map) -> InfomorphismCheck:
     """The satisfaction-transfer check by rows: the ``a``-row of each mapped
     instance against the ``b``-row of ``j`` read back through ``type_map``;
     the witness is the first ``b``-instance, then the first ``a``-type,
-    where they differ."""
+    where they differ.  The positions are looked up in maps built here."""
+    apos = {i: p for p, i in enumerate(a.instances)}
+    bpos = {t: q for q, t in enumerate(b.types)}
     image: list[int] = []
     for t in a.types:
         if t not in type_map:
             raise ValueError(f"unmapped type {t!r}")
-        if type_map[t] not in b._tpos:
+        if type_map[t] not in bpos:
             raise ValueError(f"type {t!r} maps to unknown {type_map[t]!r}")
-        image.append(b._tpos[type_map[t]])
+        image.append(bpos[type_map[t]])
     source: list[int] = []
     for j in b.instances:
         if j not in instance_map:
             raise ValueError(f"unmapped instance {j!r}")
-        if instance_map[j] not in a._ipos:
+        if instance_map[j] not in apos:
             raise ValueError(f"instance {j!r} maps to unknown {instance_map[j]!r}")
-        source.append(a._ipos[instance_map[j]])
-    for j, p, row in zip(b.instances, source, b._rows):
+        source.append(apos[instance_map[j]])
+    arows = reference_rows(a)
+    for j, p, row in zip(b.instances, source, reference_rows(b)):
         pulled = sum(1 << k for k, q in enumerate(image) if row >> q & 1)
-        diff = a._rows[p] ^ pulled
+        diff = arows[p] ^ pulled
         if diff:
             return InfomorphismCheck(False, (j, a.types[(diff & -diff).bit_length() - 1]))
     return InfomorphismCheck(True)

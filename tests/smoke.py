@@ -165,13 +165,15 @@ def exports_w20(out: Path) -> None:
     (1.2-1.4 and 1.4-1.7 s) to 136 and 169 MB (1.1 and 1.2-1.4 s).  With no
     table of model names, text, DOT and cxt peak at 100-103, 60-63 and
     91-95 MB on Python 3.10 to 3.13 (1.2-1.8, 0.7-0.9 and 0.8-0.9 s); they
-    peaked at 157-175, 117-135 and 150-168 MB before.  Each ceiling is about
-    30% over the highest of those peaks."""
+    peaked at 157-175, 117-135 and 150-168 MB before.  With the cxt rows
+    written from the columns, 2^16 to a record, and no table of rows, cxt
+    peaks at 47-53 MB (0.3-0.5 s, against 91-97 MB and 0.5-1.1 s).  Each
+    ceiling is about 30% over the highest of those peaks."""
     t = fixtures(out)
     want = {
         "text": (170809744, "2e7f21ca6b97d10ad283db7dca0e780562408a9bbded77086c49155fad941e9c", 135),
         "dot": (8343030, "2d16f9e4012dd5ba50b9162f00c39d9488183d22e1841bc82bd8de1874b4088d", 82),
-        "cxt": (20909377, "bc664ef74c071b4527e0e66ccf94092f70d7558c2cdb8294ff9949d3e09a6a61", 124),
+        "cxt": (20909377, "bc664ef74c071b4527e0e66ccf94092f70d7558c2cdb8294ff9949d3e09a6a61", 68),
     }
     for fmt, (size, digest, ceiling_mb) in want.items():
         n, sha, wall_s, peak_mb, code = piped("lattice", "--sig", t["w20.sig"], "--pool", t["w20.pool"],

@@ -43,6 +43,7 @@ from oracles import (
     reference_lattice_dot,
     reference_lattice_text,
     reference_next_closure,
+    reference_rows,
     set_derive_instances,
     set_derive_types,
 )
@@ -294,7 +295,7 @@ def check_row_classes(ctx: Classification) -> None:
     covers, the same lookups, DOT and round trip, and refuse the same caps;
     the classes are the distinct rows, numbered by their first instance."""
     quotient = _row_quotient(ctx)
-    assert quotient._rows == tuple(dict.fromkeys(ctx._rows))
+    assert reference_rows(quotient) == list(dict.fromkeys(reference_rows(ctx)))
     for limit in range(len(quotient.instances) + 2):
         assert (_row_quotient(ctx, limit) is None) == (len(quotient.instances) > limit)
     ref = reference_next_closure(ctx)
@@ -629,15 +630,19 @@ def joined_records(records, header_lines: int, record_lines: int) -> str:
 
 
 def reference_cxt(ctx: Classification, name: str) -> str:
-    """``write_cxt`` rendered from the set of incident pairs, a row at a time."""
-    rows = ["".join("X" if (i, t) in ctx.incidence else "." for t in ctx.types) for i in ctx.instances]
-    head = ["B", name, str(len(ctx.instances)), str(len(ctx.types)), ""]
+    """``write_cxt`` rendered a row at a time: each column's cells as one
+    string, first instance first, read across the columns by ``zip``."""
+    n = len(ctx.instances)
+    # [:n] drops the one digit bin() gives an empty column over no instances
+    cells = [bin(col)[2:].zfill(n)[::-1][:n].translate(str.maketrans("01", ".X")) for col in ctx._columns]
+    rows = list(map("".join, zip(*cells))) if cells else [""] * n
+    head = ["B", name, str(n), str(len(ctx.types)), ""]
     return "\n".join(head + [str(x) for x in (*ctx.instances, *ctx.types)] + rows) + "\n"
 
 
 def check_concept_records(lat) -> None:
     """DOT, cxt and the ``ctx concepts`` listing of a concept lattice, record
-    by record: one per node, cover edge, name, row and concept."""
+    by record: one per node, cover edge, name, 2^16 rows and concept."""
     ctx, n = lat.classification, len(lat.concepts)
     dot = list(_dot_records(lat, "lattice"))
     assert len(dot) == 1 + n + len(lat.covers()) + 1
@@ -646,8 +651,9 @@ def check_concept_records(lat) -> None:
     # instances numbered range(n) are named a thousand lines to a record
     width = len(ctx.instances)
     named = [min(1000, width - lo) for lo in range(0, width, 1000)] if ctx.instances == range(width) else [1] * width
+    rows = [min(1 << 16, width - lo) for lo in range(0, width, 1 << 16)]
     assert all(r.endswith("\n") for r in cxt)
-    assert [r.count("\n") for r in cxt] == [5, *named, *[1] * (len(ctx.types) + width)]
+    assert [r.count("\n") for r in cxt] == [5, *named, *[1] * len(ctx.types), *rows]
     assert "".join(cxt) == reference_cxt(ctx, "corpus")
     listing = joined_records(_concept_records(lat), 1, 1)
     assert listing.count("\n") == 1 + n
@@ -1014,12 +1020,12 @@ def interpretation_corpus(seed: int, count: int):
 
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
 def test_rows_transpose_the_columns(count):
+    # the cxt rows are written 2^16 instances to a record: cross its edges
     rng = random.Random(count)
-    for n in (0, 1, 70):
+    for n in (0, 1, 70, 65535, 65536, 65537, 131073):
         columns = tuple(rng.getrandbits(n) for _ in range(count))
         ctx = Classification.from_columns(range(n), tuple(range(count)), columns)
-        want = tuple(sum((col >> i & 1) << k for k, col in enumerate(columns)) for i in range(n))
-        assert ctx._rows == want
+        assert write_cxt(ctx) == reference_cxt(ctx, ""), n
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 16, 17, 33, 64])
@@ -1249,21 +1255,23 @@ def test_adjoint_pair_indices_match_the_reference_on_random_interpretations():
         assert cm._inv == tuple(at1[inverse(frozenset(t.keys()))] for t in lat2.theories)
 
 
-def test_truth_classification_positions_are_built_on_first_use():
+def test_truth_classification_builds_no_position_table():
     tc = build_truth_classification(
         parse_signature(M_SIG), [], carriers={"E": ["a", "b", "c"]}
     )
     ctx = tc.classification
     assert ctx.instances == range(32768)  # kept as a range, not copied
-    assert "_ipos" not in vars(ctx)
-    assert ctx._ipos == {i: i for i in range(32768)}
+    assert [ctx._position(i) for i in (0, 5, 32767, 32768, -1, "5")] == [0, 5, 32767, None, None, None]
+    assert not ctx.holds(5, 0) and not ctx.holds(32768, 0)
     assert derive_types(ctx, [5]) == frozenset()
+    assert concept_lattice(ctx).instance_concept(5).intent == frozenset()
+    assert "_ipos" not in vars(ctx)
     with pytest.raises(ValueError, match="duplicate instance ids"):
         Classification((1, 2, 1), ("a",), frozenset())
     with pytest.raises(ValueError, match="duplicate instance ids"):
         Classification.from_columns((1, 2, 1), ("a",), (0,))
     ctx = Classification.from_columns(range(3), ("a",), (0b101,))
-    assert ctx.instances == range(3) and ctx._ipos == {0: 0, 1: 1, 2: 2}
+    assert ctx.instances == range(3) and list(map(ctx._position, range(3))) == [0, 1, 2]
     listed = Classification.from_columns((0, 1, 2), ("a",), (0b101,))
     assert ctx == listed and hash(ctx) == hash(listed)
     assert ctx != Classification.from_columns((0, 1, 3), ("a",), (0b101,))

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from theorylattice.errors import ParseError, SizeCapError
 from theorylattice.fca import (
     Classification,
+    ConceptLattice,
     FormalConcept,
     basic_theorem_roundtrip,
     concept_lattice,
@@ -35,6 +36,7 @@ from oracles import (
     order_join,
     order_meet,
     random_context,
+    reference_rows,
 )
 
 
@@ -256,6 +258,19 @@ class TestBasicTheorem:
             assert basic_theorem_roundtrip(lat) == ctx
             assert density_report(lat) == (True, True)
 
+    @pytest.mark.parametrize("tamper", ["intent", "extent"])
+    def test_density_fails_on_a_pair_that_is_not_a_concept(self, ctx3, tamper):
+        # concept 1 is ({1}, {a, b}): drop b from its intent, or add 3 to its extent
+        lat = concept_lattice(ctx3)
+        extents, intents = list(lat._extents), list(lat._intents)
+        assert (extents[1], intents[1]) == (0b001, 0b011)
+        if tamper == "intent":
+            intents[1] ^= 0b010
+        else:
+            extents[1] |= 0b100
+        forged = ConceptLattice(ctx3, tuple(extents), tuple(intents), ctx3, tuple(extents))
+        assert density_report(forged) == (False, False)
+
     def test_roundtrip_on_the_m_classification(self):
         # 256 models and 20 sentences; many models share a row
         sig = parse_signature(M_SIG)
@@ -264,7 +279,7 @@ class TestBasicTheorem:
         )
         ctx = tc.classification
         assert (len(ctx.instances), len(ctx.types)) == (256, 20)
-        assert len(set(ctx._rows)) < len(ctx.instances)
+        assert len(set(reference_rows(ctx))) < len(ctx.instances)
         assert basic_theorem_roundtrip(concept_lattice(ctx)) == ctx
 
 

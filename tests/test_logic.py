@@ -753,6 +753,20 @@ def test_structure_validation():
     sig = parse_signature("entity E\nconstant c : E")
     with pytest.raises(ValueError, match="missing denotations"):
         Structure.make(sig, {"E": ["a"]})
+    # the constructor itself, past make's check of the constant names
+    with pytest.raises(ValueError, match="^unknown constant 'k'$"):
+        Structure(SIG, (("E", ("a",)),), (("P", ()), ("Q", ())), (("k", "a"),))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: format_formula(42), "not a formula: 42"), (lambda: canonicalize("P(a)"), "not a formula: 'P(a)'")],
+    ids=["format_formula", "canonicalize"],
+)
+def test_formula_walkers_refuse_a_non_formula(call, message):
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
