@@ -11,17 +11,14 @@ from the lattice order.
 
 Everything runs on Python-int bitsets: each type's column over instance
 positions, from which an instance's types are read.  Sets of ids
-appear only at the public API.  Every lookup of a concept in its lattice
-closes a type mask (``ConceptLattice._closing``): it ANDs one precomputed
-meet of columns per 8 types and finds the concept by that extent.
-
-Instances with equal rows cannot be told apart by any type, so merging
-them into row classes keeps the lattice isomorphic (object clarification,
-Ganter & Wille, *Formal Concept Analysis*, 1999, section 1.5).  When a
-classification has few row classes for its instances, as an enumerated
-model space does, the concepts are enumerated over the classes and
-lookups and covers run on masks over them; only the extents a caller
-reads are over the instances.
+appear only at the public API.  Instances with equal rows cannot be told
+apart by any type, so merging them into row classes keeps the lattice
+isomorphic (object clarification, Ganter & Wille, *Formal Concept
+Analysis*, 1999, section 1.5).  Every lattice is enumerated over the row
+classes and keeps each concept's intent and key, its extent over the
+classes; every lookup closes a type mask over them
+(``ConceptLattice._closing``).  An extent over the instances is computed
+where an instance is named, one at a time, and not kept.
 
 Instance and type ids are opaque hashable values supplied by the caller.
 """
@@ -44,7 +41,9 @@ Id = Hashable
 
 _BINARY_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 _CELLS = bytes.maketrans(b"01", b".X")  # binary digits as cxt cells
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# byte b to 255 minus b bit-reversed: translated, the little-endian bytes of
+# two masks of one width sort the mask holding their lowest differing bit first
+_LOW_BIT_FIRST = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 _WORD_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # native unsigned words by byte size
 
 
@@ -190,12 +189,6 @@ def _words(columns: Sequence[int], width: int) -> list[int]:
     return memoryview(buf).cast(_WORD_FORMAT[size]).tolist()
 
 
-def _reversed(mask: int, width: int) -> int:
-    """The ``width``-bit mask with its bit order reversed."""
-    little = mask.to_bytes((width + 7) >> 3, "little")
-    return int.from_bytes(little.translate(_REVERSED_BYTE), "big")
-
-
 def _positions(ids: Iterable[Id], position: Callable[[Id], int | None], what: str) -> list[int]:
     """The positions of the ids, found by ``position``; an unknown id is a ValueError."""
     found = {x: position(x) for x in set(ids)}
@@ -203,14 +196,6 @@ def _positions(ids: Iterable[Id], position: Callable[[Id], int | None], what: st
     if unknown:
         raise ValueError(f"unknown {what} id {sorted(map(repr, unknown))[0]}")
     return list(found.values())
-
-
-# Row classes are used when there are at most this many per instance.  On
-# narrow masks they cost more than they save: on M (124 classes of 256
-# models), on M with its models repeated and on random contexts, lattice
-# plus covers gained at this ratio and below from about 1500 instances up,
-# and lost a fraction of a millisecond on a few hundred.
-_CLASS_RATIO = 1 / 16
 
 
 class Classification(Value):
@@ -298,11 +283,18 @@ class Classification(Value):
         return hash((self.types, self._columns))
 
     def _position(self, instance: Id) -> int | None:
-        """The position of an instance id, or ``None``: a ``range`` answers
-        by arithmetic, other ids from the map ``_set_ids`` built."""
-        if isinstance(self.instances, range):
-            return self.instances.index(instance) if instance in self.instances else None
-        return self._ipos.get(instance)
+        """The position of an instance id, or ``None``.  Ids other than a
+        ``range`` answer from the map ``_set_ids`` built.  A ``range`` scans
+        for an id that is not an int, so it is asked for ``int(id)``, the
+        one int such an id (``5.0``) can equal."""
+        ids = self.instances
+        if not isinstance(ids, range):
+            return self._ipos.get(instance)
+        try:
+            k = int(instance)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        return ids.index(k) if k == instance and k in ids else None
 
     @classmethod
     def make(
@@ -347,37 +339,50 @@ class Classification(Value):
     def _type_ids(self, intent: int) -> frozenset[Id]:
         return frozenset(_select(self.types, intent))
 
+    def _members(self, row: int) -> int:
+        """The instances whose row is the type mask ``row``: the AND of its
+        columns, less the union of the others."""
+        others = reduce(operator.or_, _select(self._columns, (1 << len(self.types)) - 1 ^ row), 0)
+        return self._extent(row) & ~others
 
-def _row_quotient(ctx: Classification, limit: float = float("inf")) -> Classification | None:
-    """The classification of the row classes: the instances with equal rows.
+    @cached_property
+    def _classes(self) -> tuple["Classification", tuple[int, ...]]:
+        """The row classes and their sizes (:func:`_row_classes`)."""
+        return _row_classes(self)
 
-    The full instance mask is split by each column in turn, each part
-    keeping the types it lies in.  Refining stops, returning ``None``, as
-    soon as there are more than ``limit`` parts.  Class ``c`` is the part
-    with the ``c``-th lowest first instance, so two masks over the classes
-    compare by their lowest bits as their instance masks do.  Each class
-    lies wholly inside or outside each column, so the class columns are
-    exact.
+
+def _row_classes(ctx: Classification) -> tuple[Classification, tuple[int, ...]]:
+    """The classification of the row classes, the instances with equal
+    rows, and each class's number of instances.
+
+    The rows are counted 2^16 instances at a time: the chunk is split by
+    each column's bytes over it in turn, each part keeping the types it
+    lies in, and a dict keeps each row with its count and first instance.
+    Class ``c`` is the row with the ``c``-th lowest first instance, so
+    masks over the classes compare by their lowest bits as their instance
+    masks do.
     """
-    parts = [(ctx._full, 0)] if ctx._full else []
-    for j, col in enumerate(ctx._columns):
-        if len(parts) > limit:
-            break
-        rest = ctx._full ^ col
-        parts = [
-            (m, r)
-            for mask, row in parts
-            for m, r in ((mask & col, row | 1 << j), (mask & rest, row))
-            if m
-        ]
-    if len(parts) > limit:
-        return None
-    parts.sort(key=lambda part: (part[0] ^ (part[0] - 1)).bit_length())
+    n = len(ctx.instances)
+    data = [col.to_bytes((n + 7) >> 3, "little") for col in ctx._columns]
+    rows: dict[int, list[int]] = {}
+    for lo in range(0, n, 1 << 16):
+        hi = min(lo + (1 << 16), n)
+        full = (1 << hi - lo) - 1
+        parts = [(full, 0)]
+        for j, column in enumerate(data):
+            col = int.from_bytes(column[lo >> 3 : (hi + 7) >> 3], "little")
+            rest = full ^ col
+            parts = [(m, r) for p, row in parts for m, r in ((p & col, row | 1 << j), (p & rest, row)) if m]
+        for mask, row in parts:
+            counted = rows.setdefault(row, [0, lo + (mask & -mask).bit_length() - 1])
+            counted[0] += mask.bit_count()
+    ordered = sorted(rows.items(), key=lambda item: item[1][1])
     columns = [0] * len(ctx.types)
-    for c, (_, row) in enumerate(parts):
+    for c, (row, _) in enumerate(ordered):
         for j in _bits(row):
             columns[j] |= 1 << c
-    return Classification.from_columns(range(len(parts)), ctx.types, tuple(columns))
+    space = Classification.from_columns(range(len(ordered)), ctx.types, tuple(columns))
+    return space, tuple(count for _, (count, _) in ordered)
 
 
 def derive_types(ctx: Classification, instances: Iterable[Id]) -> frozenset[Id]:
@@ -408,53 +413,49 @@ def is_formal_concept(ctx: Classification, extent: Iterable[Id], intent: Iterabl
 class ConceptLattice(Value):
     """All formal concepts of a classification under the extent order.
 
-    Stored as each concept's extent and intent masks, in canonical order:
-    by extent size, then by the positions of the extent's instances.  The
-    first concept is the bottom, the last is the top.  The
+    Stored as each concept's intent and key masks, in canonical order: by
+    extent size, then by the positions of the extent's instances.  A key
+    is the extent over ``_space``, the row classes (:func:`_row_classes`),
+    on which lookups, the order and covers run; ``_meets`` holds the meet
+    tables of its columns (:func:`_meet_tables`).  An extent over the
+    instances is the AND of its intent's columns, computed where it is
+    read.  The first concept is the bottom, the last is the top.  The
     :class:`FormalConcept` objects are a view built on first use.
-
-    Lookups and covers run on ``_space``, the classification the concepts
-    were enumerated over (see :func:`concept_lattice`), and ``_keys`` holds
-    each concept's extent over it.  Over the instances, ``_space`` is the
-    classification and ``_keys`` is ``_extents``.  ``_meets`` holds the
-    meet tables of the ``_space`` columns (:func:`_meet_tables`), built
-    with the lattice.
     """
 
-    _fields = ("classification", "_extents", "_intents", "_space", "_keys")
-    _compared, _shown = _fields[:3], _fields[:1]
+    _fields = ("classification", "_intents", "_keys")
+    _compared, _shown = _fields[:2], _fields[:1]
     classification: Classification
-    _extents: tuple[int, ...]
     _intents: tuple[int, ...]
-    _space: Classification
     _keys: tuple[int, ...]
 
     def _check(self) -> None:
+        object.__setattr__(self, "_space", self.classification._classes[0])
         object.__setattr__(self, "_meets", _meet_tables(self._space))
 
     @cached_property
     def concepts(self) -> tuple[FormalConcept, ...]:
         ctx = self.classification
         return tuple(
-            FormalConcept(ctx._instance_ids(extent), ctx._type_ids(intent))
-            for extent, intent in zip(self._extents, self._intents)
+            FormalConcept(ctx._instance_ids(ctx._extent(intent)), ctx._type_ids(intent))
+            for intent in self._intents
         )
 
     @cached_property
-    def _by_extent(self) -> dict[int, int]:
-        """Each concept's position under its extent in ``_space``."""
-        return {e: k for k, e in enumerate(self._keys)}
+    def _by_key(self) -> dict[int, int]:
+        """Each concept's position under its key."""
+        return {key: k for k, key in enumerate(self._keys)}
 
     def _closing(self, intent: int) -> int:
         """The position of the concept whose intent is the closure of a type
         mask: the one lookup every concept operation goes through.  Each
         byte of the mask picks the meet of its 8 columns from their table,
-        so the extent over ``_space`` costs one AND per 8 types."""
-        extent = self._space._full
+        so the key costs one AND per 8 types."""
+        key = self._space._full
         for table in self._meets:
-            extent &= table[intent & 255]
+            key &= table[intent & 255]
             intent >>= 8
-        return self._by_extent[extent]
+        return self._by_key[key]
 
     def _find(self, concept: FormalConcept) -> int | None:
         """The position of a concept of this lattice, found by its intent."""
@@ -474,7 +475,7 @@ class ConceptLattice(Value):
 
     def leq(self, c1: FormalConcept, c2: FormalConcept) -> bool:
         """Subconcept order: smaller extent, equivalently larger intent."""
-        return self._extents[self.index(c1)] & ~self._extents[self.index(c2)] == 0
+        return self._keys[self.index(c1)] & ~self._keys[self.index(c2)] == 0
 
     @property
     def bottom(self) -> FormalConcept:
@@ -510,17 +511,17 @@ class ConceptLattice(Value):
     @cached_property
     def _covers(self) -> tuple[tuple[int, int], ...]:
         cols = self._space._columns
-        by_extent = self._by_extent
+        by_key = self._by_key
         intents = self._intents
         all_types = (1 << len(cols)) - 1
         columns = [(1 << m, col) for m, col in enumerate(cols)]
         edges = []
-        for k, (extent, intent) in enumerate(zip(self._keys, intents)):
+        for k, (key, intent) in enumerate(zip(self._keys, intents)):
             minimal = all_types & ~intent
             for bit, col in columns:
                 if intent & bit:
                     continue
-                low = by_extent[extent & col]
+                low = by_key[key & col]
                 # low's intent holds bit; m drops out if it holds another minimal type
                 if intents[low] & minimal != bit:
                     minimal ^= bit
@@ -538,11 +539,9 @@ def _meet_tables(space: Classification) -> tuple[tuple[int, ...], ...]:
     doubles the table.
 
     The tables hold at most 32 masks per column of ``space``, each no
-    wider: 528 masks of 256 bits on M.  They belong to the lattice, whose
-    ``_space`` is narrow whenever its instances have few row classes, and
-    not to :class:`Classification`: over a model-wide space they would be
-    far larger (W20's 12 columns over 2^20 models: 272 masks of 128 KB,
-    about 34 MB).
+    wider: 528 masks of 124 bits on M.  They are built over the row
+    classes, never over the instances: over W20's 2^20 models they would
+    hold 272 masks of 128 KB, about 34 MB, against 272 of 102 bits.
     """
     tables = []
     for g in range(0, len(space._columns), 8):
@@ -554,52 +553,49 @@ def _meet_tables(space: Classification) -> tuple[tuple[int, ...], ...]:
 
 
 def concept_lattice(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
-    """Enumerate all formal concepts of a classification (see :func:`_concepts`).
-
-    When it has at most :data:`_CLASS_RATIO` row classes per instance (see
-    :func:`_row_quotient`), the concepts are enumerated over the classes,
-    otherwise over the instances.
-    """
-    quotient = _row_quotient(ctx, len(ctx.instances) * _CLASS_RATIO)
-    return _concepts(ctx, ctx if quotient is None else quotient, cap)
+    """Enumerate all formal concepts of a classification over its row
+    classes (see :func:`_row_classes` and :func:`_concepts`)."""
+    return ConceptLattice(ctx, *_concepts(*ctx._classes, cap))
 
 
-def _concepts(ctx: Classification, space: Classification, cap: int) -> ConceptLattice:
-    """The concept lattice of ``ctx``, enumerated over ``space``: ``ctx``
-    itself or its row classes, whose lattice is isomorphic.
+def _concepts(space: Classification, weights: Sequence[int], cap: int) -> tuple[tuple[int, ...], ...]:
+    """The intents and the keys of the concepts of the row classes
+    ``space``, class ``c`` holding ``weights[c]`` instances, in canonical order.
 
-    Every extent is an intersection of columns, the empty intersection
-    being the full mask.  One pass over the columns of ``space`` keeps each
-    extent found so far with its intent over the columns seen so far:
-    column ``j`` adds ``extent & column[j]`` for every extent, with the
-    union of the intents meeting there plus ``j``.  After the last column
-    the entries are exactly the concepts.  The entries only grow and each
-    ends up a concept, so this raises as soon as, after any column (or with
-    no columns at all), more than ``cap`` extents have been found.
+    Every key is an intersection of columns, the full mask the empty one.
+    One pass over the columns keeps each key found so far with its intent
+    over the columns seen so far: column ``j`` adds ``key & column[j]`` for
+    every key, with the union of the intents meeting there plus ``j``.  The
+    entries only grow and each ends up a concept, so this raises as soon as
+    more than ``cap`` keys are found after any column (or with none).
 
-    The concepts are sorted by the size of their instance mask, then by
-    their mask over ``space`` bit-reversed, descending: of two masks, the
-    one holding the lowest bit where they differ comes first.  The classes
-    are numbered by their first instance, so masks over them compare as
-    their instance masks do.
+    The concepts are sorted by their number of instances, summed in C from
+    bit-sliced weights (slice ``b`` holds the classes whose weight has bit
+    ``b`` set), then by the lowest class where their keys differ, the key
+    holding it first (:data:`_LOW_BIT_FIRST`).  Classes are numbered by
+    their first instance, so this is also the order of the instance masks.
     """
     closed = {space._full: 0}
     for j, col in enumerate(space._columns):
         if len(closed) > cap:
             break
         bit = 1 << j
-        for extent, intent in list(closed.items()):
-            meet = extent & col
+        for key, intent in list(closed.items()):
+            meet = key & col
             closed[meet] = closed.get(meet, 0) | intent | bit
     if len(closed) > cap:
         raise SizeCapError("concept enumeration", f"more than {cap}", cap)
-    width = len(space.instances)
-    found = sorted(
-        ((key if space is ctx else ctx._extent(intent), key, intent) for key, intent in closed.items()),
-        key=lambda c: (c[0].bit_count(), -_reversed(c[1], width)),
-    )
-    extents, keys, intents = zip(*found)
-    return ConceptLattice(ctx, extents, intents, space, extents if space is ctx else keys)
+    keys = list(closed)
+    sizes = [0] * len(keys)
+    for b in range(max(weights, default=0).bit_length()):
+        held = _mask((c for c, w in enumerate(weights) if w >> b & 1), len(weights))
+        counts = map(int.bit_count, map(held.__and__, keys))
+        sizes = list(map(operator.add, sizes, map(operator.lshift, counts, itertools.repeat(b))))
+    size = (len(weights) + 7) >> 3
+    little = map(int.to_bytes, keys, itertools.repeat(size), itertools.repeat("little"))
+    order = map(bytes.translate, little, itertools.repeat(_LOW_BIT_FIRST))
+    _, _, intents, keys = zip(*sorted(zip(sizes, order, closed.values(), keys)))
+    return intents, keys
 
 
 def lattice_meet(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
@@ -624,17 +620,15 @@ def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> Form
     return lat.concepts[lat._closing(intent)]
 
 
-def _object_concepts(lat: ConceptLattice) -> Iterator[tuple[int, int]]:
-    """Each concept that is the object concept of some instances, with the
-    mask of those instances.  Concepts are listed by extent size, so the
-    first one whose extent holds an instance is its least concept; the
-    extents over ``_space``, ``_keys``, tell which concepts those are."""
-    seen = seen_narrow = 0
-    for k, narrow in enumerate(lat._keys):
-        if narrow & ~seen_narrow:
-            seen_narrow |= narrow
-            yield k, lat._extents[k] & ~seen
-            seen |= lat._extents[k]
+def _object_concepts(lat: ConceptLattice) -> Iterator[int]:
+    """The position of each object concept, the least concept holding a row
+    class, whose intent is that class's row: the first key holding it, as
+    concepts are listed by extent size.  No two classes share one."""
+    seen = 0
+    for k, key in enumerate(lat._keys):
+        if key & ~seen:
+            seen |= key
+            yield k
 
 
 def basic_theorem_roundtrip(lat: ConceptLattice) -> Classification:
@@ -644,14 +638,18 @@ def basic_theorem_roundtrip(lat: ConceptLattice) -> Classification:
     instance's concept lies inside the extent of the type's concept; for a
     lattice built by ``concept_lattice`` this returns the original
     classification.  Instances with equal rows share a concept, so each
-    object concept and each type is visited once.
+    object concept and type is visited once, the order read from the keys;
+    an object concept's instances are computed from its intent.
     """
     ctx = lat.classification
-    below = [(lat._extents[k], members) for k, members in _object_concepts(lat)]
-    above = [lat._extents[lat._closing(1 << q)] for q in range(len(ctx.types))]
-    # the member masks are disjoint, so the sum of some is their union
-    columns = tuple(sum(m for e, m in below if e & ~a == 0) for a in above)
-    return Classification.from_columns(ctx.instances, ctx.types, columns)
+    above = [lat._keys[lat._closing(1 << q)] for q in range(len(ctx.types))]
+    columns = [0] * len(above)
+    for k in _object_concepts(lat):
+        members, key = ctx._members(lat._intents[k]), lat._keys[k]
+        for q, a in enumerate(above):
+            if key & ~a == 0:
+                columns[q] |= members
+    return Classification.from_columns(ctx.instances, ctx.types, tuple(columns))
 
 
 def density_report(lat: ConceptLattice) -> tuple[bool, bool]:
@@ -659,15 +657,17 @@ def density_report(lat: ConceptLattice) -> tuple[bool, bool]:
 
     Each concept must be the join of the instance concepts of its extent
     (their intents meet in the extent's intent) and the meet of the type
-    concepts of its intent (their extents are the columns).
+    concepts of its intent (their extents are the columns).  Instances
+    with equal rows have one instance concept, so both are read over the
+    row classes, from each concept's key.
     """
-    ctx = lat.classification
+    space = lat._space
     join_dense = meet_dense = True
-    for extent, intent in zip(lat._extents, lat._intents):
-        joined = ctx._intent(extent)
-        join_dense = join_dense and (ctx._extent(joined), joined) == (extent, intent)
-        met = ctx._extent(intent)
-        meet_dense = meet_dense and (met, ctx._intent(met)) == (extent, intent)
+    for key, intent in zip(lat._keys, lat._intents):
+        joined = space._intent(key)
+        join_dense = join_dense and (space._extent(joined), joined) == (key, intent)
+        met = space._extent(intent)
+        meet_dense = meet_dense and (met, space._intent(met)) == (key, intent)
     return join_dense, meet_dense
 
 
@@ -810,18 +810,18 @@ def _dot_records(lat: ConceptLattice, name: str) -> Iterator[str]:
     """The header, one line per node, one per cover edge and the closing
     brace, each with its newline.
 
-    The covers and the attachment of every type and of every object
-    concept's instance mask are computed before the records are returned;
-    a node's label is rendered when its record is asked for.  The instance
-    names are joined by :class:`_BlockJoin`: ids ``range(n)``, as a truth
-    classification's, are rendered from fixed numeral tables, other ids
-    from one string per instance.
+    The covers and the nodes of every type and every row class are found
+    before the records are returned; a node's label is rendered when its
+    record is asked for, an object concept's instances computed from its
+    intent.  The instance names are joined by :class:`_BlockJoin`: ids
+    ``range(n)``, as a truth classification's, are rendered from fixed
+    numeral tables, other ids from one string per instance.
     """
-    ctx = lat.classification
-    types: list[list[str]] = [[] for _ in lat._extents]
+    ctx, intents = lat.classification, lat._intents
+    types: list[list[str]] = [[] for _ in intents]
     for q, t in enumerate(ctx.types):
         types[lat._closing(1 << q)].append(str(t))
-    members = dict(_object_concepts(lat))
+    members = set(_object_concepts(lat))
     # the member masks are disjoint, so no block of names repeats: cache none
     join = _BlockJoin(ctx.instances, ", ", 0)
     nodes = [f"c{k}" for k in range(len(types))]
@@ -830,7 +830,7 @@ def _dot_records(lat: ConceptLattice, name: str) -> Iterator[str]:
     def node(k: int) -> str:
         parts = [f"t: {', '.join(types[k])}"] if types[k] else []
         if k in members:
-            parts.append(f"i: {join(members[k])}")
+            parts.append(f"i: {join(ctx._members(intents[k]))}")
         label = "\\n".join(map(_dot_escape, parts)) or nodes[k]
         return f'  {nodes[k]} [label="{label}"];\n'
 
@@ -845,13 +845,14 @@ def _dot_records(lat: ConceptLattice, name: str) -> Iterator[str]:
 
 def _concept_records(lat: ConceptLattice) -> Iterator[str]:
     """The ``ctx concepts`` text listing: a count line, then one line per
-    concept with its extent and intent names sorted."""
+    concept with its extent and intent names sorted; an extent is computed
+    from its intent when its record is asked for."""
     ctx = lat.classification
     objects, attributes = tuple(map(str, ctx.instances)), tuple(map(str, ctx.types))
-    header = f"concepts: {len(lat._extents)}\n"
+    header = f"concepts: {len(lat._intents)}\n"
     records = (
-        f"concept {k}: extent {{{', '.join(sorted(_select(objects, extent)))}}} "
+        f"concept {k}: extent {{{', '.join(sorted(_select(objects, ctx._extent(intent))))}}} "
         f"intent {{{', '.join(sorted(_select(attributes, intent)))}}}\n"
-        for k, (extent, intent) in enumerate(zip(lat._extents, lat._intents))
+        for k, intent in enumerate(lat._intents)
     )
     return itertools.chain((header,), records)

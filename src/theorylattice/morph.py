@@ -655,13 +655,13 @@ def _shrinking_step(lat: TheoryLattice, image: Sequence[int]) -> tuple[int, int]
     is one of them.
     """
     concepts = lat.lattice
-    by_extent = concepts._by_extent
+    by_key = concepts._by_key
     columns = [(1 << m, column) for m, column in enumerate(concepts._space._columns)]
     for high, (key, intent) in enumerate(zip(concepts._keys, concepts._intents)):
         up = image[high]
         for bit, column in columns:
             if not intent & bit:
-                low = by_extent[key & column]
+                low = by_key[key & column]
                 if up & ~image[low]:
                     return low, high
     return None

@@ -11,7 +11,7 @@ sentences" (reverse theory inclusion).  The join of two closed theories
 is their intersection; the meet is the pool theory of their common models.
 The meet and :meth:`TheoryLattice.closure` close a pool mask by one lookup
 in the lattice and return its own theory object; :func:`closure`, which
-has no lattice, derives the closure from the classification.
+has no lattice, derives the closure over the classification's row classes.
 """
 
 from __future__ import annotations
@@ -203,11 +203,6 @@ class TruthClassification(Value):
             intent |= 1 << p
         return intent
 
-    def _close(self, intent: int) -> int:
-        """The double-prime closure of a mask over pool positions."""
-        ctx = self.classification
-        return ctx._intent(ctx._extent(intent))
-
     def _theory(self, intent: int) -> "ClosedTheory":
         """The closed theory of a closed intent: a view, no axiom set."""
         theory = object.__new__(ClosedTheory)
@@ -241,9 +236,10 @@ def closure(tc: TruthClassification, theory: Theory | Iterable[Formula]) -> Clos
     """The pool sentences true in every model of the theory.
 
     Axioms must come from the pool; this is the double-prime closure of
-    the underlying classification.
+    the underlying classification, taken over its row classes.
     """
-    return tc._theory(tc._close(tc._mask(theory)))
+    classes, _ = tc.classification._classes
+    return tc._theory(classes._intent(classes._extent(tc._mask(theory))))
 
 
 def entails(tc: TruthClassification, theory: Theory | Iterable[Formula], sentence: Formula) -> bool:
@@ -259,10 +255,10 @@ def entails(tc: TruthClassification, theory: Theory | Iterable[Formula], sentenc
 
 def theory_leq(tc: TruthClassification, t1: Theory | Iterable[Formula], t2: Theory | Iterable[Formula]) -> bool:
     """The theory order: t1 is below t2 when t1's closure contains t2's, that
-    is, when every model of t1 is a model of t2.  Axioms must come from the pool."""
-    ctx = tc.classification
-    models1 = ctx._extent(tc._mask(t1))
-    return models1 & ~ctx._extent(tc._mask(t2)) == 0
+    is, when every model of t1 is a model of t2.  Axioms must come from the
+    pool; the models are compared by their row classes."""
+    classes, _ = tc.classification._classes
+    return classes._extent(tc._mask(t1)) & ~classes._extent(tc._mask(t2)) == 0
 
 
 class TheoryLattice(Value):
@@ -298,7 +294,7 @@ class TheoryLattice(Value):
 
     def _closed(self, intent: int) -> ClosedTheory:
         """The theory of this lattice closing a mask over pool positions: one
-        lookup in the concept lattice, over the space it was enumerated on."""
+        lookup in the concept lattice, over its row classes."""
         return self.theories[self.lattice._closing(intent)]
 
     def __contains__(self, theory: ClosedTheory) -> bool:
@@ -326,8 +322,8 @@ class TheoryLattice(Value):
 
     def extent(self, theory: ClosedTheory) -> frozenset[int]:
         """The indices of the models satisfying the theory: its concept's
-        extent, as the lattice stores it."""
-        return frozenset(fca._bits(self.lattice._extents[self.index(theory)]))
+        extent, the AND of its axioms' columns."""
+        return frozenset(fca._bits(self.tc.classification._extent(self._intent(theory))))
 
     def closure(self, axioms: Theory | Iterable[Formula]) -> ClosedTheory:
         """The theory of this lattice closing pool axioms, as :func:`closure`
@@ -364,11 +360,13 @@ def object_concept(tc: TruthClassification, model: int | Structure) -> ClosedThe
 
 
 def attribute_concept(tc: TruthClassification, sentence: Formula) -> ClosedTheory:
-    """The entailment theory of a pool sentence: the closure of itself alone."""
+    """The entailment theory of a pool sentence: the closure of itself alone,
+    the pool sentences true in every row class of its column."""
     sentence, p = tc._lookup(sentence)
     if p is None:
         raise ValueError(f"unknown sentence {sentence_key(sentence)!r}: not in the pool")
-    return tc._theory(tc._close(1 << p))
+    classes, _ = tc.classification._classes
+    return tc._theory(classes._intent(classes._columns[p]))
 
 
 def lattice_text(lat: TheoryLattice) -> str:
@@ -390,7 +388,8 @@ def _text_records(lat: TheoryLattice) -> Iterator[str]:
 
     The covers and the record ids are built before the records are
     returned; a record is rendered when it is asked for.  Its ``models:``
-    line is joined from aligned blocks of the extent by
+    line is joined from aligned blocks of the extent, computed from the
+    intent for the record and dropped, by
     :class:`fca._BlockJoin`, handed the model ids ``range(n)`` themselves:
     a block that misses its cache is rendered from fixed numeral tables,
     and the cache holds at most as many characters as the extents hold
@@ -398,24 +397,23 @@ def _text_records(lat: TheoryLattice) -> Iterator[str]:
     lattice, not the number of models.
     """
     concepts = lat.lattice
-    ids = [str(k) for k in range(len(concepts._extents))]
+    ids = [str(k) for k in range(len(concepts._intents))]
     below: list[list[str]] = [[] for _ in ids]
     above: list[list[str]] = [[] for _ in ids]
     for low, high in concepts.covers():
         below[high].append(ids[low])
         above[low].append(ids[high])
     keys = lat.tc.pool_keys
-    instances = lat.tc.classification.instances
+    ctx = lat.tc.classification
+    instances = ctx.instances
     models = fca._BlockJoin(instances, " ", len(ids) * ((len(instances) + 7) >> 3))
     header = f"closed theories: {len(ids)}\nmodels: {len(instances)}\n"
     records = (
         f"\ntheory {k}\n"
         f"  axioms: {'; '.join(sorted(fca._select(keys, intent))) or '(none)'}\n"
-        f"  models: {models(extent) or '(none)'}\n"
+        f"  models: {models(ctx._extent(intent)) or '(none)'}\n"
         f"  covers: {' '.join(lower) or '(none)'}\n"
         f"  covered-by: {' '.join(upper) or '(none)'}\n"
-        for k, extent, intent, lower, upper in zip(
-            ids, concepts._extents, concepts._intents, below, above
-        )
+        for k, intent, lower, upper in zip(ids, concepts._intents, below, above)
     )
     return itertools.chain((header,), records)

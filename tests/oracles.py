@@ -4,8 +4,8 @@ Everything here recomputes expected values by a different method than
 the library: satisfaction by ground substitution, one model at a time,
 instead of bitset columns over a model set; structures by filtering the
 tuple space per relation instead of decoding a position; concepts by
-closing every subset, and in the library's order by NextClosure, instead
-of the intersection closure of the columns,
+closing every subset, and in the library's order by NextClosure over the
+instances, instead of the intersection closure of the row classes' columns,
 derivations on sets of pairs instead of bitsets, Hasse edges by scanning
 every triple instead of neighbour search, meets/joins by scanning the
 order relation, the adjunction by checking every pair of theories
@@ -21,9 +21,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
+from types import SimpleNamespace
 
 from theorylattice.errors import SizeCapError
-from theorylattice.fca import DEFAULT_CONCEPT_CAP, Classification, ConceptLattice
+from theorylattice.fca import DEFAULT_CONCEPT_CAP, Classification, FormalConcept
 from theorylattice.logic import (
     And,
     Atom,
@@ -159,8 +160,9 @@ def brute_covers(concepts) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(edges))
 
 
-def reference_next_closure(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
-    """The concept lattice by NextClosure over type sets (Ganter, 1984).
+def reference_next_closure(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> SimpleNamespace:
+    """The concept lattice by NextClosure over type sets (Ganter, 1984),
+    over the instances themselves.
 
     Intents are generated in lectic order.  A candidate type set is closed
     by ANDing its columns into an extent and taking every type whose
@@ -168,7 +170,9 @@ def reference_next_closure(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) 
     below each position is kept as a prefix, so a candidate costs one AND
     and one closure.  The concept list is then sorted canonically, by
     extent size, then by the list of the extent's instance positions.
-    Raises once more than ``cap`` concepts have been found.
+    Raises once more than ``cap`` concepts have been found.  Returns the
+    classification, the extent and intent masks in that order, and the
+    concepts as :class:`FormalConcept` objects of id sets.
     """
     cols = ctx._columns
     m = len(cols)
@@ -207,7 +211,12 @@ def reference_next_closure(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) 
 
     found.sort(key=size_then_positions)
     extents, intents = zip(*found)
-    return ConceptLattice(ctx, extents, intents, ctx, extents)
+
+    def ids(names, mask):
+        return frozenset(x for p, x in enumerate(names) if mask >> p & 1)
+
+    concepts = tuple(FormalConcept(ids(ctx.instances, e), ids(ctx.types, i)) for e, i in found)
+    return SimpleNamespace(classification=ctx, extents=extents, intents=intents, concepts=concepts)
 
 
 def set_derive_types(types, incidence, xs) -> frozenset:
@@ -218,6 +227,14 @@ def set_derive_types(types, incidence, xs) -> frozenset:
 def set_derive_instances(instances, incidence, ys) -> frozenset:
     """Y-prime by scanning the incidence pairs."""
     return frozenset(i for i in instances if all((i, t) in incidence for t in ys))
+
+
+def set_closure(ctx: Classification, intent: int) -> int:
+    """The double-prime closure of a type mask by the set derivations."""
+    ys = [t for q, t in enumerate(ctx.types) if intent >> q & 1]
+    xs = set_derive_instances(ctx.instances, ctx.incidence, ys)
+    closed = set_derive_types(ctx.types, ctx.incidence, xs)
+    return sum(1 << q for q, t in enumerate(ctx.types) if t in closed)
 
 
 def brute_closed_theories(models, pool) -> set[frozenset]:

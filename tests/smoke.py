@@ -167,13 +167,17 @@ def exports_w20(out: Path) -> None:
     91-95 MB on Python 3.10 to 3.13 (1.2-1.8, 0.7-0.9 and 0.8-0.9 s); they
     peaked at 157-175, 117-135 and 150-168 MB before.  With the cxt rows
     written from the columns, 2^16 to a record, and no table of rows, cxt
-    peaks at 47-53 MB (0.3-0.5 s, against 91-97 MB and 0.5-1.1 s).  Each
-    ceiling is about 30% over the highest of those peaks."""
+    peaks at 47-53 MB (0.3-0.5 s, against 91-97 MB and 0.5-1.1 s).  With
+    the lattice keeping no model-wide extent and its rows counted 2^16
+    models at a time, text, DOT and cxt peak at 81.8-81.9, 25.0-25.1 and
+    24.6 MB on Python 3.11 (1.4-1.5, 0.7 and 0.2-0.4 s; 103.1, 62.7 and
+    51.8 MB before).  Each ceiling is about 30% over the highest of the
+    latest peaks."""
     t = fixtures(out)
     want = {
-        "text": (170809744, "2e7f21ca6b97d10ad283db7dca0e780562408a9bbded77086c49155fad941e9c", 135),
-        "dot": (8343030, "2d16f9e4012dd5ba50b9162f00c39d9488183d22e1841bc82bd8de1874b4088d", 82),
-        "cxt": (20909377, "bc664ef74c071b4527e0e66ccf94092f70d7558c2cdb8294ff9949d3e09a6a61", 68),
+        "text": (170809744, "2e7f21ca6b97d10ad283db7dca0e780562408a9bbded77086c49155fad941e9c", 107),
+        "dot": (8343030, "2d16f9e4012dd5ba50b9162f00c39d9488183d22e1841bc82bd8de1874b4088d", 33),
+        "cxt": (20909377, "bc664ef74c071b4527e0e66ccf94092f70d7558c2cdb8294ff9949d3e09a6a61", 32),
     }
     for fmt, (size, digest, ceiling_mb) in want.items():
         n, sha, wall_s, peak_mb, code = piped("lattice", "--sig", t["w20.sig"], "--pool", t["w20.pool"],
@@ -182,6 +186,24 @@ def exports_w20(out: Path) -> None:
         assert code == 0, fmt
         assert (n, sha) == (size, digest), fmt
         assert peak_mb < ceiling_mb, f"{fmt}: {peak_mb:.1f} MB"
+
+
+def exports_w22(out: Path) -> None:
+    """W22: W20 plus ``constant c:E``, with W20's pool plus ``P(c)`` and
+    ``exists x:E. R(c,x)`` (2^22 models, past the default model cap, and
+    465 theories).  The DOT export is hashed as it is read from the pipe and
+    compared with the sha256 recorded while the lattice kept one model-wide
+    extent per concept (3.8-4.5 s, peak 361.1 MB); its wall seconds and
+    peak RSS are printed.  On the row classes alone it peaks at 51.4-51.5 MB
+    on Python 3.11 (3.0-3.9 s); the ceiling is about 30% over that."""
+    t = fixtures(out, {"w22.sig": FILES["w20.sig"] + "constant c:E\n",
+                       "w22.pool": FILES["w20.pool"] + "P(c)\nexists x:E. R(c,x)\n"})
+    n, sha, wall_s, peak_mb, code = piped("lattice", "--sig", t["w22.sig"], "--pool", t["w22.pool"],
+                                          "--carriers", "E=a,b,c,d", "--cap-models", "4194304", "--format", "dot")
+    print(f"dot: {n} bytes, {wall_s:.2f} s, peak RSS {peak_mb:.1f} MB")
+    assert code == 0
+    assert (n, sha) == (36672850, "e24c43ae66adc872e63189747934eabbcadc3f9d6b70b2374487670c06904189")
+    assert peak_mb < 67, f"{peak_mb:.1f} MB"
 
 
 def dot_l(out: Path) -> None:
@@ -398,8 +420,8 @@ def bench_smoke(out: Path) -> None:
             sys.exit(f"{workload}: {n} operations failed")
 
 
-CHECKS = {check.__name__: check for check in (interp_at_scale, map_reader, listed_models, exports_w20, dot_l,
-                                              concepts_m, nav_m, entry_point, reader_faults, startup_imports,
+CHECKS = {check.__name__: check for check in (interp_at_scale, map_reader, listed_models, exports_w20, exports_w22,
+                                              dot_l, concepts_m, nav_m, entry_point, reader_faults, startup_imports,
                                               bench_smoke)}
 
 

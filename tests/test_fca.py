@@ -260,15 +260,16 @@ class TestBasicTheorem:
 
     @pytest.mark.parametrize("tamper", ["intent", "extent"])
     def test_density_fails_on_a_pair_that_is_not_a_concept(self, ctx3, tamper):
-        # concept 1 is ({1}, {a, b}): drop b from its intent, or add 3 to its extent
+        # concept 1 is ({1}, {a, b}): drop b from its intent, or add 3 to its
+        # key, its extent over the row classes (one instance each here)
         lat = concept_lattice(ctx3)
-        extents, intents = list(lat._extents), list(lat._intents)
-        assert (extents[1], intents[1]) == (0b001, 0b011)
+        keys, intents = list(lat._keys), list(lat._intents)
+        assert (keys[1], intents[1]) == (0b001, 0b011)
         if tamper == "intent":
             intents[1] ^= 0b010
         else:
-            extents[1] |= 0b100
-        forged = ConceptLattice(ctx3, tuple(extents), tuple(intents), ctx3, tuple(extents))
+            keys[1] |= 0b100
+        forged = ConceptLattice(ctx3, tuple(intents), tuple(keys))
         assert density_report(forged) == (False, False)
 
     def test_roundtrip_on_the_m_classification(self):

@@ -243,9 +243,8 @@ def test_a_hand_built_closed_theory_equals_the_lattice_view_with_its_axioms():
 
 def test_fields_left_out_of_equality_and_repr():
     lattice = LAT.lattice
-    # the lookup space and its keys are left out
-    nowhere = Classification.make([], [], [])
-    other = ConceptLattice(lattice.classification, lattice._extents, lattice._intents, nowhere, ())
+    # the keys are left out
+    other = ConceptLattice(lattice.classification, lattice._intents, ())
     assert other == lattice and hash(other) == hash(lattice)
     cm = concept_morphism(IM, LAT, LAT)
     assert ConceptMorphism(IM, LAT, LAT, (), ()) == cm
