@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import sys
 from functools import cached_property, reduce
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -44,7 +43,6 @@ _CELLS = bytes.maketrans(b"01", b".X")  # binary digits as cxt cells
 # byte b to 255 minus b bit-reversed: translated, the little-endian bytes of
 # two masks of one width sort the mask holding their lowest differing bit first
 _LOW_BIT_FIRST = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
-_WORD_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # native unsigned words by byte size
 
 
 def _digits(mask: int) -> bytes:
@@ -167,26 +165,6 @@ def _pullbacks(masks: Iterable[int], positions: Sequence[int], width: int) -> li
         return [0 for _ in masks]
     pick = operator.itemgetter(*positions)
     return [int("".join(pick(bin(m)[:1:-1].ljust(width, "0")))[::-1], 2) for m in masks]
-
-
-def _words(columns: Sequence[int], width: int) -> list[int]:
-    """Transpose at most 64 bit columns over ``width`` positions: word ``i``
-    has bit ``k`` set when column ``k`` has bit ``i`` set.
-
-    Each run of eight columns becomes one byte per position (the sum of
-    the columns spread to one byte per bit, shifted by their place); the
-    bytes are interleaved into native unsigned words of 1, 2, 4 or 8
-    bytes, which a memoryview reads back in C.
-    """
-    size = 1 << (max(len(columns) + 7 >> 3, 1) - 1).bit_length()
-    buf = bytearray(width * size)
-    for g in range(0, len(columns), 8):
-        byte = sum(
-            int.from_bytes(_digits(col), "little") << k for k, col in enumerate(columns[g : g + 8])
-        )
-        at = g >> 3 if sys.byteorder == "little" else size - 1 - (g >> 3)
-        buf[at::size] = byte.to_bytes(width, "little")
-    return memoryview(buf).cast(_WORD_FORMAT[size]).tolist()
 
 
 def _positions(ids: Iterable[Id], position: Callable[[Id], int | None], what: str) -> list[int]:
@@ -420,7 +398,8 @@ class ConceptLattice(Value):
     tables of its columns (:func:`_meet_tables`).  An extent over the
     instances is the AND of its intent's columns, computed where it is
     read.  The first concept is the bottom, the last is the top.  The
-    :class:`FormalConcept` objects are a view built on first use.
+    :class:`FormalConcept` objects of ``concepts`` are a view built on
+    first use; a lookup builds only the one it returns.
     """
 
     _fields = ("classification", "_intents", "_keys")
@@ -435,11 +414,12 @@ class ConceptLattice(Value):
 
     @cached_property
     def concepts(self) -> tuple[FormalConcept, ...]:
-        ctx = self.classification
-        return tuple(
-            FormalConcept(ctx._instance_ids(ctx._extent(intent)), ctx._type_ids(intent))
-            for intent in self._intents
-        )
+        return tuple(map(self._concept, range(len(self._intents))))
+
+    def _concept(self, k: int) -> FormalConcept:
+        """The view of the concept at position ``k``, built alone."""
+        ctx, intent = self.classification, self._intents[k]
+        return FormalConcept(ctx._instance_ids(ctx._extent(intent)), ctx._type_ids(intent))
 
     @cached_property
     def _by_key(self) -> dict[int, int]:
@@ -463,7 +443,7 @@ class ConceptLattice(Value):
         if not isinstance(concept, FormalConcept) or not tpos.keys() >= concept.intent:
             return None
         k = self._closing(sum(1 << tpos[t] for t in concept.intent))
-        return k if self.concepts[k] == concept else None
+        return k if self._concept(k) == concept else None
 
     def __contains__(self, concept: FormalConcept) -> bool:
         return self._find(concept) is not None
@@ -479,23 +459,23 @@ class ConceptLattice(Value):
 
     @property
     def bottom(self) -> FormalConcept:
-        return self.concepts[0]
+        return self._concept(0)
 
     @property
     def top(self) -> FormalConcept:
-        return self.concepts[-1]
+        return self._concept(-1)
 
     def instance_concept(self, instance: Id) -> FormalConcept:
         """The embedding of an instance: ({i}'', {i}')."""
         ctx = self.classification
         (p,) = _positions([instance], ctx._position, "instance")
-        return self.concepts[self._closing(ctx._intent(1 << p))]
+        return self._concept(self._closing(ctx._intent(1 << p)))
 
     def type_concept(self, typ: Id) -> FormalConcept:
         """The embedding of a type: ({t}', {t}'')."""
         ctx = self.classification
         (q,) = _positions([typ], ctx._tpos.get, "type")
-        return self.concepts[self._closing(1 << q)]
+        return self._concept(self._closing(1 << q))
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse edges as (lower index, upper index) pairs.
@@ -606,7 +586,7 @@ def lattice_meet(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> Form
     intent = 0
     for c in concepts:
         intent |= lat._intents[lat.index(c)]
-    return lat.concepts[lat._closing(intent)]
+    return lat._concept(lat._closing(intent))
 
 
 def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
@@ -617,7 +597,7 @@ def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> Form
     intent = (1 << len(lat.classification.types)) - 1
     for c in concepts:
         intent &= lat._intents[lat.index(c)]
-    return lat.concepts[lat._closing(intent)]
+    return lat._concept(lat._closing(intent))
 
 
 def _object_concepts(lat: ConceptLattice) -> Iterator[int]:

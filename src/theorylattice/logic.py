@@ -1261,28 +1261,6 @@ class StructureSpace(collections.abc.Sequence):
     def _group(self) -> _Group:
         return _Group(self.signature, self._cs, (1 << self._count) - 1, self._atom, self._denotes)
 
-    def _positions(self, group: _Group) -> list[int]:
-        """The position in this space of each model of a group over the
-        space's signature and carriers, read off the group's columns: the
-        relation digits are its ground-atom columns transposed into words,
-        each constant digit the transposed binary digits of its denotation,
-        with no structure built."""
-        sig, width = self.signature, group.full.bit_length()
-        out = fca._words(
-            [group.atom(name, t) for name in reversed(sig.relation_names) for t in self._tuples[name]],
-            width,
-        )
-        for name in sig.constant_names:
-            elems = self._cs[sig.constant_sort(name)]
-            digits = [0] * (len(elems) - 1).bit_length()
-            for j, elem in enumerate(elems):
-                where = group.denotes(name, elem)
-                for b in fca._bits(j):
-                    digits[b] |= where
-            digit = fca._words(digits, width)
-            out = list(map(operator.add, map(len(elems).__mul__, out), digit))
-        return out
-
 
 def enumerate_structures(
     sig: Signature,

@@ -9,8 +9,8 @@ composed by the same code as every other map.  Maps compose (:func:`compose`, wi
 forward and pulls target models back to source models (reducts), and the
 contravariant pair (translate, reduct) is an infomorphism between truth
 classifications: a target model satisfies a translated sentence exactly
-when its reduct satisfies the original; over enumerated model spaces the
-reducts of all target models are located at once, from bit columns.  On
+when its reduct satisfies the original, which is checked a column at a
+time over the reducts of whole groups of models, with no map of them.  On
 the lattices of theories the pair induces an adjoint pair of monotone
 maps, verified at construction in unit/counit form, with monotonicity
 checked from each theory to the closures of it plus one pool sentence.
@@ -353,18 +353,6 @@ def reduct(h: Interpretation, model: Structure) -> Structure:
     return Structure.make(src, cs, relations, constants)
 
 
-def _reduct_positions(
-    h: Interpretation, models1: Sequence[Structure], models2: Sequence[Structure]
-) -> list[int] | None:
-    """The source position of each target model's reduct, read off the
-    columns of :func:`_reducts`; None unless both model sets are spaces and
-    each source sort's carrier is the carrier of its image sort."""
-    if not (isinstance(models1, StructureSpace) and isinstance(models2, StructureSpace)):
-        return None
-    reducts = _reducts(h, models2._group())
-    return models1._positions(reducts) if reducts.carrier == models1._cs else None
-
-
 # ---------------------------------------------------------------------------
 # Infomorphisms
 
@@ -424,38 +412,50 @@ def _transfer(
     position of ``b``-instance ``j``.  Each ``a``-column, read at the source
     positions, must equal the ``b``-column of its image."""
     pulled = fca._pullbacks(a._columns, source, len(a.instances))
-    diffs = [col ^ b._columns[q] for col, q in zip(pulled, image)]
+    return _witness([col ^ b._columns[q] for col, q in zip(pulled, image)], b.instances, a.types)
+
+
+def _witness(
+    diffs: Sequence[int], instances: Sequence[Hashable], types: Sequence[Hashable]
+) -> InfomorphismCheck:
+    """The outcome of a transfer check from the ``b``-instances where each
+    ``a``-type's two sides differ: the witness is the lowest such instance,
+    with the first type that differs there."""
     first = functools.reduce(operator.or_, diffs, 0)
     if not first:
         return InfomorphismCheck(True)
     j = (first & -first).bit_length() - 1
     k = next(k for k, diff in enumerate(diffs) if diff >> j & 1)
-    return InfomorphismCheck(False, (b.instances[j], a.types[k]))
+    return InfomorphismCheck(False, (instances[j], types[k]))
 
 
 class TruthInfomorphism(Value):
     """The contravariant pair induced by an interpretation.
 
     ``type_map`` sends each source pool sentence (by key) to its
-    translation's key; ``instance_map`` sends each target model index to
-    the index of its reduct, however :func:`truth_infomorphism` computed
-    it (from columns or one :func:`reduct` at a time).  The
-    satisfaction-transfer property is verified exhaustively at
+    translation's key.  No map of the models is kept: :meth:`map_model`
+    finds the index of one target model's reduct, and ``instance_map``
+    lists it for every target model, one :func:`reduct` each, when first
+    read.  The satisfaction-transfer property is verified exhaustively at
     construction and holds for every pair.
     """
 
-    _fields = ("interpretation", "source", "target", "type_map", "instance_map")
+    _fields = ("interpretation", "source", "target", "type_map")
     interpretation: Interpretation
     source: TruthClassification
     target: TruthClassification
     type_map: tuple[tuple[str, str], ...]
-    instance_map: tuple[int, ...]
 
     def _check(self) -> None:
         object.__setattr__(self, "_type_map", dict(self.type_map))
 
     def map_model(self, index: int) -> int:
-        return self.instance_map[index]
+        """The source model index of the reduct of target model ``index``."""
+        return self.source.models.index(reduct(self.interpretation, self.target.models[index]))
+
+    @functools.cached_property
+    def instance_map(self) -> tuple[int, ...]:
+        return tuple(map(self.map_model, range(len(self.target.models))))
 
 
 def _check_signatures(h: Interpretation, source: Signature, target: Signature) -> None:
@@ -480,15 +480,18 @@ def truth_infomorphism(
     ``tc1`` was built, so once the map's source is found to be its
     signature they are translated by :func:`_translate`, unchecked.
 
-    When both model sets are enumerated spaces and each source sort's
+    The transfer is checked a column at a time, with no map of the
+    models: for each group of target models that share their carriers,
+    each source pool sentence is evaluated over the group's reducts
+    (:func:`_reducts`) and compared with the target column of its image.
+    When the source models are an enumerated space and each source sort's
     carrier is the carrier of its image sort, every reduct is a source
-    model, and the instance map is read off bit columns over the target
-    space without building a structure (see :func:`_reduct_positions`).
-    Listed models and other carriers take the per-model path: one
-    :func:`reduct`, the public per-model function, per target model,
-    looked up among the source models; the first one missing is printed
-    in the error.  Either way the transfer is then checked for every
-    (target model, source sentence) pair, a column at a time.
+    model.  Otherwise (listed source models, other carriers) each target
+    model's reduct is built by :func:`reduct`, the public per-model
+    function, and looked up among the source models; the first one missing
+    is printed in the error.  A failing transfer names the lowest target
+    model where the two sides differ, with the first source sentence that
+    differs there.
     """
     _check_signatures(h, tc1.signature, tc2.signature)
     type_map: list[tuple[str, str]] = []
@@ -507,26 +510,29 @@ def truth_infomorphism(
             + "; ".join(missing)
         )
 
-    instance_map = _reduct_positions(h, tc1.models, tc2.models)
-    if instance_map is None:
-        instance_map = []
+    models1 = tc1.models
+    reducts = [_reducts(h, group) for group in tc2._satisfaction._groups]
+    if not (isinstance(models1, StructureSpace) and all(r.carrier == models1._cs for r in reducts)):
         for m in tc2.models:
             r = reduct(h, m)
-            try:
-                instance_map.append(tc1.models.index(r))
-            except ValueError:
+            if r not in models1:
                 raise InfomorphismError(
                     "reduct of a target model is not among the source models:\n"
                     + format_structure(r)
-                ) from None
+                )
 
-    check = _transfer(tc1.classification, tc2.classification, image, instance_map)
+    targets = tc2.classification._columns
+    diffs = [0] * len(image)
+    for group in reducts:
+        for k, (s, q) in enumerate(zip(tc1.pool, image)):
+            diffs[k] |= (_column(group, s, {}) ^ targets[q]) & group.full
+    check = _witness(diffs, tc2.classification.instances, tc1.pool_keys)
     if not check:
         j, t = check.witness
         raise InfomorphismError(
             f"satisfaction transfer fails at target model {j} and sentence {t!r}"
         )
-    return TruthInfomorphism(h, tc1, tc2, tuple(type_map), tuple(instance_map))
+    return TruthInfomorphism(h, tc1, tc2, tuple(type_map))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ derivations on sets of pairs, order-scanning meets and joins, closure and
 columns by the ground evaluator, the lazy structure space against a list
 built by filtering tuple spaces, the exports written from masks
 against renderings of the concept and theory objects, and the
-infomorphism's instance map and transfer check, read off columns,
-against one reduct per model, built by ground substitution, and the
-comparison of rows; and reducts against that ground-substitution reduct."""
+infomorphism's transfer check, which reads no source column, and its
+instance map against one reduct per model, built by ground substitution,
+and the comparison of rows; and reducts against that ground-substitution
+reduct."""
 
 from __future__ import annotations
 
@@ -49,8 +50,9 @@ from oracles import (
     set_derive_instances,
     set_derive_types,
 )
+from theorylattice import morph
 from theorylattice.cli import main
-from theorylattice.errors import SizeCapError
+from theorylattice.errors import InfomorphismError, SizeCapError
 from theorylattice.fca import (
     _LOW_BIT_FIRST,
     Classification,
@@ -62,7 +64,6 @@ from theorylattice.fca import (
     _pullbacks,
     _row_classes,
     _select,
-    _words,
     basic_theorem_roundtrip,
     concept_lattice,
     density_report,
@@ -89,7 +90,6 @@ from theorylattice.logic import (
     parse_signature,
 )
 from theorylattice.morph import (
-    _reduct_positions,
     check_infomorphism,
     concept_morphism,
     parse_interpretation,
@@ -1011,7 +1011,7 @@ def test_outside_structures_are_still_validated():
 
 
 # ---------------------------------------------------------------------------
-# The infomorphism from columns against one reduct per model and the row check
+# The infomorphism in column form against one reduct per model and the row check
 
 
 def st_to_m(elems: list[str]):
@@ -1075,15 +1075,6 @@ def test_rows_transpose_the_columns(count):
         columns = tuple(rng.getrandbits(n) for _ in range(count))
         ctx = Classification.from_columns(range(n), tuple(range(count)), columns)
         assert write_cxt(ctx) == reference_cxt(ctx, ""), n
-
-
-@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 16, 17, 33, 64])
-def test_words_transpose_columns(count):
-    rng = random.Random(count)
-    for width in (1, 7, 64, 129):
-        columns = [rng.getrandbits(width) for _ in range(count)]
-        want = [sum((col >> i & 1) << k for k, col in enumerate(columns)) for i in range(width)]
-        assert _words(columns, width) == want
 
 
 def test_pullbacks_read_masks_at_positions():
@@ -1188,25 +1179,107 @@ def test_building_the_l10_export_records_keeps_no_per_model_table():
         assert peak < 512 * 1024, peak
 
 
+def check_reference_instance_map(h, tc1, tc2, im) -> None:
+    """The transfer check reads no column that ``tc1`` stores, so they are
+    compared here: read at the positions of the reducts found by ground
+    substitution, they equal the target columns of the images; and
+    ``map_model`` and ``instance_map`` name those positions."""
+    want = reference_instance_map(h, tc1, tc2)
+    a, b = tc1.classification, tc2.classification
+    assert reference_check_infomorphism(a, b, dict(im.type_map), dict(enumerate(want)))
+    assert [im.map_model(j) for j in range(len(want))] == want
+    assert list(im.instance_map) == want
+
+
 def test_column_instance_map_matches_reducts_on_random_interpretations():
     for h, tc1, tc2 in interpretation_corpus(20261018, 40):
-        want = reference_instance_map(h, tc1, tc2)
-        assert _reduct_positions(h, tc1.models, tc2.models) == want
-        assert list(truth_infomorphism(h, tc1, tc2).instance_map) == want
+        check_reference_instance_map(h, tc1, tc2, truth_infomorphism(h, tc1, tc2))
 
 
 def test_column_instance_map_matches_reducts_on_st_to_m():
     h, tc1, tc2 = st_to_m(["a", "b"])
     assert len(tc2.models) == 256
-    assert list(truth_infomorphism(h, tc1, tc2).instance_map) == reference_instance_map(h, tc1, tc2)
+    check_reference_instance_map(h, tc1, tc2, truth_infomorphism(h, tc1, tc2))
 
 
 def test_column_instance_map_matches_reducts_on_seeded_st_to_m_over_three():
+    """At 300 seeded target positions of the 32768: ``map_model`` names
+    the reduct found by ground substitution, and ``tc1``'s stored row there
+    is the target row read through the images.  The map is never listed."""
     h, tc1, tc2 = st_to_m(["a", "b", "c"])
-    instance_map = truth_infomorphism(h, tc1, tc2).instance_map
-    assert len(instance_map) == 32768
+    im = truth_infomorphism(h, tc1, tc2)
+    a, b = tc1.classification, tc2.classification
+    image = [b._tpos[im._type_map[t]] for t in a.types]
     for j in random.Random(32768).sample(range(32768), 300):
-        assert instance_map[j] == tc1.models.index(oracle_reduct(h, tc2.models[j]))
+        p = tc1.models.index(oracle_reduct(h, tc2.models[j]))
+        assert im.map_model(j) == p
+        assert [col >> p & 1 for col in a._columns] == [b._columns[q] >> j & 1 for q in image]
+    assert "instance_map" not in vars(im)
+
+
+def test_column_check_over_listed_models_of_two_carriers():
+    """ST into M with listed models over E=a,b and E=a,c on both sides,
+    the target's two kinds interleaved: the check runs once per group of
+    target models, each over its own positions."""
+    h, st, m = st_to_m(["a", "b"])
+    sides = []
+    for tc, step in ((st, 1), (m, 9)):
+        ab, ac = (enumerate_structures(tc.signature, {"E": elems}) for elems in (["a", "b"], ["a", "c"]))
+        models = [model for pair in zip(ab[::step], ac[::step]) for model in pair]
+        sides.append(build_truth_classification(tc.signature, tc.pool, models=models))
+    tc1, tc2 = sides
+    assert len(tc2._satisfaction._groups) == 2
+    check_reference_instance_map(h, tc1, tc2, truth_infomorphism(h, tc1, tc2))
+
+
+def transfer_failure(h, tc1, tc2) -> str:
+    with pytest.raises(InfomorphismError) as info:
+        truth_infomorphism(h, tc1, tc2)
+    return str(info.value)
+
+
+def test_a_tampered_target_column_fails_with_the_oracle_witness():
+    """One bit of one image's target column flipped: the check names the
+    witness that the row check finds over the reducts built by ground
+    substitution."""
+    rng = random.Random(47)
+    for h, tc1, tc2 in interpretation_corpus(20261023, 20) + [st_to_m(["a", "b"])]:
+        type_map = dict(truth_infomorphism(h, tc1, tc2).type_map)
+        a, b = tc1.classification, tc2.classification
+        columns = list(b._columns)
+        columns[b._tpos[type_map[rng.choice(a.types)]]] ^= 1 << rng.randrange(len(b.instances))
+        tampered = Classification.from_columns(b.instances, b.types, tuple(columns))
+        object.__setattr__(tc2, "classification", tampered)
+        want = dict(enumerate(reference_instance_map(h, tc1, tc2)))
+        j, t = reference_check_infomorphism(a, tampered, type_map, want).witness
+        assert transfer_failure(h, tc1, tc2) == f"satisfaction transfer fails at target model {j} and sentence {t!r}"
+
+
+def test_a_wrong_reduct_atom_fails_with_the_oracle_witness(monkeypatch):
+    """T(a,b) read wrong in the reducts of two of the 256 M models: the
+    check names the witness that the row check finds at the source
+    positions of those wrong reducts."""
+    h, tc1, tc2 = st_to_m(["a", "b"])
+    type_map = dict(truth_infomorphism(h, tc1, tc2).type_map)
+    wrong_at = 1 << 37 | 1 << 200
+    positions = {}
+    for j, m in enumerate(tc2.models):
+        r = oracle_reduct(h, m)
+        if wrong_at >> j & 1:
+            relations = {"S": r.relation("S"), "T": r.relation("T") ^ {("a", "b")}}
+            r = Structure.make(r.signature, {"E": r.carrier("E")}, relations, {})
+        positions[j] = tc1.models.index(r)
+    j, t = reference_check_infomorphism(tc1.classification, tc2.classification, type_map, positions).witness
+    reducts = morph._reducts
+
+    def wrong(h, target):
+        group = reducts(h, target)
+        atom = group.atom
+        group.atom = lambda rel, tup: atom(rel, tup) ^ (wrong_at if (rel, tup) == ("T", ("a", "b")) else 0)
+        return group
+
+    monkeypatch.setattr(morph, "_reducts", wrong)
+    assert transfer_failure(h, tc1, tc2) == f"satisfaction transfer fails at target model {j} and sentence {t!r}"
 
 
 def test_reduct_matches_ground_substitution():
@@ -1230,11 +1303,9 @@ def test_reduct_matches_ground_substitution():
 @pytest.mark.parametrize("name", sorted(CONST_CASES))
 def test_column_instance_map_with_constants_and_a_sort_map(name):
     h, tc1, tc2 = constants_case(name)
-    want = reference_instance_map(h, tc1, tc2)
-    assert _reduct_positions(h, tc1.models, tc2.models) == want
     im = truth_infomorphism(h, tc1, tc2)
-    assert list(im.instance_map) == want
-    assert len(set(want)) > 1
+    check_reference_instance_map(h, tc1, tc2, im)
+    assert len(set(im.instance_map)) > 1
 
 
 def perturbed_maps(rng: random.Random, a: Classification, b: Classification, type_map, instance_map):

@@ -192,6 +192,38 @@ class TestConceptLattice:
             assert c in lat and lat.index(c) == k
 
 
+def test_lookups_build_only_the_concept_they_return():
+    """Over P, R on E=a,b,c (4096 models, 241 concepts) the lookups, the
+    bottom and the top, the embeddings, meets and joins each return the
+    concept that the derivations give, and none builds the concepts view."""
+    sig = parse_signature("entity E\nrelation P(E)\nrelation R(E,E)\n")
+    pool = [parse_sentence(sig, s) for s in M_POOL if "Q(" not in s]
+    ctx = build_truth_classification(sig, pool, carriers={"E": ["a", "b", "c"]}).classification
+    view = concept_lattice(ctx).concepts
+    assert len(ctx.instances) == 4096 and len(view) == 241
+
+    def closed(intent):
+        extent = derive_instances(ctx, intent)
+        return FormalConcept(extent, derive_types(ctx, extent))
+
+    lat = concept_lattice(ctx)
+    assert (lat.bottom, lat.top) == (view[0], view[-1])
+    rng = random.Random(241)
+    picks = rng.sample(range(len(view)), 12)
+    for k, m in zip(picks, picks[1:]):
+        c, d = view[k], view[m]
+        assert c in lat and lat.index(c) == k
+        assert lat.leq(c, d) == (c.extent <= d.extent)
+        assert lattice_meet(lat, [c, d]) == closed(c.intent | d.intent)
+        assert lattice_join(lat, [c, d]) == closed(c.intent & d.intent)
+    for i in rng.sample(range(4096), 12):
+        assert lat.instance_concept(i) == closed(derive_types(ctx, [i]))
+    for t in ctx.types:
+        assert lat.type_concept(t) == closed([t])
+    assert FormalConcept(frozenset(), frozenset()) not in lat
+    assert "concepts" not in vars(lat)
+
+
 class TestMeetJoin:
     def test_meet_examples(self, ctx3):
         lat = concept_lattice(ctx3)

@@ -669,9 +669,10 @@ def reduct_error(h, tc1, tc2) -> str | None:
 
 
 class TestReductPathsAgree:
-    """Listed models and mismatched carriers take the per-model path; its
-    instance map and its error text, witness model included, are those of
-    one reduct at a time."""
+    """Listed source models and mismatched carriers look each target model's
+    reduct up among the source models: the error text, witness model
+    included, is that of one reduct at a time.  Over listed models the
+    instance map is the reducts' positions."""
 
     @staticmethod
     def classifications(source, target):
@@ -787,7 +788,7 @@ class TestNonClosedPullback:
                     )
                     break
             assert want is not None
-            forced = TruthInfomorphism(h, tc1, tc2, tuple(type_map.items()), im.instance_map)
+            forced = TruthInfomorphism(h, tc1, tc2, tuple(type_map.items()))
             with pytest.raises(InfomorphismError) as exc:
                 concept_morphism(forced, lat1, lat2)
             assert str(exc.value) == want
