@@ -121,8 +121,13 @@ def _cap(text: str) -> int:
     return value
 
 
-def _add_caps(p: argparse.ArgumentParser) -> None:
+def _add_model_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap-models", type=_cap, default=DEFAULT_MODEL_CAP, metavar="N")
+
+
+def _add_caps(p: argparse.ArgumentParser) -> None:
+    """Both caps, for the commands that enumerate a lattice of theories."""
+    _add_model_cap(p)
     p.add_argument("--cap-concepts", type=_cap, default=fca.DEFAULT_CONCEPT_CAP, metavar="N")
 
 
@@ -332,14 +337,14 @@ def _lattice_options(p: argparse.ArgumentParser) -> None:
 
 def _close_options(p: argparse.ArgumentParser) -> None:
     _add_semantics(p)
-    _add_caps(p)
+    _add_model_cap(p)
     p.add_argument("--theory", required=True, metavar="FILE")
     p.set_defaults(func=cmd_close)
 
 
 def _entail_options(p: argparse.ArgumentParser) -> None:
     _add_semantics(p, pool_required=False)
-    _add_caps(p)
+    _add_model_cap(p)
     p.add_argument("--theory", required=True, metavar="FILE")
     p.add_argument("--query", required=True, metavar="SENTENCE")
     p.set_defaults(func=cmd_entail)
@@ -347,7 +352,7 @@ def _entail_options(p: argparse.ArgumentParser) -> None:
 
 def _leq_options(p: argparse.ArgumentParser) -> None:
     _add_semantics(p, pool_required=False)
-    _add_caps(p)
+    _add_model_cap(p)
     p.add_argument("--theory", required=True, metavar="FILE", help="the candidate lower theory")
     p.add_argument("--theory2", required=True, metavar="FILE", help="the candidate upper theory")
     p.set_defaults(func=cmd_leq)
@@ -383,7 +388,7 @@ def _interp_options(p: argparse.ArgumentParser) -> None:
         )
         _add_semantics(q)
         _add_semantics(q, prefix="dst-")
-        _add_caps(q)
+        (_add_caps if name == "apply" else _add_model_cap)(q)
         q.add_argument("--map", required=True, metavar="FILE")
         if name == "apply":
             q.add_argument("--direction", choices=("dir", "inv"), default="dir")

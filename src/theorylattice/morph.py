@@ -12,8 +12,9 @@ classifications: a target model satisfies a translated sentence exactly
 when its reduct satisfies the original, which is checked a column at a
 time over the reducts of whole groups of models, with no map of them.  On
 the lattices of theories the pair induces an adjoint pair of monotone
-maps, verified at construction in unit/counit form, with monotonicity
-checked from each theory to the closures of it plus one pool sentence.
+maps, each checked at construction against its definition: the direct
+image is the closure of the translated theory, the inverse image the
+preimage of a theory, closed.  The adjunction and monotonicity follow.
 """
 
 from __future__ import annotations
@@ -401,16 +402,6 @@ def check_infomorphism(
         if p is None:
             raise ValueError(f"instance {j!r} maps to unknown {instance_map[j]!r}")
         source.append(p)
-    return _transfer(a, b, image, source)
-
-
-def _transfer(
-    a: fca.Classification, b: fca.Classification, image: Sequence[int], source: Sequence[int]
-) -> InfomorphismCheck:
-    """The satisfaction-transfer check on positions: ``image[k]`` is the
-    ``b``-type position of ``a``-type ``k``, ``source[j]`` the ``a``-instance
-    position of ``b``-instance ``j``.  Each ``a``-column, read at the source
-    positions, must equal the ``b``-column of its image."""
     pulled = fca._pullbacks(a._columns, source, len(a.instances))
     return _witness([col ^ b._columns[q] for col, q in zip(pulled, image)], b.instances, a.types)
 
@@ -451,7 +442,10 @@ class TruthInfomorphism(Value):
 
     def map_model(self, index: int) -> int:
         """The source model index of the reduct of target model ``index``."""
-        return self.source.models.index(reduct(self.interpretation, self.target.models[index]))
+        p = self.source._model_position(reduct(self.interpretation, self.target.models[index]))
+        if p is None:
+            raise ValueError("reduct of the target model is not among the source models")
+        return p
 
     @functools.cached_property
     def instance_map(self) -> tuple[int, ...]:
@@ -488,10 +482,10 @@ def truth_infomorphism(
     carrier is the carrier of its image sort, every reduct is a source
     model.  Otherwise (listed source models, other carriers) each target
     model's reduct is built by :func:`reduct`, the public per-model
-    function, and looked up among the source models; the first one missing
-    is printed in the error.  A failing transfer names the lowest target
-    model where the two sides differ, with the first source sentence that
-    differs there.
+    function, and looked up among the source models by its hash or its
+    encoding; the first one missing is printed in the error.  A failing
+    transfer names the lowest target model where the two sides differ, with
+    the first source sentence that differs there.
     """
     _check_signatures(h, tc1.signature, tc2.signature)
     type_map: list[tuple[str, str]] = []
@@ -515,7 +509,7 @@ def truth_infomorphism(
     if not (isinstance(models1, StructureSpace) and all(r.carrier == models1._cs for r in reducts)):
         for m in tc2.models:
             r = reduct(h, m)
-            if r not in models1:
+            if tc1._model_position(r) is None:
                 raise InfomorphismError(
                     "reduct of a target model is not among the source models:\n"
                     + format_structure(r)
@@ -542,7 +536,8 @@ def truth_infomorphism(
 class ConceptMorphism(Value):
     """Monotone maps between two lattices of theories, adjoint in the
     inclusion form dir(C1) <= C2 iff C1 <= inv(C2) (axiom-set inclusion),
-    kept as the index of each theory's image in the other lattice."""
+    kept as the index of each theory's image in the other lattice; see
+    :func:`concept_morphism` for why they are."""
 
     _fields = ("infomorphism", "source", "target", "_dir", "_inv")
     _compared = _shown = _fields[:3]
@@ -574,15 +569,24 @@ def concept_morphism(
     lat1: TheoryLattice,
     lat2: TheoryLattice,
 ) -> ConceptMorphism:
-    """Build the adjoint pair and verify closedness and the adjunction.
+    """Build the adjoint pair, each map checked against its definition.
 
-    Each image is an intent mask closed in the other lattice.  The inverse
-    image of a target theory depends only on its sentences that are images
-    of source sentences, so it is computed, and checked to be closed (the
-    intent it closes to), once per distinct such set; a failure names the
-    first target theory, in lattice order, whose inverse image is not
-    closed.  Failures of either verification indicate an internal
-    inconsistency and raise with the witnessing theories.
+    With ``h`` the type map and ``cl2`` the closure of the target lattice,
+    ``dir(C1)`` is ``cl2(h[C1])``: the lattice's lookup of ``h[C1]`` must
+    have the intent that derivation over the target's row classes gives,
+    else the error names the source theory.  ``inv(C2)`` is the preimage
+    ``h^-1[C2]``, which must be closed.  It depends only on the sentences
+    of ``C2`` that are images of source sentences, so it is computed once
+    per distinct such set; a failure names the first target theory, in
+    lattice order, whose inverse image is not closed.
+
+    The two maps are then adjoint, and so monotone (Ganter & Wille 1999,
+    section 1.1; Davey & Priestley 2002, ch. 7).  ``cl2`` is extensive and
+    monotone and ``C2`` is closed, so ``dir(C1) <= C2`` iff
+    ``h[C1] <= C2`` iff ``C1 <= h^-1[C2] = inv(C2)``.  If ``C1 <= C1'``,
+    then ``C1 <= inv(dir(C1'))``, so ``dir(C1) <= dir(C1')``; ``inv`` is
+    monotone as preimages are.  Neither the order nor the covers of either
+    lattice are read.
     """
     if lat1.tc != im.source or lat2.tc != im.target:
         raise SignatureMismatchError("lattices do not match the infomorphism's classifications")
@@ -590,10 +594,17 @@ def concept_morphism(
     # target pool position of each source pool sentence's image; dir maps
     # an intent's bits through it and closes, inv pulls an intent back
     image = [ctx2._tpos[im._type_map[k]] for k in ctx1.types]
+    space2 = lat2.lattice._space
     dir_index: list[int] = []
-    for intent1 in lat1.lattice._intents:
+    for k, intent1 in enumerate(lat1.lattice._intents):
         mapped = fca._mask([image[p] for p in fca._bits(intent1)], len(ctx2.types))
-        dir_index.append(lat2.lattice._closing(mapped))
+        at = lat2.lattice._closing(mapped)
+        if lat2.lattice._intents[at] != space2._intent(space2._extent(mapped)):
+            raise InfomorphismError(
+                "direct image is not the closure for source theory "
+                f"{list(lat1.theories[k].keys())}: got {list(lat2.theories[at].keys())}"
+            )
+        dir_index.append(at)
     reach = fca._mask(image, len(ctx2.types))
     pulled: dict[int, int] = {}
     inv_index: list[int] = []
@@ -609,68 +620,7 @@ def concept_morphism(
                     f"{list(lat2.theories[k].keys())}: got {list(lat1.tc._theory(pre).keys())}"
                 )
         inv_index.append(at)
-
-    _check_adjunction(lat1, lat2, dir_index, inv_index)
     return ConceptMorphism(im, lat1, lat2, tuple(dir_index), tuple(inv_index))
-
-
-def _check_adjunction(
-    lat1: TheoryLattice, lat2: TheoryLattice, dir_index: Sequence[int], inv_index: Sequence[int]
-) -> None:
-    """Verify that dir and inv, as theory indices, are adjoint.
-
-    Monotone maps with dir(C1) <= C2 iff C1 <= inv(C2) for every pair are
-    exactly those with the unit C1 <= inv(dir(C1)) and the counit
-    dir(inv(C2)) <= C2 (Davey & Priestley, Introduction to Lattices and
-    Order, 2nd ed., ch. 7).  Monotonicity is checked along the steps of
-    :func:`_shrinking_step`: each is a pair of the order and every cover
-    edge is one, so a map monotone along them is monotone, and the Hasse
-    diagrams are not built.  A failure names the two theories of the
-    failing step, or of the failing unit or counit.
-    """
-    intents1, intents2 = lat1.lattice._intents, lat2.lattice._intents
-
-    def fail(what: str, la: TheoryLattice, a: int, lb: TheoryLattice, b: int):
-        return InfomorphismError(f"{what} at {list(la.theories[a].keys())} / {list(lb.theories[b].keys())}")
-
-    for lat, image, what in (
-        (lat1, [intents2[d] for d in dir_index], "direct"),
-        (lat2, [intents1[c] for c in inv_index], "inverse"),
-    ):
-        step = _shrinking_step(lat, image)
-        if step is not None:
-            low, high = step
-            raise fail(f"{what} image is not monotone", lat, low, lat, high)
-    for k, d in enumerate(dir_index):
-        if intents1[k] & ~intents1[inv_index[d]]:
-            raise fail("adjunction fails (unit)", lat1, k, lat2, d)
-    for k, c in enumerate(inv_index):
-        if intents2[dir_index[c]] & ~intents2[k]:
-            raise fail("adjunction fails (counit)", lat1, c, lat2, k)
-
-
-def _shrinking_step(lat: TheoryLattice, image: Sequence[int]) -> tuple[int, int] | None:
-    """The first step (low, high) of the lattice along which the image
-    intent ``image[high]`` is not inside ``image[low]``, or None.
-
-    A step goes from a theory ``high`` to ``low``, the theory closing its
-    intent plus one pool sentence outside it, found by one lookup over the
-    lattice's ``_space``.  Its ``low`` is below ``high``, and the steps are
-    the candidates of Lindig's neighbour algorithm (see
-    :meth:`~theorylattice.fca.ConceptLattice.covers`), so every cover edge
-    is one of them.
-    """
-    concepts = lat.lattice
-    by_key = concepts._by_key
-    columns = [(1 << m, column) for m, column in enumerate(concepts._space._columns)]
-    for high, (key, intent) in enumerate(zip(concepts._keys, concepts._intents)):
-        up = image[high]
-        for bit, column in columns:
-            if not intent & bit:
-                low = by_key[key & column]
-                if up & ~image[low]:
-                    return low, high
-    return None
 
 
 def is_theory_morphism(

@@ -89,14 +89,14 @@ class TruthClassification(Value):
     sentences, so the underlying classification is directly exportable.
     Both inputs are checked here, once.  ``models``, the lazy
     :class:`~theorylattice.logic.StructureSpace` of an enumeration or any
-    other sequence of structures (stored as a tuple, no two equal), must be
-    nonempty and over the signature.  The pool's sentences must be distinct
-    and canonical, and computing each one's column checks that it is closed
-    and well-typed.  The closed theories built from its members inside the
-    lattice need no re-validation.  Two classifications are equal when
-    their signatures, pools and models in order are, whether the models are
-    held by a space or a tuple; the hash reads the number of models, not
-    the models.
+    other sequence of structures (stored as a tuple, no two equal, with a
+    map of their positions), must be nonempty and over the signature.  The
+    pool's sentences must be distinct and canonical, and computing each
+    one's column checks that it is closed and well-typed.  The closed
+    theories built from its members inside the lattice need no
+    re-validation.  Two classifications are equal when their signatures,
+    pools and models in order are, whether the models are held by a space or
+    a tuple; the hash reads the number of models, not the models.
     """
 
     _fields = ("signature", "models", "pool")
@@ -116,8 +116,10 @@ class TruthClassification(Value):
             object.__setattr__(self, "models", models)
             if any(m.signature != self.signature for m in models):
                 raise SignatureMismatchError("model over a different signature")
-            if len(set(models)) != len(models):
+            positions = {m: k for k, m in enumerate(models)}
+            if len(positions) != len(models):
                 raise ValueError("duplicate structures in the model list")
+            object.__setattr__(self, "_model_pos", positions)
         if not models:
             raise ValueError("empty model set; the lattice of theories degenerates")
         if len(set(self.pool)) != len(self.pool):
@@ -163,6 +165,14 @@ class TruthClassification(Value):
     def models_of(self, axioms: Iterable[Formula]) -> frozenset[int]:
         """Indices of the models satisfying every axiom (pool-free)."""
         return frozenset(fca._bits(self._models_mask(axioms)))
+
+    def _model_position(self, model: Structure) -> int | None:
+        """The position of a model, or ``None``: a space answers from the
+        model's encoding, listed models from the map ``_check`` built."""
+        models = self.models
+        if isinstance(models, StructureSpace):
+            return models._encode(model)
+        return self._model_pos.get(model)
 
     def _lookup(self, sentence: Formula) -> tuple[Formula, int | None]:
         """The canonical form of a sentence and its pool position, if any.
@@ -350,10 +360,9 @@ def theory_meet(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> Close
 def object_concept(tc: TruthClassification, model: int | Structure) -> ClosedTheory:
     """The theory of a model: the pool sentences it satisfies."""
     if isinstance(model, Structure):
-        try:
-            model = tc.models.index(model)
-        except ValueError:
-            raise ValueError("unknown model: not in this classification") from None
+        model = tc._model_position(model)
+        if model is None:
+            raise ValueError("unknown model: not in this classification")
     if not 0 <= model < len(tc.models):
         raise ValueError(f"unknown model index {model}")
     return tc._theory(tc.classification._intent(1 << model))

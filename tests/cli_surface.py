@@ -148,7 +148,7 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
         (
             "usage: theorylattice close [-h] --sig FILE --pool FILE\n"
             "                           (--carriers SORT=e1,e2 | --model FILE)\n"
-            "                           [--cap-models N] [--cap-concepts N] --theory FILE\n"
+            "                           [--cap-models N] --theory FILE\n"
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
@@ -159,7 +159,6 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
             "                        (repeatable; ';' separates sorts)\n"
             "  --model FILE          an explicit model file (repeatable)\n"
             "  --cap-models N\n"
-            "  --cap-concepts N\n"
             "  --theory FILE\n"
         ),
         "",
@@ -170,8 +169,7 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
         (
             "usage: theorylattice entail [-h] --sig FILE [--pool FILE]\n"
             "                            (--carriers SORT=e1,e2 | --model FILE)\n"
-            "                            [--cap-models N] [--cap-concepts N] --theory FILE\n"
-            "                            --query SENTENCE\n"
+            "                            [--cap-models N] --theory FILE --query SENTENCE\n"
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
@@ -182,7 +180,6 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
             "                        (repeatable; ';' separates sorts)\n"
             "  --model FILE          an explicit model file (repeatable)\n"
             "  --cap-models N\n"
-            "  --cap-concepts N\n"
             "  --theory FILE\n"
             "  --query SENTENCE\n"
         ),
@@ -194,8 +191,7 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
         (
             "usage: theorylattice leq [-h] --sig FILE [--pool FILE]\n"
             "                         (--carriers SORT=e1,e2 | --model FILE)\n"
-            "                         [--cap-models N] [--cap-concepts N] --theory FILE\n"
-            "                         --theory2 FILE\n"
+            "                         [--cap-models N] --theory FILE --theory2 FILE\n"
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
@@ -206,7 +202,6 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
             "                        (repeatable; ';' separates sorts)\n"
             "  --model FILE          an explicit model file (repeatable)\n"
             "  --cap-models N\n"
-            "  --cap-concepts N\n"
             "  --theory FILE         the candidate lower theory\n"
             "  --theory2 FILE        the candidate upper theory\n"
         ),
@@ -305,8 +300,7 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
             "                                  (--carriers SORT=e1,e2 | --model FILE)\n"
             "                                  --dst-sig FILE --dst-pool FILE\n"
             "                                  (--dst-carriers SORT=e1,e2 | --dst-model FILE)\n"
-            "                                  [--cap-models N] [--cap-concepts N] --map\n"
-            "                                  FILE\n"
+            "                                  [--cap-models N] --map FILE\n"
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
@@ -323,7 +317,6 @@ CASES: dict[str, tuple[list[str], int, str, str]] = {
             "                        (repeatable; ';' separates sorts)\n"
             "  --dst-model FILE      an explicit model file (repeatable)\n"
             "  --cap-models N\n"
-            "  --cap-concepts N\n"
             "  --map FILE\n"
         ),
         "",

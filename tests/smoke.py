@@ -133,23 +133,38 @@ def map_reader(out: Path) -> None:
 
 
 def listed_models(out: Path) -> None:
-    """ST read into M over E=a,b, with the 256 M models written one to a file
-    in enumeration order and passed as --dst-model: interp check and the
-    inverse image of one M theory check the transfer over the listed
-    models' group, and their stdout must equal that of the same run over
-    --dst-carriers E=a,b, which checks it over the enumerated space."""
-    space = enumerate_structures(parse_signature(inputs.M_SIG), {"E": ["a", "b"]})
-    models = {f"m{k:03d}.model": format_structure(model) for k, model in enumerate(space)}
-    t = fixtures(out, models)
-    listed = [arg for name in models for arg in ("--dst-model", t[name])]
-    assert len(listed) == 2 * 256
-    common = ["--sig", t["st.sig"], "--pool", t["st.pool"], "--carriers", "E=a,b",
-              "--dst-sig", t["m.sig"], "--dst-pool", t["m.pool"], "--map", t["st_m.int"]]
-    for command in (["check"], ["apply", "--direction", "inv", "--theory", t["m.thy"]]):
-        got = cli("interp", *command, *common, *listed).stdout
-        want = cli("interp", *command, *common, "--dst-carriers", "E=a,b").stdout
-        print(command[0], repr(got))
-        assert got == want, command[0]
+    """ST read into M over E=a,b, with the 64 ST models and the 256 M models
+    written one to a file in enumeration order.  With the M models passed
+    as --dst-model, interp check and the inverse image of one M theory
+    check the transfer over the listed models' group; with the ST models
+    passed as --model, interp check and the direct image of one ST theory
+    look each target model's reduct up among the listed source models.
+    Each stdout must equal that of the same run over --carriers E=a,b and
+    --dst-carriers E=a,b, which checks it over the enumerated spaces."""
+    files = {"st.thy": "forall x:E. forall y:E. T(x,y) -> T(y,x)\nexists x:E. S(x)\n"}
+    names = {}
+    for side, sig in (("st", inputs.ST_SIG), ("m", inputs.M_SIG)):
+        space = enumerate_structures(parse_signature(sig), {"E": ["a", "b"]})
+        names[side] = [f"{side}{k:03d}.model" for k in range(len(space))]
+        files.update(zip(names[side], map(format_structure, space)))
+    t = fixtures(out, files)
+    assert (len(names["st"]), len(names["m"])) == (64, 256)
+    common = ["--sig", t["st.sig"], "--pool", t["st.pool"], "--dst-sig", t["m.sig"], "--dst-pool", t["m.pool"],
+              "--map", t["st_m.int"]]
+    source = ["--carriers", "E=a,b"]
+    target = ["--dst-carriers", "E=a,b"]
+    listed_source = [arg for name in names["st"] for arg in ("--model", t[name])]
+    listed_target = [arg for name in names["m"] for arg in ("--dst-model", t[name])]
+    for listed, command, models in (
+        ("source", ["check"], listed_source + target),
+        ("source", ["apply", "--direction", "dir", "--theory", t["st.thy"]], listed_source + target),
+        ("target", ["check"], source + listed_target),
+        ("target", ["apply", "--direction", "inv", "--theory", t["m.thy"]], source + listed_target),
+    ):
+        got = cli("interp", *command, *common, *models).stdout
+        want = cli("interp", *command, *common, *source, *target).stdout
+        print(f"listed {listed}:", *command[:3], repr(got))
+        assert got == want, (listed, command)
 
 
 def interp_w20(out: Path) -> None:

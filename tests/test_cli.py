@@ -705,6 +705,26 @@ class TestErrorExitCodes:
         assert main(["lattice", *pq_args(ws), "--cap-concepts", "3"]) == 3
         assert "exceeding the cap of 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["close", "--theory", "t"],
+            ["entail", "--theory", "t", "--query", "q"],
+            ["leq", "--theory", "t", "--theory2", "t"],
+            ["interp", "check", "--dst-sig", "s", "--dst-pool", "p", "--dst-carriers", "E=a", "--map", "m"],
+        ],
+        ids=["close", "entail", "leq", "interp check"],
+    )
+    def test_commands_that_enumerate_no_lattice_take_no_concept_cap(self, argv, capsys):
+        """These commands never read a concept cap, so they have none:
+        argparse refuses the option before any file is read."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--sig", "s", "--pool", "p", "--carriers", "E=a", "--cap-concepts", "3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: unrecognized arguments: --cap-concepts 3\n")
+
     @pytest.mark.parametrize("option", ["--cap-models", "--cap-concepts"])
     def test_a_negative_cap_is_an_argument_error(self, ws, capsys, option):
         with pytest.raises(SystemExit) as exc:
@@ -731,7 +751,13 @@ class TestErrorExitCodes:
                     parsers += [(f"{path} {name}", sub) for name, sub in action.choices.items()]
                 elif any(opt.startswith("--cap-") for opt in action.option_strings):
                     caps.append((path, action))
-        assert len(caps) == 2 * 8 + 1
+        # --cap-models on the eight commands that build a classification;
+        # --cap-concepts on the five that enumerate a lattice
+        assert sorted(path for path, action in caps if "--cap-concepts" in action.option_strings) == [
+            "theorylattice analogy", "theorylattice ctx concepts", "theorylattice interp apply",
+            "theorylattice lattice", "theorylattice nav",
+        ]
+        assert len(caps) == 8 + 5
         for path, action in caps:
             assert action.type("0") == 0, path
             with pytest.raises(argparse.ArgumentTypeError):

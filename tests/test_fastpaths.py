@@ -105,6 +105,7 @@ from theorylattice.truth import (
     build_truth_classification,
     closure,
     lattice_text,
+    object_concept,
     theory_join,
     theory_lattice,
     theory_leq,
@@ -1232,6 +1233,30 @@ def test_column_check_over_listed_models_of_two_carriers():
     check_reference_instance_map(h, tc1, tc2, truth_infomorphism(h, tc1, tc2))
 
 
+def test_listed_source_models_are_found_by_hash(monkeypatch):
+    """The 4096 ST models over E=a,b,c, then the 64 over E=a,b, listed as
+    the source of M over E=a,b: each target model's reduct is looked up by
+    its hash, not by a scan of the list, so ``truth_infomorphism`` and
+    ``instance_map`` each compare at most one structure per target model,
+    and ``object_concept`` of the last listed model compares one."""
+    h, st, m = st_to_m(["a", "b"])
+    wide = enumerate_structures(st.signature, {"E": ["a", "b", "c"]})
+    tc1 = build_truth_classification(st.signature, st.pool, models=[*wide, *st.models])
+    want = [len(wide) + st.models.index(reduct(h, model)) for model in m.models]
+    last = object_concept(tc1, len(tc1.models) - 1)
+    calls = []
+    real = Structure.__eq__
+    monkeypatch.setattr(Structure, "__eq__", lambda self, other: calls.append(1) or real(self, other))
+    im = truth_infomorphism(h, tc1, m)
+    assert len(calls) <= len(m.models)
+    calls.clear()
+    assert list(im.instance_map) == want
+    assert len(calls) <= len(m.models)
+    calls.clear()
+    assert object_concept(tc1, st.models[-1]) == last
+    assert len(calls) <= 1
+
+
 def transfer_failure(h, tc1, tc2) -> str:
     with pytest.raises(InfomorphismError) as info:
         truth_infomorphism(h, tc1, tc2)
@@ -1362,6 +1387,8 @@ def test_column_check_matches_the_row_check_on_st_to_m():
 
 
 def test_adjoint_pair_indices_match_the_reference_on_random_interpretations():
+    """Each map is its definition computed by set derivations, and the
+    pairwise oracle finds the pair adjoint."""
     cases = interpretation_corpus(20261020, 20) + [st_to_m(["a", "b"])]
     for h, tc1, tc2 in cases:
         lat1, lat2 = theory_lattice(tc1), theory_lattice(tc2)
@@ -1373,6 +1400,7 @@ def test_adjoint_pair_indices_match_the_reference_on_random_interpretations():
         at2 = {frozenset(t.keys()): k for k, t in enumerate(lat2.theories)}
         assert cm._dir == tuple(at2[direct(frozenset(t.keys()))] for t in lat1.theories)
         assert cm._inv == tuple(at1[inverse(frozenset(t.keys()))] for t in lat2.theories)
+        assert oracles.pairwise_adjunction(list(at1), list(at2), direct, inverse) is None
 
 
 def test_position_in_a_range_is_found_without_a_scan():

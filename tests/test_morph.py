@@ -45,7 +45,6 @@ from theorylattice.logic import (
 from theorylattice.morph import (
     Interpretation,
     TruthInfomorphism,
-    _check_adjunction,
     check_infomorphism,
     compose,
     concept_morphism,
@@ -736,23 +735,8 @@ class TestReductPathsAgree:
 
 
 class TestMonotonicitySteps:
-    """The adjunction check reads monotonicity along one step per theory and
-    pool sentence outside it, not along the Hasse diagram."""
-
-    @pytest.mark.parametrize("name", ["swap_lat", "unary_lat", "wide_lat"])
-    def test_every_cover_edge_is_a_step(self, request, name):
-        """An image that shrinks across exactly one cover edge: the down-set
-        of its upper theory without its lower one.  Only that edge's step
-        fails, so the check must find it there."""
-        lat = request.getfixturevalue(name)
-        intents = lat.lattice._intents
-        edges = lat.lattice.covers()
-        assert edges
-        for low, high in edges:
-            image = [int(intents[high] & ~intents[k] == 0 and k != low) for k in range(len(intents))]
-            assert image[high] and not image[low]
-            assert morph._shrinking_step(lat, image) == (low, high)
-        assert morph._shrinking_step(lat, [1] * len(intents)) is None
+    """Monotonicity follows from the adjunction, so neither lattice's order
+    nor its covers are walked to check it."""
 
     def test_concept_morphism_builds_no_covers(self, st_to_m):
         h, tc1, tc2 = st_to_m
@@ -796,51 +780,113 @@ class TestNonClosedPullback:
         assert len(named) > 1
 
 
-class TestLinearAdjunctionCheck:
-    """Perturbed index pairs over the swap lattice: each way a pair can
-    fail to be adjoint is caught, and the pairwise oracle agrees."""
+def oracle_verdict(lat1, lat2, dir_index, inv_index):
+    """The pairwise oracle on a pair given as theory indices."""
+    keys1 = [frozenset(t.keys()) for t in lat1.theories]
+    keys2 = [frozenset(t.keys()) for t in lat2.theories]
+    at1 = {k: n for n, k in enumerate(keys1)}
+    at2 = {k: n for n, k in enumerate(keys2)}
+    return pairwise_adjunction(
+        keys1, keys2, lambda c: keys2[dir_index[at1[c]]], lambda d: keys1[inv_index[at2[d]]]
+    )
+
+
+# A wrong lookup: from the index the lattice finds and the top's, the index
+# a patched ``_closing`` returns instead.
+WRONG_LOOKUPS = {
+    "to the top": lambda k, top: top,
+    "to the bottom": lambda k, top: 0,
+    "swaps the extremes": lambda k, top: {0: top, top: 0}.get(k, k),
+}
+
+
+class TestDefinitionCheck:
+    """Each map is checked against its definition.  The swap's lattice is
+    built twice, so that one side's lookup (``_closing``) can be patched
+    alone: a wrong lookup in the target lattice makes a direct image other
+    than the closure of the translated theory, one in the source lattice an
+    inverse image other than the closed preimage, and each is reported with
+    the first theory, in lattice order, whose image is wrong.  The pairwise
+    oracle finds each patched pair not adjoint."""
 
     @pytest.fixture
-    def pair(self, swap, swap_tc, swap_lat):
-        cm = concept_morphism(truth_infomorphism(swap, swap_tc, swap_tc), swap_lat, swap_lat)
-        return swap_lat, list(cm._dir), list(cm._inv)
+    def sides(self, swap, swap_tc):
+        im = truth_infomorphism(swap, swap_tc, swap_tc)
+        lat1, lat2 = theory_lattice(swap_tc), theory_lattice(swap_tc)
+        assert lat1.lattice is not lat2.lattice
+        return im, lat1, lat2, concept_morphism(im, lat1, lat2)
 
     @staticmethod
-    def oracle_verdict(lat, dir_index, inv_index):
-        keys = [frozenset(t.keys()) for t in lat.theories]
-        at = {k: n for n, k in enumerate(keys)}
-        return pairwise_adjunction(
-            keys, keys, lambda c: keys[dir_index[at[c]]], lambda d: keys[inv_index[at[d]]]
+    def patch(monkeypatch, lat, wrong):
+        concepts = lat.lattice
+        real, top = concepts._closing, len(concepts._intents) - 1
+        monkeypatch.setitem(vars(concepts), "_closing", lambda intent: wrong(real(intent), top))
+
+    def test_the_true_pair_is_the_two_definitions(self, sides):
+        im, lat1, lat2, cm = sides
+        for k, theory in enumerate(lat1.theories):
+            translated = [morph._translate(im.interpretation, a) for a in theory.axioms]
+            assert cm._dir[k] == lat2.index(lat2.closure(translated))
+        for k, theory in enumerate(lat2.theories):
+            pre = [a for a in lat1.tc.pool if im._type_map[sentence_key(a)] in theory.keys()]
+            assert lat1.theories[cm._inv[k]].keys() == tuple(sorted(map(sentence_key, pre)))
+        assert oracle_verdict(lat1, lat2, cm._dir, cm._inv) is None
+
+    @pytest.mark.parametrize("wrong", WRONG_LOOKUPS)
+    def test_a_wrong_dir_is_caught(self, sides, monkeypatch, wrong):
+        im, lat1, lat2, cm = sides
+        top = len(lat2.theories) - 1
+        moved = [WRONG_LOOKUPS[wrong](d, top) for d in cm._dir]
+        k = next(k for k, (d, e) in enumerate(zip(cm._dir, moved)) if d != e)
+        want = (
+            f"direct image is not the closure for source theory {list(lat1.theories[k].keys())}: "
+            f"got {list(lat2.theories[moved[k]].keys())}"
         )
+        self.patch(monkeypatch, lat2, WRONG_LOOKUPS[wrong])
+        with pytest.raises(InfomorphismError) as exc:
+            concept_morphism(im, lat1, lat2)
+        assert str(exc.value) == want
+        assert oracle_verdict(lat1, lat2, moved, cm._inv) is not None
 
-    def test_the_true_pair_passes(self, pair):
-        lat, dir_index, inv_index = pair
-        _check_adjunction(lat, lat, dir_index, inv_index)
-        assert self.oracle_verdict(lat, dir_index, inv_index) is None
+    @pytest.mark.parametrize("wrong", WRONG_LOOKUPS)
+    def test_a_wrong_inv_is_caught(self, sides, monkeypatch, wrong):
+        im, lat1, lat2, cm = sides
+        top = len(lat1.theories) - 1
+        moved = [WRONG_LOOKUPS[wrong](c, top) for c in cm._inv]
+        k = next(k for k, (c, e) in enumerate(zip(cm._inv, moved)) if c != e)
+        want = (
+            f"inverse image is not closed for target theory {list(lat2.theories[k].keys())}: "
+            f"got {list(lat1.theories[cm._inv[k]].keys())}"
+        )
+        self.patch(monkeypatch, lat1, WRONG_LOOKUPS[wrong])
+        with pytest.raises(InfomorphismError) as exc:
+            concept_morphism(im, lat1, lat2)
+        assert str(exc.value) == want
+        assert oracle_verdict(lat1, lat2, cm._dir, moved) is not None
 
-    @pytest.mark.parametrize(
-        "perturb, message",
-        [
-            ("dir to the top", r"adjunction fails \(unit\) at \[.*\] / \[\]"),
-            ("dir to the bottom", r"adjunction fails \(counit\) at \[.*\] / \[.*\]"),
-            ("dir swaps the extremes", r"direct image is not monotone at \[.*\] / \[.*\]"),
-            ("inv swaps the extremes", r"inverse image is not monotone at \[.*\] / \[.*\]"),
-        ],
-    )
-    def test_each_failure_is_caught(self, pair, perturb, message):
-        lat, dir_index, inv_index = pair
-        top = len(lat.theories) - 1
-        if perturb == "dir to the top":
-            dir_index = [top] * len(dir_index)
-        elif perturb == "dir to the bottom":
-            dir_index = [0] * len(dir_index)
-        elif perturb == "dir swaps the extremes":
-            dir_index[0], dir_index[top] = dir_index[top], dir_index[0]
-        else:
-            inv_index[0], inv_index[top] = inv_index[top], inv_index[0]
-        with pytest.raises(InfomorphismError, match=message):
-            _check_adjunction(lat, lat, dir_index, inv_index)
-        assert self.oracle_verdict(lat, dir_index, inv_index) is not None
+
+class TestAcceptedPairsAreAdjoint:
+    def test_forced_type_maps_from_st_to_m(self, st_to_m):
+        """Random type maps bypass the infomorphism check, each onto 1, 2 or
+        all 20 target sentences.  One onto a single sentence is accepted,
+        as the empty set and the whole pool are both closed in ST over
+        E=a,b; the others rarely are.  The pairwise oracle finds every
+        accepted pair adjoint."""
+        h, tc1, tc2 = st_to_m
+        lat1, lat2 = theory_lattice(tc1), theory_lattice(tc2)
+        rng = random.Random(33)
+        accepted = []
+        for n in (1, 2, len(tc2.pool_keys)) * 5:
+            targets = rng.sample(tc2.pool_keys, n)
+            forced = TruthInfomorphism(h, tc1, tc2, tuple((k, rng.choice(targets)) for k in tc1.pool_keys))
+            try:
+                cm = concept_morphism(forced, lat1, lat2)
+            except InfomorphismError:
+                accepted.append(False)
+                continue
+            accepted.append(True)
+            assert oracle_verdict(lat1, lat2, cm._dir, cm._inv) is None
+        assert any(accepted) and not all(accepted)
 
 
 class TestIsTheoryMorphism:
@@ -1150,3 +1196,4 @@ class TestRandomInterpretations:
             for c1 in lat1.theories:
                 for c2 in lat2.theories:
                     assert lat2.leq(c2, pair.dir(c1)) == lat1.leq(pair.inv(c2), c1)
+            assert oracle_verdict(lat1, lat2, pair._dir, pair._inv) is None
