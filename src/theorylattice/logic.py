@@ -10,8 +10,9 @@ and theory intents well defined.  Terms and formulas are immutable
 slotted nodes that compute their hash once, when built, so a pool lookup
 does not walk the tree.  Structures are finite models with
 nonempty carriers; satisfaction is Tarskian, with quantifiers ranging
-over the carrier of the bound sort.  There are no function symbols and no
-empty or infinite domains.
+over the carrier of the bound sort, and is computed for many models at
+once over the groups of :func:`_model_groups`.  There are no function
+symbols and no empty or infinite domains.
 """
 
 from __future__ import annotations
@@ -997,31 +998,14 @@ def _listed_groups(sig: Signature, models: Sequence[Structure]) -> tuple[_Group,
     )
 
 
-class ModelColumns:
-    """Satisfaction over a fixed sequence of models, one sentence at a time.
-
-    ``column(sentence)`` is the int whose bit ``i`` is set when the
-    sentence holds in ``models[i]``.  The models are split into groups that
-    share one carrier per sort, and each group supplies the columns of its
-    ground atoms and constant denotations: a :class:`StructureSpace` reads
-    them off its index encoding as periodic bit patterns, without building
-    a structure, and a listed model's relations are scanned once.
-    """
-
-    def __init__(self, sig: Signature, models: Sequence[Structure]) -> None:
-        self.signature = sig
-        if isinstance(models, StructureSpace):
-            self._groups = (models._group(),)
-        else:
-            self._groups = _listed_groups(sig, models)
-
-    def column(self, sentence: Formula) -> int:
-        """The models where a closed, well-typed sentence holds."""
-        _check_sentence(self.signature, sentence)
-        out = 0
-        for group in self._groups:
-            out |= _column(group, sentence, {})
-        return out
+def _model_groups(sig: Signature, models: Sequence[Structure]) -> tuple[_Group, ...]:
+    """The models as groups that share one carrier per sort: a
+    :class:`StructureSpace` is one, reading its ground atoms off the index
+    encoding as periodic bit patterns without building a structure; listed
+    models are grouped by :func:`_listed_groups`."""
+    if isinstance(models, StructureSpace):
+        return (models._group(),)
+    return _listed_groups(sig, models)
 
 
 def _check_sentence(sig: Signature, sentence: Formula) -> None:
@@ -1124,7 +1108,7 @@ class StructureSpace(collections.abc.Sequence):
     position of its denotation in its carrier (the last constant least
     significant).  A structure is built only when one is indexed or
     iterated; ``index`` encodes a structure instead of scanning, and
-    :class:`ModelColumns` reads ground atoms off the encoding.  Use
+    :func:`_model_groups` reads ground atoms off the encoding.  Use
     :func:`enumerate_structures`, which validates the carriers and applies
     the size cap.  Two spaces are equal when their signatures and carriers
     are.

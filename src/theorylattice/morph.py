@@ -505,7 +505,7 @@ def truth_infomorphism(
         )
 
     models1 = tc1.models
-    reducts = [_reducts(h, group) for group in tc2._satisfaction._groups]
+    reducts = [_reducts(h, group) for group in tc2._groups]
     if not (isinstance(models1, StructureSpace) and all(r.carrier == models1._cs for r in reducts)):
         for m in tc2.models:
             r = reduct(h, m)
@@ -573,7 +573,7 @@ def concept_morphism(
 
     With ``h`` the type map and ``cl2`` the closure of the target lattice,
     ``dir(C1)`` is ``cl2(h[C1])``: the lattice's lookup of ``h[C1]`` must
-    have the intent that derivation over the target's row classes gives,
+    have the intent that the target classification's ``_closure`` gives,
     else the error names the source theory.  ``inv(C2)`` is the preimage
     ``h^-1[C2]``, which must be closed.  It depends only on the sentences
     of ``C2`` that are images of source sentences, so it is computed once
@@ -594,12 +594,11 @@ def concept_morphism(
     # target pool position of each source pool sentence's image; dir maps
     # an intent's bits through it and closes, inv pulls an intent back
     image = [ctx2._tpos[im._type_map[k]] for k in ctx1.types]
-    space2 = lat2.lattice._space
     dir_index: list[int] = []
     for k, intent1 in enumerate(lat1.lattice._intents):
         mapped = fca._mask([image[p] for p in fca._bits(intent1)], len(ctx2.types))
         at = lat2.lattice._closing(mapped)
-        if lat2.lattice._intents[at] != space2._intent(space2._extent(mapped)):
+        if lat2.lattice._intents[at] != ctx2._closure(mapped):
             raise InfomorphismError(
                 "direct image is not the closure for source theory "
                 f"{list(lat1.theories[k].keys())}: got {list(lat2.theories[at].keys())}"

@@ -10,8 +10,9 @@ relation and form a complete lattice under the order "more models, fewer
 sentences" (reverse theory inclusion).  The join of two closed theories
 is their intersection; the meet is the pool theory of their common models.
 The meet and :meth:`TheoryLattice.closure` close a pool mask by one lookup
-in the lattice and return its own theory object; :func:`closure`, which
-has no lattice, derives the closure over the classification's row classes.
+in the lattice and return its own theory object; :func:`closure`,
+:func:`theory_leq` and :func:`attribute_concept`, which have no lattice,
+close through the classification's ``_closure``.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from .errors import PoolMembershipError, SignatureMismatchError
 from .logic import (
     DEFAULT_MODEL_CAP,
     Formula,
-    ModelColumns,
     Signature,
     Structure,
     StructureSpace,
     _check_sentence,
+    _column,
+    _model_groups,
     canonicalize,
     enumerate_structures,
     format_formula,
@@ -127,13 +129,12 @@ class TruthClassification(Value):
         for s in self.pool:
             if canonicalize(s) != s:
                 raise ValueError(f"pool sentence {sentence_key(s)!r} is not canonical")
-        satisfaction = ModelColumns(self.signature, self.models)
-        columns = tuple(map(satisfaction.column, self.pool))
+        object.__setattr__(self, "_groups", _model_groups(self.signature, self.models))
+        columns = tuple(map(self._satisfying, self.pool))
         ctx = fca.Classification.from_columns(
             range(len(self.models)), tuple(map(format_formula, self.pool)), columns
         )
         object.__setattr__(self, "classification", ctx)
-        object.__setattr__(self, "_satisfaction", satisfaction)
         object.__setattr__(self, "_pos", {s: k for k, s in enumerate(self.pool)})
 
     def __eq__(self, other: object) -> bool:
@@ -192,7 +193,16 @@ class TruthClassification(Value):
         sentence, p = self._lookup(sentence)
         if p is not None:
             return self.classification._columns[p]
-        return self._satisfaction.column(sentence)
+        return self._satisfying(sentence)
+
+    def _satisfying(self, sentence: Formula) -> int:
+        """The models where a sentence holds, once it is checked closed and
+        well-typed: the OR of its columns over the model groups."""
+        _check_sentence(self.signature, sentence)
+        out = 0
+        for group in self._groups:
+            out |= _column(group, sentence, {})
+        return out
 
     def _models_mask(self, theory: Theory | Iterable[Formula]) -> int:
         """The models satisfying every axiom, as a mask."""
@@ -248,8 +258,7 @@ def closure(tc: TruthClassification, theory: Theory | Iterable[Formula]) -> Clos
     Axioms must come from the pool; this is the double-prime closure of
     the underlying classification, taken over its row classes.
     """
-    classes, _ = tc.classification._classes
-    return tc._theory(classes._intent(classes._extent(tc._mask(theory))))
+    return tc._theory(tc.classification._closure(tc._mask(theory)))
 
 
 def entails(tc: TruthClassification, theory: Theory | Iterable[Formula], sentence: Formula) -> bool:
@@ -264,11 +273,11 @@ def entails(tc: TruthClassification, theory: Theory | Iterable[Formula], sentenc
 
 
 def theory_leq(tc: TruthClassification, t1: Theory | Iterable[Formula], t2: Theory | Iterable[Formula]) -> bool:
-    """The theory order: t1 is below t2 when t1's closure contains t2's, that
-    is, when every model of t1 is a model of t2.  Axioms must come from the
-    pool; the models are compared by their row classes."""
-    classes, _ = tc.classification._classes
-    return classes._extent(tc._mask(t1)) & ~classes._extent(tc._mask(t2)) == 0
+    """The theory order: t1 is below t2 when every model of t1 is a model of
+    t2, that is, by the Galois connection, when t2 lies in t1's closure.
+    Axioms must come from the pool; t1's are checked first."""
+    m1 = tc._mask(t1)
+    return tc._mask(t2) & ~tc.classification._closure(m1) == 0
 
 
 class TheoryLattice(Value):
@@ -374,8 +383,7 @@ def attribute_concept(tc: TruthClassification, sentence: Formula) -> ClosedTheor
     sentence, p = tc._lookup(sentence)
     if p is None:
         raise ValueError(f"unknown sentence {sentence_key(sentence)!r}: not in the pool")
-    classes, _ = tc.classification._classes
-    return tc._theory(classes._intent(classes._columns[p]))
+    return tc._theory(tc.classification._closure(1 << p))
 
 
 def lattice_text(lat: TheoryLattice) -> str:

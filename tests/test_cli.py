@@ -231,10 +231,19 @@ REFUSALS = {
     "cxt-concept-cap": ("ctx", 3, ["--cap-concepts", "2"]),
     "cxt-concept-cap-zero": ("ctx", 3, ["--cap-concepts", "0"]),
 }
+# a cxt export builds no concept lattice, so no concept cap refuses it
+CONCEPT_CAPS = sorted(r for r, (_, _, extra) in REFUSALS.items() if "--cap-concepts" in extra)
 
 
-@pytest.mark.parametrize("fmt", ["text", "dot", "cxt"])
-@pytest.mark.parametrize("refusal", sorted(REFUSALS))
+@pytest.mark.parametrize(
+    "refusal, fmt",
+    [
+        pytest.param(refusal, fmt, id=f"{refusal}-{fmt}")
+        for refusal in sorted(REFUSALS)
+        for fmt in ("text", "dot", "cxt")
+        if not (fmt == "cxt" and refusal in CONCEPT_CAPS)
+    ],
+)
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_refusals_write_nothing(ws, capsys, tmp_path, refusal, fmt, to_file):
     cmd, code, extra = REFUSALS[refusal]
@@ -246,6 +255,22 @@ def test_refusals_write_nothing(ws, capsys, tmp_path, refusal, fmt, to_file):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("refusal", CONCEPT_CAPS)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_a_concept_cap_refuses_no_cxt_export(ws, capsys, tmp_path, refusal, to_file):
+    """Under a concept cap below the concept count, ``--format cxt`` still
+    exits 0 with the uncapped bytes."""
+    cmd, _, extra = REFUSALS[refusal]
+    assert main(export_argv(ws, cmd, "cxt")) == 0
+    want = capsys.readouterr().out.encode("utf-8")
+    target = tmp_path / "export"
+    argv = export_argv(ws, cmd, "cxt", *extra, *(["--out", str(target)] if to_file else []))
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    got = target.read_bytes() if to_file else out.encode("utf-8")
+    assert err == "" and got == want and (out == "") == to_file
 
 
 @pytest.mark.parametrize("cmd, fmt", [("lattice", "text"), ("lattice", "dot"), ("ctx", "dot")])

@@ -11,6 +11,7 @@ reduct."""
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 import tracemalloc
@@ -52,7 +53,7 @@ from oracles import (
 )
 from theorylattice import morph
 from theorylattice.cli import main
-from theorylattice.errors import InfomorphismError, SizeCapError
+from theorylattice.errors import InfomorphismError, PoolMembershipError, SizeCapError
 from theorylattice.fca import (
     _LOW_BIT_FIRST,
     Classification,
@@ -88,6 +89,7 @@ from theorylattice.logic import (
     parse_model,
     parse_sentence,
     parse_signature,
+    sentence_key,
 )
 from theorylattice.morph import (
     check_infomorphism,
@@ -574,6 +576,56 @@ def test_closure_order_and_attribute_concepts_close_over_the_row_classes(seed, m
         assert theory_leq(tc, b, a) == (ca & ~cb == 0)
     for p, s in enumerate(tc.pool):
         assert attribute_concept(tc, s)._intent == set_closure(ctx, 1 << p)
+
+
+@functools.cache
+def closure_cases() -> dict:
+    """M, L10, and M over the listed models of E=a,b and of E=a,c (two
+    groups of 256), as truth classifications."""
+    sig = parse_signature(M_SIG)
+    pool = [parse_sentence(sig, t) for t in M_POOL]
+    listed = [m for elems in (["a", "b"], ["a", "c"]) for m in enumerate_structures(sig, {"E": elems})]
+    return {
+        "M": build_truth_classification(sig, pool, carriers={"E": ["a", "b"]}),
+        "L10": build_truth_classification(sig, pool[:10], carriers={"E": ["a", "b", "c"]}),
+        "two-carriers": build_truth_classification(sig, pool, models=listed),
+    }
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_classification_closure_is_the_double_prime_closure_on_random_contexts(seed):
+    ctx = Classification.make(*random_context(random.Random(seed)))
+    for mask in range(1 << len(ctx.types)):
+        assert ctx._closure(mask) == set_closure(ctx, mask)
+
+
+@pytest.mark.parametrize("case", ["M", "L10", "two-carriers"])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_classification_closure_and_theory_leq_on_truth_classifications(case, data):
+    """``_closure`` is the double-prime closure by the set derivations, and
+    t1 <= t2 iff that closure of t2 is contained in the one of t1."""
+    tc = closure_cases()[case]
+    ctx = tc.classification
+    masks = data.draw(st.lists(st.integers(0, 2 ** len(tc.pool) - 1), min_size=2, max_size=4))
+    closed = [set_closure(ctx, mask) for mask in masks]
+    assert list(map(ctx._closure, masks)) == closed
+    for (m1, c1), (m2, c2) in zip(zip(masks, closed), zip(masks[1:], closed[1:])):
+        t1, t2 = list(_select(tc.pool, m1)), list(_select(tc.pool, m2))
+        assert theory_leq(tc, t1, t2) == (c2 & ~c1 == 0)
+
+
+def test_theory_leq_reports_a_missing_axiom_of_t1_before_one_of_t2():
+    tc = closure_cases()["M"]
+    texts = ("exists x:E. R(x,x) & ~P(x)", "forall x:E. Q(x) | R(x,x)")
+    stray1, stray2 = (parse_sentence(tc.signature, t) for t in texts)
+    pooled = tc.pool[0]
+    cases = (([stray1], [stray2], stray1), ([pooled], [stray2], stray2), ([stray1], [pooled], stray1))
+    for t1, t2, missing in cases:
+        with pytest.raises(PoolMembershipError) as exc:
+            theory_leq(tc, t1, t2)
+        assert exc.value.sentence_key == sentence_key(missing)
 
 
 def own(lat, theory) -> bool:
@@ -1229,7 +1281,7 @@ def test_column_check_over_listed_models_of_two_carriers():
         models = [model for pair in zip(ab[::step], ac[::step]) for model in pair]
         sides.append(build_truth_classification(tc.signature, tc.pool, models=models))
     tc1, tc2 = sides
-    assert len(tc2._satisfaction._groups) == 2
+    assert len(tc2._groups) == 2
     check_reference_instance_map(h, tc1, tc2, truth_infomorphism(h, tc1, tc2))
 
 

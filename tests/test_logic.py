@@ -21,7 +21,6 @@ from theorylattice.logic import (
     Iff,
     MAX_FORMULA_DEPTH,
     Implies,
-    ModelColumns,
     Not,
     Or,
     Signature,
@@ -47,6 +46,7 @@ from theorylattice.logic import (
     validate_formula,
 )
 from theorylattice.morph import make_interpretation, reduct, translate
+from theorylattice.truth import TruthClassification
 
 from oracles import _random_formula, oracle_satisfies, random_sentence
 
@@ -266,7 +266,7 @@ def test_canonicalize_and_free_vars_leave_no_cyclic_garbage():
     f = sent("forall x:E. exists y:E. P(x) & Q(y) | x = y")
     opened = parse_formula(SIG, "exists y:E. P(x) & ~Q(y)", {"x": "E"})
     h = _interpretation()
-    columns = ModelColumns(SIG, MODELS)
+    tc = TruthClassification(SIG, MODELS, ())
     gc.collect()
     gc.disable()
     try:
@@ -278,7 +278,7 @@ def test_canonicalize_and_free_vars_leave_no_cyclic_garbage():
             translate(h, f)
             format_formula(f)
             satisfies(MODELS[5], f)
-            columns.column(f)
+            tc._column(f)
         assert gc.collect() == 0
     finally:
         gc.enable()
