@@ -148,8 +148,10 @@ def _blocks(records: Iterable[str]) -> Iterator[str]:
     smaller ones before it.  They serve DOT, one record per node and per
     cover edge (cxt rows come 2^16 to a record): piped, with one write per
     record H38's 7.2 MB DOT took 2.22-3.00 s against 1.77-2.24 s (Python
-    3.11, 2 shared cores, 5 alternating runs), the M and W20 exports did not
-    move, and the W20 text export peaked at 68.8 MB against 81.8 MB."""
+    3.11, 2 shared cores, 5 alternating runs), and the M and W20 exports did
+    not move.  A long record is dropped once it is written, before the next
+    one is built, so that memory tracks the largest record, not the sum of
+    two: holding it peaked the W20 text export at 81.8 MB against 68.8 MB."""
     block: list[str] = []
     n = 0
     for record in records:
@@ -158,6 +160,7 @@ def _blocks(records: Iterable[str]) -> Iterator[str]:
                 yield "".join(block)
                 block, n = [], 0
             yield record
+            del record  # not held while the next record is built
             continue
         block.append(record)
         n += len(record)

@@ -11,8 +11,10 @@ slotted nodes that compute their hash once, when built, so a pool lookup
 does not walk the tree.  Structures are finite models with
 nonempty carriers; satisfaction is Tarskian, with quantifiers ranging
 over the carrier of the bound sort, and is computed for many models at
-once over the groups of :func:`_model_groups`.  There are no function
-symbols and no empty or infinite domains.
+once over groups of models that share their carriers: a
+:class:`StructureSpace` is one group, listed models are grouped by
+:func:`_listed_groups`.  There are no function symbols and no empty or
+infinite domains.
 """
 
 from __future__ import annotations
@@ -998,16 +1000,6 @@ def _listed_groups(sig: Signature, models: Sequence[Structure]) -> tuple[_Group,
     )
 
 
-def _model_groups(sig: Signature, models: Sequence[Structure]) -> tuple[_Group, ...]:
-    """The models as groups that share one carrier per sort: a
-    :class:`StructureSpace` is one, reading its ground atoms off the index
-    encoding as periodic bit patterns without building a structure; listed
-    models are grouped by :func:`_listed_groups`."""
-    if isinstance(models, StructureSpace):
-        return (models._group(),)
-    return _listed_groups(sig, models)
-
-
 def _check_sentence(sig: Signature, sentence: Formula) -> None:
     """A sentence is closed and well-typed over ``sig``; an error names it by its key.
     One walk checks both; a refused sentence's free variables, if any, are named."""
@@ -1108,10 +1100,10 @@ class StructureSpace(collections.abc.Sequence):
     position of its denotation in its carrier (the last constant least
     significant).  A structure is built only when one is indexed or
     iterated; ``index`` encodes a structure instead of scanning, and
-    :func:`_model_groups` reads ground atoms off the encoding.  Use
-    :func:`enumerate_structures`, which validates the carriers and applies
-    the size cap.  Two spaces are equal when their signatures and carriers
-    are.
+    ``_group`` reads ground atoms off the encoding as periodic bit
+    patterns.  Use :func:`enumerate_structures`, which validates the
+    carriers and applies the size cap.  Two spaces are equal when their
+    signatures and carriers are.
     """
 
     def __init__(self, sig: Signature, carriers: tuple[tuple[str, tuple[str, ...]], ...]) -> None:

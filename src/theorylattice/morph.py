@@ -44,7 +44,6 @@ from .logic import (
     Formula,
     Signature,
     Structure,
-    StructureSpace,
     Term,
     Var,
     canonicalize,
@@ -478,14 +477,14 @@ def truth_infomorphism(
     models: for each group of target models that share their carriers,
     each source pool sentence is evaluated over the group's reducts
     (:func:`_reducts`) and compared with the target column of its image.
-    When the source models are an enumerated space and each source sort's
-    carrier is the carrier of its image sort, every reduct is a source
-    model.  Otherwise (listed source models, other carriers) each target
-    model's reduct is built by :func:`reduct`, the public per-model
-    function, and looked up among the source models by its hash or its
-    encoding; the first one missing is printed in the error.  A failing
-    transfer names the lowest target model where the two sides differ, with
-    the first source sentence that differs there.
+    When the source models are every structure over some carriers (the
+    source's ``_carriers``) and each group's reducts have those carriers,
+    every reduct is a source model.  Otherwise (listed source models, other
+    carriers) each target model's reduct is built by :func:`reduct`, the
+    public per-model function, and looked up among the source models by
+    its hash or its encoding; the first one missing is printed in the
+    error.  A failing transfer names the lowest target model where the two
+    sides differ, with the first source sentence that differs there.
     """
     _check_signatures(h, tc1.signature, tc2.signature)
     type_map: list[tuple[str, str]] = []
@@ -504,9 +503,8 @@ def truth_infomorphism(
             + "; ".join(missing)
         )
 
-    models1 = tc1.models
     reducts = [_reducts(h, group) for group in tc2._groups]
-    if not (isinstance(models1, StructureSpace) and all(r.carrier == models1._cs for r in reducts)):
+    if not all(r.carrier == tc1._carriers for r in reducts):
         for m in tc2.models:
             r = reduct(h, m)
             if tc1._model_position(r) is None:

@@ -9,8 +9,8 @@ model of the theory; the closed theories are the intents of the incidence
 relation and form a complete lattice under the order "more models, fewer
 sentences" (reverse theory inclusion).  The join of two closed theories
 is their intersection; the meet is the pool theory of their common models.
-The meet and :meth:`TheoryLattice.closure` close a pool mask by one lookup
-in the lattice and return its own theory object; :func:`closure`,
+The join, the meet and :meth:`TheoryLattice.closure` close a pool mask by
+one lookup in the lattice and return its own theory object; :func:`closure`,
 :func:`theory_leq` and :func:`attribute_concept`, which have no lattice,
 close through the classification's ``_closure``.
 """
@@ -34,7 +34,7 @@ from .logic import (
     StructureSpace,
     _check_sentence,
     _column,
-    _model_groups,
+    _listed_groups,
     canonicalize,
     enumerate_structures,
     format_formula,
@@ -91,14 +91,19 @@ class TruthClassification(Value):
     sentences, so the underlying classification is directly exportable.
     Both inputs are checked here, once.  ``models``, the lazy
     :class:`~theorylattice.logic.StructureSpace` of an enumeration or any
-    other sequence of structures (stored as a tuple, no two equal, with a
-    map of their positions), must be nonempty and over the signature.  The
-    pool's sentences must be distinct and canonical, and computing each
-    one's column checks that it is closed and well-typed.  The closed
-    theories built from its members inside the lattice need no
-    re-validation.  Two classifications are equal when their signatures,
-    pools and models in order are, whether the models are held by a space or
-    a tuple; the hash reads the number of models, not the models.
+    other sequence of structures (stored as a tuple, no two equal), must be
+    nonempty and over the signature.  ``_check`` alone tells a space from
+    listed models, and stores what the package reads of the models:
+    ``_groups``, the models in groups that share their carriers (a space is
+    one group); ``_carriers``, the carriers over which every structure is a
+    model (``None`` for listed models); and ``_model_position``, which
+    gives a model's position or ``None``.  The pool's sentences must be
+    distinct and canonical, and computing each one's column checks that it
+    is closed and well-typed.  The closed theories built from its members
+    inside the lattice need no re-validation.  Two classifications are
+    equal when their signatures, pools and models in order are, whether the
+    models are held by a space or a tuple; the hash reads the number of
+    models, not the models.
     """
 
     _fields = ("signature", "models", "pool")
@@ -113,6 +118,7 @@ class TruthClassification(Value):
         if isinstance(models, StructureSpace):
             if models.signature != self.signature:
                 raise SignatureMismatchError("model over a different signature")
+            groups, carriers, position = (models._group(),), dict(models.carriers), models._encode
         else:
             models = tuple(models)
             object.__setattr__(self, "models", models)
@@ -121,7 +127,10 @@ class TruthClassification(Value):
             positions = {m: k for k, m in enumerate(models)}
             if len(positions) != len(models):
                 raise ValueError("duplicate structures in the model list")
-            object.__setattr__(self, "_model_pos", positions)
+            groups, carriers, position = _listed_groups(self.signature, models), None, positions.get
+        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "_carriers", carriers)
+        object.__setattr__(self, "_model_position", position)
         if not models:
             raise ValueError("empty model set; the lattice of theories degenerates")
         if len(set(self.pool)) != len(self.pool):
@@ -129,7 +138,6 @@ class TruthClassification(Value):
         for s in self.pool:
             if canonicalize(s) != s:
                 raise ValueError(f"pool sentence {sentence_key(s)!r} is not canonical")
-        object.__setattr__(self, "_groups", _model_groups(self.signature, self.models))
         columns = tuple(map(self._satisfying, self.pool))
         ctx = fca.Classification.from_columns(
             range(len(self.models)), tuple(map(format_formula, self.pool)), columns
@@ -166,14 +174,6 @@ class TruthClassification(Value):
     def models_of(self, axioms: Iterable[Formula]) -> frozenset[int]:
         """Indices of the models satisfying every axiom (pool-free)."""
         return frozenset(fca._bits(self._models_mask(axioms)))
-
-    def _model_position(self, model: Structure) -> int | None:
-        """The position of a model, or ``None``: a space answers from the
-        model's encoding, listed models from the map ``_check`` built."""
-        models = self.models
-        if isinstance(models, StructureSpace):
-            return models._encode(model)
-        return self._model_pos.get(model)
 
     def _lookup(self, sentence: Formula) -> tuple[Formula, int | None]:
         """The canonical form of a sentence and its pool position, if any.
@@ -356,8 +356,9 @@ def theory_lattice(tc: TruthClassification, concept_cap: int = fca.DEFAULT_CONCE
 
 
 def theory_join(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> ClosedTheory:
-    """Supremum: the intersection of the two theories, closed as intents are."""
-    return lat.tc._theory(lat._intent(t1) & lat._intent(t2))
+    """Supremum: the intersection of the two theories, closed as intents
+    are, so the lookup lands on exactly that theory of the lattice."""
+    return lat._closed(lat._intent(t1) & lat._intent(t2))
 
 
 def theory_meet(lat: TheoryLattice, t1: ClosedTheory, t2: ClosedTheory) -> ClosedTheory:

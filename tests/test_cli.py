@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import os
 import runpy
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -303,6 +305,26 @@ def test_blocks_pass_a_large_record_on_uncopied():
     blocks = list(_blocks(iter(records)))
     assert blocks == ["".join(small), large, "z\n", large, large, "w\n"]
     assert all(blocks[k] is large for k in (1, 3, 4))
+
+
+def test_blocks_drop_a_large_record_before_the_next_is_built():
+    class Record(str):
+        pass
+
+    refs, dead = [], []
+
+    def fresh():
+        record = Record("y" * _BLOCK)
+        refs.append(weakref.ref(record))
+        return record
+
+    def records():
+        for _ in range(3):
+            yield fresh()
+            dead.append(refs[-1]() is None)
+
+    collections.deque(_blocks(records()), maxlen=0)  # drops each block before asking for the next
+    assert dead == [True, True, True]
 
 
 class TestClose:

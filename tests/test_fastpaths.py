@@ -650,7 +650,7 @@ def test_closing_step_is_one_lookup_of_the_double_prime_closure(seed, masks):
 @given(st.integers(0, 2**32), st.data())
 @settings(max_examples=60, deadline=None)
 def test_moves_return_the_lattices_own_theories(seed, data):
-    """expand, contract, revise and meet return theories the lattice holds,
+    """expand, contract, revise, meet and join return theories the lattice holds,
     equal to the closures the classification computes; a theory built by
     hand with the axioms of a lattice theory gives the same results."""
     tc = random_truth_case(random.Random(seed))
@@ -665,6 +665,7 @@ def test_moves_return_the_lattices_own_theories(seed, data):
         "contract": (lambda t: contract(lat, t, delete), closure(tc, kept)),
         "revise": (lambda t: revise(lat, t, delete, add), closure(tc, [*closure(tc, kept).axioms, *add])),
         "meet": (lambda t: theory_meet(lat, t, t2), closure(tc, t1.axioms | t2.axioms)),
+        "join": (lambda t: theory_join(lat, t, t2), closure(tc, t1.axioms & t2.axioms)),
     }
     by_hand = ClosedTheory.make(tc.signature, t1.axioms)
     for name, (move, want) in moves.items():
