@@ -704,18 +704,22 @@ def _cxt_records(ctx: Classification, name: str) -> Iterator[str]:
     names = (label + "\n" for label in labels)
     return itertools.chain((header,), numerals, names, _cxt_rows(ctx._columns, n))
 
+
 def _cxt_rows(columns: Sequence[int], n: int) -> Iterator[str]:
     """The row lines of ``n`` instances, 2^16 to a record.  Cell ``j`` of a
     line is the instance's binary digit in column ``j``: a column's digits
-    over the block, lowest first and kept to ``count`` by a set bit above
-    them, fill every ``(m + 1)``-th byte of the record from byte ``j``."""
+    over the block, cut from one bytes copy of the column as
+    :func:`_row_classes` cuts them, lowest first and kept to ``count`` by a
+    set bit above them, fill every ``(m + 1)``-th byte of the record from
+    byte ``j``."""
     m = len(columns)
+    data = [col.to_bytes((n + 7) >> 3, "little") for col in columns]
     for lo in range(0, n, 1 << 16):
         count = min(1 << 16, n - lo)
         block = bytearray(b"." * m + b"\n") * count
-        for j, col in enumerate(columns):
-            digits = bin(col >> lo & (1 << count) - 1 | 1 << count)[:2:-1]
-            block[j :: m + 1] = digits.encode().translate(_CELLS)
+        for j, column in enumerate(data):
+            col = int.from_bytes(column[lo >> 3 : (lo + count + 7) >> 3], "little")
+            block[j :: m + 1] = bin(col | 1 << count)[:2:-1].encode().translate(_CELLS)
         yield block.decode()
 
 

@@ -54,7 +54,7 @@ from .logic import (
     substitute,
     validate_formula,
 )
-from .truth import ClosedTheory, Theory, TheoryLattice, TruthClassification, entails
+from .truth import ClosedTheory, Theory, TheoryLattice, TruthClassification
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +629,15 @@ def is_theory_morphism(
     """True when the target theory entails every translated source axiom.
 
     The axioms were checked when ``t1`` was built, so once its signature is
-    found to be the map's source they are translated unchecked."""
+    found to be the map's source they are translated unchecked.  The
+    target theory's models are found once, and each translated axiom's
+    column is tested against them."""
     if t1.signature != f.source:
         raise SignatureMismatchError("first theory is not over the morphism's source")
     if t2.signature != f.target or tc2.signature != f.target:
         raise SignatureMismatchError("second theory and classification must be over the target")
-    return all(entails(tc2, t2, _translate(f, a)) for a in t1.axioms)
+    models = tc2._models_mask(t2)
+    return all(models & ~tc2._column(_translate(f, a)) == 0 for a in t1.axioms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Navigation moves over a lattice of theories.
 
 Contraction deletes axioms and re-closes (never moves down the lattice),
-expansion adds axioms and closes (never moves up), revision is exactly
-the composite, and analogy transports a closed theory along a signature
-map into a destination lattice whose pool contains the translated
-axioms.  Each move closes its result by one lookup in its lattice and
-returns the lattice's own theory object.  Scripts replay sequences of
-moves and return an audit log.
+expansion adds axioms and closes (never moves up), revision is the
+composite closed once, and analogy transports a closed theory along a
+signature map into a destination lattice whose pool contains the
+translated axioms.  Each move closes its result by one lookup in its
+lattice and returns the lattice's own theory object.  Scripts replay
+sequences of moves and return an audit log.
 """
 
 from __future__ import annotations
@@ -21,6 +21,17 @@ from .morph import Interpretation, _check_signatures, _translate
 from .truth import ClosedTheory, TheoryLattice
 
 
+def _deleted(lat: TheoryLattice, theory: ClosedTheory, axioms: Iterable[Formula]) -> int:
+    """The theory's intent less each pool position an axiom matches as given."""
+    tc = lat.tc
+    intent = lat._intent(theory)
+    for a in axioms:
+        p = tc._pos.get(a)
+        if p is not None:
+            intent &= ~(1 << p)
+    return intent
+
+
 def contract(lat: TheoryLattice, theory: ClosedTheory, axioms: Iterable[Formula]) -> ClosedTheory:
     """Delete axioms and close; the result is at or above the input.
 
@@ -29,13 +40,7 @@ def contract(lat: TheoryLattice, theory: ClosedTheory, axioms: Iterable[Formula]
     So a sentence deletes only the axiom it equals as given: a non-pool
     sentence, or a non-canonical variant of an axiom, deletes nothing.
     """
-    tc = lat.tc
-    intent = lat._intent(theory)
-    for a in axioms:
-        p = tc._pos.get(a)
-        if p is not None:
-            intent &= ~(1 << p)
-    return lat._closed(intent)
+    return lat._closed(_deleted(lat, theory, axioms))
 
 
 def expand(lat: TheoryLattice, theory: ClosedTheory, axioms: Iterable[Formula]) -> ClosedTheory:
@@ -49,8 +54,9 @@ def revise(
     delete: Iterable[Formula],
     add: Iterable[Formula],
 ) -> ClosedTheory:
-    """Contract away the deletions, then expand by the additions."""
-    return expand(lat, contract(lat, theory, delete), add)
+    """Contract away the deletions, then expand by the additions, closed
+    once: for any closure cl, cl(cl(T - D) | A) = cl((T - D) | A)."""
+    return lat._closed(_deleted(lat, theory, delete) | lat.tc._mask(add))
 
 
 def analogy(
@@ -156,13 +162,7 @@ def apply_nav_script(
                 delete, add = sentences(left.strip()), sentences(right.strip())
             elif load_morphism is None:
                 raise ParseError("analogy steps are not available here (no morphism loader)")
-        if kind == "contract":
-            nxt = contract(lat, current, delete)
-        elif kind == "expand":
-            nxt = expand(lat, current, add)
-        elif kind == "revise":
-            nxt = revise(lat, current, delete, add)
-        else:
+        if kind == "analogy":
             try:
                 f = load_morphism(payload)
             except OSError as exc:
@@ -170,6 +170,8 @@ def apply_nav_script(
                     f"cannot read map file {payload!r}: {exc.strerror}", line=lineno, path=path
                 )
             nxt = analogy(f, lat, lat, current)
+        else:
+            nxt = revise(lat, current, delete, add)
         log.append(NavStep(kind, lat.index(current), lat.index(nxt), tuple(delete), tuple(add), f))
         current = nxt
     return tuple(log)

@@ -251,6 +251,23 @@ def exports_w22(out: Path) -> None:
     assert peak_mb < 67, f"{peak_mb:.1f} MB"
 
 
+def cxt_w24(out: Path) -> None:
+    """W24: the M signature and pool over E=a,b,c,d (2^24 models, 598 row
+    classes).  The cxt export is hashed as it is read from the pipe and
+    compared with the sha256 recorded while each 2^16-model window of the
+    rows shifted a copy of the rest of every column (3.9-4.4 s); its wall
+    seconds and peak RSS are printed.  Cut from one bytes copy of each
+    column, it took 2.8 s on Python 3.11 and peaked at 165.6-165.8 MB
+    either way; the ceiling is about 30% over that."""
+    t = fixtures(out)
+    n, sha, wall_s, peak_mb, code = piped("lattice", "--sig", t["m.sig"], "--pool", t["m.pool"],
+                                          "--carriers", "E=a,b,c,d", "--cap-models", "16777216", "--format", "cxt")
+    print(f"cxt: {n} bytes, {wall_s:.2f} s, peak RSS {peak_mb:.1f} MB")
+    assert code == 0
+    assert (n, sha) == (492205956, "5002d3a4cdde51ec9c57b9bab1bfe3e41ab92cf774d3254dc18dbbcf5cb82638")
+    assert peak_mb < 215, f"{peak_mb:.1f} MB"
+
+
 def dot_l(out: Path) -> None:
     """L: the M signature over E=a,b,c (32768 models) with the first ten
     M-pool sentences (109 theories, 27 distinct rows).  The DOT export is
@@ -466,8 +483,8 @@ def bench_smoke(out: Path) -> None:
 
 
 CHECKS = {check.__name__: check for check in (interp_at_scale, map_reader, listed_models, interp_w20, exports_w20,
-                                              exports_w22, dot_l, concepts_m, nav_m, entry_point, reader_faults,
-                                              startup_imports, bench_smoke)}
+                                              exports_w22, cxt_w24, dot_l, concepts_m, nav_m, entry_point,
+                                              reader_faults, startup_imports, bench_smoke)}
 
 
 def main(argv: list[str]) -> None:

@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import hashlib
+import io
 import os
 import runpy
+import string
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cli_surface
-from oracles import M_POOL, M_SIG
+from oracles import M_POOL, M_SIG, ST_POOL, ST_SIG
 from theorylattice import cli, fca
 from theorylattice.cli import _BLOCK, _blocks, build_parser, main, parse_carrier_spec
 from theorylattice.errors import ParseError
@@ -1038,3 +1043,70 @@ def test_a_command_builds_only_its_own_options(ws, capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["entails"])
     assert built == list(table)
+
+
+# ---------------------------------------------------------------------------
+# Hostile input: any edit of an input file ends in a documented exit code
+
+
+HOSTILE_FILES = {
+    "sig": ST_SIG,
+    "pool": "".join(s + "\n" for s in ST_POOL),
+    "thy": "forall x:E. forall y:E. T(x,y) -> T(y,x)\nexists x:E. S(x)\n",
+    "nav": "# from the top\nexpand exists x:E. S(x), forall x:E. exists y:E. T(x,y)\nanalogy {map}\n"
+    "contract exists x:E. S(x)\nrevise forall x:E. exists y:E. T(x,y) ; forall x:E. T(x,x)\n",
+    "map": "entity E -> E\nrelation S(x1) -> S(x1)\nrelation T -> T\n",
+}
+HOSTILE_COMMANDS = {
+    "lattice": ["lattice", "--pool", "{pool}"],
+    "lattice dot": ["lattice", "--pool", "{pool}", "--format", "dot"],
+    "close": ["close", "--pool", "{pool}", "--theory", "{thy}"],
+    "entail": ["entail", "--theory", "{thy}", "--query", "exists x:E. S(x)"],
+    "nav": ["nav", "--pool", "{pool}", "--script", "{nav}"],
+    "interp check": ["interp", "check", "--pool", "{pool}", "--dst-sig", "{sig}", "--dst-pool", "{pool}",
+                     "--dst-carriers", "E=a,b", "--map", "{map}"],
+}
+# the characters of the readers' grammars, with newline and the comment mark
+HOSTILE_ALPHABET = sorted(set(string.ascii_letters + string.digits + "_'<->~&|().,:=; ") | {"\n", "#"})
+
+
+def run_hostile(files: dict[str, str], command: str) -> tuple[int, str]:
+    """Write ``files`` to a fresh directory and run one command over them
+    through ``cli.main`` on ST over E=a,b: the exit code and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, f"st.{name}") for name in files}
+        for name, text in files.items():
+            Path(paths[name]).write_text(text.replace("{map}", paths["map"]) if name == "nav" else text)
+        argv = [arg.format(**paths) for arg in HOSTILE_COMMANDS[command]]
+        argv += ["--sig", paths["sig"], "--carriers", "E=a,b", "--cap-models", "4096"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", HOSTILE_COMMANDS)
+def test_hostile_inputs_start_from_a_run_that_exits_0(command):
+    assert run_hostile(HOSTILE_FILES, command) == (0, "")
+
+
+@given(
+    st.sampled_from(sorted(HOSTILE_FILES)),
+    st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")), st.integers(0, 1 << 12),
+                       st.sampled_from(HOSTILE_ALPHABET)), min_size=1, max_size=4),
+    st.sampled_from(sorted(HOSTILE_COMMANDS)),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_edited_inputs_end_in_a_documented_exit(name, edits, command):
+    """One to four character edits of one input file end in exit 0, 1, 2 or
+    3 with no exception; exit 1 ("false") only from entail and interp check,
+    and exit 2 with one stderr line that starts with ``error: ``."""
+    text = HOSTILE_FILES[name]
+    for op, at, char in edits:
+        at %= len(text) + 1
+        text = text[:at] + (char if op != "delete" else "") + text[at + (op != "insert"):]
+    code, err = run_hostile({**HOSTILE_FILES, name: text}, command)
+    assert code in (0, 1, 2, 3), err
+    assert code != 1 or command in ("entail", "interp check")
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error: "), err

@@ -60,6 +60,7 @@ from theorylattice.morph import (
 from theorylattice.truth import (
     ClosedTheory,
     Theory,
+    TruthClassification,
     build_truth_classification,
     theory_lattice,
 )
@@ -900,6 +901,26 @@ class TestIsTheoryMorphism:
         t1 = Theory.make(pq_sig, [parse_sentence(pq_sig, "exists x:E. P(x)")])
         t2 = Theory.make(pq_sig, [parse_sentence(pq_sig, "forall x:E. Q(x)")])
         assert is_theory_morphism(swap, t1, t2, swap_tc)
+
+    def test_target_models_are_found_once(self, monkeypatch):
+        """Eight source axioms read the target theory's models once, though
+        three of its axioms are outside the pool and so cost a column each;
+        an empty source theory is carried by any map."""
+        sig = parse_signature(M_SIG)
+        pool = [parse_sentence(sig, s) for s in M_POOL]
+        tc = build_truth_classification(sig, pool, carriers={"E": ["a", "b"]})
+        stray = ["exists x:E. R(x,x) & ~P(x)", "forall x:E. Q(x) | R(x,x)", "exists x:E. P(x) & ~R(x,x)"]
+        t1 = Theory.make(sig, pool[:8])
+        t2 = Theory.make(sig, [*pool[:8], *(parse_sentence(sig, s) for s in stray)])
+        calls = []
+        models_mask = TruthClassification._models_mask
+        monkeypatch.setattr(TruthClassification, "_models_mask",
+                            lambda self, t: calls.append(t) or models_mask(self, t))
+        f = identity_morphism(sig)
+        assert is_theory_morphism(f, t1, t2, tc)
+        assert len(calls) == 1
+        assert is_theory_morphism(f, Theory.make(sig, []), t2, tc)
+        assert not is_theory_morphism(f, t2, Theory.make(sig, []), tc)
 
     def test_signature_guards(self, conj_interp, pq_sig, unary_sig, swap_tc):
         t_pq = Theory.make(pq_sig, [])

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from theorylattice import logic, morph, nav
+from oracles import M_POOL, M_SIG, set_closure
+from theorylattice import fca, logic, morph, nav
 from theorylattice.errors import ParseError, PoolMembershipError, SignatureMismatchError
-from theorylattice.logic import Atom, Forall, Var, parse_sentence, sentence_key
+from theorylattice.logic import Atom, Forall, Var, parse_sentence, parse_signature, sentence_key
 from theorylattice.nav import (
     NavStep,
     analogy,
@@ -100,6 +103,74 @@ class TestRevise:
                 for add in combinations(pq_pool, 1):
                     composite = expand(pq_lat, contract(pq_lat, t, delete), add)
                     assert revise(pq_lat, t, delete, add) == composite
+
+
+@functools.cache
+def m_lattice():
+    """The lattice of M: 20 pool sentences over E=a,b, 2508 theories."""
+    sig = parse_signature(M_SIG)
+    pool = [parse_sentence(sig, s) for s in M_POOL]
+    return theory_lattice(build_truth_classification(sig, pool, carriers={"E": ["a", "b"]}))
+
+
+def _variant(sentence):
+    """An alpha-variant of a canonical sentence, each bound ``vK`` renamed ``wK``:
+    equal to no pool sentence as given."""
+
+    def term(t, env):
+        return Var("w" + t.name[1:], t.sort) if isinstance(t, Var) else t
+
+    return logic._map(sentence, None, lambda f, env: logic._map_terms(f, env, term),
+                      lambda q, env: ("w" + q.var[1:], q.sort, env))
+
+
+class TestReviseClosesOnce:
+    """Revision closes the remainder and the additions together, by one
+    lookup: for any closure cl, cl(cl(T - D) | A) = cl((T - D) | A)."""
+
+    def test_one_closing_lookup_per_revision(self, pq_lat, pq_pool, monkeypatch):
+        calls = []
+        closing = fca.ConceptLattice._closing
+        monkeypatch.setattr(fca.ConceptLattice, "_closing", lambda lat, m: calls.append(m) or closing(lat, m))
+        for t in pq_lat.theories:
+            for delete, add in ((pq_pool[:2], pq_pool[2:3]), ([], pq_pool[1:]), (pq_pool, [])):
+                calls.clear()
+                revise(pq_lat, t, delete, add)
+                assert len(calls) == 1
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_is_the_composite_and_the_closure_of_the_remainder_and_additions(self, data):
+        """Over M, with deletions that add axioms back, that are outside the
+        pool, or that are variants of pool sentences (which delete nothing),
+        and additions outside the pool (which raise as the composite does)."""
+        lat = m_lattice()
+        tc, pool = lat.tc, lat.tc.pool
+        stray = [parse_sentence(tc.signature, s) for s in ("exists x:E. R(x,x) & ~P(x)", "forall x:E. Q(x) | R(x,x)")]
+        t = data.draw(st.sampled_from(lat.theories))
+        delete = data.draw(st.lists(st.sampled_from([*pool, *stray, *map(_variant, pool)]), max_size=4))
+        add = data.draw(st.lists(st.sampled_from([*pool, *delete]), max_size=3))
+        if data.draw(st.booleans()):
+            add.insert(data.draw(st.integers(0, len(add))), data.draw(st.sampled_from(stray)))
+        try:
+            want = expand(lat, contract(lat, t, delete), add)
+        except PoolMembershipError as exc:
+            with pytest.raises(PoolMembershipError) as got:
+                revise(lat, t, delete, add)
+            assert str(got.value) == str(exc)
+            return
+        got = revise(lat, t, delete, add)
+        assert got is want
+        kept = {s for s in t.axioms if s not in delete} | {tc._lookup(s)[0] for s in add}
+        closed = set_closure(tc.classification, sum(1 << tc.pool.index(s) for s in kept))
+        assert got is lat.theories[lat.lattice._intents.index(closed)]
+
+    def test_scripts_move_by_revision_and_analogy_only(self, swap, swap_lat, monkeypatch):
+        script = "expand forall x:E. P(x)\nanalogy swap.map\ncontract exists x:E. P(x)\nrevise ; forall x:E. Q(x)\n"
+        want = apply_nav_script(swap_lat, swap_lat.top, script, load_morphism=lambda path: swap)
+        for move in ("contract", "expand"):
+            monkeypatch.setattr(nav, move, None)
+        assert apply_nav_script(swap_lat, swap_lat.top, script, load_morphism=lambda path: swap) == want
 
 
 class TestRoundTrip:
