@@ -147,8 +147,8 @@ def _blocks(records: Iterable[str]) -> Iterator[str]:
     last one shorter; a record that long is passed on uncopied, after the
     smaller ones before it.  They serve DOT, one record per node and per
     cover edge (cxt rows come 2^16 to a record): piped, with one write per
-    record H38's 7.2 MB DOT took 2.22-3.00 s against 1.77-2.24 s (Python
-    3.11, 2 shared cores, 5 alternating runs), and the M and W20 exports did
+    record H38's 7.2 MB DOT took 1.72-1.91 s against 1.16-1.73 s (Python
+    3.11, 2 shared cores, 6 alternating runs), and the M and W20 exports did
     not move.  A long record is dropped once it is written, before the next
     one is built, so that memory tracks the largest record, not the sum of
     two: holding it peaked the W20 text export at 81.8 MB against 68.8 MB."""

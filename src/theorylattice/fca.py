@@ -5,6 +5,13 @@ types.  The derivation operators form a Galois connection; their fixed
 points are the formal concepts, and the complete lattice they form under
 the extent order is enumerated here as the intersection closure of the
 type columns, its Hasse edges found with Lindig's neighbour algorithm.
+That algorithm closes a concept's intent plus each type outside it; here
+only the types outside the intent whose columns lie strictly inside no
+other such type's column are tried, since a type whose column lies
+strictly inside another's reaches that type's concept or one below it,
+and every cover is reached by one of its own types with a widest column.
+The concepts are walked upward, so each concept's upper covers are found
+in ascending order and the edges come out sorted.
 Instance and type embeddings give the join-dense and meet-dense
 generators, and the basic theorem round-trip rebuilds the classification
 from the lattice order.
@@ -486,37 +493,85 @@ class ConceptLattice(Value):
         return self._concept(self._closing(1 << q))
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges as (lower index, upper index) pairs.
+        """Hasse edges as (lower index, upper index) pairs, sorted.
 
         Lindig's neighbour algorithm: the lower covers of a concept are the
         maximal distinct extents ``extent & column[m]`` over the types ``m``
-        outside its intent.  A candidate ``m`` is dropped from the minimal
-        set when its closed intent holds another type still in that set, so
-        each cover is reported once, by the last type that generates it.
+        outside its intent.  Only the types whose columns lie strictly
+        inside no other such column are tried, and the minimal set starts
+        as those types.  That loses no cover and admits no other concept:
+
+        - if ``column[m]`` lies strictly inside ``column[m']``, the closure
+          of the intent plus ``m`` holds ``m'``, so ``m`` reaches ``m'``'s
+          concept or one below it;
+        - a cover's own types (its intent less the concept's) are the types
+          that reach it, and one with a widest column among them is widest
+          among all the types outside the intent, so it is tried;
+        - a tried type is dropped from the minimal set when its closed
+          intent holds another type still in that set.  The last tried type
+          of a cover is never dropped, so it reports the cover, once, and a
+          tried type reaching a concept below a cover finds that last type
+          in its closed intent and is dropped.
+
+        The concepts are walked upward by position, each appended to the
+        list of upper covers of each of its lower covers, so every list is
+        ascending and the lists read by position give the edges sorted.
         """
         return self._covers
 
     @cached_property
     def _covers(self) -> tuple[tuple[int, int], ...]:
-        cols = self._space._columns
-        by_key = self._by_key
-        intents = self._intents
-        all_types = (1 << len(cols)) - 1
-        columns = [(1 << m, col) for m, col in enumerate(cols)]
-        edges = []
+        by_key, intents = self._by_key, self._intents
+        insides, candidates = _candidate_tables(self._space._columns)
+        all_types = (1 << len(self._space._columns)) - 1
+        uppers: list[list[int] | None] = [[] for _ in intents]
         for k, (key, intent) in enumerate(zip(self._keys, intents)):
-            minimal = all_types & ~intent
-            for bit, col in columns:
-                if intent & bit:
-                    continue
-                low = by_key[key & col]
-                # low's intent holds bit; m drops out if it holds another minimal type
-                if intents[low] & minimal != bit:
-                    minimal ^= bit
-                else:
-                    edges.append((low, k))
-        edges.sort()
-        return tuple(edges)
+            rest = outside = all_types ^ intent
+            inside = 0
+            for table in insides:
+                inside |= table[rest & 255]
+                rest >>= 8
+            rest = minimal = outside & ~inside
+            for table in candidates:
+                for bit, col in table[rest & 255]:
+                    low = by_key[key & col]
+                    # low's intent holds bit; m drops out if it holds another minimal type
+                    if intents[low] & minimal != bit:
+                        minimal ^= bit
+                    else:
+                        uppers[low].append(k)
+                rest >>= 8
+        return tuple(itertools.chain.from_iterable(_edge_runs(uppers)))
+
+
+def _candidate_tables(cols: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple, ...], ...]]:
+    """Two tables per run of 8 columns, indexed by a byte ``v`` of a type
+    mask, built as :func:`_meet_tables` builds its own: the OR of the masks
+    of the columns lying strictly inside each column at a set bit of ``v``;
+    and the ``(bit, column)`` pairs of the set bits of ``v``, ascending.
+    Each column doubles both tables."""
+    inside = [_mask((j for j, c in enumerate(cols) if c != col and c & col == c), len(cols)) for col in cols]
+    ors, pairs = [], []
+    for g in range(0, len(cols), 8):
+        run_ors, run_pairs = [0], [()]
+        for m in range(g, min(g + 8, len(cols))):
+            run_ors += [x | inside[m] for x in run_ors]
+            run_pairs += [t + ((1 << m, cols[m]),) for t in run_pairs]
+        ors.append(tuple(run_ors))
+        pairs.append(tuple(run_pairs))
+    return tuple(ors), tuple(pairs)
+
+
+def _edge_runs(uppers: list[list[int] | None]) -> Iterator[list[tuple[int, int]]]:
+    """The pairs ``(low, k)`` for each ``k`` in ``uppers[low]``, by ``low``,
+    1024 lists at a time.  A run's lists leave ``uppers`` as its pairs are
+    made and are freed after them, so their memory serves the next pairs,
+    and no list of every pair is held beside the tuple built from them: a
+    comprehension into one such list peaked H38's DOT export 3% higher."""
+    for lo in range(0, len(uppers), 1024):
+        run = uppers[lo : lo + 1024]
+        uppers[lo : lo + 1024] = itertools.repeat(None, len(run))
+        yield [(low, k) for low, ks in enumerate(run, lo) for k in ks]
 
 
 def _meet_tables(space: Classification) -> tuple[tuple[int, ...], ...]:

@@ -368,6 +368,22 @@ def random_context(rng: random.Random, max_instances: int = 4, max_types: int = 
     return instances, types, incidence
 
 
+def random_wide_context(rng: random.Random, max_instances: int = 6) -> Classification:
+    """A classification of 9 to 24 types, so that its type masks span more
+    than one byte, over at most ``max_instances`` instances.  Each column
+    after the first is drawn afresh, copied from an earlier one, an
+    earlier one with instances added or removed (so columns nest, often
+    across bytes), every instance or none."""
+    n = rng.randint(0, max_instances)
+    columns = [rng.getrandbits(n)]
+    for _ in range(rng.randint(9, 24) - 1):
+        earlier, fresh = rng.choice(columns), rng.getrandbits(n)
+        columns.append(rng.choice((fresh, earlier, earlier | fresh, earlier & fresh, (1 << n) - 1, 0)))
+    return Classification.from_columns(
+        tuple(f"i{p}" for p in range(n)), tuple(f"t{j}" for j in range(len(columns))), tuple(columns)
+    )
+
+
 def _random_formula(
     rng: random.Random, sig: Signature, free: dict[str, str], depth: int, equality: bool = False
 ) -> Formula:

@@ -8,6 +8,7 @@ inputs, one function each; CI runs each check as one step.
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -287,6 +288,28 @@ def dot_l(out: Path) -> None:
         assert (n, sha) == pin, what
 
 
+def dot_h38(out: Path) -> None:
+    """H38: the M signature over E=a,b,c (32768 models) with the M pool and
+    the first 18 sentences that ``inputs.random_sentence`` draws from
+    ``random.Random(5)`` (52451 theories, 284985 cover edges).  The DOT
+    export is hashed as it is read from the pipe and compared with the
+    sha256 recorded while the covers tried every type outside each intent
+    and sorted the edges; its wall seconds and peak RSS are printed.  On
+    Python 3.11 it took 1.3-2.2 s and peaked at 68.4-69.6 MB then, and
+    1.0-1.9 s and 68.3-70.0 MB once the covers tried only the widest
+    columns and made the edges in order; the ceiling is about 30% over
+    that."""
+    rng = random.Random(5)
+    pool = [*inputs.M_POOL, *(inputs.random_sentence(rng) for _ in range(18))]
+    t = fixtures(out, {"h38.pool": "".join(s + "\n" for s in pool)})
+    n, sha, wall_s, peak_mb, code = piped("lattice", "--sig", t["m.sig"], "--pool", t["h38.pool"],
+                                          "--carriers", "E=a,b,c", "--format", "dot")
+    print(f"dot: {n} bytes, {wall_s:.2f} s, peak RSS {peak_mb:.1f} MB")
+    assert code == 0
+    assert (n, sha) == (7206337, "d30aa8c3dcfbfebc5ccc1c4dbab6452e61cbef28015d5494103d16a2d1996f14")
+    assert peak_mb < 90, f"{peak_mb:.1f} MB"
+
+
 def concepts_m(out: Path) -> None:
     """The M truth classification (256 models, 20 sentences, 2508 concepts)
     written as cxt and read back by ctx concepts: its DOT must equal the
@@ -483,7 +506,7 @@ def bench_smoke(out: Path) -> None:
 
 
 CHECKS = {check.__name__: check for check in (interp_at_scale, map_reader, listed_models, interp_w20, exports_w20,
-                                              exports_w22, cxt_w24, dot_l, concepts_m, nav_m, entry_point,
+                                              exports_w22, cxt_w24, dot_l, dot_h38, concepts_m, nav_m, entry_point,
                                               reader_faults, startup_imports, bench_smoke)}
 
 

@@ -218,6 +218,54 @@ def test_covers_on_a_boolean_lattice():
     assert len(lat.covers()) == n * 2 ** (n - 1)
 
 
+def test_covers_over_more_than_8_types_match_the_triple_scan():
+    """Covers try the types outside an intent 8 at a time, from per-byte
+    tables; contexts of 9 to 24 types with repeated, nested, full and empty
+    columns check them against every triple of concepts.  The corpus is
+    checked to hold repeated, full and empty columns, and a column strictly
+    inside one of another run of 8."""
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(600):
+        ctx = oracles.random_wide_context(rng)
+        lat = concept_lattice(ctx)
+        assert lat.covers() == brute_covers(lat.concepts)
+        cols, full = ctx._columns, ctx._full
+        runs = [(j // 8, c) for j, c in enumerate(cols)]
+        found = {
+            "repeated": len(set(cols)) < len(cols),
+            "full": full != 0 and full in cols,
+            "empty": full != 0 and 0 in cols,
+            "nested across a byte": any(g != h and c != d and c & d == c for g, c in runs for h, d in runs),
+        }
+        seen |= {name for name, hit in found.items() if hit}
+    assert seen == {"repeated", "full", "empty", "nested across a byte"}
+
+
+def test_covers_look_up_one_type_per_concept_on_a_chain_of_columns():
+    """Covers try only the types outside an intent whose columns lie
+    strictly inside no other such column.  On 12 types whose columns form
+    a strict chain, in shuffled order, that is one type per concept with a
+    type outside its intent: 12 lookups, where trying every type outside
+    each intent takes 78."""
+    n = 12
+    size = random.Random(7).sample(range(1, n + 1), n)
+    ctx = Classification.from_columns(range(n + 1), tuple(range(n)), tuple((1 << s) - 1 for s in size))
+    lat = concept_lattice(ctx)
+
+    class CountingDict(dict):
+        lookups = 0
+
+        def __getitem__(self, key):
+            self.lookups += 1
+            return super().__getitem__(key)
+
+    lat.__dict__["_by_key"] = by_key = CountingDict(lat._by_key)
+    assert lat.covers() == brute_covers(lat.concepts) == tuple((k, k + 1) for k in range(n))
+    outside = [c for c in lat.concepts if c.intent != frozenset(ctx.types)]
+    assert by_key.lookups == len(outside) == n
+
+
 # ---------------------------------------------------------------------------
 # The intersection closure against NextClosure: same concepts, same order,
 # and a SizeCapError for the same (context, cap) pairs
