@@ -111,8 +111,23 @@ class _BlockJoin:
     are skipped; each other block's joined names are cached under its
     offset and bytes.  Over an enumerated model space the columns are
     periodic in the enumeration order, so the blocks of the extents repeat.
-    The cache stops adding entries once its texts hold ``budget``
+    The block cache stops adding entries once its texts hold ``budget``
     characters.
+
+    A mask of 16 blocks or more is read at a second level, in runs of G
+    blocks, G the largest power of two at or below the square root of the
+    block count (8 blocks of 256 models over 32768 models, 32 of 1024 over
+    2^20).  The zero ends of the mask are trimmed and each all-zero run is
+    skipped with one compare.  Each other run is looked up under its offset
+    and bytes in a run cache, whose entry is the tuple of the run's block
+    texts, the block cache's own strings; so a run seen before costs one
+    lookup, and only a run not seen before is read block by block.  A run
+    is cached only when the block cache holds all its texts.  An entry is
+    charged its bytes plus one 8-byte reference per text, and the run cache
+    adds an entry only while its charges stay within ``budget // G``, a
+    G-th of what the block cache may hold: a budget of 0 caches no run and
+    keeps only the zero-run skip.  A mask of fewer than 16 blocks is read
+    block by block.
 
     When the ids are ``range(n)``, as for every truth classification, no
     table of names is kept: a block that misses the cache is rendered by
@@ -127,13 +142,20 @@ class _BlockJoin:
         self.step = 1 << max(3, len(ids).bit_length() // 2 - 3)  # bytes per block
         self.size = -(-len(ids) // (self.step * 8)) * self.step  # whole blocks
         self.blocks: dict[tuple[int, bytes], str] = {}
+        count = self.size // self.step
+        run = 1 << (count.bit_length() - 1) // 2 if count >= 16 else 0  # blocks per run, G
+        self.span = run * self.step  # bytes per run; 0 reads block by block
+        self.run_room = budget // run if run else 0
+        self.runs: dict[tuple[int, bytes], tuple[str, ...]] = {}
 
     def __call__(self, mask: int) -> str:
+        if self.span:
+            return self._join_runs(mask)
         names, sep, step, blocks = self.names, self.sep, self.step, self.blocks
         data = mask.to_bytes(self.size, "little")
         zero = bytes(step)
         parts = []
-        for at in range(0, self.size, step):
+        for at in range(0, self.size, step):  # _render inline: a narrow mask makes no call per block
             chunk = data[at : at + step]
             if chunk == zero:
                 continue
@@ -149,6 +171,53 @@ class _BlockJoin:
                     self.room -= len(text)
             parts.append(text)
         return sep.join(parts)
+
+    def _join_runs(self, mask: int) -> str:
+        """The join of a mask of 16 blocks or more, read run by run."""
+        if not mask:
+            return ""
+        step, span, blocks, runs = self.step, self.span, self.blocks, self.runs
+        data = mask.to_bytes(self.size, "little")
+        zero, empty = bytes(step), bytes(span)
+        lo = ((mask & -mask).bit_length() - 1) >> 3  # the lowest and past the highest nonzero byte
+        hi = (mask.bit_length() + 7) >> 3
+        parts: list[str] = []
+        for start in range(lo - lo % span, hi, span):
+            run = data[start : start + span]
+            if run == empty:
+                continue
+            texts = runs.get((start, run))
+            if texts is None:
+                found, shared = [], True
+                for at in range(start, start + len(run), step):
+                    chunk = data[at : at + step]
+                    if chunk == zero:
+                        continue
+                    text = blocks.get((at, chunk))
+                    if text is None:
+                        text = self._render(at, chunk)
+                        shared = shared and (at, chunk) in blocks
+                    found.append(text)
+                texts = tuple(found)
+                cost = len(run) + 8 * len(texts)
+                if shared and cost <= self.run_room:
+                    runs[start, run] = texts
+                    self.run_room -= cost
+            parts += texts
+        return self.sep.join(parts)
+
+    def _render(self, at: int, chunk: bytes) -> str:
+        """The joined names of the block at byte ``at``, not in the cache:
+        rendered, and cached while the budget lasts."""
+        digits = _digits(int.from_bytes(chunk, "little"))
+        if self.names is None:
+            text = _numerals(at * 8, digits, self.sep)
+        else:
+            text = self.sep.join(itertools.compress(self.names[at * 8 : (at + len(chunk)) * 8], digits))
+        if len(text) <= self.room:
+            self.blocks[at, chunk] = text
+            self.room -= len(text)
+        return text
 
 
 def _bits(mask: int) -> tuple[int, ...]:

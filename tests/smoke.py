@@ -213,10 +213,13 @@ def exports_w20(out: Path) -> None:
     models at a time, text, DOT and cxt peak at 81.8-81.9, 25.0-25.1 and
     24.6 MB on Python 3.11 (1.4-1.5, 0.7 and 0.2-0.4 s; 103.1, 62.7 and
     51.8 MB before).  With a long record dropped before the next one is
-    built, text peaks at 68.8 MB (1.0-1.4 s).  Each ceiling is about 30%
-    over the highest of the latest peaks.  The cxt export builds no
-    lattice, so it runs again under ``--cap-concepts 0`` and must give the
-    same bytes."""
+    built, text peaks at 68.8 MB (1.0-1.4 s).  With runs of blocks cached
+    too, text peaks at 69.8-69.9 MB against 68.7-68.8 MB block by block, in
+    the same time (1.1-1.7 s on either side, alternating), and DOT and cxt
+    at 25.1-25.2 and 25.5-25.6 MB (0.5-0.7 and 0.3-0.4 s).  Each ceiling is
+    about 30% over the highest of the latest peaks.  The cxt export builds
+    no lattice, so it runs again under ``--cap-concepts 0`` and must give
+    the same bytes."""
     t = fixtures(out)
     cxt = (20909377, "bc664ef74c071b4527e0e66ccf94092f70d7558c2cdb8294ff9949d3e09a6a61", 32)
     want = {
@@ -267,6 +270,24 @@ def cxt_w24(out: Path) -> None:
     assert code == 0
     assert (n, sha) == (492205956, "5002d3a4cdde51ec9c57b9bab1bfe3e41ab92cf774d3254dc18dbbcf5cb82638")
     assert peak_mb < 215, f"{peak_mb:.1f} MB"
+
+
+def text_l10(out: Path) -> None:
+    """L10: the M signature over E=a,b,c (32768 models) with the first ten
+    M-pool sentences (109 theories), the benchmark's models_L export.  The
+    text export is hashed as it is read from the pipe and compared with
+    ``inputs.L10_TEXT``, the digest recorded when the benchmark was defined;
+    its wall seconds and peak RSS are printed.  With its models: lines
+    joined from cached runs of blocks it took 0.11-0.17 s on Python 3.11
+    and peaked at 23.4-24.6 MB, as block by block; the ceiling is about 30%
+    over the highest."""
+    t = fixtures(out)
+    n, sha, wall_s, peak_mb, code = piped("lattice", "--sig", t["m.sig"], "--pool", t["l10.pool"],
+                                          "--carriers", "E=a,b,c", "--format", "text")
+    print(f"text: {n} bytes, {wall_s:.2f} s, peak RSS {peak_mb:.1f} MB")
+    assert code == 0
+    assert (n, sha) == inputs.L10_TEXT
+    assert peak_mb < 32, f"{peak_mb:.1f} MB"
 
 
 def dot_l(out: Path) -> None:
@@ -506,8 +527,8 @@ def bench_smoke(out: Path) -> None:
 
 
 CHECKS = {check.__name__: check for check in (interp_at_scale, map_reader, listed_models, interp_w20, exports_w20,
-                                              exports_w22, cxt_w24, dot_l, dot_h38, concepts_m, nav_m, entry_point,
-                                              reader_faults, startup_imports, bench_smoke)}
+                                              exports_w22, cxt_w24, text_l10, dot_l, dot_h38, concepts_m, nav_m,
+                                              entry_point, reader_faults, startup_imports, bench_smoke)}
 
 
 def main(argv: list[str]) -> None:

@@ -1056,12 +1056,16 @@ HOSTILE_FILES = {
     "nav": "# from the top\nexpand exists x:E. S(x), forall x:E. exists y:E. T(x,y)\nanalogy {map}\n"
     "contract exists x:E. S(x)\nrevise forall x:E. exists y:E. T(x,y) ; forall x:E. T(x,x)\n",
     "map": "entity E -> E\nrelation S(x1) -> S(x1)\nrelation T -> T\n",
+    "thy2": "forall x:E. forall y:E. T(x,y) -> T(y,x)\nexists x:E. S(x) | T(x,x)\n",  # implied by thy
+    "model": "universe E = {a, b}\nS = {a}\nT = {(a, b), (b, a), (b, b)}\n",
 }
 HOSTILE_COMMANDS = {
     "lattice": ["lattice", "--pool", "{pool}"],
     "lattice dot": ["lattice", "--pool", "{pool}", "--format", "dot"],
     "close": ["close", "--pool", "{pool}", "--theory", "{thy}"],
     "entail": ["entail", "--theory", "{thy}", "--query", "exists x:E. S(x)"],
+    "leq": ["leq", "--theory", "{thy}", "--theory2", "{thy2}"],
+    "lattice model": ["lattice", "--pool", "{pool}", "--model", "{model}"],
     "nav": ["nav", "--pool", "{pool}", "--script", "{nav}"],
     "interp check": ["interp", "check", "--pool", "{pool}", "--dst-sig", "{sig}", "--dst-pool", "{pool}",
                      "--dst-carriers", "E=a,b", "--map", "{map}"],
@@ -1072,13 +1076,16 @@ HOSTILE_ALPHABET = sorted(set(string.ascii_letters + string.digits + "_'<->~&|()
 
 def run_hostile(files: dict[str, str], command: str) -> tuple[int, str]:
     """Write ``files`` to a fresh directory and run one command over them
-    through ``cli.main`` on ST over E=a,b: the exit code and stderr."""
+    through ``cli.main`` on ST, over E=a,b unless the command lists its
+    models: the exit code and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: os.path.join(tmp, f"st.{name}") for name in files}
         for name, text in files.items():
             Path(paths[name]).write_text(text.replace("{map}", paths["map"]) if name == "nav" else text)
         argv = [arg.format(**paths) for arg in HOSTILE_COMMANDS[command]]
-        argv += ["--sig", paths["sig"], "--carriers", "E=a,b", "--cap-models", "4096"]
+        argv += ["--sig", paths["sig"], "--cap-models", "4096"]
+        if "--model" not in argv:
+            argv += ["--carriers", "E=a,b"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -1099,14 +1106,14 @@ def test_hostile_inputs_start_from_a_run_that_exits_0(command):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_edited_inputs_end_in_a_documented_exit(name, edits, command):
     """One to four character edits of one input file end in exit 0, 1, 2 or
-    3 with no exception; exit 1 ("false") only from entail and interp check,
-    and exit 2 with one stderr line that starts with ``error: ``."""
+    3 with no exception; exit 1 ("false") only from entail, leq and interp
+    check, and exit 2 with one stderr line that starts with ``error: ``."""
     text = HOSTILE_FILES[name]
     for op, at, char in edits:
         at %= len(text) + 1
         text = text[:at] + (char if op != "delete" else "") + text[at + (op != "insert"):]
     code, err = run_hostile({**HOSTILE_FILES, name: text}, command)
     assert code in (0, 1, 2, 3), err
-    assert code != 1 or command in ("entail", "interp check")
+    assert code != 1 or command in ("entail", "leq", "interp check")
     if code == 2:
         assert err.count("\n") == 1 and err.startswith("error: "), err

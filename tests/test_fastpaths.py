@@ -12,6 +12,7 @@ reduct."""
 from __future__ import annotations
 
 import functools
+import operator
 import random
 import time
 import tracemalloc
@@ -1190,40 +1191,91 @@ def test_pullbacks_read_masks_at_positions():
 
 
 def block_join_masks(rng: random.Random, width: int) -> list[int]:
-    """Zero, full, random and sparse masks, and one that repeats a random
-    64-bit pattern across the width, given twice, so that blocks repeat."""
+    """First, in runs of the run level (of 64 bits where the width takes
+    none): a sparse mask whose period spans three runs and a bit; the same
+    with every third run cleared, cut off in the middle of its last nonzero
+    run, and with every fourth run set, all three sharing runs with it at
+    the same offsets, and the first given again.  Then zero, full, random
+    and sparse masks, and one that repeats a random 64-bit pattern across
+    the width, given twice, so that blocks repeat.  The sparse periodic
+    masks come first, so that a budget of the masks' bytes caches their
+    blocks and fills the run cache."""
     full = (1 << width) - 1
+    run = max(8, _BlockJoin(range(width), " ", 0).span) * 8  # bits per run
+    period = 3 * run + 1
+    pattern = rng.getrandbits(period) & rng.getrandbits(period) & rng.getrandbits(period)
+    long = sum(pattern << k for k in range(0, width, period)) & full
+    runs = lambda first, every: sum(((1 << run) - 1) << k for k in range(first, width, every * run)) & full
+    cut = long & ((1 << max(0, width - run // 2 - 3)) - 1)
     pattern = rng.getrandbits(64)
     periodic = sum(pattern << k for k in range(0, width, 64)) & full
     sparse = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
-    return [0, full, periodic, periodic, sparse, *(rng.getrandbits(width) for _ in range(3))]
+    return [
+        long, long & ~runs(0, 3), cut, long | runs(run, 4), long,
+        0, full, periodic, periodic, sparse, *(rng.getrandbits(width) for _ in range(3)),
+    ]
 
 
 def check_block_join(ids, masks: list[int]) -> None:
-    """The text built from cached blocks equals the join of the selected
-    names, whatever the cache may hold, and the cache holds at most its
-    budget of characters.  ``masks[2]`` is joined again with room to spare
-    and must hit the cache."""
+    """The text built from cached runs and blocks equals the join of the
+    selected names, whatever the caches may hold.  The block texts hold at
+    most the budget's characters; the run entries, charged their bytes and
+    8 per text, at most a G-th of it, and their texts are the block cache's
+    own strings.  With room for everything, joining the masks again makes
+    no block lookup where the width takes the run level."""
     names, width = tuple(map(str, ids)), len(ids)
-    bound = len(masks) * ((width + 7) >> 3)  # the bytes of the masks, as for a lattice
-    everything = 3 * sum(map(len, names)) + 2 * width
-    for budget in (0, 1, bound, everything):
+    for budget in (0, 1, len(masks) * ((width + 7) >> 3), 1 << 40):  # the last: everything
         for sep in (" ", ", "):
             join = _BlockJoin(ids, sep, budget)
             for mask in masks:
                 assert join(mask) == sep.join(_select(names, mask))
-                assert sum(map(len, join.blocks.values())) <= budget
-            if budget == everything:
-                entries = len(join.blocks)
-                assert join(masks[2]) == sep.join(_select(names, masks[2]))
-                assert len(join.blocks) == entries
+            assert sum(map(len, join.blocks.values())) <= budget
+            if not join.span:
+                assert not join.runs
+                continue
+            step = join.step
+            charged = sum(len(run) + 8 * len(texts) for (_, run), texts in join.runs.items())
+            assert charged <= budget // (join.span // step)
+            for (start, run), texts in join.runs.items():
+                chunks = (run[k : k + step] for k in range(0, len(run), step))
+                cached = [join.blocks[start + k * step, chunk] for k, chunk in enumerate(chunks) if any(chunk)]
+                assert len(texts) == len(cached) and all(map(operator.is_, texts, cached))
+            if budget == 1 << 40:
+                join.blocks = CountingDict(join.blocks)
+                assert [join(mask) for mask in masks] == [sep.join(_select(names, mask)) for mask in masks]
+                assert join.blocks.gets == 0
 
 
-@pytest.mark.parametrize("width", [0, 1, 7, 8, 63, 64, 65, 300, 32768])
+class CountingDict(dict):
+    """A dict that counts its ``get`` calls and those that found nothing."""
+
+    gets = misses = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        value = super().get(key, default)
+        self.misses += value is None
+        return value
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 63, 64, 65, 300, 960, 961, 4096, 20000, 32768])
 def test_block_join_matches_joining_the_selected_names(width):
     rng = random.Random(width)
     names = tuple(str(k) * rng.randrange(3) for k in range(width))  # lengths 0 to 10
     check_block_join(names, block_join_masks(rng, width))
+
+
+def test_a_repeated_run_of_blocks_is_looked_up_once():
+    """A periodic mask over 32768 positions (128 blocks of 256 in runs of 8),
+    with two runs cleared, joined twice: the second join looks each of its 14
+    nonzero runs up once, finds every one, and makes no block lookup."""
+    join = _BlockJoin(range(32768), " ", 1 << 20)
+    join.blocks, join.runs = CountingDict(), CountingDict()
+    mask = sum(1 << i for i in range(32768) if i % 7 in (0, 3) and not 4096 <= i < 8192)
+    first = join(mask)
+    join.blocks.gets = join.runs.gets = join.runs.misses = 0
+    assert join(mask) == first == " ".join(map(str, _select(range(32768), mask)))
+    assert (join.blocks.gets, join.runs.gets, join.runs.misses) == (0, 14, 0)
 
 
 def boundary_mask(width: int, period: int) -> int:
@@ -1231,13 +1283,13 @@ def boundary_mask(width: int, period: int) -> int:
     return sum(1 << p for k in range(0, width + 1, period) for p in (k - 1, k, k + 1) if 0 <= p < width)
 
 
-@pytest.mark.parametrize("width", [0, 1, 999, 1000, 1001, 9999, 10000, 10001, 32768])
+@pytest.mark.parametrize("width", [0, 1, 960, 961, 999, 1000, 1001, 4096, 9999, 10000, 10001, 20000, 32768])
 def test_block_join_over_positions_matches_joining_their_numerals(width):
     """Ids ``range(n)`` keep no names table: a block that misses the cache
     is joined from the numeral tables, split at each multiple of 1000, so
     the masks set bits at and next to the multiples of 1000 and of 10000."""
     rng = random.Random(width)
-    masks = block_join_masks(rng, width)[:5] + [boundary_mask(width, 1000), boundary_mask(width, 10000)]
+    masks = block_join_masks(rng, width) + [boundary_mask(width, 1000), boundary_mask(width, 10000)]
     check_block_join(range(width), masks)
 
 
