@@ -155,7 +155,9 @@ class _BlockJoin:
         data = mask.to_bytes(self.size, "little")
         zero = bytes(step)
         parts = []
-        for at in range(0, self.size, step):  # _render inline: a narrow mask makes no call per block
+        # _render inline: a call on each miss made M's DOT member joins, which miss every block, 2.6% slower
+        # (median of 80 interleaved rounds)
+        for at in range(0, self.size, step):
             chunk = data[at : at + step]
             if chunk == zero:
                 continue

@@ -1221,8 +1221,9 @@ def check_block_join(ids, masks: list[int]) -> None:
     selected names, whatever the caches may hold.  The block texts hold at
     most the budget's characters; the run entries, charged their bytes and
     8 per text, at most a G-th of it, and their texts are the block cache's
-    own strings.  With room for everything, joining the masks again makes
-    no block lookup where the width takes the run level."""
+    own strings.  With room for everything, joining the masks again hits
+    the block cache on every lookup, and makes none where the width takes
+    the run level."""
     names, width = tuple(map(str, ids)), len(ids)
     for budget in (0, 1, len(masks) * ((width + 7) >> 3), 1 << 40):  # the last: everything
         for sep in (" ", ", "):
@@ -1230,20 +1231,22 @@ def check_block_join(ids, masks: list[int]) -> None:
             for mask in masks:
                 assert join(mask) == sep.join(_select(names, mask))
             assert sum(map(len, join.blocks.values())) <= budget
-            if not join.span:
+            if join.span:
+                step = join.step
+                charged = sum(len(run) + 8 * len(texts) for (_, run), texts in join.runs.items())
+                assert charged <= budget // (join.span // step)
+                for (start, run), texts in join.runs.items():
+                    chunks = (run[k : k + step] for k in range(0, len(run), step))
+                    cached = [join.blocks[start + k * step, chunk] for k, chunk in enumerate(chunks) if any(chunk)]
+                    assert len(texts) == len(cached) and all(map(operator.is_, texts, cached))
+            else:
                 assert not join.runs
-                continue
-            step = join.step
-            charged = sum(len(run) + 8 * len(texts) for (_, run), texts in join.runs.items())
-            assert charged <= budget // (join.span // step)
-            for (start, run), texts in join.runs.items():
-                chunks = (run[k : k + step] for k in range(0, len(run), step))
-                cached = [join.blocks[start + k * step, chunk] for k, chunk in enumerate(chunks) if any(chunk)]
-                assert len(texts) == len(cached) and all(map(operator.is_, texts, cached))
             if budget == 1 << 40:
                 join.blocks = CountingDict(join.blocks)
                 assert [join(mask) for mask in masks] == [sep.join(_select(names, mask)) for mask in masks]
-                assert join.blocks.gets == 0
+                assert join.blocks.misses == 0
+                if join.span:
+                    assert join.blocks.gets == 0
 
 
 class CountingDict(dict):
