@@ -107,27 +107,27 @@ class _BlockJoin:
 
     A mask's bytes are cut into blocks of 2^max(6, bit_length(width) // 2)
     bits, about the square root of the width, so a mask costs that many
-    lookups and a block not seen before that many names.  All-zero blocks
-    are skipped; each other block's joined names are cached under its
-    offset and bytes.  Over an enumerated model space the columns are
-    periodic in the enumeration order, so the blocks of the extents repeat.
-    The block cache stops adding entries once its texts hold ``budget``
-    characters.
+    lookups and a block not seen before that many names.  :meth:`_walk` is
+    the one loop over blocks: it skips an all-zero block, and looks each
+    other block up under its offset and bytes in the block cache, rendering
+    and caching it on a miss.  Over an enumerated model space the columns
+    are periodic in the enumeration order, so the blocks of the extents
+    repeat.  The block cache stops adding entries once its texts hold
+    ``budget`` characters.
 
-    A mask of 16 blocks or more is read at a second level, in runs of G
-    blocks, G the largest power of two at or below the square root of the
-    block count (8 blocks of 256 models over 32768 models, 32 of 1024 over
-    2^20).  The zero ends of the mask are trimmed and each all-zero run is
-    skipped with one compare.  Each other run is looked up under its offset
-    and bytes in a run cache, whose entry is the tuple of the run's block
+    A mask of fewer than 16 blocks is one walk.  A wider mask is read in
+    runs of G blocks, G the largest power of two at or below the square
+    root of the block count (8 blocks of 256 models over 32768 models, 32
+    of 1024 over 2^20).  An all-zero run is skipped with one compare,
+    wherever it lies.  Each other run is looked up under its offset and
+    bytes in a run cache, whose entry is the tuple of the run's block
     texts, the block cache's own strings; so a run seen before costs one
-    lookup, and only a run not seen before is read block by block.  A run
-    is cached only when the block cache holds all its texts.  An entry is
-    charged its bytes plus one 8-byte reference per text, and the run cache
-    adds an entry only while its charges stay within ``budget // G``, a
-    G-th of what the block cache may hold: a budget of 0 caches no run and
-    keeps only the zero-run skip.  A mask of fewer than 16 blocks is read
-    block by block.
+    lookup, and only a run not seen before is walked.  A run is cached only
+    when the block cache holds all its texts.  An entry is charged its
+    bytes plus one 8-byte reference per text, and the run cache adds an
+    entry only while its charges stay within ``budget // G``, a G-th of
+    what the block cache may hold: a budget of 0 caches no run and keeps
+    only the zero-run skip.
 
     When the ids are ``range(n)``, as for every truth classification, no
     table of names is kept: a block that misses the cache is rendered by
@@ -144,20 +144,43 @@ class _BlockJoin:
         self.blocks: dict[tuple[int, bytes], str] = {}
         count = self.size // self.step
         run = 1 << (count.bit_length() - 1) // 2 if count >= 16 else 0  # blocks per run, G
-        self.span = run * self.step  # bytes per run; 0 reads block by block
+        self.span = run * self.step  # bytes per run; 0 reads the mask in one walk
         self.run_room = budget // run if run else 0
         self.runs: dict[tuple[int, bytes], tuple[str, ...]] = {}
 
     def __call__(self, mask: int) -> str:
-        if self.span:
-            return self._join_runs(mask)
-        names, sep, step, blocks = self.names, self.sep, self.step, self.blocks
         data = mask.to_bytes(self.size, "little")
+        parts: list[str] = []
+        span = self.span
+        if not span:
+            self._walk(data, 0, self.size, parts)
+            return self.sep.join(parts)
+        runs, empty = self.runs, bytes(span)
+        for start in range(0, self.size, span):
+            run = data[start : start + span]
+            if run == empty:
+                continue
+            texts = runs.get((start, run))
+            if texts is None:
+                found: list[str] = []
+                shared = self._walk(data, start, start + len(run), found)
+                texts = tuple(found)
+                cost = len(run) + 8 * len(texts)
+                if shared and cost <= self.run_room:
+                    runs[start, run] = texts
+                    self.run_room -= cost
+            parts += texts
+        return self.sep.join(parts)
+
+    def _walk(self, data: bytes, start: int, stop: int, parts: list[str]) -> bool:
+        """Append the joined names of each nonzero block of ``data`` from
+        byte ``start`` to ``stop`` to ``parts``; a block that misses the
+        cache is rendered, and cached while the budget lasts.  Returns
+        whether the cache now holds every one of those blocks."""
+        names, sep, step, blocks = self.names, self.sep, self.step, self.blocks
         zero = bytes(step)
-        parts = []
-        # _render inline: a call on each miss made M's DOT member joins, which miss every block, 2.6% slower
-        # (median of 80 interleaved rounds)
-        for at in range(0, self.size, step):
+        shared = True
+        for at in range(start, stop, step):
             chunk = data[at : at + step]
             if chunk == zero:
                 continue
@@ -171,55 +194,10 @@ class _BlockJoin:
                 if len(text) <= self.room:
                     blocks[at, chunk] = text
                     self.room -= len(text)
+                else:
+                    shared = False
             parts.append(text)
-        return sep.join(parts)
-
-    def _join_runs(self, mask: int) -> str:
-        """The join of a mask of 16 blocks or more, read run by run."""
-        if not mask:
-            return ""
-        step, span, blocks, runs = self.step, self.span, self.blocks, self.runs
-        data = mask.to_bytes(self.size, "little")
-        zero, empty = bytes(step), bytes(span)
-        lo = ((mask & -mask).bit_length() - 1) >> 3  # the lowest and past the highest nonzero byte
-        hi = (mask.bit_length() + 7) >> 3
-        parts: list[str] = []
-        for start in range(lo - lo % span, hi, span):
-            run = data[start : start + span]
-            if run == empty:
-                continue
-            texts = runs.get((start, run))
-            if texts is None:
-                found, shared = [], True
-                for at in range(start, start + len(run), step):
-                    chunk = data[at : at + step]
-                    if chunk == zero:
-                        continue
-                    text = blocks.get((at, chunk))
-                    if text is None:
-                        text = self._render(at, chunk)
-                        shared = shared and (at, chunk) in blocks
-                    found.append(text)
-                texts = tuple(found)
-                cost = len(run) + 8 * len(texts)
-                if shared and cost <= self.run_room:
-                    runs[start, run] = texts
-                    self.run_room -= cost
-            parts += texts
-        return self.sep.join(parts)
-
-    def _render(self, at: int, chunk: bytes) -> str:
-        """The joined names of the block at byte ``at``, not in the cache:
-        rendered, and cached while the budget lasts."""
-        digits = _digits(int.from_bytes(chunk, "little"))
-        if self.names is None:
-            text = _numerals(at * 8, digits, self.sep)
-        else:
-            text = self.sep.join(itertools.compress(self.names[at * 8 : (at + len(chunk)) * 8], digits))
-        if len(text) <= self.room:
-            self.blocks[at, chunk] = text
-            self.room -= len(text)
-        return text
+        return shared
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -419,22 +397,18 @@ def _row_classes(ctx: Classification) -> tuple[Classification, tuple[int, ...]]:
     """The classification of the row classes, the instances with equal
     rows, and each class's number of instances.
 
-    The rows are counted 2^16 instances at a time: the chunk is split by
-    each column's bytes over it in turn, each part keeping the types it
-    lies in, and a dict keeps each row with its count and first instance.
-    Class ``c`` is the row with the ``c``-th lowest first instance, so
-    masks over the classes compare by their lowest bits as their instance
-    masks do.
+    The rows are counted a window of 2^16 instances at a time
+    (:func:`_windows`): the window is split by each column over it in
+    turn, each part keeping the types it lies in, and a dict keeps each row
+    with its count and first instance.  Class ``c`` is the row with the
+    ``c``-th lowest first instance, so masks over the classes compare by
+    their lowest bits as their instance masks do.
     """
-    n = len(ctx.instances)
-    data = [col.to_bytes((n + 7) >> 3, "little") for col in ctx._columns]
     rows: dict[int, list[int]] = {}
-    for lo in range(0, n, 1 << 16):
-        hi = min(lo + (1 << 16), n)
-        full = (1 << hi - lo) - 1
+    for lo, count, cols in _windows(ctx._columns, len(ctx.instances)):
+        full = (1 << count) - 1
         parts = [(full, 0)]
-        for j, column in enumerate(data):
-            col = int.from_bytes(column[lo >> 3 : (hi + 7) >> 3], "little")
+        for j, col in enumerate(cols):
             rest = full ^ col
             parts = [(m, r) for p, row in parts for m, r in ((p & col, row | 1 << j), (p & rest, row)) if m]
         for mask, row in parts:
@@ -447,6 +421,17 @@ def _row_classes(ctx: Classification) -> tuple[Classification, tuple[int, ...]]:
             columns[j] |= 1 << c
     space = Classification.from_columns(range(len(ordered)), ctx.types, tuple(columns))
     return space, tuple(count for _, (count, _) in ordered)
+
+
+def _windows(columns: Sequence[int], n: int) -> Iterator[tuple[int, int, list[int]]]:
+    """For each window of 2^16 of the ``n`` instances: its first position,
+    its width, and each column's int over it.  Each column is copied to
+    bytes once and each window's int cut from that copy, so no window
+    shifts the rest of a column."""
+    data = [col.to_bytes((n + 7) >> 3, "little") for col in columns]
+    for lo in range(0, n, 1 << 16):
+        count = min(1 << 16, n - lo)
+        yield lo, count, [int.from_bytes(column[lo >> 3 : (lo + count + 7) >> 3], "little") for column in data]
 
 
 def derive_types(ctx: Classification, instances: Iterable[Id]) -> frozenset[Id]:
@@ -480,8 +465,12 @@ class ConceptLattice(Value):
     Stored as each concept's intent and key masks, in canonical order: by
     extent size, then by the positions of the extent's instances.  A key
     is the extent over ``_space``, the row classes (:func:`_row_classes`),
-    on which lookups, the order and covers run; ``_meets`` holds the meet
-    tables of its columns (:func:`_meet_tables`).  An extent over the
+    on which lookups, the order and covers run; ``_meets`` holds the meets
+    of its columns, one table per byte of a type mask (:func:`_byte_tables`
+    with ``and_``, entry 0 the full mask).  The tables are built over the
+    row classes, never over the instances: 528 masks of 124 bits on M,
+    where over W20's 2^20 models they would hold 272 masks of 128 KB, about
+    34 MB, against 272 of 102 bits.  An extent over the
     instances is the AND of its intent's columns, computed where it is
     read.  The first concept is the bottom, the last is the top.  The
     :class:`FormalConcept` objects of ``concepts`` are a view built on
@@ -496,7 +485,7 @@ class ConceptLattice(Value):
 
     def _check(self) -> None:
         object.__setattr__(self, "_space", self.classification._classes[0])
-        object.__setattr__(self, "_meets", _meet_tables(self._space))
+        object.__setattr__(self, "_meets", _byte_tables(self._space._columns, operator.and_, self._space._full))
 
     @cached_property
     def concepts(self) -> tuple[FormalConcept, ...]:
@@ -592,9 +581,13 @@ class ConceptLattice(Value):
 
     @cached_property
     def _covers(self) -> tuple[tuple[int, int], ...]:
-        by_key, intents = self._by_key, self._intents
-        insides, candidates = _candidate_tables(self._space._columns)
-        all_types = (1 << len(self._space._columns)) - 1
+        by_key, intents, cols = self._by_key, self._intents, self._space._columns
+        # per byte of a type mask: the OR of the masks of the columns strictly
+        # inside each selected column, and the (bit, column) pairs selected
+        inside = [_mask((j for j, c in enumerate(cols) if c != col and c & col == c), len(cols)) for col in cols]
+        insides = _byte_tables(inside, operator.or_, 0)
+        candidates = _byte_tables([((1 << m, col),) for m, col in enumerate(cols)], operator.add, ())
+        all_types = (1 << len(cols)) - 1
         uppers: list[list[int] | None] = [[] for _ in intents]
         for k, (key, intent) in enumerate(zip(self._keys, intents)):
             rest = outside = all_types ^ intent
@@ -615,22 +608,20 @@ class ConceptLattice(Value):
         return tuple(itertools.chain.from_iterable(_edge_runs(uppers)))
 
 
-def _candidate_tables(cols: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple, ...], ...]]:
-    """Two tables per run of 8 columns, indexed by a byte ``v`` of a type
-    mask, built as :func:`_meet_tables` builds its own: the OR of the masks
-    of the columns lying strictly inside each column at a set bit of ``v``;
-    and the ``(bit, column)`` pairs of the set bits of ``v``, ascending.
-    Each column doubles both tables."""
-    inside = [_mask((j for j, c in enumerate(cols) if c != col and c & col == c), len(cols)) for col in cols]
-    ors, pairs = [], []
-    for g in range(0, len(cols), 8):
-        run_ors, run_pairs = [0], [()]
-        for m in range(g, min(g + 8, len(cols))):
-            run_ors += [x | inside[m] for x in run_ors]
-            run_pairs += [t + ((1 << m, cols[m]),) for t in run_pairs]
-        ors.append(tuple(run_ors))
-        pairs.append(tuple(run_pairs))
-    return tuple(ors), tuple(pairs)
+def _byte_tables(items: Sequence, combine: Callable, unit) -> tuple[tuple, ...]:
+    """One table per run of 8 items, indexed by a byte ``v`` of a mask over
+    them (the "Four Russians" method of Arlazarov, Dinic, Kronrod and
+    Faradzev, 1970): entry ``v`` of a run's table combines the items at the
+    set bits of ``v``, lowest first, onto ``unit``, entry 0 itself.  Each
+    item doubles its run's table, so a table holds 256 entries, 32 per
+    item."""
+    tables = []
+    for g in range(0, len(items), 8):
+        table = [unit]
+        for item in items[g : g + 8]:
+            table += [combine(x, item) for x in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def _edge_runs(uppers: list[list[int] | None]) -> Iterator[list[tuple[int, int]]]:
@@ -643,27 +634,6 @@ def _edge_runs(uppers: list[list[int] | None]) -> Iterator[list[tuple[int, int]]
         run = uppers[lo : lo + 1024]
         uppers[lo : lo + 1024] = itertools.repeat(None, len(run))
         yield [(low, k) for low, ks in enumerate(run, lo) for k in ks]
-
-
-def _meet_tables(space: Classification) -> tuple[tuple[int, ...], ...]:
-    """The meets of the columns of ``space``, one table per run of 8
-    (the "Four Russians" method of Arlazarov, Dinic, Kronrod and
-    Faradzev, 1970): entry ``v`` of a run's table is the AND of the
-    columns at the set bits of ``v``, entry 0 the full mask.  Each column
-    doubles the table.
-
-    The tables hold at most 32 masks per column of ``space``, each no
-    wider: 528 masks of 124 bits on M.  They are built over the row
-    classes, never over the instances: over W20's 2^20 models they would
-    hold 272 masks of 128 KB, about 34 MB, against 272 of 102 bits.
-    """
-    tables = []
-    for g in range(0, len(space._columns), 8):
-        table = [space._full]
-        for col in space._columns[g : g + 8]:
-            table += [meet & col for meet in table]
-        tables.append(tuple(table))
-    return tuple(tables)
 
 
 def concept_lattice(ctx: Classification, cap: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
@@ -832,19 +802,15 @@ def _cxt_records(ctx: Classification, name: str) -> Iterator[str]:
 
 
 def _cxt_rows(columns: Sequence[int], n: int) -> Iterator[str]:
-    """The row lines of ``n`` instances, 2^16 to a record.  Cell ``j`` of a
-    line is the instance's binary digit in column ``j``: a column's digits
-    over the block, cut from one bytes copy of the column as
-    :func:`_row_classes` cuts them, lowest first and kept to ``count`` by a
-    set bit above them, fill every ``(m + 1)``-th byte of the record from
-    byte ``j``."""
+    """The row lines of ``n`` instances, one record per window of
+    :func:`_windows`.  Cell ``j`` of a line is the instance's binary digit
+    in column ``j``: the column's digits over the window, lowest first and
+    kept to ``count`` by a set bit above them, fill every ``(m + 1)``-th
+    byte of the record from byte ``j``."""
     m = len(columns)
-    data = [col.to_bytes((n + 7) >> 3, "little") for col in columns]
-    for lo in range(0, n, 1 << 16):
-        count = min(1 << 16, n - lo)
+    for _, count, cols in _windows(columns, n):
         block = bytearray(b"." * m + b"\n") * count
-        for j, column in enumerate(data):
-            col = int.from_bytes(column[lo >> 3 : (lo + count + 7) >> 3], "little")
+        for j, col in enumerate(cols):
             block[j :: m + 1] = bin(col | 1 << count)[:2:-1].encode().translate(_CELLS)
         yield block.decode()
 

@@ -394,10 +394,8 @@ def lattice_text(lat: TheoryLattice) -> str:
     ``covered-by`` the immediately larger ones, by record id.  Model ids
     are positions, so an extent's set bits are its models in ascending
     order; the ``models:`` lines make the text theories × models long,
-    and each is joined from blocks of model numerals, and over 16 blocks
-    or more from runs of blocks, cached across theories, with no table of
-    one name per model.  The text is the join of :func:`_text_records`,
-    which the CLI writes record by record.
+    and each is joined by :class:`fca._BlockJoin`.  The text is the join
+    of :func:`_text_records`, which the CLI writes record by record.
     """
     return "".join(_text_records(lat))
 
@@ -407,15 +405,11 @@ def _text_records(lat: TheoryLattice) -> Iterator[str]:
 
     The covers and the record ids are built before the records are
     returned; a record is rendered when it is asked for.  Its ``models:``
-    line is joined from aligned blocks of the extent, computed from the
-    intent for the record and dropped, by
-    :class:`fca._BlockJoin`, handed the model ids ``range(n)`` themselves:
-    a block that misses its cache is rendered from fixed numeral tables,
-    and the cache holds at most as many characters as the extents hold
-    bytes.  From 16 blocks a mask is read in runs of G blocks, and a run
-    seen in an earlier extent is one lookup; the run cache holds a G-th of
-    that budget.  So memory tracks the largest record and about the size
-    of the lattice, not the number of models.
+    line is the extent, computed from the intent for the record and
+    dropped, joined by :class:`fca._BlockJoin` over the model ids
+    ``range(n)`` with a budget of as many characters as the extents hold
+    bytes.  So memory tracks the largest record and about the size of the
+    lattice, not the number of models.
     """
     concepts = lat.lattice
     ids = [str(k) for k in range(len(concepts._intents))]

@@ -52,7 +52,7 @@ from oracles import (
     set_derive_instances,
     set_derive_types,
 )
-from theorylattice import morph
+from theorylattice import fca, morph
 from theorylattice.cli import main
 from theorylattice.errors import InfomorphismError, PoolMembershipError, SizeCapError
 from theorylattice.fca import (
@@ -476,16 +476,42 @@ def test_closing_reads_the_meet_of_the_selected_columns(case):
         assert lat._intents[lat._closing(mask)] == set_closure(ctx, mask)
 
 
+def check_byte_tables(tables, items, fold) -> None:
+    """One table per run of 8 items, entry ``v`` of run ``g`` the fold of
+    the items ``8g + i`` at the set bits ``i`` of ``v``, ascending."""
+    sizes = [256] * (len(items) // 8) + ([2 ** (len(items) % 8)] if len(items) % 8 else [])
+    assert [len(table) for table in tables] == sizes
+    for g, table in enumerate(tables):
+        for v, entry in enumerate(table):
+            assert entry == fold([items[8 * g + i] for i in range(8) if v >> i & 1])
+
+
 @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 16, 17, 65])
-def test_meet_tables_have_one_entry_per_subset_of_each_run(m):
+def test_meet_tables_have_one_entry_per_subset_of_each_run(m, monkeypatch):
+    """Every entry of the lookup's meet tables, and of the inside-OR and
+    candidate-pair tables the covers build from the same columns, against
+    the fold of the entry's columns."""
     rng = random.Random(m)
     rows = [rng.getrandbits(m) for _ in range(3)]
     picks = [rng.choice(rows) for _ in range(9)]
     columns = tuple(sum(1 << p for p, row in enumerate(picks) if row >> j & 1) for j in range(m))
     lat = concept_lattice(Classification.from_columns(range(9), tuple(range(m)), columns))
-    sizes = [256] * (m // 8) + ([2 ** (m % 8)] if m % 8 else [])
-    assert [len(table) for table in lat._meets] == sizes
-    assert all(table[0] == lat._space._full for table in lat._meets)
+    cols, full = lat._space._columns, lat._space._full
+    check_byte_tables(lat._meets, cols, lambda xs: functools.reduce(operator.and_, xs, full))
+    built = {}
+    real = fca._byte_tables
+    monkeypatch.setattr(fca, "_byte_tables", lambda items, combine, unit: built.setdefault(
+        combine, (items, real(items, combine, unit)))[1])
+    assert lat.covers() == brute_covers(lat.concepts)
+    assert set(built) == {operator.or_, operator.add}
+    held = [frozenset(_select(range(9), c)) for c in cols]
+    inside = [sum(1 << j for j, other in enumerate(held) if other < mine) for mine in held]
+    items, tables = built[operator.or_]
+    assert list(items) == inside
+    check_byte_tables(tables, inside, lambda xs: functools.reduce(operator.or_, xs, 0))
+    items, tables = built[operator.add]
+    assert list(items) == [((1 << j, c),) for j, c in enumerate(cols)]
+    check_byte_tables(tables, [(1 << j, c) for j, c in enumerate(cols)], tuple)
 
 
 def reference_unknown_message(known, ids, what):
@@ -1269,16 +1295,19 @@ def test_block_join_matches_joining_the_selected_names(width):
 
 
 def test_a_repeated_run_of_blocks_is_looked_up_once():
-    """A periodic mask over 32768 positions (128 blocks of 256 in runs of 8),
-    with two runs cleared, joined twice: the second join looks each of its 14
-    nonzero runs up once, finds every one, and makes no block lookup."""
+    """A periodic mask over 32768 positions (128 blocks of 256 in 16 runs of
+    8), with its first and last runs and two inner runs cleared, joined
+    twice: an all-zero run makes no lookup wherever it lies, so each join
+    looks up only the 12 nonzero runs; the first misses each of them, and
+    the second finds every one and makes no block lookup."""
     join = _BlockJoin(range(32768), " ", 1 << 20)
     join.blocks, join.runs = CountingDict(), CountingDict()
-    mask = sum(1 << i for i in range(32768) if i % 7 in (0, 3) and not 4096 <= i < 8192)
+    mask = sum(1 << i for i in range(2048, 30720) if i % 7 in (0, 3) and not 4096 <= i < 8192)
     first = join(mask)
+    assert (join.runs.gets, join.runs.misses) == (12, 12)
     join.blocks.gets = join.runs.gets = join.runs.misses = 0
     assert join(mask) == first == " ".join(map(str, _select(range(32768), mask)))
-    assert (join.blocks.gets, join.runs.gets, join.runs.misses) == (0, 14, 0)
+    assert (join.blocks.gets, join.runs.gets, join.runs.misses) == (0, 12, 0)
 
 
 def boundary_mask(width: int, period: int) -> int:
