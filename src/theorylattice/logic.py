@@ -13,8 +13,8 @@ nonempty carriers; satisfaction is Tarskian, with quantifiers ranging
 over the carrier of the bound sort, and is computed for many models at
 once over groups of models that share their carriers: a
 :class:`StructureSpace` is one group, listed models are grouped by
-:func:`_listed_groups`.  There are no function symbols and no empty or
-infinite domains.
+:func:`_listed_groups`, and a lone structure is a listed group of one.
+There are no function symbols and no empty or infinite domains.
 """
 
 from __future__ import annotations
@@ -1015,31 +1015,24 @@ def _check_sentence(sig: Signature, sentence: Formula) -> None:
         )
 
 
-def _structure_group(structure: Structure) -> _Group:
-    """One structure as a group of one model, its atoms looked up in place."""
-    relation, constant = structure._relation, structure._constant
-    return _Group(
-        structure.signature,
-        structure._carrier,
-        1,
-        lambda rel, tup: int(tup in relation[rel]),
-        lambda const, elem: int(constant[const] == elem),
-    )
-
-
 def satisfies(structure: Structure, sentence: Formula) -> bool:
     """Tarskian truth of a closed sentence in a finite structure."""
     _check_sentence(structure.signature, sentence)
-    return _column(_structure_group(structure), sentence, {}) == 1
+    return _column(_listed_groups(structure.signature, (structure,))[0], sentence, {}) == 1
 
 
 def eval_formula(structure: Structure, formula: Formula, env: Mapping[str, str]) -> bool:
-    """Truth of an open formula under an assignment of carrier elements."""
+    """Truth of a well-typed formula under an assignment of its free
+    variables to carrier elements; other keys are ignored."""
     fv = free_vars(formula)
+    validate_formula(structure.signature, formula, fv)
     missing = set(fv) - set(env)
     if missing:
         raise ValueError(f"assignment misses free variables: {sorted(missing)}")
-    return _column(_structure_group(structure), formula, env) == 1
+    outside = sorted(v for v, sort in fv.items() if env[v] not in structure.carrier(sort))
+    if outside:
+        raise ValueError(f"assignment gives free variables values outside their carriers: {outside}")
+    return _column(_listed_groups(structure.signature, (structure,))[0], formula, env) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1094,39 +1087,39 @@ def _periodic(width: int, period: int, start: int, stop: int) -> int:
 class StructureSpace(collections.abc.Sequence):
     """Every structure over fixed carriers, in canonical order, built on demand.
 
-    Position ``i`` is a mixed-radix number with one digit per relation, a
-    bit-vector over the lexicographic order of the relation's tuples
-    (earlier relations more significant), then one digit per constant, the
-    position of its denotation in its carrier (the last constant least
-    significant).  A structure is built only when one is indexed or
-    iterated; ``index`` encodes a structure instead of scanning, and
-    ``_group`` reads ground atoms off the encoding as periodic bit
-    patterns.  Use :func:`enumerate_structures`, which validates the
-    carriers and applies the size cap.  Two spaces are equal when their
-    signatures and carriers are.
+    Position ``i`` is a mixed-radix number, and one table gives each digit
+    its stride, the number of positions one step of the digit skips.
+    ``_cells`` maps each ``(relation, tuple)`` to the stride of its binary
+    digit, set when the relation holds of the tuple (a relation's first
+    tuple, in lexicographic order, is least significant, and earlier
+    relations are more significant); ``_constants`` maps each constant to
+    its stride, the positions of the elements of its carrier, and that
+    carrier: the digit is the position of its denotation (the last constant
+    least significant).  Every reader takes its digits from those strides:
+    ``_decode`` builds the structure at a position, ``_encode`` (behind
+    ``index``) sums the strides of a structure's digits instead of
+    scanning, and ``_group`` reads each ground atom and denotation off the
+    order as a periodic bit pattern.  A structure is built only when one
+    is indexed or iterated.  Use :func:`enumerate_structures`, which
+    validates the carriers and applies the size cap.  Two spaces are equal
+    when their signatures and carriers are.
     """
 
     def __init__(self, sig: Signature, carriers: tuple[tuple[str, tuple[str, ...]], ...]) -> None:
         cs = dict(carriers)
-        self.signature, self.carriers = sig, tuple(cs.items())
-        tuples = {
-            name: tuple(itertools.product(*(cs[sort] for sort in sig.profile(name))))
-            for name in sig.relation_names
-        }
-        # A digit's stride is the number of positions one step of it skips.
-        stride = 1
-        const_strides = {}
+        self.signature, self.carriers, self._cs = sig, tuple(cs.items()), cs
+        stride, constants, self._cells = 1, {}, {}
         for name in reversed(sig.constant_names):
-            const_strides[name] = stride
-            stride *= len(cs[sig.constant_sort(name)])
-        rel_strides = {}
+            elems = cs[sig.constant_sort(name)]
+            constants[name] = (stride, {e: j for j, e in enumerate(elems)}, elems)
+            stride *= len(elems)
         for name in reversed(sig.relation_names):
-            rel_strides[name] = stride
-            stride <<= len(tuples[name])
-        self._cs, self._count, self._tuples = cs, stride, tuples
-        self._tuple_pos = {n: {t: k for k, t in enumerate(ts)} for n, ts in tuples.items()}
-        self._elem_pos = {sort: {e: j for j, e in enumerate(es)} for sort, es in cs.items()}
-        self._rel_strides, self._const_strides = rel_strides, const_strides
+            for tup in itertools.product(*(cs[sort] for sort in sig.profile(name))):
+                self._cells[name, tup] = stride
+                stride <<= 1
+        self._constants, self._count = dict(reversed(constants.items())), stride
+        # Columns keyed (relation, tuple) and (constant, element), which never
+        # collide: a tuple is not a str.
         self._patterns: dict[tuple, int] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -1169,26 +1162,23 @@ class StructureSpace(collections.abc.Sequence):
         """The structure at position ``i``, built from the space's own
         carriers and tuples, which are valid by construction: none of
         :class:`Structure`'s input checks run."""
-        sig, cs = self.signature, self._cs
-        constants = []
-        for name in reversed(sig.constant_names):
-            elems = cs[sig.constant_sort(name)]
-            i, j = divmod(i, len(elems))
-            constants.append((name, elems[j]))
-        relations = []
-        for name in reversed(sig.relation_names):
-            space = self._tuples[name]
-            bits, i = i, i >> len(space)
-            relations.append((name, frozenset(t for k, t in enumerate(space) if bits >> k & 1)))
+        held: dict[str, list] = {name: [] for name in self.signature.relation_names}
+        for (name, tup), stride in self._cells.items():
+            if i // stride & 1:
+                held[name].append(tup)
+        relation = {name: frozenset(tuples) for name, tuples in held.items()}
+        constant = {
+            name: elems[i // stride % len(elems)] for name, (stride, _, elems) in self._constants.items()
+        }
         structure = object.__new__(Structure)
         vars(structure).update(
-            signature=sig,
+            signature=self.signature,
             carriers=self.carriers,
-            relations=tuple(reversed(relations)),
-            constants=tuple(reversed(constants)),
-            _carrier=cs,
-            _relation=dict(relations),
-            _constant=dict(constants),
+            relations=tuple(relation.items()),
+            constants=tuple(constant.items()),
+            _carrier=self._cs,
+            _relation=relation,
+            _constant=constant,
         )
         return structure
 
@@ -1199,39 +1189,33 @@ class StructureSpace(collections.abc.Sequence):
             and value.carriers == self.carriers
         ):
             return None
-        i = 0
+        cells, i = self._cells, 0
         for name, tuples in value.relations:
-            pos = self._tuple_pos[name]
-            bits = 0
             for tup in tuples:
-                bits |= 1 << pos[tup]
-            i = i << len(pos) | bits
+                i += cells[name, tup]
         for name, elem in value.constants:
-            pos = self._elem_pos[self.signature.constant_sort(name)]
-            i = i * len(pos) + pos[elem]
+            stride, pos, _ = self._constants[name]
+            i += stride * pos[elem]
         return i
 
     def _atom(self, rel: str, tup: tuple[str, ...]) -> int:
-        """Models holding R(t): blocks of the digit bit's stride, alternating
-        off and on."""
-        key = (0, rel, tup)
-        col = self._patterns.get(key)
+        """Models holding R(t): blocks of the cell's stride, alternating off
+        and on."""
+        col = self._patterns.get((rel, tup))
         if col is None:
-            block = self._rel_strides[rel] << self._tuple_pos[rel][tup]
-            col = self._patterns[key] = _periodic(self._count, 2 * block, block, 2 * block)
+            stride = self._cells[rel, tup]
+            col = self._patterns[rel, tup] = _periodic(self._count, 2 * stride, stride, 2 * stride)
         return col
 
     def _denotes(self, const: str, elem: str) -> int:
         """Models where the constant denotes the element: one block of its
         digit's stride in each cycle of the digit."""
-        key = (1, const, elem)
-        col = self._patterns.get(key)
+        col = self._patterns.get((const, elem))
         if col is None:
-            pos = self._elem_pos[self.signature.constant_sort(const)]
-            block = self._const_strides[const]
-            j = pos[elem]
-            col = _periodic(self._count, block * len(pos), j * block, (j + 1) * block)
-            self._patterns[key] = col
+            stride, pos, elems = self._constants[const]
+            start = stride * pos[elem]
+            col = _periodic(self._count, stride * len(elems), start, start + stride)
+            self._patterns[const, elem] = col
         return col
 
     def _group(self) -> _Group:

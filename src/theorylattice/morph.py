@@ -33,9 +33,9 @@ from .logic import (
     _column,
     _fault,
     _Group,
+    _listed_groups,
     _map,
     _source_lines,
-    _structure_group,
     Atom,
     Const,
     Eq,
@@ -340,7 +340,7 @@ def reduct(h: Interpretation, model: Structure) -> Structure:
     """
     if model.signature != h.target:
         raise SignatureMismatchError("model is not over the interpretation's target signature")
-    src, group = h.source, _reducts(h, _structure_group(model))
+    src, group = h.source, _reducts(h, _listed_groups(model.signature, (model,))[0])
     cs = group.carrier
     relations = {
         name: [t for t in itertools.product(*(cs[s] for s in src.profile(name))) if group.atom(name, t)]

@@ -54,10 +54,6 @@ class Theory(Value):
         for a in self.axioms:
             _check_sentence(self.signature, a)
 
-    @classmethod
-    def make(cls, sig: Signature, axioms: Iterable[Formula]) -> "Theory":
-        return cls(sig, frozenset(axioms))
-
 
 def _as_axioms(theory: "Theory | Iterable[Formula]") -> Iterable[Formula]:
     return theory.axioms if isinstance(theory, Theory) else theory

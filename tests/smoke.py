@@ -198,28 +198,11 @@ def exports_w20(out: Path) -> None:
     with the 12 M-pool sentences that do not mention Q.  Each export is
     hashed as it is read from the pipe and compared with the sha256 recorded
     before the exports were streamed, and its wall seconds and peak RSS are
-    printed.  The text export (171 MB) peaked at 687 MB RSS when it was built
-    as one string, at about 190 MB streamed, at about 216 MB (2.0 s, against
-    6.2 s) with its models: lines joined from cached blocks, and at about
-    176 MB (1.7 s) once the model ids stayed a range and the lattice ran on
-    the 102 row classes.  DOT and cxt then went from about 202 and 209 MB
-    (1.2-1.4 and 1.4-1.7 s) to 136 and 169 MB (1.1 and 1.2-1.4 s).  With no
-    table of model names, text, DOT and cxt peak at 100-103, 60-63 and
-    91-95 MB on Python 3.10 to 3.13 (1.2-1.8, 0.7-0.9 and 0.8-0.9 s); they
-    peaked at 157-175, 117-135 and 150-168 MB before.  With the cxt rows
-    written from the columns, 2^16 to a record, and no table of rows, cxt
-    peaks at 47-53 MB (0.3-0.5 s, against 91-97 MB and 0.5-1.1 s).  With
-    the lattice keeping no model-wide extent and its rows counted 2^16
-    models at a time, text, DOT and cxt peak at 81.8-81.9, 25.0-25.1 and
-    24.6 MB on Python 3.11 (1.4-1.5, 0.7 and 0.2-0.4 s; 103.1, 62.7 and
-    51.8 MB before).  With a long record dropped before the next one is
-    built, text peaks at 68.8 MB (1.0-1.4 s).  With runs of blocks cached
-    too, text peaks at 69.8-69.9 MB against 68.7-68.8 MB block by block, in
-    the same time (1.1-1.7 s on either side, alternating), and DOT and cxt
-    at 25.1-25.2 and 25.5-25.6 MB (0.5-0.7 and 0.3-0.4 s).  Each ceiling is
-    about 30% over the highest of the latest peaks.  The cxt export builds
-    no lattice, so it runs again under ``--cap-concepts 0`` and must give
-    the same bytes."""
+    printed.  On Python 3.11 text, DOT and cxt peak at 69.8-69.9, 25.0-25.2
+    and 25.1-25.7 MB (1.2-1.7, 0.5-0.9 and 0.2-0.4 s), and each ceiling is
+    about 25-30% over the highest of those peaks; CHANGES.md keeps the
+    earlier ones.  The cxt export builds no lattice, so it runs again under
+    ``--cap-concepts 0`` and must give the same bytes."""
     t = fixtures(out)
     cxt = (20909377, "bc664ef74c071b4527e0e66ccf94092f70d7558c2cdb8294ff9949d3e09a6a61", 32)
     want = {

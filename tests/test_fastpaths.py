@@ -16,7 +16,7 @@ import operator
 import random
 import time
 import tracemalloc
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -86,10 +86,12 @@ from theorylattice.logic import (
     Var,
     count_structures,
     enumerate_structures,
+    eval_formula,
     format_structure,
     parse_model,
     parse_sentence,
     parse_signature,
+    satisfies,
     sentence_key,
 )
 from theorylattice.morph import (
@@ -742,13 +744,13 @@ def test_moves_return_the_lattices_own_theories(seed, data):
         "meet": (lambda t: theory_meet(lat, t, t2), closure(tc, t1.axioms | t2.axioms)),
         "join": (lambda t: theory_join(lat, t, t2), closure(tc, t1.axioms & t2.axioms)),
     }
-    by_hand = ClosedTheory.make(tc.signature, t1.axioms)
+    by_hand = ClosedTheory(tc.signature, t1.axioms)
     for name, (move, want) in moves.items():
         got = move(t1)
         assert own(lat, got), name
         assert got == want, name
         assert move(by_hand) is got, name
-    assert theory_meet(lat, by_hand, ClosedTheory.make(tc.signature, t2.axioms)) is moves["meet"][0](t1)
+    assert theory_meet(lat, by_hand, ClosedTheory(tc.signature, t2.axioms)) is moves["meet"][0](t1)
 
 
 # ---------------------------------------------------------------------------
@@ -1137,6 +1139,56 @@ def test_outside_structures_are_still_validated():
     good = enumerate_structures(sig, {"E": ["a", "b"]})[5]
     with pytest.raises(ValueError, match="leaves the carrier"):
         Structure(sig, good.carriers, (("P", frozenset({("z",)})), *good.relations[1:]), ())
+
+
+@pytest.mark.parametrize(
+    "sig, carriers",
+    [(parse_signature(M_SIG), {"E": ["a", "b"]}), *((MIXED, c) for c in MIXED_CARRIERS)],
+    ids=["M", *(f"mixed{k}" for k in range(len(MIXED_CARRIERS)))],
+)
+def test_each_digit_of_the_space_reads_its_own_cell(sig, carriers):
+    """Every ground atom's and denotation's column is the set of the
+    positions whose structure holds it, and every structure encodes to its
+    own position."""
+    space = enumerate_structures(sig, carriers)
+    models = brute_structures(sig, carriers)
+    cs = dict(space.carriers)
+    for rel in sig.relation_names:
+        for tup in product(*(cs[sort] for sort in sig.profile(rel))):
+            want = sum(1 << i for i, m in enumerate(models) if tup in m.relation(rel))
+            assert space._atom(rel, tup) == want, (rel, tup)
+    for const in sig.constant_names:
+        for elem in cs[sig.constant_sort(const)]:
+            want = sum(1 << i for i, m in enumerate(models) if m.constant(const) == elem)
+            assert space._denotes(const, elem) == want, (const, elem)
+    for i in range(len(space)):
+        assert space._encode(space[i]) == space._encode(models[i]) == i
+
+
+@st.composite
+def lone_mixed_cases(draw):
+    """A structure of ``MIXED``, a sentence, and an open formula in ``x:A``
+    and ``y:B`` with an assignment; both drawn with the constants in play."""
+    carriers = draw(st.sampled_from(MIXED_CARRIERS))
+    models = brute_structures(MIXED, carriers)
+    model = models[draw(st.integers(0, len(models) - 1))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sentence = random_sentence(rng, MIXED, depth=rng.randint(1, 4), equality=True)
+    free = {"x": "A", "y": "B"}
+    formula = oracles._random_formula(rng, MIXED, free, rng.randint(1, 4), equality=True)
+    env = {v: draw(st.sampled_from(carriers[sort])) for v, sort in free.items()}
+    return model, sentence, formula, env
+
+
+@given(lone_mixed_cases())
+@settings(max_examples=200, deadline=None)
+def test_a_lone_structure_with_constants_matches_ground_substitution(case):
+    model, sentence, formula, env = case
+    assert satisfies(model, sentence) == oracle_satisfies(model, sentence)
+    ground = formula
+    for v, elem in env.items():
+        ground = oracles._subst_var(ground, v, oracles._Elem(elem))
+    assert eval_formula(model, formula, env) == oracle_satisfies(model, ground)
 
 
 # ---------------------------------------------------------------------------

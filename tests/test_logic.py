@@ -782,5 +782,32 @@ def test_eval_formula_refuses_a_partial_assignment(env, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text", ["P(x) | ~P(x)", "exists y:E. x = y"])
+def test_eval_formula_refuses_a_value_outside_the_carrier(text):
+    sig = parse_signature("entity E\nrelation P(E)")
+    m = enumerate_structures(sig, {"E": ["a", "b"]})[0]
+    f = parse_formula(sig, text, {"x": "E"})
+    with pytest.raises(ValueError) as exc:
+        eval_formula(m, f, {"x": "zzz"})
+    assert str(exc.value) == "assignment gives free variables values outside their carriers: ['x']"
+    assert eval_formula(m, f, {"x": "b", "unused": "zzz"})
+
+
+@pytest.mark.parametrize(
+    "formula, message",
+    [
+        (Not(Atom("Z", (Var("x", "E"),))), "unknown relation type 'Z'"),
+        (Not(Atom("P", (Var("x", "E"), Var("x", "E")))), "relation 'P' expects 1 arguments, got 2"),
+        (Atom("P", (Var("x", "F"),)), "free variable 'x' has undeclared sort 'F'"),
+    ],
+    ids=["relation", "arity", "sort"],
+)
+def test_eval_formula_refuses_an_ill_typed_formula(formula, message):
+    sig = parse_signature("entity E\nrelation P(E)")
+    with pytest.raises(ValueError) as exc:
+        eval_formula(enumerate_structures(sig, {"E": ["a", "b"]})[0], formula, {"x": "a"})
+    assert str(exc.value) == message
+
+
 def test_sentence_key_is_stable():
     assert sentence_key(sent("forall quux:E. P(quux)")) == "forall v0:E. P(v0)"

@@ -892,14 +892,14 @@ class TestAcceptedPairsAreAdjoint:
 
 class TestIsTheoryMorphism:
     def test_swap_carries_the_theory(self, swap, pq_sig, swap_tc):
-        t1 = Theory.make(pq_sig, [parse_sentence(pq_sig, "forall x:E. P(x)")])
-        t2 = Theory.make(pq_sig, [parse_sentence(pq_sig, "forall x:E. Q(x)")])
+        t1 = Theory(pq_sig, [parse_sentence(pq_sig, "forall x:E. P(x)")])
+        t2 = Theory(pq_sig, [parse_sentence(pq_sig, "forall x:E. Q(x)")])
         assert is_theory_morphism(swap, t1, t2, swap_tc)
         assert not is_theory_morphism(swap, t2, t2, swap_tc)
 
     def test_entailed_but_not_literal_images_count(self, swap, pq_sig, swap_tc):
-        t1 = Theory.make(pq_sig, [parse_sentence(pq_sig, "exists x:E. P(x)")])
-        t2 = Theory.make(pq_sig, [parse_sentence(pq_sig, "forall x:E. Q(x)")])
+        t1 = Theory(pq_sig, [parse_sentence(pq_sig, "exists x:E. P(x)")])
+        t2 = Theory(pq_sig, [parse_sentence(pq_sig, "forall x:E. Q(x)")])
         assert is_theory_morphism(swap, t1, t2, swap_tc)
 
     def test_target_models_are_found_once(self, monkeypatch):
@@ -910,8 +910,8 @@ class TestIsTheoryMorphism:
         pool = [parse_sentence(sig, s) for s in M_POOL]
         tc = build_truth_classification(sig, pool, carriers={"E": ["a", "b"]})
         stray = ["exists x:E. R(x,x) & ~P(x)", "forall x:E. Q(x) | R(x,x)", "exists x:E. P(x) & ~R(x,x)"]
-        t1 = Theory.make(sig, pool[:8])
-        t2 = Theory.make(sig, [*pool[:8], *(parse_sentence(sig, s) for s in stray)])
+        t1 = Theory(sig, pool[:8])
+        t2 = Theory(sig, [*pool[:8], *(parse_sentence(sig, s) for s in stray)])
         calls = []
         models_mask = TruthClassification._models_mask
         monkeypatch.setattr(TruthClassification, "_models_mask",
@@ -919,12 +919,12 @@ class TestIsTheoryMorphism:
         f = identity_morphism(sig)
         assert is_theory_morphism(f, t1, t2, tc)
         assert len(calls) == 1
-        assert is_theory_morphism(f, Theory.make(sig, []), t2, tc)
-        assert not is_theory_morphism(f, t2, Theory.make(sig, []), tc)
+        assert is_theory_morphism(f, Theory(sig, []), t2, tc)
+        assert not is_theory_morphism(f, t2, Theory(sig, []), tc)
 
     def test_signature_guards(self, conj_interp, pq_sig, unary_sig, swap_tc):
-        t_pq = Theory.make(pq_sig, [])
-        t_unary = Theory.make(unary_sig, [])
+        t_pq = Theory(pq_sig, [])
+        t_unary = Theory(unary_sig, [])
         with pytest.raises(SignatureMismatchError, match="morphism's source"):
             is_theory_morphism(conj_interp, t_pq, t_pq, swap_tc)
         with pytest.raises(SignatureMismatchError, match="over the target"):

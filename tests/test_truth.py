@@ -252,7 +252,7 @@ class TestClosure:
                     assert closure(pq_tc, a1).axioms <= closure(pq_tc, a2).axioms
 
     def test_accepts_theory_values(self, pq_tc, pq_sig, pq):
-        t = Theory.make(pq_sig, [pq["s1"]])
+        t = Theory(pq_sig, [pq["s1"]])
         assert closure(pq_tc, t).axioms == {pq["s1"], pq["s3"]}
 
     def test_alpha_variant_of_a_pool_member_closes_alike(self, pq_tc, pq):
@@ -344,7 +344,7 @@ class TestEntails:
         monkeypatch.setattr(truth, "_as_axioms", lambda theory: read.append(theory) or real(theory))
         verdicts = set()
         for view in pq_lat.theories:
-            by_hand = Theory.make(pq_sig, map(pq_tc.sentence, view.keys()))
+            by_hand = Theory(pq_sig, map(pq_tc.sentence, view.keys()))
             assert view._tc is pq_tc and view.axioms == by_hand.axioms
             for q in queries:
                 verdict = entails(pq_tc, view, q)
@@ -534,7 +534,7 @@ class TestGeneratorConcepts:
 class TestTheory:
     def test_axioms_are_canonicalized(self, pq_sig, pq):
         variant = Forall("y", "E", Atom("P", (Var("y", "E"),)))
-        assert Theory.make(pq_sig, [variant]).axioms == {pq["s1"]}
+        assert Theory(pq_sig, [variant]).axioms == {pq["s1"]}
 
     @pytest.mark.parametrize(
         "axiom, error, message",
@@ -567,7 +567,7 @@ class TestTheory:
     )
     def test_axioms_are_checked_by_key(self, pq_sig, axiom, error, message):
         with pytest.raises(error) as exc:
-            Theory.make(pq_sig, [axiom])
+            Theory(pq_sig, [axiom])
         assert str(exc.value) == message
 
     def test_the_sentence_check_keeps_the_two_sort_fault(self, pq_sig):
